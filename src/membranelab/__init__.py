@@ -5,12 +5,9 @@ from .grid import (
     Grid2D,
     ScalarField,
     build_grid,
-    discrete_laplacian,
     dump_field_csv,
     float_repr,
-    gradient_central,
     gradient_fields,
-    interpolate,
     interpolate_many,
     laplacian_interior,
     sample,
@@ -19,11 +16,8 @@ from .profiles import (
     GlobalProfile,
     OnePhasePolynomial,
     dist_to_M,
-    dist_to_Mstar,
     eval_many,
-    eval_polynomial,
     eval_polynomial_many,
-    eval_profile,
     eval_profile_many,
     profile_boundary_trace,
 )
@@ -44,10 +38,8 @@ from .monotonicity import (
     acf_psi,
     blowup_rescale,
     directional_parts,
-    disk_integral,
     phi_ladder,
     psi_ladder,
-    rescale_quadratic,
     s_norm,
     weiss_phi,
 )
@@ -83,27 +75,5 @@ from .cli import (
     stability_sweep,
     write_json,
 )
-
-__all__ = [
-    "BoundaryMap", "Grid2D", "ScalarField", "build_grid", "discrete_laplacian",
-    "dump_field_csv", "float_repr", "gradient_central", "gradient_fields",
-    "interpolate", "interpolate_many", "laplacian_interior", "sample",
-    "GlobalProfile", "OnePhasePolynomial", "dist_to_M", "dist_to_Mstar",
-    "eval_many", "eval_polynomial", "eval_polynomial_many", "eval_profile",
-    "eval_profile_many", "profile_boundary_trace",
-    "ComparisonResult", "ProblemSpec", "SolveReport", "SolverError",
-    "comparison_check", "energy", "residual_field", "solve",
-    "DegenerateRescaleError", "MonotonicityProfile", "RadiusLadder", "acf_psi",
-    "blowup_rescale", "directional_parts", "disk_integral", "phi_ladder",
-    "psi_ladder", "rescale_quadratic", "s_norm", "weiss_phi",
-    "CircleTrace", "ClassifyThresholds", "FreeBoundarySet", "GraphFit",
-    "NotVerticallySimpleError", "PhaseLengths", "PointClass", "XiTrace",
-    "ZeroSetEmptyError", "circle_trace", "classify_point", "covering_count",
-    "default_thresholds", "dist_to_polynomial_class", "extract_free_boundary",
-    "fit_two_graphs", "perimeter_estimate", "reflection_xi",
-    "ConfigError", "ExperimentConfig", "StabilityReport", "SweepHypothesisError",
-    "SweepRow", "hausdorff_distance", "load_config", "run", "stability_sweep",
-    "write_json",
-]
 
 __version__ = "0.1.0"

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +46,16 @@ class SweepHypothesisError(RuntimeError):
 
 _DIAGNOSTICS = ("phi_ladder", "psi_ladder", "classify", "graphs", "xi", "perimeter", "covering")
 _FAMILIES = ("constant", "linear", "sine")
+# Every key a known section may carry; anything else is a config error.
+_KEYS = {
+    "domain": ("x_min", "x_max", "y_min", "y_max", "n"),
+    "problem": ("lambda_plus", "lambda_minus"),
+    "boundary": ("kind", "offset", "beta1", "beta2", "tau", "theta", "cxx", "cxy", "cyy", "sign"),
+    "solver": ("tol_linear", "max_sweeps"),
+    "diagnostics": ("run", "point", "radii", "window", "eps", "xi_r", "xi_m", "xi_rotation"),
+    "sweep": ("family", "amplitudes", "k", "classify_budget", "window"),
+    "output": ("dir",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +147,11 @@ def load_config(path: str) -> ExperimentConfig:
     for sec in ("domain", "problem", "boundary", "output"):
         if not cp.has_section(sec):
             raise ConfigError(f"{sec}: required section missing")
+    for sec, keys in _KEYS.items():
+        if cp.has_section(sec):
+            for key in cp.options(sec):
+                if key not in keys:
+                    raise ConfigError(f"{sec}.{key}: unknown key")
 
     x_min = _get(cp, "domain", "x_min", float, required=True)
     x_max = _get(cp, "domain", "x_max", float, required=True)
@@ -189,6 +205,10 @@ def load_config(path: str) -> ExperimentConfig:
         if len(point) != 2:
             raise ConfigError("diagnostics.point: need exactly two coordinates")
         radii = _get(cp, "diagnostics", "radii", _floats, default=())
+        if any(r <= 0.0 for r in radii):
+            raise ConfigError("diagnostics.radii: need positive radii")
+        if any(radii[k + 1] >= radii[k] for k in range(len(radii) - 1)):
+            raise ConfigError("diagnostics.radii: must be strictly decreasing")
         diag_params = {
             "point": point,
             "radii": radii,
@@ -343,34 +363,21 @@ class StabilityReport:
         }
 
 
-def hausdorff_distance(a, b, max_spacing: float | None = None) -> float:
-    """Symmetric Hausdorff distance between two polyline collections.
-
-    Vertices only by default; ``max_spacing`` densifies segments so that
-    consecutive samples are no farther apart than the given length.
-    """
-    pa = _pool_vertices(a, max_spacing)
-    pb = _pool_vertices(b, max_spacing)
+def hausdorff_distance(a, b) -> float:
+    """Symmetric Hausdorff distance between the vertex sets of two polyline collections."""
+    pa = _pool_vertices(a)
+    pb = _pool_vertices(b)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise ValueError("hausdorff distance needs nonempty vertex sets")
     return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
 
 
-def _pool_vertices(chains, max_spacing: float | None) -> np.ndarray:
+def _pool_vertices(chains) -> np.ndarray:
     pooled = []
     for chain in chains:
         chain = np.asarray(chain, dtype=float)
         if chain.ndim != 2 or chain.shape[1] != 2:
             raise ValueError("polylines must be (k, 2) arrays")
-        if max_spacing is not None and len(chain) > 1:
-            parts = [chain[:1]]
-            for k in range(len(chain) - 1):
-                seg = chain[k + 1] - chain[k]
-                length = float(np.hypot(seg[0], seg[1]))
-                pieces = max(1, int(math.ceil(length / max_spacing)))
-                ts = np.linspace(0.0, 1.0, pieces + 1)[1:]
-                parts.append(chain[k] + ts[:, None] * seg)
-            chain = np.vstack(parts)
         pooled.append(chain)
     return np.vstack(pooled) if pooled else np.zeros((0, 2))
 
@@ -451,11 +458,7 @@ def stability_sweep(config: ExperimentConfig) -> StabilityReport:
     rows = []
     for delta in config.sweep["amplitudes"]:
         bc_d = spec.boundary.perturbed(fam, delta)
-        spec_d = ProblemSpec(
-            g, bc_d, config.lambda_plus, config.lambda_minus,
-            tol_linear=config.tol_linear, tol_pattern=config.max_sweeps,
-        )
-        u_d, _ = solve(spec_d)
+        u_d, _ = solve(dataclasses.replace(spec, boundary=bc_d))
         cmp = comparison_check(u_ref, u_d, spec.boundary, bc_d, tol_linear=config.tol_linear)
         fb_d = extract_free_boundary(u_d, tolz)
         chains_d = list(fb_d.plus_boundary) + list(fb_d.minus_boundary)
@@ -580,6 +583,9 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
     except SweepHypothesisError as exc:
         print(f"sweep hypothesis violation: {exc}", file=sys.stderr)
         return 1
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -218,6 +218,9 @@ _DIRECTIONS = (
 
 _LABELS = ("regular", "branch", "one_phase_singular", "indeterminate")
 
+# Nodes per side of the [-1, 1]^2 grid that blow-ups are sampled on.
+_BLOWUP_N = 65
+
 
 @dataclass(frozen=True)
 class ClassifyThresholds:
@@ -226,7 +229,6 @@ class ClassifyThresholds:
     tol_dist: float
     lambda_plus: float = 2.0
     lambda_minus: float = 2.0
-    blowup_grid_n: int = 65
 
 
 def default_thresholds(h: float, lambda_plus: float = 2.0, lambda_minus: float = 2.0) -> ClassifyThresholds:
@@ -338,8 +340,7 @@ def classify_point(
     evidence["psi"] = psi
 
     r_min = ladder.radii[-1]
-    n = th.blowup_grid_n
-    target = build_grid(-1.0, 1.0, -1.0, 1.0, n, n)
+    target = build_grid(-1.0, 1.0, -1.0, 1.0, _BLOWUP_N, _BLOWUP_N)
     try:
         v0 = blowup_rescale(u, p, r_min, target)
     except DegenerateRescaleError:
@@ -397,23 +398,21 @@ def fit_two_graphs(
     p: tuple[float, float],
     window: float,
     tol_zero: float,
-    r_blowup: float | None = None,
     lambda_plus: float = 2.0,
     lambda_minus: float = 2.0,
 ) -> GraphFit:
     """Fit both phase boundaries as graphs near a degenerate point.
 
     The frame comes from the rotation of the best ramp fit to the blow-up
-    at p; vertices are collected in a square window of half-width
-    ``window`` in the rotated frame and binned at roughly two grid steps
-    along the transverse axis.
+    at p with radius ``window / 2``; vertices are collected in a square
+    window of half-width ``window`` in the rotated frame and binned at
+    roughly two grid steps along the transverse axis.
     """
     g = u.grid
     if window < 8.0 * g.h:
         raise ValueError("window must cover at least 8 grid steps")
-    r = 0.5 * window if r_blowup is None else r_blowup
-    target = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
-    v0 = blowup_rescale(u, p, r, target)
+    target = build_grid(-1.0, 1.0, -1.0, 1.0, _BLOWUP_N, _BLOWUP_N)
+    v0 = blowup_rescale(u, p, 0.5 * window, target)
     _, best = dist_to_M(v0, lambda_plus=lambda_plus, lambda_minus=lambda_minus)
     theta = best.theta
     d = np.array([math.cos(theta), -math.sin(theta)])

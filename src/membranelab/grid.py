@@ -68,17 +68,6 @@ class Grid2D:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.xs, self.ys)
 
-    def is_interior(self, i: int, j: int) -> bool:
-        return 0 < i < self.nx - 1 and 0 < j < self.ny - 1
-
-    def contains(self, x: float, y: float) -> bool:
-        sx = _NODE_SNAP * (self.x_max - self.x_min)
-        sy = _NODE_SNAP * (self.y_max - self.y_min)
-        return (
-            self.x_min - sx <= x <= self.x_max + sx
-            and self.y_min - sy <= y <= self.y_max + sy
-        )
-
     def contains_ball(self, center: tuple[float, float], r: float) -> bool:
         cx, cy = center
         return (
@@ -126,19 +115,6 @@ def sample(grid: Grid2D, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
     return ScalarField(grid, np.asarray(fn(X, Y), dtype=float))
 
 
-def _require_interior(grid: Grid2D, i: int, j: int) -> None:
-    if not grid.is_interior(i, j):
-        raise ValueError(f"node ({i}, {j}) is not interior on a {grid.nx}x{grid.ny} grid")
-
-
-def discrete_laplacian(f: ScalarField, i: int, j: int) -> float:
-    """Five-point Laplacian at interior node (i, j); exact on cubics."""
-    _require_interior(f.grid, i, j)
-    v = f.values
-    h2 = f.grid.h * f.grid.h
-    return (v[j, i - 1] + v[j, i + 1] + v[j - 1, i] + v[j + 1, i] - 4.0 * v[j, i]) / h2
-
-
 def laplacian_interior(f: ScalarField) -> np.ndarray:
     """Five-point Laplacian on the full interior block, shape (ny-2, nx-2)."""
     v = f.values
@@ -146,16 +122,6 @@ def laplacian_interior(f: ScalarField) -> np.ndarray:
     return (
         v[1:-1, :-2] + v[1:-1, 2:] + v[:-2, 1:-1] + v[2:, 1:-1] - 4.0 * v[1:-1, 1:-1]
     ) / h2
-
-
-def gradient_central(f: ScalarField, i: int, j: int) -> np.ndarray:
-    """Central-difference gradient at interior node (i, j)."""
-    _require_interior(f.grid, i, j)
-    v = f.values
-    two_h = 2.0 * f.grid.h
-    gx = (v[j, i + 1] - v[j, i - 1]) / two_h
-    gy = (v[j + 1, i] - v[j - 1, i]) / two_h
-    return np.array([gx, gy])
 
 
 def gradient_fields(f: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -223,11 +189,6 @@ def interpolate_many(f: ScalarField, x: np.ndarray, y: np.ndarray) -> np.ndarray
     bottom = (1.0 - fx) * v00 + fx * v10
     top = (1.0 - fx) * v01 + fx * v11
     return (1.0 - fy) * bottom + fy * top
-
-
-def interpolate(f: ScalarField, p: tuple[float, float]) -> float:
-    """Bilinear interpolation at a single point; exact at grid nodes."""
-    return float(interpolate_many(f, np.array([p[0]]), np.array([p[1]]))[0])
 
 
 def boundary_mask(grid: Grid2D) -> np.ndarray:

@@ -11,8 +11,8 @@ Two functionals drive the blow-up analysis:
   for a nonnegative pair (the planar weight is trivial), nondecreasing in r
   when the pair are subharmonic with disjoint supports.
 
-Disk integrals use a polar midpoint rule (nq radial x nq angular cells) on
-bilinearly interpolated integrands; circle integrals use the nq-node
+Disk integrals use a polar midpoint rule (_NQ radial x _NQ angular cells)
+on bilinearly interpolated integrands; circle integrals use the _NQ-node
 periodic trapezoid rule.  Gradients come from interpolated central
 difference fields.  All functions are pure; ladders may be evaluated in
 parallel by the caller.
@@ -26,6 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid2D, ScalarField, gradient_fields, interpolate_many, float_repr
+
+
+# Quadrature resolution: radial and angular cells of the disk rule, nodes
+# of the circle rule.
+_NQ = 256
 
 
 class DegenerateRescaleError(ValueError):
@@ -80,11 +85,11 @@ def _check_ball(grid: Grid2D, center: tuple[float, float], r: float) -> None:
         raise ValueError(f"ball of radius {r} at {center} exits the grid")
 
 
-def _polar_disk(center, r, nq):
-    dr = r / nq
-    dth = 2.0 * math.pi / nq
-    rk = (np.arange(nq) + 0.5) * dr
-    th = (np.arange(nq) + 0.5) * dth
+def _polar_disk(center, r):
+    dr = r / _NQ
+    dth = 2.0 * math.pi / _NQ
+    rk = (np.arange(_NQ) + 0.5) * dr
+    th = (np.arange(_NQ) + 0.5) * dth
     R, T = np.meshgrid(rk, th)
     xs = center[0] + R * np.cos(T)
     ys = center[1] + R * np.sin(T)
@@ -92,18 +97,12 @@ def _polar_disk(center, r, nq):
     return xs.ravel(), ys.ravel(), w.ravel()
 
 
-def _circle(center, r, nq):
-    th = 2.0 * math.pi * np.arange(nq) / nq
+def _circle(center, r):
+    th = 2.0 * math.pi * np.arange(_NQ) / _NQ
     xs = center[0] + r * np.cos(th)
     ys = center[1] + r * np.sin(th)
-    w = r * (2.0 * math.pi / nq)
+    w = r * (2.0 * math.pi / _NQ)
     return xs, ys, w
-
-
-def disk_integral(f: ScalarField, center, r, nq=256) -> float:
-    """Polar midpoint quadrature of an interpolated field over B_r."""
-    xs, ys, w = _polar_disk(center, r, nq)
-    return float(np.sum(interpolate_many(f, xs, ys) * w))
 
 
 def weiss_phi(
@@ -112,7 +111,6 @@ def weiss_phi(
     r: float,
     lambda_plus: float,
     lambda_minus: float,
-    nq: int = 256,
     grads: tuple[ScalarField, ScalarField] | None = None,
 ) -> float:
     """Scale-invariant energy at center x0 and radius r (planar scaling)."""
@@ -120,14 +118,14 @@ def weiss_phi(
     if grads is None:
         grads = gradient_fields(u)
     gx, gy = grads
-    xs, ys, w = _polar_disk(x0, r, nq)
+    xs, ys, w = _polar_disk(x0, r)
     uv = interpolate_many(u, xs, ys)
     gxv = interpolate_many(gx, xs, ys)
     gyv = interpolate_many(gy, xs, ys)
     bulk = gxv * gxv + gyv * gyv \
         + lambda_plus * np.maximum(uv, 0.0) + lambda_minus * np.maximum(-uv, 0.0)
     disk = float(np.sum(bulk * w))
-    cx, cy, cw = _circle(x0, r, nq)
+    cx, cy, cw = _circle(x0, r)
     ring = float(np.sum(interpolate_many(u, cx, cy) ** 2) * cw)
     return disk / r**4 - 2.0 * ring / r**5
 
@@ -140,7 +138,6 @@ def acf_psi(
     h2: ScalarField,
     z: tuple[float, float],
     r: float,
-    nq: int = 256,
     grads1: tuple[ScalarField, ScalarField] | None = None,
     grads2: tuple[ScalarField, ScalarField] | None = None,
 ) -> float:
@@ -150,7 +147,7 @@ def acf_psi(
     _check_ball(h1.grid, z, r)
     if float(np.min(h1.values)) < -_NEG_TOL or float(np.min(h2.values)) < -_NEG_TOL:
         raise ValueError("pair members must be nonnegative (within 1e-12)")
-    xs, ys, w = _polar_disk(z, r, nq)
+    xs, ys, w = _polar_disk(z, r)
     total = 1.0 / r**4
     for h, grads in ((h1, grads1), (h2, grads2)):
         if grads is None:
@@ -179,10 +176,10 @@ def directional_parts(u: ScalarField, e: tuple[float, float]) -> tuple[ScalarFie
     )
 
 
-def s_norm(u: ScalarField, y: tuple[float, float], r: float, nq: int = 256) -> float:
+def s_norm(u: ScalarField, y: tuple[float, float], r: float) -> float:
     """Circle normalization S_r with r^(n-1) S_r^2 = int_{bd B_r} u^2."""
     _check_ball(u.grid, y, r)
-    xs, ys, w = _circle(y, r, nq)
+    xs, ys, w = _circle(y, r)
     integral = float(np.sum(interpolate_many(u, xs, ys) ** 2) * w)
     return math.sqrt(integral / r)
 
@@ -192,29 +189,19 @@ def blowup_rescale(
     y: tuple[float, float],
     r: float,
     target: Grid2D,
-    nq: int = 256,
 ) -> ScalarField:
     """Circle-normalized rescaling u(y + r x) / S_r sampled on a target grid.
 
     The target nodes (scaled by r and shifted to y) must land inside the
     source grid.  Raises DegenerateRescaleError when S_r vanishes.
     """
-    s = s_norm(u, y, r, nq=nq)
+    s = s_norm(u, y, r)
     if s == 0.0:
         raise DegenerateRescaleError(f"field vanishes on the circle of radius {r} at {y}")
     X, Y = target.meshgrid()
     xs = y[0] + r * X.ravel()
     ys = y[1] + r * Y.ravel()
     vals = interpolate_many(u, xs, ys) / s
-    return ScalarField(target, vals.reshape(target.shape))
-
-
-def rescale_quadratic(u: ScalarField, z: tuple[float, float], r: float, target: Grid2D) -> ScalarField:
-    """Parabolic rescaling u(z + r x) / r^2 on a target grid (no normalization)."""
-    X, Y = target.meshgrid()
-    xs = z[0] + r * X.ravel()
-    ys = z[1] + r * Y.ravel()
-    vals = interpolate_many(u, xs, ys) / (r * r)
     return ScalarField(target, vals.reshape(target.shape))
 
 
@@ -237,16 +224,14 @@ def phi_ladder(
     ladder: RadiusLadder,
     lambda_plus: float,
     lambda_minus: float,
-    nq: int = 256,
-    tol_mono: float | None = None,
 ) -> MonotonicityProfile:
     """weiss_phi along a ladder with monotonicity violations flagged."""
     grads = gradient_fields(u)
     vals = np.array([
-        weiss_phi(u, x0, r, lambda_plus, lambda_minus, nq=nq, grads=grads)
+        weiss_phi(u, x0, r, lambda_plus, lambda_minus, grads=grads)
         for r in ladder.radii
     ])
-    tol = _default_tol(vals) if tol_mono is None else tol_mono
+    tol = _default_tol(vals)
     return MonotonicityProfile(ladder, tuple(vals), _violations(ladder.radii, vals, tol), tol)
 
 
@@ -255,15 +240,13 @@ def psi_ladder(
     h2: ScalarField,
     z: tuple[float, float],
     ladder: RadiusLadder,
-    nq: int = 256,
-    tol_mono: float | None = None,
 ) -> MonotonicityProfile:
     """acf_psi along a ladder with monotonicity violations flagged."""
     g1 = gradient_fields(h1)
     g2 = gradient_fields(h2)
     vals = np.array([
-        acf_psi(h1, h2, z, r, nq=nq, grads1=g1, grads2=g2)
+        acf_psi(h1, h2, z, r, grads1=g1, grads2=g2)
         for r in ladder.radii
     ])
-    tol = _default_tol(vals) if tol_mono is None else tol_mono
+    tol = _default_tol(vals)
     return MonotonicityProfile(ladder, tuple(vals), _violations(ladder.radii, vals, tol), tol)

@@ -13,20 +13,19 @@ Two families are implemented:
 * ``OnePhasePolynomial``: sign-definite homogeneous quadratics that solve the
   equation in a single phase.
 
-``dist_to_Mstar`` and ``dist_to_M`` measure sup-norm distance on the unit
-disk between a sampled field and the admissible parameter box of these
-ramps; they drive blow-up classification.
+``dist_to_M`` measures sup-norm distance on the unit disk between a
+sampled field and the admissible parameter box of these ramps; it drives
+blow-up classification.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundaryMap, Grid2D, ScalarField, boundary_mask
+from .grid import BoundaryMap, Grid2D, ScalarField
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,8 @@ class GlobalProfile:
 
     Structural constraints: beta1, beta2 >= 0 with beta1 + beta2 > 0,
     tau in [-1, 0], and a nonzero linear part forces tau = 0.  The box
-    bounds (a, b, c) used by the distance searches are not part of the
-    type; they parameterize the search, not the profile.
+    bounds used by ``dist_to_M`` are not part of the type; they
+    parameterize the search, not the profile.
     """
 
     beta1: float
@@ -57,31 +56,6 @@ class GlobalProfile:
             raise ValueError(f"tau must lie in [-1, 0], got {self.tau}")
         if self.beta2 != 0.0 and self.tau != 0.0:
             raise ValueError("a nonzero linear part requires tau = 0")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "beta1": self.beta1,
-                "beta2": self.beta2,
-                "tau": self.tau,
-                "theta": self.theta,
-                "lambda_plus": self.lambda_plus,
-                "lambda_minus": self.lambda_minus,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GlobalProfile":
-        d = json.loads(text)
-        return cls(
-            beta1=float(d["beta1"]),
-            beta2=float(d["beta2"]),
-            tau=float(d["tau"]),
-            theta=float(d["theta"]),
-            lambda_plus=float(d["lambda_plus"]),
-            lambda_minus=float(d["lambda_minus"]),
-        )
 
 
 _DEFINITE_TOL = 1e-12
@@ -136,18 +110,10 @@ def eval_profile_many(v: GlobalProfile, X: np.ndarray, Y: np.ndarray) -> np.ndar
     return _ramp(x1, v.beta1, v.beta2, v.tau, v.lambda_plus, v.lambda_minus)
 
 
-def eval_profile(v: GlobalProfile, p: tuple[float, float]) -> float:
-    return float(eval_profile_many(v, np.array([p[0]]), np.array([p[1]]))[0])
-
-
 def eval_polynomial_many(q: OnePhasePolynomial, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return q.cxx * X * X + q.cxy * X * Y + q.cyy * Y * Y
-
-
-def eval_polynomial(q: OnePhasePolynomial, p: tuple[float, float]) -> float:
-    return float(eval_polynomial_many(q, np.array([p[0]]), np.array([p[1]]))[0])
 
 
 def eval_many(obj, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -170,11 +136,22 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 #
 # The admissible set splits into two charts once "beta2 != 0 forces tau = 0"
 # is taken literally:
-#   chart A: beta2 = 0, beta1 in [c, a], tau in [-1, 0]
-#   chart B: tau = 0, beta1 in [0, a], beta2 in [0, b], beta1 + beta2 >= c
+#   chart A: beta2 = 0, beta1 in [C, A], tau in [-1, 0]
+#   chart B: tau = 0, beta1 in [0, A], beta2 in [0, B], beta1 + beta2 >= C
 # Both are scanned on a coarse grid, then polished by coordinate descent
 # with step halving.  Every evaluated candidate is admissible, so the
 # returned distance is always an upper bound for the true infimum.
+#
+# Search constants: the box bounds A, B, C above; the number of angles of
+# the theta scan; the coarse grid points per chart axis; the step at which
+# coordinate descent and the theta polish stop.
+
+_A = 4.0
+_B = 4.0
+_C = 0.05  # excludes the zero profile from the class
+_THETA_GRID = 360
+_COARSE = 32
+_REFINE_TOL = 1e-6
 
 
 def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,26 +207,26 @@ class _RampObjective:
                 best = (float(sups[k]), float(beta1s[k]), float(tau))
         return best
 
-    def chart_b_batch(self, beta1s: np.ndarray, beta2s: np.ndarray, c: float):
+    def chart_b_batch(self, beta1s: np.ndarray, beta2s: np.ndarray):
         """Coarse scan of chart B (tau = 0); returns (best, beta1, beta2)."""
         base = self._pos2 - self.neg_part(0.0)
         best = (math.inf, 0.0, 0.0)
         for b2 in beta2s:
             cand = beta1s[:, None] * base[None, :] + b2 * self._x1[None, :]
             sups = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
-            sups = np.where(beta1s + b2 >= c, sups, math.inf)
+            sups = np.where(beta1s + b2 >= _C, sups, math.inf)
             k = int(np.argmin(sups))
             if sups[k] < best[0]:
                 best = (float(sups[k]), float(beta1s[k]), float(b2))
         return best
 
 
-def _descend_chart_a(obj: _RampObjective, beta1, tau, a, c, step_b, step_t, tol):
+def _descend_chart_a(obj: _RampObjective, beta1, tau, step_b, step_t):
     best = obj.value(beta1, 0.0, tau)
-    while step_b > tol or step_t > tol:
+    while step_b > _REFINE_TOL or step_t > _REFINE_TOL:
         moved = False
         for d in (+step_b, -step_b):
-            nb = min(max(beta1 + d, c), a)
+            nb = min(max(beta1 + d, _C), _A)
             v = obj.value(nb, 0.0, tau)
             if v < best:
                 best, beta1, moved = v, nb, True
@@ -264,20 +241,20 @@ def _descend_chart_a(obj: _RampObjective, beta1, tau, a, c, step_b, step_t, tol)
     return best, beta1, 0.0, tau
 
 
-def _descend_chart_b(obj: _RampObjective, beta1, beta2, a, b, c, step1, step2, tol):
+def _descend_chart_b(obj: _RampObjective, beta1, beta2, step1, step2):
     best = obj.value(beta1, beta2, 0.0)
-    while step1 > tol or step2 > tol:
+    while step1 > _REFINE_TOL or step2 > _REFINE_TOL:
         moved = False
         for d in (+step1, -step1):
-            nb = min(max(beta1 + d, 0.0), a)
-            if nb + beta2 < c:
+            nb = min(max(beta1 + d, 0.0), _A)
+            if nb + beta2 < _C:
                 continue
             v = obj.value(nb, beta2, 0.0)
             if v < best:
                 best, beta1, moved = v, nb, True
         for d in (+step2, -step2):
-            nb = min(max(beta2 + d, 0.0), b)
-            if beta1 + nb < c:
+            nb = min(max(beta2 + d, 0.0), _B)
+            if beta1 + nb < _C:
                 continue
             v = obj.value(beta1, nb, 0.0)
             if v < best:
@@ -288,90 +265,56 @@ def _descend_chart_b(obj: _RampObjective, beta1, beta2, a, b, c, step1, step2, t
     return best, beta1, beta2, 0.0
 
 
-def _search_fixed_theta(obj, theta, a, b, c, coarse, refine_tol):
+def _search_fixed_theta(obj, theta):
     """Full two-chart search at one rotation angle."""
     obj.set_theta(theta)
-    taus = np.linspace(-1.0, 0.0, coarse)
-    b1_a = np.linspace(c, a, coarse)
+    taus = np.linspace(-1.0, 0.0, _COARSE)
+    b1_a = np.linspace(_C, _A, _COARSE)
     va, b1a, ta = obj.chart_a_batch(taus, b1_a)
-    step = max((a - c) / (coarse - 1), 1.0 / (coarse - 1))
-    va, b1a, b2a, ta = _descend_chart_a(obj, b1a, ta, a, c, step, step, refine_tol)
+    step = max((_A - _C) / (_COARSE - 1), 1.0 / (_COARSE - 1))
+    va, b1a, b2a, ta = _descend_chart_a(obj, b1a, ta, step, step)
 
-    b1_b = np.linspace(0.0, a, coarse)
-    b2_b = np.linspace(0.0, b, coarse)
-    vb, b1b, b2b = obj.chart_b_batch(b1_b, b2_b, c)
-    stepb = max(a, b) / (coarse - 1)
-    vb, b1b, b2b, tb = _descend_chart_b(obj, b1b, b2b, a, b, c, stepb, stepb, refine_tol)
+    b1_b = np.linspace(0.0, _A, _COARSE)
+    b2_b = np.linspace(0.0, _B, _COARSE)
+    vb, b1b, b2b = obj.chart_b_batch(b1_b, b2_b)
+    stepb = max(_A, _B) / (_COARSE - 1)
+    vb, b1b, b2b, tb = _descend_chart_b(obj, b1b, b2b, stepb, stepb)
 
     if va <= vb:
         return va, b1a, b2a, ta
     return vb, b1b, b2b, tb
 
 
-def dist_to_Mstar(
-    f: ScalarField,
-    a: float = 4.0,
-    b: float = 4.0,
-    c: float = 0.05,
-    *,
-    lambda_plus: float = 2.0,
-    lambda_minus: float = 2.0,
-    coarse: int = 32,
-    refine_tol: float = 1e-6,
-) -> tuple[float, GlobalProfile]:
-    """Sup-norm distance on the unit disk to the unrotated ramp class.
-
-    Returns (distance, best profile).  Search: coarse parameter grid over
-    both admissible charts followed by coordinate descent with step halving
-    down to ``refine_tol``.
-    """
-    if not (a > 0 and b > 0 and 0 < c <= a):
-        raise ValueError("bounds must satisfy a, b > 0 and 0 < c <= a")
-    X, Y, fvals = _disk_nodes(f)
-    obj = _RampObjective(X, Y, fvals, lambda_plus, lambda_minus)
-    val, b1, b2, tau = _search_fixed_theta(obj, 0.0, a, b, c, coarse, refine_tol)
-    prof = GlobalProfile(b1, b2, tau, 0.0, lambda_plus, lambda_minus)
-    return val, prof
-
-
 def dist_to_M(
     f: ScalarField,
-    a: float = 4.0,
-    b: float = 4.0,
-    c: float = 0.05,
     *,
     lambda_plus: float = 2.0,
     lambda_minus: float = 2.0,
-    theta_grid: int = 360,
-    coarse: int = 32,
-    refine_tol: float = 1e-6,
 ) -> tuple[float, GlobalProfile]:
     """Sup-norm distance on the unit disk to the rotated ramp class.
 
-    A uniform theta scan (cheap inner search on subsampled nodes) locates
-    the best rotation basin; the leaders are re-searched at full resolution
-    and theta is polished locally by step halving.
+    Returns (distance, best profile).  A uniform theta scan (cheap inner
+    search on subsampled nodes) locates the best rotation basin; the
+    leaders are re-searched at full resolution over both charts (coarse
+    parameter grid, then coordinate descent with step halving) and theta
+    is polished locally by step halving.
     """
-    if not (a > 0 and b > 0 and 0 < c <= a):
-        raise ValueError("bounds must satisfy a, b > 0 and 0 < c <= a")
-    if theta_grid < 4:
-        raise ValueError("theta_grid must be at least 4")
     X, Y, fvals = _disk_nodes(f)
 
     # stage 1: theta scan with a light inner search on a node subsample
     sub = slice(None, None, 4) if X.size > 2000 else slice(None)
     obj_scan = _RampObjective(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
-    thetas = -math.pi + 2.0 * math.pi * np.arange(theta_grid) / theta_grid
+    thetas = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
     n_quick = 9
     taus_q = np.linspace(-1.0, 0.0, n_quick)
-    b1_aq = np.linspace(c, a, n_quick + 3)
-    b1_bq = np.linspace(0.0, a, n_quick)
-    b2_bq = np.linspace(0.0, b, n_quick)
-    scan = np.empty(theta_grid)
+    b1_aq = np.linspace(_C, _A, n_quick + 3)
+    b1_bq = np.linspace(0.0, _A, n_quick)
+    b2_bq = np.linspace(0.0, _B, n_quick)
+    scan = np.empty(_THETA_GRID)
     for k, th in enumerate(thetas):
         obj_scan.set_theta(float(th))
         va, _, _ = obj_scan.chart_a_batch(taus_q, b1_aq)
-        vb, _, _ = obj_scan.chart_b_batch(b1_bq, b2_bq, c)
+        vb, _, _ = obj_scan.chart_b_batch(b1_bq, b2_bq)
         scan[k] = min(va, vb)
 
     # stage 2: full-resolution search at the leading angles
@@ -380,21 +323,19 @@ def dist_to_M(
     obj = _RampObjective(X, Y, fvals, lambda_plus, lambda_minus)
     best = None
     for th in leaders:
-        val, b1, b2, tau = _search_fixed_theta(obj, th, a, b, c, coarse, refine_tol)
+        val, b1, b2, tau = _search_fixed_theta(obj, th)
         if best is None or val < best[0]:
             best = (val, b1, b2, tau, th)
 
     # stage 3: polish theta with step halving, re-descending the chart at
     # each accepted move
     val, b1, b2, tau, th = best
-    step = 2.0 * math.pi / theta_grid
-    while step > refine_tol:
+    step = 2.0 * math.pi / _THETA_GRID
+    while step > _REFINE_TOL:
         moved = False
         for d in (+step, -step):
             cand_th = th + d
-            v, nb1, nb2, ntau = _search_theta_local(
-                obj, cand_th, b1, b2, tau, a, b, c, refine_tol
-            )
+            v, nb1, nb2, ntau = _search_theta_local(obj, cand_th, b1, b2, tau)
             if v < val:
                 val, b1, b2, tau, th = v, nb1, nb2, ntau, cand_th
                 moved = True
@@ -404,11 +345,11 @@ def dist_to_M(
     return val, prof
 
 
-def _search_theta_local(obj, theta, beta1, beta2, tau, a, b, c, refine_tol):
+def _search_theta_local(obj, theta, beta1, beta2, tau):
     """Re-optimize ramp parameters at a nearby theta, warm-started."""
     obj.set_theta(theta)
     step = 0.05
     if beta2 == 0.0:
-        b1 = min(max(beta1, c), a)
-        return _descend_chart_a(obj, b1, tau, a, c, step, step, refine_tol)
-    return _descend_chart_b(obj, beta1, beta2, a, b, c, step, step, refine_tol)
+        b1 = min(max(beta1, _C), _A)
+        return _descend_chart_a(obj, b1, tau, step, step)
+    return _descend_chart_b(obj, beta1, beta2, step, step)

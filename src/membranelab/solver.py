@@ -200,11 +200,12 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
         w, res, _ = _cg(g, rhs, warm, free, tol_cg, max_cg)
         V = bvals.copy()
         V[1:-1, 1:-1] = w
-        J_new = energy(spec, ScalarField(g, V))
+        field_v = ScalarField(g, V)
+        J_new = energy(spec, field_v)
 
         # state update: sign violations route through the pinned state;
         # pinned nodes release only when their multiplier leaves the box
-        lap = (_neighbor_sum(V) - 4.0 * w) / h2
+        lap = laplacian_interior(field_v)
         new_state = state.copy()
         new_state[(state > 0) & (w < -tolz)] = 0
         new_state[(state < 0) & (w > tolz)] = 0
@@ -225,7 +226,7 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
             report.final_energy = J_new
             report.final_residual = res
             report.converged = True
-            return ScalarField(g, V), report
+            return field_v, report
 
         key = new_state.tobytes()
         if key_prev_prev is not None and key == key_prev_prev:

@@ -2,6 +2,7 @@
 import filecmp
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,8 @@ k = 2
     ("replace:kind = profile\nkind = cubic", "unknown kind"),
     ("append:[diagnostics]\nrun = swirl", "unknown diagnostic"),
     ("append:[diagnostics]\npoint = 1, 2, 3", "two coordinates"),
+    ("append:[diagnostics]\npoints = 0 0", "diagnostics.points"),
+    ("append:[diagnostics]\nradii = 0.125, 0.25", "diagnostics.radii"),
     ("append:[sweep]\nfamily = constant\namplitudes = 0.1, 0.2", "strictly decreasing"),
     ("append:[sweep]\nfamily = triangle\namplitudes = 0.1", "unknown family"),
     ("replace:beta1 = 1.0\nbeta1 = 1.0\ntau = 0.5", "boundary"),
@@ -111,6 +114,18 @@ def test_load_config_rejects_bad_inputs(tmp_path, mutation, needle):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.ini"))
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    text = re.sub(r"(?m)^dir = .*$", f"dir = {tmp_path / 'out'}", blocks[0])
+    cfg = load_config(write_ini(tmp_path, text))
+    assert cfg.diag_params["point"] == (0.0, 0.0)
+    assert cfg.diag_params["radii"] == (0.5, 0.25, 0.125, 0.0625)
+    assert cfg.sweep["amplitudes"] == (0.1, 0.05, 0.025)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +169,10 @@ def test_hausdorff_translation():
     assert hausdorff_distance(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_hausdorff_parallel_lines_with_densify():
+def test_hausdorff_parallel_lines():
     a = [seg((0, 0), (2, 0), 2)]       # endpoints only
     b = [seg((0, 0.25), (2, 0.25), 2)]
     assert hausdorff_distance(a, b) == pytest.approx(0.25, abs=1e-12)
-    assert hausdorff_distance(a, b, max_spacing=0.05) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_hausdorff_empty_raises():
@@ -232,6 +246,12 @@ def test_main_exit_codes(tmp_path, capsys):
 
     # sweep verb demands a [sweep] section
     assert main(["sweep", ini]) == 2
+
+
+def test_run_returns_2_on_config_error(tmp_path, capsys):
+    cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "r2")))
+    assert run(cfg, mode="sweep") == 2
+    assert "config error: sweep" in capsys.readouterr().err
 
 
 SWEEP_INI = BASE_INI.replace("n = 65", "n = 129") + """

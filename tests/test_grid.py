@@ -10,12 +10,9 @@ from membranelab import (
     BoundaryMap,
     ScalarField,
     build_grid,
-    discrete_laplacian,
     dump_field_csv,
     float_repr,
-    gradient_central,
     gradient_fields,
-    interpolate,
     interpolate_many,
     laplacian_interior,
     sample,
@@ -83,14 +80,14 @@ def test_laplacian_exact_for_quadratic():
     # Laplacian of the quadratic is 1 + 3 everywhere; 5-point stencil is exact
     lap = laplacian_interior(f)
     assert np.max(np.abs(lap - 4.0)) < 1e-10
-    assert abs(discrete_laplacian(f, 7, 12) - 4.0) < 1e-10
 
 
-def test_gradient_central_exact_for_linear():
+def test_gradient_fields_exact_for_linear():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
     f = sample(g, lambda X, Y: 2.0 * X - 3.0 * Y + 1.0)
-    gvec = gradient_central(f, 10, 20)
-    assert abs(gvec[0] - 2.0) < 1e-12 and abs(gvec[1] + 3.0) < 1e-12
+    gx, gy = gradient_fields(f)
+    assert np.max(np.abs(gx.values - 2.0)) < 1e-12
+    assert np.max(np.abs(gy.values + 3.0)) < 1e-12
 
 
 def test_gradient_fields_second_order_up_to_boundary():
@@ -114,7 +111,7 @@ def test_interpolation_exact_at_nodes(i, j):
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 17, 17)
     rng = np.random.default_rng(7)
     f = ScalarField(g, rng.standard_normal(g.shape))
-    assert interpolate(f, (g.x(i), g.y(j))) == f.values[j, i]
+    assert interpolate_many(f, np.array([g.x(i)]), np.array([g.y(j)]))[0] == f.values[j, i]
 
 
 def test_interpolation_exact_for_bilinear_functions():
@@ -132,9 +129,9 @@ def test_interpolation_rejects_outside_points():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
     f = sample(g, lambda X, Y: X)
     with pytest.raises(ValueError):
-        interpolate(f, (1.01, 0.0))
+        interpolate_many(f, np.array([1.01]), np.array([0.0]))
     # within the node-snap slack the boundary itself is fine
-    assert interpolate(f, (1.0, -1.0)) == 1.0
+    assert interpolate_many(f, np.array([1.0]), np.array([-1.0]))[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,8 @@ from membranelab import (
     blowup_rescale,
     build_grid,
     directional_parts,
-    disk_integral,
-    eval_profile_many,
     phi_ladder,
     psi_ladder,
-    rescale_quadratic,
     s_norm,
     sample,
     weiss_phi,
@@ -76,20 +73,6 @@ def test_violation_flagging_logic():
     v = _violations(lad.radii, np.array([1.0, 1.0, 1.5, 1.0]), 0.1)
     assert v == ((0.2, 0.3),)
     assert _violations(lad.radii, np.array([4.0, 3.0, 2.0, 1.0]), 0.1) == ()
-
-
-# ---------------------------------------------------------------------------
-# Quadrature sanity
-# ---------------------------------------------------------------------------
-
-
-def test_disk_integral_of_smooth_fields():
-    g = build_grid(-1.25, 1.25, -1.25, 1.25, 321, 321)
-    one = sample(g, lambda X, Y: np.ones_like(X))
-    quad = sample(g, lambda X, Y: X**2)
-    r = 0.75
-    assert disk_integral(one, (0.0, 0.0), r) == pytest.approx(math.pi * r**2, rel=1e-6)
-    assert disk_integral(quad, (0.0, 0.0), r) == pytest.approx(math.pi * r**4 / 4.0, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +153,6 @@ def test_blowup_rescale_degenerate_field():
     target = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
     with pytest.raises(DegenerateRescaleError):
         blowup_rescale(u, (0.0, 0.0), 0.5, target)
-
-
-def test_rescale_quadratic_fixes_homogeneous_fields(sampled_profile_641):
-    g, u = sampled_profile_641
-    target = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
-    v = rescale_quadratic(u, (0.0, 0.0), 0.5, target)
-    X, Y = target.meshgrid()
-    want = profile_fn()(X, Y)
-    assert float(np.max(np.abs(v.values - want))) <= 1e-4
 
 
 def test_ball_containment_enforced(sampled_profile_641):

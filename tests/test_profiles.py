@@ -11,10 +11,8 @@ from membranelab import (
     OnePhasePolynomial,
     build_grid,
     dist_to_M,
-    dist_to_Mstar,
     eval_many,
     eval_polynomial_many,
-    eval_profile,
     eval_profile_many,
     profile_boundary_trace,
     sample,
@@ -30,9 +28,10 @@ from membranelab.grid import boundary_mask
 def test_profile_matches_closed_form():
     v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
     # beta1 = 1, lambda = 2: u = x^2/2 on x > 0, -x^2/2 on x < 0
-    assert eval_profile(v, (0.5, 0.3)) == pytest.approx(0.125, abs=1e-15)
-    assert eval_profile(v, (-0.5, -0.8)) == pytest.approx(-0.125, abs=1e-15)
-    assert eval_profile(v, (0.0, 1.0)) == 0.0
+    vals = eval_profile_many(v, np.array([0.5, -0.5, 0.0]), np.array([0.3, -0.8, 1.0]))
+    assert vals[0] == pytest.approx(0.125, abs=1e-15)
+    assert vals[1] == pytest.approx(-0.125, abs=1e-15)
+    assert vals[2] == 0.0
 
 
 def test_profile_tau_pins_a_slab():
@@ -118,12 +117,6 @@ def test_polynomial_validation():
         OnePhasePolynomial(0.25, 0.0, 0.25, 2)    # bad sign flag
 
 
-def test_profile_json_roundtrip():
-    v = GlobalProfile(0.8, 0.0, -0.3, 0.7, 2.0, 3.0)
-    w = GlobalProfile.from_json(v.to_json())
-    assert w == v
-
-
 # ---------------------------------------------------------------------------
 # Boundary traces
 # ---------------------------------------------------------------------------
@@ -142,6 +135,10 @@ def test_boundary_trace_matches_eval_on_ring():
 # ---------------------------------------------------------------------------
 # Distance to the profile classes
 # ---------------------------------------------------------------------------
+#
+# The "mstar" cases use unrotated (theta = 0) data.  The unrotated class M*
+# lies inside the rotated class M, so each case bounds dist_to_M the way
+# it bounds the distance to M*.
 
 
 def canonical_disk_nodes():
@@ -157,7 +154,7 @@ def test_dist_to_mstar_member_is_zero():
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY))
     # refinement stops on objective stall, so an off-lattice member lands
     # near but not at zero; anything far below tol_dist = 0.1 is a match
-    val, best = dist_to_Mstar(f)
+    val, best = dist_to_M(f)
     assert val < 1e-3
     assert best.beta1 == pytest.approx(0.8, abs=5e-3)
     assert best.tau == pytest.approx(-0.3, abs=5e-3)
@@ -168,7 +165,7 @@ def test_dist_to_mstar_offset_member():
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY) + 0.05)
-    val, _ = dist_to_Mstar(f)
+    val, _ = dist_to_M(f)
     assert val == pytest.approx(0.05, abs=2e-3)
 
 
@@ -177,7 +174,7 @@ def test_dist_to_mstar_zero_field_artifact():
     # the zero field sits at c * max ramp = 0.05 * 0.5 = 0.025 from it
     g, X, Y, inside = canonical_disk_nodes()
     f = sample(g, lambda XX, YY: np.zeros_like(XX))
-    val, _ = dist_to_Mstar(f)
+    val, _ = dist_to_M(f)
     assert val == pytest.approx(0.025, abs=1e-3)
 
 
@@ -188,7 +185,7 @@ def test_dist_to_mstar_beats_brute_force_scan():
     target = GlobalProfile(0.6, 0.0, -0.2, 0.0, 2.0, 2.0)
     fvals = eval_profile_many(target, X, Y) + 0.01 * Y  # not a member
     f = sample(g, lambda XX, YY: fvals)
-    val, _ = dist_to_Mstar(f)
+    val, _ = dist_to_M(f)
 
     Xi, Yi = X[inside], Y[inside]
     fi = fvals[inside]
