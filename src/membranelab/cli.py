@@ -421,19 +421,19 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, budget: i
     return [(float(x), float(y)) for x, y in pts[idx]]
 
 
-def stability_sweep(config: ExperimentConfig) -> StabilityReport:
+def stability_sweep(config: ExperimentConfig, u_ref: ScalarField) -> StabilityReport:
     """Boundary perturbation sweep against a classified reference solve.
 
-    The reference free boundary is classified first; any one-phase
-    singular point aborts the sweep.  Each row re-solves with perturbed
-    data, checks the comparison principle, measures the free boundary
+    ``u_ref`` is the solved field of ``config``'s own problem.  The
+    reference free boundary is classified first; any one-phase singular
+    point aborts the sweep.  Each row re-solves with perturbed data,
+    checks the comparison principle, measures the free boundary
     displacement, and refits graphs at the reference branch points.
     """
     if config.sweep is None:
         raise ConfigError("sweep: section required for stability_sweep")
-    g = config.grid()
+    g = u_ref.grid
     spec = config.problem(g)
-    u_ref, _ = solve(spec)
     tolz = spec.tol_zero
     fb_ref = extract_free_boundary(u_ref, tolz)
     ref_chains = list(fb_ref.plus_boundary) + list(fb_ref.minus_boundary)
@@ -575,7 +575,7 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
         if mode == "diagnose":
             _run_diagnostics(config, u, spec)
         elif mode == "sweep":
-            report_s = stability_sweep(config)
+            report_s = stability_sweep(config, u)
             write_json(report_s.to_json_dict(), os.path.join(config.output_dir, "stability.json"))
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -98,11 +98,21 @@ def _rotated_x1(theta: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return math.cos(theta) * X - math.sin(theta) * Y
 
 
+def _pos_part(x1: np.ndarray, lp: float) -> np.ndarray:
+    # (lp/4) max(x1, 0)^2
+    p = np.maximum(x1, 0.0)
+    return 0.25 * lp * p * p
+
+
+def _neg_part(x1: np.ndarray, tau: float, lm: float) -> np.ndarray:
+    # (lm/4) min(x1 - tau, 0)^2
+    n = np.minimum(x1 - tau, 0.0)
+    return 0.25 * lm * n * n
+
+
 def _ramp(x1: np.ndarray, beta1: float, beta2: float, tau: float,
           lp: float, lm: float) -> np.ndarray:
-    pos = np.maximum(x1, 0.0)
-    neg = np.minimum(x1 - tau, 0.0)
-    return beta1 * (0.25 * lp * pos * pos - 0.25 * lm * neg * neg) + beta2 * x1
+    return beta1 * (_pos_part(x1, lp) - _neg_part(x1, tau, lm)) + beta2 * x1
 
 
 def eval_profile_many(v: GlobalProfile, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -142,9 +152,33 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # with step halving.  Every evaluated candidate is admissible, so the
 # returned distance is always an upper bound for the true infimum.
 #
+# The theta scan (stage 1 of ``dist_to_M``) gives each angle of a uniform
+# grid the value
+#
+#   scan(theta) = min over the quick chart grids of max over nodes |ramp - f|
+#
+# and hands the three smallest on to the full search.  It is exact and
+# pruned.  A lower bound of scan(theta) comes first, for all angles in one
+# array pass: the same quantity with the max taken over every
+# _BOUND_STRIDE-th node only.  Each node's |ramp - f| is computed with the
+# same operations in both passes, so a max over a subset of the nodes can
+# never exceed the max over all of them, and the min over the same
+# candidates keeps that order: bound(theta) <= scan(theta), bit for bit.
+# Exact values are then taken in order of increasing bound, _SCAN_BATCH
+# angles at a time, until the next bound is strictly above the third
+# smallest exact value found so far.  Every angle left over has
+# scan >= bound > that value, so it can be neither a leader nor tied with
+# one, and it keeps +inf.  Leaders are the three smallest values, ties
+# going to the lower angle index.  Batches of a few angles keep the
+# working arrays in cache; the rotation is taken per angle with math.cos
+# and math.sin as in ``_rotated_x1``, so an angle's value does not depend
+# on which batch it is in.
+#
 # Search constants: the box bounds A, B, C above; the number of angles of
 # the theta scan; the coarse grid points per chart axis; the step at which
-# coordinate descent and the theta polish stop.
+# coordinate descent and the theta polish stop; the scan's angles, their
+# rotations and its quick chart grids; the node stride of the bound and
+# the angles per exact batch.
 
 _A = 4.0
 _B = 4.0
@@ -152,6 +186,15 @@ _C = 0.05  # excludes the zero profile from the class
 _THETA_GRID = 360
 _COARSE = 32
 _REFINE_TOL = 1e-6
+_THETAS = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
+_COS = np.array([math.cos(t) for t in _THETAS.tolist()])
+_SIN = np.array([math.sin(t) for t in _THETAS.tolist()])
+_TAUS_Q = np.linspace(-1.0, 0.0, 9)
+_B1_AQ = np.linspace(_C, _A, 12)
+_B1_BQ = np.linspace(0.0, _A, 9)
+_B2_BQ = np.linspace(0.0, _B, 9)
+_BOUND_STRIDE = 16
+_SCAN_BATCH = 4
 
 
 def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,17 +222,22 @@ class _RampObjective:
         self._theta = None
         self._x1 = None
         self._pos2 = None
+        self._neg2 = {}
 
     def set_theta(self, theta: float) -> None:
         if self._theta != theta:
             self._theta = theta
             self._x1 = _rotated_x1(theta, self.X, self.Y)
-            p = np.maximum(self._x1, 0.0)
-            self._pos2 = 0.25 * self.lp * p * p
+            self._pos2 = _pos_part(self._x1, self.lp)
+            self._neg2 = {}
 
     def neg_part(self, tau: float) -> np.ndarray:
-        n = np.minimum(self._x1 - tau, 0.0)
-        return 0.25 * self.lm * n * n
+        # memoised per tau until the rotation changes: chart B always uses
+        # tau = 0, and chart A moves along beta1 keep tau
+        neg = self._neg2.get(tau)
+        if neg is None:
+            neg = self._neg2[tau] = _neg_part(self._x1, tau, self.lm)
+        return neg
 
     def value(self, beta1: float, beta2: float, tau: float) -> float:
         cand = beta1 * (self._pos2 - self.neg_part(tau)) + beta2 * self._x1
@@ -285,6 +333,43 @@ def _search_fixed_theta(obj, theta):
     return vb, b1b, b2b, tb
 
 
+def _quick_values(X, Y, fvals, lp, lm, rows: np.ndarray) -> np.ndarray:
+    """Stage-1 value of each angle index in ``rows`` over the given nodes.
+
+    min over the quick grids of both charts of max |ramp - f|, with the
+    elementwise arithmetic of ``_RampObjective`` at one angle.
+    """
+    x1 = _COS[rows, None] * X - _SIN[rows, None] * Y
+    pos2 = _pos_part(x1, lp)
+    best = np.full(len(rows), math.inf)
+    for tau in _TAUS_Q:
+        base = pos2 - _neg_part(x1, tau, lm)
+        cand = _B1_AQ[:, None] * base[:, None, :]
+        sups = np.max(np.abs(cand - fvals), axis=2)
+        best = np.minimum(best, sups.min(axis=1))
+    base = pos2 - _neg_part(x1, 0.0, lm)
+    for b2 in _B2_BQ:
+        cand = _B1_BQ[:, None] * base[:, None, :] + b2 * x1[:, None, :]
+        sups = np.max(np.abs(cand - fvals), axis=2)
+        sups = np.where(_B1_BQ + b2 >= _C, sups, math.inf)
+        best = np.minimum(best, sups.min(axis=1))
+    return best
+
+
+def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
+    """Stage-1 value per angle of ``_THETAS``; pruned angles hold +inf."""
+    every = slice(None, None, _BOUND_STRIDE)
+    bound = _quick_values(X[every], Y[every], fvals[every], lp, lm, np.arange(_THETA_GRID))
+    order = np.argsort(bound, kind="stable")
+    scan = np.full(_THETA_GRID, math.inf)
+    for i in range(0, _THETA_GRID, _SCAN_BATCH):
+        rows = order[i:i + _SCAN_BATCH]
+        if bound[rows[0]] > np.partition(scan, 2)[2]:
+            break
+        scan[rows] = _quick_values(X, Y, fvals, lp, lm, rows)
+    return scan
+
+
 def dist_to_M(
     f: ScalarField,
     *,
@@ -293,33 +378,27 @@ def dist_to_M(
 ) -> tuple[float, GlobalProfile]:
     """Sup-norm distance on the unit disk to the rotated ramp class.
 
-    Returns (distance, best profile).  A uniform theta scan (cheap inner
-    search on subsampled nodes) locates the best rotation basin; the
-    leaders are re-searched at full resolution over both charts (coarse
-    parameter grid, then coordinate descent with step halving) and theta
-    is polished locally by step halving.
+    Returns (distance, best profile).  Stage 1 scans a uniform grid of
+    360 angles with a cheap inner search (a few coarse chart grids on a
+    node subsample) and keeps the three angles of smallest value, ties
+    going to the lower angle.  The scan is exact but pruned: a lower bound
+    from every 16th subsampled node orders the angles, and an angle is
+    evaluated only while its bound is not above the third smallest value
+    found.  The bound never exceeds the angle's value, so a skipped angle
+    has a value strictly above three others and cannot be a leader.
+    Stage 2 re-searches the leaders at full resolution over both charts
+    (coarse parameter grid, then coordinate descent with step halving),
+    and stage 3 polishes theta locally by step halving.
     """
     X, Y, fvals = _disk_nodes(f)
 
     # stage 1: theta scan with a light inner search on a node subsample
     sub = slice(None, None, 4) if X.size > 2000 else slice(None)
-    obj_scan = _RampObjective(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
-    thetas = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
-    n_quick = 9
-    taus_q = np.linspace(-1.0, 0.0, n_quick)
-    b1_aq = np.linspace(_C, _A, n_quick + 3)
-    b1_bq = np.linspace(0.0, _A, n_quick)
-    b2_bq = np.linspace(0.0, _B, n_quick)
-    scan = np.empty(_THETA_GRID)
-    for k, th in enumerate(thetas):
-        obj_scan.set_theta(float(th))
-        va, _, _ = obj_scan.chart_a_batch(taus_q, b1_aq)
-        vb, _, _ = obj_scan.chart_b_batch(b1_bq, b2_bq)
-        scan[k] = min(va, vb)
+    scan = _theta_scan(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
 
     # stage 2: full-resolution search at the leading angles
-    order = np.argsort(scan)
-    leaders = [float(thetas[k]) for k in order[:3]]
+    order = np.argsort(scan, kind="stable")
+    leaders = [float(_THETAS[k]) for k in order[:3]]
     obj = _RampObjective(X, Y, fvals, lambda_plus, lambda_minus)
     best = None
     for th in leaders:

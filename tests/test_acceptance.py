@@ -73,7 +73,8 @@ def shift_sweep_report(tmp_path_factory):
         f"[output]\ndir = {out / 'artifacts'}\n"
     )
     cfg = load_config(str(ini))
-    return cfg, stability_sweep(cfg)
+    u_ref, _ = solve(cfg.problem(cfg.grid()))
+    return cfg, stability_sweep(cfg, u_ref)
 
 
 def sup_field_error(v, spec, u):
@@ -279,8 +280,10 @@ def test_criterion_10_shift_sweep_stability(shift_sweep_report, tmp_path):
         "[sweep]\nfamily = constant\namplitudes = 0.1, 0.05\nclassify_budget = 2\n\n"
         f"[output]\ndir = {tmp_path / 'abort_out'}\n"
     )
+    cfg = load_config(str(ini))
+    u_ref, _ = solve(cfg.problem(cfg.grid()))
     with pytest.raises(SweepHypothesisError):
-        stability_sweep(load_config(str(ini)))
+        stability_sweep(cfg, u_ref)
     print(
         f"criterion 10: interior diffs {[f'{r.sup_interior_diff:.5f}' for r in report.rows]} <= deltas, "
         f"hausdorff {[f'{d:.3f}' for d in dists]} non-increasing, singular reference aborts"

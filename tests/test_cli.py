@@ -15,9 +15,11 @@ from membranelab import (
     hausdorff_distance,
     load_config,
     run,
+    solve,
     stability_sweep,
     write_json,
 )
+from membranelab import cli
 from membranelab.cli import main, selftest
 
 
@@ -288,9 +290,14 @@ dir = {out}
 """
 
 
+def solved_sweep(ini):
+    cfg = load_config(ini)
+    u_ref, _ = solve(cfg.problem(cfg.grid()))
+    return cfg, u_ref
+
+
 def test_stability_sweep_end_to_end(tmp_path):
-    cfg = load_config(write_ini(tmp_path, SWEEP_INI.format(out=tmp_path / "sw")))
-    report = stability_sweep(cfg)
+    report = stability_sweep(*solved_sweep(write_ini(tmp_path, SWEEP_INI.format(out=tmp_path / "sw"))))
     assert len(report.rows) == 2
     deltas = [row.delta for row in report.rows]
     assert deltas == [0.1, 0.05]
@@ -305,9 +312,23 @@ def test_stability_sweep_end_to_end(tmp_path):
 def test_sweep_aborts_on_one_phase_reference(tmp_path, capsys):
     ini = write_ini(tmp_path, POLY_SWEEP_INI.format(out=tmp_path / "ps"))
     with pytest.raises(SweepHypothesisError):
-        stability_sweep(load_config(ini))
+        stability_sweep(*solved_sweep(ini))
     assert main(["sweep", ini]) == 1
     assert "one_phase_singular" in capsys.readouterr().err
+
+
+def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_solve(spec):
+        calls.append(spec)
+        return solve(spec)
+
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    ini = BASE_INI + "\n[sweep]\nfamily = constant\namplitudes = 0.1, 0.05, 0.025\nclassify_budget = 2\n"
+    cfg = load_config(write_ini(tmp_path, ini.format(out=tmp_path / "once")))
+    assert run(cfg, mode="sweep") == 0
+    assert len(calls) == 1 + len(cfg.sweep["amplitudes"])
 
 
 # ---------------------------------------------------------------------------

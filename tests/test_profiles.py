@@ -17,6 +17,7 @@ from membranelab import (
     profile_boundary_trace,
     sample,
 )
+from membranelab import profiles
 from membranelab.grid import boundary_mask
 
 
@@ -206,3 +207,92 @@ def test_dist_to_m_recovers_rotation():
     val, best = dist_to_M(f)
     assert val < 1e-5
     assert best.theta == pytest.approx(0.3, abs=2.0 * math.pi / 360.0)
+
+
+# ---------------------------------------------------------------------------
+# The pruned theta scan against the full 360-angle loop
+# ---------------------------------------------------------------------------
+
+
+def loop_theta_scan(X, Y, fvals, lp, lm):
+    """Brute-force stage 1 of dist_to_M: the quick search at every angle in turn."""
+    obj = profiles._RampObjective(X, Y, fvals, lp, lm)
+    thetas = -math.pi + 2.0 * math.pi * np.arange(profiles._THETA_GRID) / profiles._THETA_GRID
+    n_quick = 9
+    taus_q = np.linspace(-1.0, 0.0, n_quick)
+    b1_aq = np.linspace(profiles._C, profiles._A, n_quick + 3)
+    b1_bq = np.linspace(0.0, profiles._A, n_quick)
+    b2_bq = np.linspace(0.0, profiles._B, n_quick)
+    scan = np.empty(profiles._THETA_GRID)
+    for k, th in enumerate(thetas):
+        obj.set_theta(float(th))
+        va, _, _ = obj.chart_a_batch(taus_q, b1_aq)
+        vb, _, _ = obj.chart_b_batch(b1_bq, b2_bq)
+        scan[k] = min(va, vb)
+    return scan
+
+
+def ramp_fn(beta1=1.0, tau=0.0, theta=0.0, lp=2.0, lm=2.0, offset=0.0):
+    v = GlobalProfile(beta1, 0.0, tau, theta, lp, lm)
+    return lambda X, Y: eval_profile_many(v, X, Y) + offset
+
+
+def noise_fn(X, Y):
+    return 0.1 * np.random.default_rng(5).standard_normal(X.shape)
+
+
+# name: (grid n, field, lambda_plus, lambda_minus, near a ramp).  Near a ramp
+# the bound must prune; far from every ramp it may visit all 360 angles.
+SCAN_CASES = {
+    "ramp": (65, ramp_fn(), 2.0, 2.0, True),
+    "rotated_ramp": (65, ramp_fn(theta=0.7), 2.0, 2.0, True),
+    "slab_ramp_symmetric_in_y": (65, ramp_fn(tau=-0.2), 2.0, 2.0, True),
+    "offset_ramp": (65, ramp_fn(offset=0.05), 2.0, 2.0, True),
+    "zero": (65, lambda X, Y: np.zeros_like(X), 2.0, 2.0, False),
+    "quadratic": (65, lambda X, Y: X**2 + Y**2, 2.0, 2.0, False),
+    "noise": (65, noise_fn, 2.0, 2.0, False),
+    "ramp_33_no_subsample": (33, ramp_fn(theta=-1.2), 2.0, 2.0, True),
+    "asymmetric_lambdas": (65, ramp_fn(theta=0.4, lp=0.2, lm=5.0), 0.2, 5.0, True),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_CASES))
+def test_pruned_theta_scan_matches_the_full_loop(name, monkeypatch):
+    n, fn, lp, lm, near_ramp = SCAN_CASES[name]
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn)
+    seen = {}
+    pruned_scan = profiles._theta_scan
+
+    def recording_scan(*args):
+        seen["args"] = args
+        seen["scan"] = pruned_scan(*args)
+        return seen["scan"]
+
+    monkeypatch.setattr(profiles, "_theta_scan", recording_scan)
+    got = dist_to_M(f, lambda_plus=lp, lambda_minus=lm)
+    full = loop_theta_scan(*seen["args"])
+    scan = seen["scan"]
+
+    # every visited angle carries the loop's value to the bit; every pruned
+    # angle is strictly worse than the loop's third smallest value
+    visited = np.isfinite(scan)
+    assert np.array_equal(scan[visited], full[visited])
+    assert np.all(full[~visited] > np.sort(full)[2])
+    if near_ramp:
+        assert visited.sum() < scan.size
+    leaders = np.argsort(full, kind="stable")[:3]
+    assert np.array_equal(np.argsort(scan, kind="stable")[:3], leaders)
+
+    monkeypatch.setattr(profiles, "_theta_scan", lambda *args: full)
+    want = dist_to_M(f, lambda_plus=lp, lambda_minus=lm)
+    assert repr(got) == repr(want)
+
+
+def test_theta_scan_tie_goes_to_the_lower_angle():
+    # a slab ramp even in y gives the angles -1 and +1 degree (indices 179
+    # and 181) the same smallest value; the lower index leads
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65), ramp_fn(tau=-0.2))
+    X, Y, fvals = profiles._disk_nodes(f)
+    scan = profiles._theta_scan(X[::4], Y[::4], fvals[::4], 2.0, 2.0)
+    assert scan[179] == scan[181] == scan.min()
+    assert list(np.argsort(scan, kind="stable")[:3]) == [179, 181, 180]
