@@ -18,15 +18,27 @@ constraint, leaves the admissible interval [-lm/2, lp/2].  Energy is
 tracked every sweep and reported as a non-increasing best-so-far
 sequence; a repeated state configuration triggers forced pinning of the
 oscillating nodes before failure is declared.
+
+Pinned nodes are released one layer per sweep, so from a harmonic start
+the sweep count grows like n.  `solve` therefore runs the loop on a
+ladder of nested grids (Brandt & Cryer, SIAM J. Sci. Stat. Comput. 4,
+1983): it halves the grid while n - 1 stays even on both axes and the
+coarse grid keeps at least 17 nodes per axis, solves the coarsest level
+from the harmonic extension, and starts each finer level (its values and
+its states) from the bilinear prolongation of the level below, so a
+level needs only a few sweeps.  Each level runs at most tol_pattern
+sweeps.  CG stops on its true residual: when the recursively updated
+residual meets the target, b - A w is recomputed and the iteration
+restarts from it if the drift left it above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import BoundaryMap, Grid2D, ScalarField, laplacian_interior
+from .grid import BoundaryMap, Grid2D, ScalarField, build_grid, laplacian_interior
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,12 @@ class ProblemSpec:
 
 @dataclass
 class SolveReport:
-    """Per-solve diagnostics; `pattern_changes[k]` counts state moves after sweep k."""
+    """Per-solve diagnostics of the finest level solved so far.
+
+    `pattern_changes[k]` counts state moves after sweep k; `levels` holds
+    one `{nx, ny, sweeps, cg_iterations}` record per ladder level,
+    coarsest first.
+    """
 
     iterations: int
     final_energy: float
@@ -66,6 +83,7 @@ class SolveReport:
     pattern_changes: list[int] = field(default_factory=list)
     energy_history: list[float] = field(default_factory=list)
     converged: bool = True
+    levels: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,6 +93,7 @@ class SolveReport:
             "pattern_changes": list(self.pattern_changes),
             "energy_history": list(self.energy_history),
             "converged": self.converged,
+            "levels": [dict(level) for level in self.levels],
         }
 
 
@@ -119,7 +138,10 @@ def _cg(grid: Grid2D, rhs: np.ndarray, w0: np.ndarray, free: np.ndarray,
 
     Pinned nodes (free == False) are held at zero and excluded from the
     system; the ring is zero as well.  Jacobi preconditioning; stops on
-    max-norm residual.  Returns (solution, final max residual, iterations).
+    the max-norm of the true residual: once the recursively updated
+    residual meets tol, b - A w is recomputed and, if it is still above
+    tol, the iteration restarts from it within the same max_iter.
+    Returns (solution, final max residual, iterations).
     """
     h2 = grid.h * grid.h
     ny, nx = grid.shape
@@ -131,39 +153,89 @@ def _cg(grid: Grid2D, rhs: np.ndarray, w0: np.ndarray, free: np.ndarray,
         out[~free] = 0.0
         return out
 
+    b = np.where(free, rhs, 0.0)
     w = np.where(free, w0, 0.0)
-    r = np.where(free, rhs, 0.0) - apply_a(w)
-    r[~free] = 0.0
-    res = float(np.max(np.abs(r)))
-    if res <= tol:
-        return w, res, 0
     minv = h2 / 4.0
-    z = minv * r
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    for it in range(1, max_iter + 1):
-        ap = apply_a(p)
-        alpha = rz / float(np.sum(p * ap))
-        w += alpha * p
-        r -= alpha * ap
+    it = 0
+    while True:
+        r = b - apply_a(w)
         res = float(np.max(np.abs(r)))
-        if res <= tol:
+        if res <= tol or it == max_iter:
             return w, res, it
         z = minv * r
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return w, res, max_iter
+        p = z.copy()
+        rz = float(np.sum(r * z))
+        while it < max_iter:
+            it += 1
+            ap = apply_a(p)
+            alpha = rz / float(np.sum(p * ap))
+            w += alpha * p
+            r -= alpha * ap
+            if float(np.max(np.abs(r))) <= tol:
+                break
+            z = minv * r
+            rz_new = float(np.sum(r * z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+
+
+def _coarsen(spec: ProblemSpec) -> ProblemSpec | None:
+    """Every other node of the grid and its data; None for odd n - 1 or < 17 nodes left."""
+    g = spec.grid
+    if (g.nx - 1) % 2 or (g.ny - 1) % 2 or min(g.nx, g.ny) < 33:
+        return None
+    gc = build_grid(g.x_min, g.x_max, g.y_min, g.y_max, (g.nx + 1) // 2, (g.ny + 1) // 2)
+    return replace(
+        spec, grid=gc, boundary=BoundaryMap(gc, spec.boundary.values[::2, ::2])
+    )
+
+
+def _prolong(coarse: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Bilinear interpolation onto the twice finer grid of spec, its ring restored."""
+    fine = np.zeros(spec.grid.shape)
+    fine[::2, ::2] = coarse
+    fine[::2, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    fine[1::2, :] = 0.5 * (fine[:-2:2, :] + fine[2::2, :])
+    out = spec.boundary.values.copy()
+    out[1:-1, 1:-1] = fine[1:-1, 1:-1]
+    return out
 
 
 def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
-    """Three-state active-set iteration; returns the field and a SolveReport.
+    """Coarse-to-fine three-state active-set solve; returns the field and a SolveReport.
+
+    The ladder halves the grid while nx - 1 and ny - 1 are both even and
+    the coarse grid keeps at least 17 nodes per axis; a coarse level takes
+    every other boundary node of the data.  The coarsest level starts from
+    the harmonic extension of its data, and every finer level from the
+    bilinear prolongation of the level below, which is both its warm start
+    and its initial state configuration.  A grid with odd n - 1 is a
+    one-level ladder.  tol_pattern bounds the sweeps of every level.  The
+    report describes the finest level; `report.levels` holds one record
+    per level, coarsest first.
 
     Postconditions: the returned field matches the boundary data exactly on
     boundary nodes, the five-point residual is at most tol_linear at every
     interior node outside the zero band, and the recorded energies are
-    non-increasing.  Raises SolverError if the states do not settle within
-    tol_pattern sweeps.
+    non-increasing.  Raises SolverError, carrying the report of the level
+    that failed, if a level's states do not settle within tol_pattern
+    sweeps.
+    """
+    ladder = [spec]
+    while (coarse := _coarsen(ladder[-1])) is not None:
+        ladder.append(coarse)
+    levels: list[dict] = []
+    u = None
+    for level in reversed(ladder):
+        u, report = _active_set(level, None if u is None else _prolong(u.values, level), levels)
+    return u, report
+
+
+def _active_set(spec: ProblemSpec, start: np.ndarray | None,
+                levels: list[dict]) -> tuple[ScalarField, SolveReport]:
+    """Active-set loop on one grid from start, or from the harmonic extension.
+
+    Appends this level's record to levels, which the report shares.
     """
     g = spec.grid
     h2 = g.h * g.h
@@ -179,16 +251,22 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
 
     bvals = spec.boundary.values
     nbr_b = _neighbor_sum(bvals) / h2
+    record = {"nx": g.nx, "ny": g.ny, "sweeps": 0, "cg_iterations": 0}
+    levels.append(record)
 
-    # harmonic initialization: all nodes free, zero forcing
-    free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
-    w, res, _ = _cg(g, nbr_b, np.zeros_like(nbr_b), free, tol_cg, max_cg)
-    state = _pattern(w, tolz)
-    U = bvals.copy()
-    U[1:-1, 1:-1] = w
+    U = start
+    if U is None:
+        # harmonic initialization: all nodes free, zero forcing
+        free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
+        w, _, record["cg_iterations"] = _cg(g, nbr_b, np.zeros_like(nbr_b), free,
+                                            tol_cg, max_cg)
+        U = bvals.copy()
+        U[1:-1, 1:-1] = w
+    state = _pattern(U[1:-1, 1:-1], tolz)
     J_best = energy(spec, ScalarField(g, U))
 
-    report = SolveReport(iterations=0, final_energy=J_best, final_residual=res)
+    report = SolveReport(iterations=0, final_energy=J_best, final_residual=float("inf"),
+                         levels=levels)
     key_prev = state.tobytes()
     key_prev_prev = None
     forced_pins = 0
@@ -197,7 +275,9 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
         free = state != 0
         rhs = -_forcing(state, lp, lm) + nbr_b
         warm = np.where(free, U[1:-1, 1:-1], 0.0)
-        w, res, _ = _cg(g, rhs, warm, free, tol_cg, max_cg)
+        w, res, its = _cg(g, rhs, warm, free, tol_cg, max_cg)
+        record["sweeps"] = sweep
+        record["cg_iterations"] += its
         V = bvals.copy()
         V[1:-1, 1:-1] = w
         field_v = ScalarField(g, V)
@@ -218,13 +298,13 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
         report.pattern_changes.append(changes)
         report.energy_history.append(J_best)
         report.iterations = sweep
+        report.final_energy = J_new
+        report.final_residual = res
 
         if changes == 0:
             if res > spec.tol_linear:
                 report.converged = False
                 raise SolverError("linear residual target not met", report)
-            report.final_energy = J_new
-            report.final_residual = res
             report.converged = True
             return field_v, report
 

@@ -1,10 +1,13 @@
 """Active-set solver: exactness, convergence, comparison, failure paths."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from membranelab import (
     BoundaryMap,
     ProblemSpec,
+    ScalarField,
     SolverError,
     build_grid,
     comparison_check,
@@ -12,9 +15,11 @@ from membranelab import (
     eval_many,
     eval_profile_many,
     interpolate_many,
+    laplacian_interior,
     residual_field,
     solve,
 )
+from membranelab.solver import _forcing, _neighbor_sum, _pattern
 from conftest import LP, LM, make_poly_problem, make_profile_problem
 
 
@@ -122,8 +127,13 @@ def test_report_json_dict_shape(profile_solutions):
     _, _, _, report = profile_solutions[65]
     d = report.to_json_dict()
     for key in ("iterations", "final_energy", "final_residual",
-                "pattern_changes", "energy_history", "converged"):
+                "pattern_changes", "energy_history", "converged", "levels"):
         assert key in d
+    assert [level["nx"] for level in d["levels"]] == [17, 33, 65]
+    for level in d["levels"]:
+        assert sorted(level) == ["cg_iterations", "nx", "ny", "sweeps"]
+        assert level["nx"] == level["ny"] and level["sweeps"] >= 1
+    assert d["levels"][-1]["sweeps"] == d["iterations"]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +147,6 @@ def test_solution_has_lower_energy_than_perturbations(profile_solutions):
     rng = np.random.default_rng(5)
     bump = rng.standard_normal(u.values.shape) * 1e-3
     bump[0, :] = bump[-1, :] = bump[:, 0] = bump[:, -1] = 0.0
-    from membranelab import ScalarField
     assert energy(spec, ScalarField(spec.grid, u.values + bump)) > e0
 
 
@@ -190,3 +199,175 @@ def test_sweep_budget_exhaustion_raises_with_report():
     report = err.value.report
     assert not report.converged
     assert report.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# Nested-grid ladder against the single-level loop
+# ---------------------------------------------------------------------------
+
+
+def single_level_cg(g, rhs, w0, free, tol, max_iter):
+    """The Jacobi-PCG that stops on its recursively updated residual."""
+    h2 = g.h * g.h
+    full = np.zeros(g.shape)
+
+    def apply_a(w):
+        full[1:-1, 1:-1] = w
+        out = (4.0 * w - _neighbor_sum(full)) / h2
+        out[~free] = 0.0
+        return out
+
+    w = np.where(free, w0, 0.0)
+    r = np.where(free, rhs, 0.0) - apply_a(w)
+    if np.max(np.abs(r)) <= tol:
+        return w
+    minv = h2 / 4.0
+    z = minv * r
+    p = z.copy()
+    rz = np.sum(r * z)
+    for _ in range(max_iter):
+        ap = apply_a(p)
+        alpha = rz / np.sum(p * ap)
+        w += alpha * p
+        r -= alpha * ap
+        if np.max(np.abs(r)) <= tol:
+            return w
+        z = minv * r
+        rz_new = np.sum(r * z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return w
+
+
+def single_level_solve(spec):
+    """The active-set loop on the target grid alone, from the harmonic start."""
+    g = spec.grid
+    h2 = g.h * g.h
+    tolz, lp, lm = spec.tol_zero, spec.lambda_plus, spec.lambda_minus
+    tol_mult = 100.0 * spec.tol_linear / h2
+    max_cg = 60 * max(g.nx, g.ny)
+    tol_cg = 0.9 * spec.tol_linear
+    bvals = spec.boundary.values
+    nbr_b = _neighbor_sum(bvals) / h2
+    free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
+    U = bvals.copy()
+    U[1:-1, 1:-1] = single_level_cg(g, nbr_b, np.zeros_like(nbr_b), free, tol_cg, max_cg)
+    state = _pattern(U[1:-1, 1:-1], tolz)
+    key_prev, key_prev_prev, forced_pins = state.tobytes(), None, 0
+    for _ in range(spec.tol_pattern):
+        free = state != 0
+        rhs = -_forcing(state, lp, lm) + nbr_b
+        w = single_level_cg(g, rhs, np.where(free, U[1:-1, 1:-1], 0.0), free, tol_cg, max_cg)
+        V = bvals.copy()
+        V[1:-1, 1:-1] = w
+        lap = laplacian_interior(ScalarField(g, V))
+        new_state = state.copy()
+        new_state[(state > 0) & (w < -tolz)] = 0
+        new_state[(state < 0) & (w > tolz)] = 0
+        pinned = state == 0
+        new_state[pinned & (lap > 0.5 * lp + tol_mult)] = 1
+        new_state[pinned & (lap < -0.5 * lm - tol_mult)] = -1
+        if np.array_equal(new_state, state):
+            return V
+        key = new_state.tobytes()
+        if key_prev_prev is not None and key == key_prev_prev:
+            forced_pins += 1
+            assert forced_pins <= 20, "oracle states keep cycling"
+            new_state[new_state != state] = 0
+            key = new_state.tobytes()
+        key_prev_prev, key_prev = key_prev, key
+        state, U = new_state, V
+    raise AssertionError("oracle states did not settle")
+
+
+def wavy_problem(nx, ny, lp, lm, y_half=1.0):
+    g = build_grid(-1.0, 1.0, -y_half, y_half, nx, ny)
+    bc = BoundaryMap.from_callable(
+        g, lambda X, Y: 0.5 * X * np.abs(X) + 0.1 * np.sin(np.pi * Y)
+    )
+    return ProblemSpec(g, bc, lp, lm)
+
+
+# name: (problem builder, node counts per level, coarsest first)
+LADDER_CASES = {
+    "profile_65": (lambda: make_profile_problem(65)[1], [17, 33, 65]),
+    "profile_129": (lambda: make_profile_problem(129)[1], [17, 33, 65, 129]),
+    "profile_257": (lambda: make_profile_problem(257)[1], [17, 33, 65, 129, 257]),
+    "tau_65": (lambda: make_profile_problem(65, tau=-0.4)[1], [17, 33, 65]),
+    "tau_129": (lambda: make_profile_problem(129, tau=-0.4)[1], [17, 33, 65, 129]),
+    "wavy_lp0.2_lm2": (lambda: wavy_problem(65, 65, 0.2, 2.0), [17, 33, 65]),
+    "wavy_lp10_lm1": (lambda: wavy_problem(65, 65, 10.0, 1.0), [17, 33, 65]),
+    "wavy_lp1_lm10": (lambda: wavy_problem(65, 65, 1.0, 10.0), [17, 33, 65]),
+    "polynomial_129": (lambda: make_poly_problem(129)[1], [17, 33, 65, 129]),
+    "rectangle_129x65": (lambda: wavy_problem(129, 65, 2.0, 2.0, y_half=0.5), [33, 65, 129]),
+    "odd_100": (lambda: make_profile_problem(100)[1], [100]),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_CASES))
+def test_nested_solve_matches_the_single_level_loop(name):
+    build, ladder = LADDER_CASES[name]
+    spec = build()
+    u, report = solve(spec)
+    assert report.converged
+    assert [level["nx"] for level in report.levels] == ladder
+    assert [level["ny"] for level in report.levels] == [
+        (n - 1) * (spec.grid.ny - 1) // (spec.grid.nx - 1) + 1 for n in ladder
+    ]
+    assert report.levels[-1]["sweeps"] == report.iterations
+    assert len(report.pattern_changes) == report.iterations
+    want = single_level_solve(spec)
+    assert float(np.max(np.abs(u.values - want))) <= 1e-10
+
+
+def assert_postconditions(spec, u):
+    """Dirichlet data, residual off the band and the band multiplier, from u alone."""
+    ring = np.ones(spec.grid.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert np.array_equal(u.values[ring], spec.boundary.values[ring])
+    assert float(np.max(np.abs(residual_field(spec, u).values))) <= spec.tol_linear
+    lap = laplacian_interior(u)
+    band = np.abs(u.values[1:-1, 1:-1]) <= spec.tol_zero
+    slack = 100.0 * spec.tol_linear / spec.grid.h**2
+    if band.any():
+        assert float(np.max(lap[band])) <= 0.5 * spec.lambda_plus + slack
+        assert float(np.min(lap[band])) >= -0.5 * spec.lambda_minus - slack
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.4])
+def test_postconditions_recomputed_from_the_field_at_257(tau, profile_solutions):
+    # both fields broke tol_linear (1.31e-10 and 1.20e-10) while CG stopped
+    # on its recursively updated residual
+    if tau == 0.0:
+        _, spec, u, _ = profile_solutions[257]
+    else:
+        spec = make_profile_problem(257, tau=tau)[1]
+        u, _ = solve(spec)
+    assert_postconditions(spec, u)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    coef=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=5, max_size=5),
+    lp=st.floats(min_value=0.1, max_value=10.0),
+    lm=st.floats(min_value=0.1, max_value=10.0),
+    n=st.sampled_from([33, 65]),
+    rectangle=st.booleans(),
+    lift=st.floats(min_value=0.01, max_value=0.5),
+)
+def test_solve_fuzz_postconditions_and_comparison(coef, lp, lm, n, rectangle, lift):
+    c0, c1, c2, c3, c4 = coef
+    y_half = 0.5 if rectangle else 1.0
+    g = build_grid(-1.0, 1.0, -y_half, y_half, n, (n + 1) // 2 if rectangle else n)
+    d1 = BoundaryMap.from_callable(
+        g, lambda X, Y: 0.1 * c0 + 0.5 * c1 * X + 0.5 * c2 * Y
+        + 0.3 * c3 * (X * X - Y * Y) + 0.2 * c4 * np.sin(np.pi * (X + Y))
+    )
+    d2 = d1.perturbed(lambda X, Y: np.ones_like(X), lift)
+    spec1 = ProblemSpec(g, d1, lp, lm)
+    spec2 = ProblemSpec(g, d2, lp, lm)
+    u1, _ = solve(spec1)
+    u2, _ = solve(spec2)
+    assert_postconditions(spec1, u1)
+    assert_postconditions(spec2, u2)
+    assert comparison_check(u1, u2, d1, d2).holds
