@@ -38,6 +38,7 @@ from .monotonicity import (
     acf_psi,
     blowup_rescale,
     directional_parts,
+    directional_psi,
     phi_ladder,
     psi_ladder,
     s_norm,
@@ -46,6 +47,7 @@ from .monotonicity import (
 from .freeboundary import (
     CircleTrace,
     ClassifyThresholds,
+    FieldAnalysis,
     FreeBoundarySet,
     GraphFit,
     NotVerticallySimpleError,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import (
+    FieldAnalysis,
     FreeBoundarySet,
     classify_point,
     covering_count,
@@ -30,8 +31,8 @@ from .freeboundary import (
     perimeter_estimate,
     reflection_xi,
 )
-from .grid import BoundaryMap, Grid2D, ScalarField, build_grid, dump_field_csv, float_repr, sample
-from .monotonicity import RadiusLadder, acf_psi, directional_parts, phi_ladder, psi_ladder, s_norm, weiss_phi
+from .grid import BoundaryMap, Grid2D, build_grid, dump_field_csv, float_repr, sample
+from .monotonicity import RadiusLadder, acf_psi, directional_psi, phi_ladder, s_norm, weiss_phi
 from .profiles import GlobalProfile, OnePhasePolynomial, eval_many
 from .solver import ProblemSpec, SolverError, comparison_check, solve
 
@@ -218,6 +219,14 @@ def load_config(path: str) -> ExperimentConfig:
             "xi_m": _get(cp, "diagnostics", "xi_m", int, default=256),
             "xi_rotation": _get(cp, "diagnostics", "xi_rotation", float, default=0.0),
         }
+        if diag_params["window"] <= 0.0:
+            raise ConfigError("diagnostics.window: must be positive")
+        if any(e <= 0.0 for e in diag_params["eps"]):
+            raise ConfigError("diagnostics.eps: need positive radii")
+        if diag_params["xi_r"] <= 0.0:
+            raise ConfigError("diagnostics.xi_r: must be positive")
+        if diag_params["xi_m"] < 4 or diag_params["xi_m"] % 2 != 0:
+            raise ConfigError("diagnostics.xi_m: must be even and at least 4")
 
     sweep = None
     if cp.has_section("sweep"):
@@ -236,6 +245,11 @@ def load_config(path: str) -> ExperimentConfig:
             "classify_budget": _get(cp, "sweep", "classify_budget", int, default=8),
             "window": _get(cp, "sweep", "window", float, default=0.25),
         }
+        for key in ("k", "classify_budget"):
+            if sweep[key] < 1:
+                raise ConfigError(f"sweep.{key}: must be at least 1")
+        if sweep["window"] <= 0.0:
+            raise ConfigError("sweep.window: must be positive")
 
     out_dir = _get(cp, "output", "dir", str, required=True)
 
@@ -421,21 +435,22 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, budget: i
     return [(float(x), float(y)) for x, y in pts[idx]]
 
 
-def stability_sweep(config: ExperimentConfig, u_ref: ScalarField) -> StabilityReport:
+def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> StabilityReport:
     """Boundary perturbation sweep against a classified reference solve.
 
-    ``u_ref`` is the solved field of ``config``'s own problem.  The
-    reference free boundary is classified first; any one-phase singular
+    ``fa_ref`` holds the solved field of ``config``'s own problem; its
+    ``tol_zero`` contours every field of the sweep.  The reference free
+    boundary is classified first; any one-phase singular
     point aborts the sweep.  Each row re-solves with perturbed data,
     checks the comparison principle, measures the free boundary
     displacement, and refits graphs at the reference branch points.
     """
     if config.sweep is None:
         raise ConfigError("sweep: section required for stability_sweep")
+    u_ref = fa_ref.u
     g = u_ref.grid
     spec = config.problem(g)
-    tolz = spec.tol_zero
-    fb_ref = extract_free_boundary(u_ref, tolz)
+    fb_ref = fa_ref.free_boundary
     ref_chains = list(fb_ref.plus_boundary) + list(fb_ref.minus_boundary)
 
     h = g.h
@@ -444,7 +459,7 @@ def stability_sweep(config: ExperimentConfig, u_ref: ScalarField) -> StabilityRe
     points = _reference_points(fb_ref, g, radii[0], config.sweep["classify_budget"])
     labels = []
     for p in points:
-        cls = classify_point(u_ref, p, RadiusLadder(p, radii), thresholds)
+        cls = classify_point(fa_ref, p, RadiusLadder(p, radii), thresholds)
         labels.append(cls.label)
         if cls.label == "one_phase_singular":
             raise SweepHypothesisError(
@@ -460,13 +475,14 @@ def stability_sweep(config: ExperimentConfig, u_ref: ScalarField) -> StabilityRe
         bc_d = spec.boundary.perturbed(fam, delta)
         u_d, _ = solve(dataclasses.replace(spec, boundary=bc_d))
         cmp = comparison_check(u_ref, u_d, spec.boundary, bc_d, tol_linear=config.tol_linear)
-        fb_d = extract_free_boundary(u_d, tolz)
+        fa_d = FieldAnalysis(u_d, fa_ref.tol_zero)
+        fb_d = fa_d.free_boundary
         chains_d = list(fb_d.plus_boundary) + list(fb_d.minus_boundary)
         dist = hausdorff_distance(ref_chains, chains_d)
         summaries = []
         for p in branch_points:
             fit = fit_two_graphs(
-                u_d, p, window, tolz,
+                fa_d, p, window,
                 lambda_plus=config.lambda_plus, lambda_minus=config.lambda_minus,
             )
             summaries.append({
@@ -503,13 +519,13 @@ def stability_sweep(config: ExperimentConfig, u_ref: ScalarField) -> StabilityRe
 # ---------------------------------------------------------------------------
 
 
-def _run_diagnostics(config: ExperimentConfig, u: ScalarField, spec: ProblemSpec) -> None:
+def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
+    u = fa.u
     g = u.grid
     dp = config.diag_params
     out = config.output_dir
     point = dp["point"]
-    tolz = spec.tol_zero
-    fb = extract_free_boundary(u, tolz)
+    fb = fa.free_boundary
     fb.to_csv(os.path.join(out, "free_boundary.csv"))
 
     radii = dp["radii"] or (32.0 * g.h, 16.0 * g.h, 8.0 * g.h)
@@ -519,18 +535,17 @@ def _run_diagnostics(config: ExperimentConfig, u: ScalarField, spec: ProblemSpec
         prof.to_csv(os.path.join(out, "phi_ladder.csv"))
     if "psi_ladder" in config.diagnostics:
         ladder = RadiusLadder(point, radii)
-        hp, hm = directional_parts(u, (1.0, 0.0))
-        prof = psi_ladder(hp, hm, point, ladder)
+        (prof,) = directional_psi(fa.gradients, point, ladder, [(1.0, 0.0)])
         prof.to_csv(os.path.join(out, "psi_ladder.csv"))
     if "classify" in config.diagnostics:
         ladder = RadiusLadder(point, radii)
         thresholds = default_thresholds(g.h, config.lambda_plus, config.lambda_minus)
-        cls = classify_point(u, point, ladder, thresholds)
+        cls = classify_point(fa, point, ladder, thresholds)
         report = [{"point": [point[0], point[1]], **cls.to_json_dict()}]
         write_json(report, os.path.join(out, "classification.json"))
     if "graphs" in config.diagnostics:
         fit = fit_two_graphs(
-            u, point, dp["window"], tolz,
+            fa, point, dp["window"],
             lambda_plus=config.lambda_plus, lambda_minus=config.lambda_minus,
         )
         write_json({
@@ -551,7 +566,7 @@ def _run_diagnostics(config: ExperimentConfig, u: ScalarField, spec: ProblemSpec
             zip(xi.thetas.tolist(), xi.values.tolist()),
         )
     if "perimeter" in config.diagnostics:
-        lengths = perimeter_estimate(u, (g.x_min, g.x_max, g.y_min, g.y_max), tolz)
+        lengths = perimeter_estimate(fa, (g.x_min, g.x_max, g.y_min, g.y_max))
         write_json({"plus": lengths.plus, "minus": lengths.minus},
                    os.path.join(out, "perimeter.json"))
     if "covering" in config.diagnostics:
@@ -572,10 +587,11 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
         u, report = solve(spec)
         dump_field_csv(u, os.path.join(config.output_dir, "field.csv"))
         write_json(report.to_json_dict(), os.path.join(config.output_dir, "solve_report.json"))
+        fa = FieldAnalysis(u, spec.tol_zero)
         if mode == "diagnose":
-            _run_diagnostics(config, u, spec)
+            _run_diagnostics(config, fa)
         elif mode == "sweep":
-            report_s = stability_sweep(config, u)
+            report_s = stability_sweep(config, fa)
             write_json(report_s.to_json_dict(), os.path.join(config.output_dir, "stability.json"))
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

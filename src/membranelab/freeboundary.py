@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid2D, ScalarField, build_grid, float_repr, interpolate_many
+from .grid import Grid2D, ScalarField, build_grid, float_repr, gradient_fields, interpolate_many
 from .monotonicity import (
     DegenerateRescaleError,
     RadiusLadder,
     blowup_rescale,
-    directional_parts,
-    psi_ladder,
+    directional_psi,
     s_norm,
 )
 from .profiles import OnePhasePolynomial, _disk_nodes, dist_to_M
@@ -203,6 +203,28 @@ def extract_free_boundary(u: ScalarField, tol_zero: float) -> FreeBoundarySet:
     return FreeBoundarySet(tuple(plus), tuple(minus), u.grid.h)
 
 
+class FieldAnalysis:
+    """A solved field and what the analysis derives from it, each built once.
+
+    ``gradients`` (``gradient_fields`` of ``u``) and ``free_boundary`` (its
+    contours at the +-``tol_zero`` levels) are computed on first use and
+    kept, so every classification, graph fit and estimate on the field
+    shares them.  Nothing tied to a query point is kept.
+    """
+
+    def __init__(self, u: ScalarField, tol_zero: float):
+        self.u = u
+        self.tol_zero = tol_zero
+
+    @cached_property
+    def gradients(self) -> tuple[ScalarField, ScalarField]:
+        return gradient_fields(self.u)
+
+    @cached_property
+    def free_boundary(self) -> FreeBoundarySet:
+        return extract_free_boundary(self.u, self.tol_zero)
+
+
 # ---------------------------------------------------------------------------
 # Point classification
 # ---------------------------------------------------------------------------
@@ -303,7 +325,7 @@ def dist_to_polynomial_class(f: ScalarField) -> tuple[float, OnePhasePolynomial 
 
 
 def classify_point(
-    u: ScalarField,
+    fa: FieldAnalysis,
     p: tuple[float, float],
     ladder: RadiusLadder,
     thresholds: ClassifyThresholds,
@@ -318,6 +340,7 @@ def classify_point(
     circle) is indeterminate as well.
     """
     th = thresholds
+    u = fa.u
     grad = _gradient_at(u, p)
     gn = float(np.hypot(grad[0], grad[1]))
     evidence: dict = {
@@ -332,11 +355,8 @@ def classify_point(
         evidence["decided_by"] = "gradient"
         return PointClass("regular", evidence)
 
-    psi = {}
-    for name, e in _DIRECTIONS:
-        hp, hm = directional_parts(u, e)
-        prof = psi_ladder(hp, hm, p, ladder)
-        psi[name] = tuple(prof.values)
+    profs = directional_psi(fa.gradients, p, ladder, [e for _, e in _DIRECTIONS])
+    psi = {name: prof.values for (name, _), prof in zip(_DIRECTIONS, profs)}
     evidence["psi"] = psi
 
     r_min = ladder.radii[-1]
@@ -394,10 +414,9 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 
 
 def fit_two_graphs(
-    u: ScalarField,
+    fa: FieldAnalysis,
     p: tuple[float, float],
     window: float,
-    tol_zero: float,
     lambda_plus: float = 2.0,
     lambda_minus: float = 2.0,
 ) -> GraphFit:
@@ -408,6 +427,7 @@ def fit_two_graphs(
     window of half-width ``window`` in the rotated frame and binned at
     roughly two grid steps along the transverse axis.
     """
+    u = fa.u
     g = u.grid
     if window < 8.0 * g.h:
         raise ValueError("window must cover at least 8 grid steps")
@@ -418,7 +438,7 @@ def fit_two_graphs(
     d = np.array([math.cos(theta), -math.sin(theta)])
     t = np.array([math.sin(theta), math.cos(theta)])
 
-    fb = extract_free_boundary(u, tol_zero)
+    fb = fa.free_boundary
     origin = np.array([p[0], p[1]])
     coords = []
     for chains in (fb.plus_boundary, fb.minus_boundary):
@@ -581,9 +601,9 @@ def _clipped_length(chains, box) -> float:
     return total
 
 
-def perimeter_estimate(u: ScalarField, window, tol_zero: float) -> PhaseLengths:
+def perimeter_estimate(fa: FieldAnalysis, window) -> PhaseLengths:
     """Per-phase polyline length of the extracted boundaries in a window."""
-    fb = extract_free_boundary(u, tol_zero)
+    fb = fa.free_boundary
     return PhaseLengths(
         plus=_clipped_length(fb.plus_boundary, window),
         minus=_clipped_length(fb.minus_boundary, window),

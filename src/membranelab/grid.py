@@ -131,17 +131,41 @@ def gradient_fields(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     the boundary ring so the fields are defined everywhere (the functional
     quadratures interpolate them near domain edges).
     """
-    v = f.values
-    h = f.grid.h
+    gx, gy = _gradient_arrays(f.values, f.grid.h)
+    return ScalarField(f.grid, gx), ScalarField(f.grid, gy)
+
+
+def _gradient_arrays(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stencils of ``gradient_fields`` on the last two axes of a value stack.
+
+    Each entry is computed from its own neighbours only, so a window of a
+    field gets the full field's gradient, bit for bit, everywhere except on
+    a window edge that is not a grid edge.
+    """
     gx = np.empty_like(v)
     gy = np.empty_like(v)
-    gx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
-    gx[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * h)
-    gx[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * h)
-    gy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2.0 * h)
-    gy[0, :] = (-3.0 * v[0, :] + 4.0 * v[1, :] - v[2, :]) / (2.0 * h)
-    gy[-1, :] = (3.0 * v[-1, :] - 4.0 * v[-2, :] + v[-3, :]) / (2.0 * h)
-    return ScalarField(f.grid, gx), ScalarField(f.grid, gy)
+    gx[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    gx[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    gx[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    gy[..., 1:-1, :] = (v[..., 2:, :] - v[..., :-2, :]) / (2.0 * h)
+    gy[..., 0, :] = (-3.0 * v[..., 0, :] + 4.0 * v[..., 1, :] - v[..., 2, :]) / (2.0 * h)
+    gy[..., -1, :] = (3.0 * v[..., -1, :] - 4.0 * v[..., -2, :] + v[..., -3, :]) / (2.0 * h)
+    return gx, gy
+
+
+@dataclass(frozen=True)
+class FieldWindow:
+    """A stack of fields cropped to one rectangle of grid nodes.
+
+    ``values[k, j, i]`` is field k at node ``(i_off + i, j_off + j)`` of
+    ``grid``.  ``interpolate_many`` locates points on the whole grid, so a
+    window interpolates exactly as the uncropped fields do.
+    """
+
+    grid: Grid2D
+    i_off: int
+    j_off: int
+    values: np.ndarray
 
 
 def _locate(grid: Grid2D, x: np.ndarray, y: np.ndarray):
@@ -175,16 +199,29 @@ def _locate(grid: Grid2D, x: np.ndarray, y: np.ndarray):
     return i0, j0, fx, fy
 
 
-def interpolate_many(f: ScalarField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation at an array of points inside the grid."""
+def interpolate_many(f: ScalarField | FieldWindow, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation at an array of points inside the grid.
+
+    For a ``FieldWindow`` the points are located once and every field of
+    the stack is interpolated from that one locate; the result has shape
+    (fields, points).  Every point's cell must lie inside the window.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     i0, j0, fx, fy = _locate(f.grid, x, y)
     v = f.values
-    v00 = v[j0, i0]
-    v10 = v[j0, i0 + 1]
-    v01 = v[j0 + 1, i0]
-    v11 = v[j0 + 1, i0 + 1]
+    if isinstance(f, FieldWindow):
+        i0 = i0 - f.i_off
+        j0 = j0 - f.j_off
+        if i0.size and (
+            i0.min() < 0 or j0.min() < 0
+            or i0.max() > v.shape[-1] - 2 or j0.max() > v.shape[-2] - 2
+        ):
+            raise ValueError("interpolation point(s) outside the field window")
+    v00 = v[..., j0, i0]
+    v10 = v[..., j0, i0 + 1]
+    v01 = v[..., j0 + 1, i0]
+    v11 = v[..., j0 + 1, i0 + 1]
     # symmetric weights keep fx, fy in {0, 1} bit-exact at the nodes
     bottom = (1.0 - fx) * v00 + fx * v10
     top = (1.0 - fx) * v01 + fx * v11

@@ -25,12 +25,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, ScalarField, gradient_fields, interpolate_many, float_repr
+from .grid import (
+    FieldWindow,
+    Grid2D,
+    ScalarField,
+    _gradient_arrays,
+    float_repr,
+    gradient_fields,
+    interpolate_many,
+)
 
 
 # Quadrature resolution: radial and angular cells of the disk rule, nodes
 # of the circle rule.
 _NQ = 256
+
+# Points per interpolate_many call of the disk kernel: bounds the
+# (fields, points) temporaries of a 16-field stack to about 1 MB.
+_BLOCK = 1024
+
+# Nodes a quadrature window keeps beyond its ball on each side.
+_MARGIN = 3
 
 
 class DegenerateRescaleError(ValueError):
@@ -105,58 +120,113 @@ def _circle(center, r):
     return xs, ys, w
 
 
+def _crop(grid: Grid2D, center, r: float) -> tuple[slice, slice]:
+    """Rows and columns of the nodes quadrature on B_r(center) reads.
+
+    The box around the ball is widened by _MARGIN nodes and clipped to the
+    grid, so a window keeps both neighbours of every node a point
+    interpolates from.
+    """
+    h = grid.h
+    i_lo = max(0, math.floor((center[0] - r - grid.x_min) / h) - _MARGIN)
+    i_hi = min(grid.nx, math.ceil((center[0] + r - grid.x_min) / h) + 1 + _MARGIN)
+    j_lo = max(0, math.floor((center[1] - r - grid.y_min) / h) - _MARGIN)
+    j_hi = min(grid.ny, math.ceil((center[1] + r - grid.y_min) / h) + 1 + _MARGIN)
+    return slice(j_lo, j_hi), slice(i_lo, i_hi)
+
+
+def _window(grid: Grid2D, center, r: float, arrays) -> FieldWindow:
+    rows, cols = _crop(grid, center, r)
+    return FieldWindow(grid, cols.start, rows.start, np.stack([a[rows, cols] for a in arrays]))
+
+
+def _disk_sums(win: FieldWindow, center, r: float, integrand) -> list[float]:
+    """Polar-rule integrals over B_r(center), one per row of integrand(values).
+
+    ``integrand`` maps the (fields, points) values of the window's stack to
+    (rows, points).  This is the one disk quadrature of the package: the
+    points pass through ``interpolate_many`` in blocks of _BLOCK, each one
+    located once for the whole stack, and each row is summed in one pass.
+    """
+    xs, ys, w = _polar_disk(center, r)
+    rows = None
+    for s in range(0, w.size, _BLOCK):
+        b = slice(s, s + _BLOCK)
+        part = integrand(interpolate_many(win, xs[b], ys[b]))
+        if rows is None:
+            rows = np.empty((part.shape[0], w.size))
+        rows[:, b] = part
+    rows *= w
+    return [float(np.sum(row)) for row in rows]
+
+
+def _gradient_squares(v: np.ndarray) -> np.ndarray:
+    # layers come in (d/dx, d/dy) pairs; one |grad|^2 row per pair
+    g = v.reshape(-1, 2, v.shape[-1])
+    return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+
+
+def _products(sums: list[float], r: float) -> list[float]:
+    # acf_psi of each consecutive pair of Dirichlet integrals
+    return [1.0 / r**4 * sums[k] * sums[k + 1] for k in range(0, len(sums), 2)]
+
+
+def _phi_values(u: ScalarField, x0, radii, lambda_plus: float, lambda_minus: float) -> list[float]:
+    for r in radii:
+        _check_ball(u.grid, x0, r)
+    gx, gy = gradient_fields(u)
+    win = _window(u.grid, x0, radii[0], (u.values, gx.values, gy.values))
+
+    def bulk(v):
+        uv, gxv, gyv = v
+        return (gxv * gxv + gyv * gyv
+                + lambda_plus * np.maximum(uv, 0.0) + lambda_minus * np.maximum(-uv, 0.0))[None]
+
+    out = []
+    for r in radii:
+        (disk,) = _disk_sums(win, x0, r, bulk)
+        cx, cy, cw = _circle(x0, r)
+        ring = float(np.sum(interpolate_many(u, cx, cy) ** 2) * cw)
+        out.append(disk / r**4 - 2.0 * ring / r**5)
+    return out
+
+
 def weiss_phi(
     u: ScalarField,
     x0: tuple[float, float],
     r: float,
     lambda_plus: float,
     lambda_minus: float,
-    grads: tuple[ScalarField, ScalarField] | None = None,
 ) -> float:
     """Scale-invariant energy at center x0 and radius r (planar scaling)."""
-    _check_ball(u.grid, x0, r)
-    if grads is None:
-        grads = gradient_fields(u)
-    gx, gy = grads
-    xs, ys, w = _polar_disk(x0, r)
-    uv = interpolate_many(u, xs, ys)
-    gxv = interpolate_many(gx, xs, ys)
-    gyv = interpolate_many(gy, xs, ys)
-    bulk = gxv * gxv + gyv * gyv \
-        + lambda_plus * np.maximum(uv, 0.0) + lambda_minus * np.maximum(-uv, 0.0)
-    disk = float(np.sum(bulk * w))
-    cx, cy, cw = _circle(x0, r)
-    ring = float(np.sum(interpolate_many(u, cx, cy) ** 2) * cw)
-    return disk / r**4 - 2.0 * ring / r**5
+    return _phi_values(u, x0, (r,), lambda_plus, lambda_minus)[0]
 
 
 _NEG_TOL = 1e-12
 
 
-def acf_psi(
-    h1: ScalarField,
-    h2: ScalarField,
-    z: tuple[float, float],
-    r: float,
-    grads1: tuple[ScalarField, ScalarField] | None = None,
-    grads2: tuple[ScalarField, ScalarField] | None = None,
-) -> float:
-    """Product functional for a nonnegative pair at center z, radius r."""
+def _psi_values(h1: ScalarField, h2: ScalarField, z, radii) -> list[float]:
     if h1.grid != h2.grid:
         raise ValueError("pair must share a grid")
-    _check_ball(h1.grid, z, r)
+    for r in radii:
+        _check_ball(h1.grid, z, r)
     if float(np.min(h1.values)) < -_NEG_TOL or float(np.min(h2.values)) < -_NEG_TOL:
         raise ValueError("pair members must be nonnegative (within 1e-12)")
-    xs, ys, w = _polar_disk(z, r)
-    total = 1.0 / r**4
-    for h, grads in ((h1, grads1), (h2, grads2)):
-        if grads is None:
-            grads = gradient_fields(h)
-        gx, gy = grads
-        gxv = interpolate_many(gx, xs, ys)
-        gyv = interpolate_many(gy, xs, ys)
-        total *= float(np.sum((gxv * gxv + gyv * gyv) * w))
-    return total
+    (g1x, g1y), (g2x, g2y) = gradient_fields(h1), gradient_fields(h2)
+    win = _window(h1.grid, z, radii[0], (g1x.values, g1y.values, g2x.values, g2y.values))
+    return [_products(_disk_sums(win, z, r, _gradient_squares), r)[0] for r in radii]
+
+
+def acf_psi(h1: ScalarField, h2: ScalarField, z: tuple[float, float], r: float) -> float:
+    """Product functional for a nonnegative pair at center z, radius r."""
+    return _psi_values(h1, h2, z, (r,))[0]
+
+
+def _unit(e) -> tuple[float, float]:
+    ex, ey = float(e[0]), float(e[1])
+    if abs(math.hypot(ex, ey) - 1.0) > 1e-12:
+        raise ValueError("direction must be a unit vector")
+    return ex, ey
 
 
 def directional_parts(u: ScalarField, e: tuple[float, float]) -> tuple[ScalarField, ScalarField]:
@@ -165,9 +235,7 @@ def directional_parts(u: ScalarField, e: tuple[float, float]) -> tuple[ScalarFie
     e must be a unit vector (within 1e-12).  Central differences inside,
     second-order one-sided stencils on the ring.
     """
-    ex, ey = float(e[0]), float(e[1])
-    if abs(math.hypot(ex, ey) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
+    ex, ey = _unit(e)
     gx, gy = gradient_fields(u)
     de = ex * gx.values + ey * gy.values
     return (
@@ -218,6 +286,11 @@ def _violations(radii, values, tol):
     return tuple(out)
 
 
+def _profile(ladder: RadiusLadder, vals: np.ndarray) -> MonotonicityProfile:
+    tol = _default_tol(vals)
+    return MonotonicityProfile(ladder, tuple(vals), _violations(ladder.radii, vals, tol), tol)
+
+
 def phi_ladder(
     u: ScalarField,
     x0: tuple[float, float],
@@ -226,13 +299,7 @@ def phi_ladder(
     lambda_minus: float,
 ) -> MonotonicityProfile:
     """weiss_phi along a ladder with monotonicity violations flagged."""
-    grads = gradient_fields(u)
-    vals = np.array([
-        weiss_phi(u, x0, r, lambda_plus, lambda_minus, grads=grads)
-        for r in ladder.radii
-    ])
-    tol = _default_tol(vals)
-    return MonotonicityProfile(ladder, tuple(vals), _violations(ladder.radii, vals, tol), tol)
+    return _profile(ladder, np.array(_phi_values(u, x0, ladder.radii, lambda_plus, lambda_minus)))
 
 
 def psi_ladder(
@@ -242,11 +309,35 @@ def psi_ladder(
     ladder: RadiusLadder,
 ) -> MonotonicityProfile:
     """acf_psi along a ladder with monotonicity violations flagged."""
-    g1 = gradient_fields(h1)
-    g2 = gradient_fields(h2)
-    vals = np.array([
-        acf_psi(h1, h2, z, r, grads1=g1, grads2=g2)
-        for r in ladder.radii
-    ])
-    tol = _default_tol(vals)
-    return MonotonicityProfile(ladder, tuple(vals), _violations(ladder.radii, vals, tol), tol)
+    return _profile(ladder, np.array(_psi_values(h1, h2, z, ladder.radii)))
+
+
+def directional_psi(
+    grads: tuple[ScalarField, ScalarField],
+    z: tuple[float, float],
+    ladder: RadiusLadder,
+    directions,
+) -> tuple[MonotonicityProfile, ...]:
+    """psi_ladder of the directional parts of u along each unit direction.
+
+    ``grads`` are u's ``gradient_fields``.  The parts and their gradients
+    are formed only on the window of the ladder's largest ball, where they
+    equal ``directional_parts`` and its gradients bit for bit, and each
+    radius interpolates all of them from one locate per point.
+    """
+    dirs = [_unit(e) for e in directions]
+    gx, gy = grads
+    g = gx.grid
+    for r in ladder.radii:
+        _check_ball(g, z, r)
+    rows, cols = _crop(g, z, ladder.radii[0])
+    wgx, wgy = gx.values[rows, cols], gy.values[rows, cols]
+    # layers per direction: d/dx, d/dy of the positive part, then of the negative part
+    stack = np.empty((len(dirs), 2, 2) + wgx.shape)
+    for k, (ex, ey) in enumerate(dirs):
+        de = ex * wgx + ey * wgy
+        parts = np.stack([np.maximum(de, 0.0), np.maximum(-de, 0.0)])
+        stack[k, :, 0], stack[k, :, 1] = _gradient_arrays(parts, g.h)
+    win = FieldWindow(g, cols.start, rows.start, stack.reshape(-1, *wgx.shape))
+    per_radius = [_products(_disk_sums(win, z, r, _gradient_squares), r) for r in ladder.radii]
+    return tuple(_profile(ladder, np.array(vals)) for vals in zip(*per_radius))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from membranelab import (
+    FieldAnalysis,
     GlobalProfile,
     RadiusLadder,
     SweepHypothesisError,
@@ -73,8 +74,9 @@ def shift_sweep_report(tmp_path_factory):
         f"[output]\ndir = {out / 'artifacts'}\n"
     )
     cfg = load_config(str(ini))
-    u_ref, _ = solve(cfg.problem(cfg.grid()))
-    return cfg, stability_sweep(cfg, u_ref)
+    spec = cfg.problem(cfg.grid())
+    u_ref, _ = solve(spec)
+    return cfg, stability_sweep(cfg, FieldAnalysis(u_ref, spec.tol_zero))
 
 
 def sup_field_error(v, spec, u):
@@ -166,7 +168,8 @@ def test_criterion_06_classification_stable_under_halving(
 ):
     def classify(u, g, p=(0.0, 0.0), lp=2.0, lm=2.0):
         lad = RadiusLadder(p, (32 * g.h, 16 * g.h, 8 * g.h))
-        return classify_point(u, p, lad, default_thresholds(g.h, lp, lm)).label
+        fa = FieldAnalysis(u, 1e-10 * (lp + lm))
+        return classify_point(fa, p, lad, default_thresholds(g.h, lp, lm)).label
 
     # branch points on the criterion-1 field, h = 1/64 and h = 1/128
     branch_labels = []
@@ -235,7 +238,7 @@ def test_criterion_08_reflection_trace_of_rotated_profile():
 def test_criterion_09_two_graph_structure(timed_profile_solves, tau_solution):
     v, spec, u, report, secs = timed_profile_solves[129]
     h = spec.grid.h
-    fit = fit_two_graphs(u, (0.0, 0.0), 0.25, spec.tol_zero)
+    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.25)
     dev_plus = float(np.max(np.abs(fit.gplus)))
     dev_minus = float(np.max(np.abs(fit.gminus)))
     assert dev_plus <= 2 * h and dev_minus <= 2 * h
@@ -244,7 +247,7 @@ def test_criterion_09_two_graph_structure(timed_profile_solves, tau_solution):
 
     vt, spec_t, ut, _ = tau_solution
     ht = spec_t.grid.h
-    fit_t = fit_two_graphs(ut, (0.0, 0.0), 0.5, spec_t.tol_zero)
+    fit_t = fit_two_graphs(FieldAnalysis(ut, spec_t.tol_zero), (0.0, 0.0), 0.5)
     dev0 = float(np.max(np.abs(fit_t.gplus)))
     dev4 = float(np.max(np.abs(fit_t.gminus + 0.4)))
     assert dev0 <= 2 * ht and dev4 <= 2 * ht
@@ -281,9 +284,10 @@ def test_criterion_10_shift_sweep_stability(shift_sweep_report, tmp_path):
         f"[output]\ndir = {tmp_path / 'abort_out'}\n"
     )
     cfg = load_config(str(ini))
-    u_ref, _ = solve(cfg.problem(cfg.grid()))
+    spec = cfg.problem(cfg.grid())
+    u_ref, _ = solve(spec)
     with pytest.raises(SweepHypothesisError):
-        stability_sweep(cfg, u_ref)
+        stability_sweep(cfg, FieldAnalysis(u_ref, spec.tol_zero))
     print(
         f"criterion 10: interior diffs {[f'{r.sup_interior_diff:.5f}' for r in report.rows]} <= deltas, "
         f"hausdorff {[f'{d:.3f}' for d in dists]} non-increasing, singular reference aborts"
@@ -298,7 +302,7 @@ def test_criterion_11_measure_estimates(
     for n in (65, 129, 257):
         v, spec, u, report, secs = timed_profile_solves[n]
         g = spec.grid
-        per = perimeter_estimate(u, (g.x_min, g.x_max, g.y_min, g.y_max), spec.tol_zero)
+        per = perimeter_estimate(FieldAnalysis(u, spec.tol_zero), (g.x_min, g.x_max, g.y_min, g.y_max))
         assert abs(per.plus - 2.0) <= 2 * g.h, f"n={n}: plus {per.plus}"
         assert abs(per.minus - 2.0) <= 2 * g.h, f"n={n}: minus {per.minus}"
 

@@ -9,6 +9,7 @@ import pytest
 
 from membranelab import (
     ConfigError,
+    FieldAnalysis,
     StabilityReport,
     SweepHypothesisError,
     SweepRow,
@@ -98,6 +99,17 @@ k = 2
     ("append:[sweep]\nfamily = constant\namplitudes = 0.1, 0.2", "strictly decreasing"),
     ("append:[sweep]\nfamily = triangle\namplitudes = 0.1", "unknown family"),
     ("replace:beta1 = 1.0\nbeta1 = 1.0\ntau = 0.5", "boundary"),
+    ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = -1", "sweep.classify_budget:"),
+    ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = 0", "sweep.classify_budget:"),
+    ("append:[sweep]\nfamily = sine\namplitudes = 0.1\nk = 0", "sweep.k:"),
+    ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = 0.0", "sweep.window:"),
+    ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = -0.25", "sweep.window:"),
+    ("append:[diagnostics]\nwindow = 0.0", "diagnostics.window:"),
+    ("append:[diagnostics]\neps = 0.25, 0.0", "diagnostics.eps:"),
+    ("append:[diagnostics]\neps = -0.125", "diagnostics.eps:"),
+    ("append:[diagnostics]\nxi_r = 0.0", "diagnostics.xi_r:"),
+    ("append:[diagnostics]\nxi_m = 63", "diagnostics.xi_m:"),
+    ("append:[diagnostics]\nxi_m = 2", "diagnostics.xi_m:"),
 ])
 def test_load_config_rejects_bad_inputs(tmp_path, mutation, needle):
     text = BASE_INI.format(out=tmp_path / "out")
@@ -249,6 +261,14 @@ def test_main_exit_codes(tmp_path, capsys):
     # sweep verb demands a [sweep] section
     assert main(["sweep", ini]) == 2
 
+    # a classify budget below 1 is a config error, not a numpy failure
+    budget = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "m3")
+                       + "\n[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = -1\n",
+                       "budget.ini")
+    capsys.readouterr()
+    assert main(["sweep", budget]) == 2
+    assert "sweep.classify_budget:" in capsys.readouterr().err
+
 
 def test_run_returns_2_on_config_error(tmp_path, capsys):
     cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "r2")))
@@ -292,8 +312,9 @@ dir = {out}
 
 def solved_sweep(ini):
     cfg = load_config(ini)
-    u_ref, _ = solve(cfg.problem(cfg.grid()))
-    return cfg, u_ref
+    spec = cfg.problem(cfg.grid())
+    u_ref, _ = solve(spec)
+    return cfg, FieldAnalysis(u_ref, spec.tol_zero)
 
 
 def test_stability_sweep_end_to_end(tmp_path):

@@ -10,6 +10,7 @@ from membranelab import (
     BoundaryMap,
     CircleTrace,
     DegenerateRescaleError,
+    FieldAnalysis,
     NotVerticallySimpleError,
     ProblemSpec,
     RadiusLadder,
@@ -153,7 +154,7 @@ def test_polynomial_cone_degenerate_field():
 
 def classify_at_origin(u, g, lp=2.0, lm=2.0):
     lad = RadiusLadder((0.0, 0.0), (32 * g.h, 16 * g.h, 8 * g.h))
-    return classify_point(u, (0.0, 0.0), lad, default_thresholds(g.h, lp, lm))
+    return classify_point(FieldAnalysis(u, TOLZ), (0.0, 0.0), lad, default_thresholds(g.h, lp, lm))
 
 
 def test_classify_branch_point():
@@ -223,7 +224,7 @@ def test_point_class_label_checked():
 
 def test_fit_two_graphs_on_straight_interface(profile_solutions):
     v, spec, u, _ = profile_solutions[129]
-    fit = fit_two_graphs(u, (0.0, 0.0), 0.25, spec.tol_zero)
+    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.25)
     h = spec.grid.h
     assert float(np.max(np.abs(fit.gplus))) <= 2.0 * h
     assert float(np.max(np.abs(fit.gminus))) <= 2.0 * h
@@ -235,7 +236,7 @@ def test_fit_two_graphs_on_straight_interface(profile_solutions):
 def test_fit_two_graphs_recovers_slab_levels(tau_solution):
     v, spec, u, _ = tau_solution
     h = spec.grid.h
-    fit = fit_two_graphs(u, (0.0, 0.0), 0.5, spec.tol_zero)
+    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.5)
     assert abs(float(np.median(fit.gplus)) - 0.0) <= 2.0 * h
     assert abs(float(np.median(fit.gminus)) + 0.4) <= 2.0 * h
 
@@ -247,7 +248,7 @@ def test_fit_two_graphs_handles_wavy_interfaces():
     )
     spec = ProblemSpec(g, bc, 2.0, 2.0)
     u, _ = solve(spec)
-    fit = fit_two_graphs(u, (0.0, 0.0), 0.5, spec.tol_zero)
+    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.5)
     assert np.all(np.isfinite(fit.gplus)) and np.all(np.isfinite(fit.gminus))
     assert np.all(fit.gminus <= fit.gplus + 2.0 * g.h)
 
@@ -256,15 +257,15 @@ def test_fit_two_graphs_error_paths():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
     pos = sample(g, lambda X, Y: np.ones_like(X))
     with pytest.raises(ZeroSetEmptyError):
-        fit_two_graphs(pos, (0.0, 0.0), 0.25, TOLZ)
+        fit_two_graphs(FieldAnalysis(pos, TOLZ), (0.0, 0.0), 0.25)
     # a closed circle is never vertically simple over a square window:
     # center bins lose the far arcs, outer bins are past the radius
     circ = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
     for window in (0.45, 0.55):
         with pytest.raises(NotVerticallySimpleError):
-            fit_two_graphs(circ, (0.0, 0.0), window, TOLZ)
+            fit_two_graphs(FieldAnalysis(circ, TOLZ), (0.0, 0.0), window)
     with pytest.raises(ValueError):
-        fit_two_graphs(circ, (0.0, 0.0), 4.0 * g.h, TOLZ)  # window under 8h
+        fit_two_graphs(FieldAnalysis(circ, TOLZ), (0.0, 0.0), 4.0 * g.h)  # window under 8h
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +327,18 @@ def test_reflection_xi_kills_even_symmetry_exactly(half):
 def test_perimeter_of_straight_interface(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
     g = spec.grid
-    per = perimeter_estimate(u, (g.x_min, g.x_max, g.y_min, g.y_max), spec.tol_zero)
+    per = perimeter_estimate(FieldAnalysis(u, spec.tol_zero), (g.x_min, g.x_max, g.y_min, g.y_max))
     assert per.plus == pytest.approx(2.0, abs=2.0 * g.h)
     assert per.minus == pytest.approx(2.0, abs=2.0 * g.h)
     # clipping to the upper half keeps exactly half the length
-    upper = perimeter_estimate(u, (g.x_min, g.x_max, 0.0, g.y_max), spec.tol_zero)
+    upper = perimeter_estimate(FieldAnalysis(u, spec.tol_zero), (g.x_min, g.x_max, 0.0, g.y_max))
     assert upper.plus == pytest.approx(1.0, abs=2.0 * g.h)
 
 
 def test_perimeter_of_circle():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
     u = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
-    per = perimeter_estimate(u, (-1.0, 1.0, -1.0, 1.0), TOLZ)
+    per = perimeter_estimate(FieldAnalysis(u, TOLZ), (-1.0, 1.0, -1.0, 1.0))
     assert per.plus == pytest.approx(math.pi, rel=2e-2)
     assert per.minus == pytest.approx(math.pi, rel=2e-2)
 
@@ -345,7 +346,7 @@ def test_perimeter_of_circle():
 def test_perimeter_of_empty_zero_set():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
     u = sample(g, lambda X, Y: np.ones_like(X))
-    per = perimeter_estimate(u, (-1.0, 1.0, -1.0, 1.0), TOLZ)
+    per = perimeter_estimate(FieldAnalysis(u, TOLZ), (-1.0, 1.0, -1.0, 1.0))
     assert per.plus == 0.0 and per.minus == 0.0
 
 

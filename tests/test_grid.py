@@ -17,7 +17,7 @@ from membranelab import (
     laplacian_interior,
     sample,
 )
-from membranelab.grid import boundary_mask
+from membranelab.grid import FieldWindow, boundary_mask
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,37 @@ def test_interpolation_rejects_outside_points():
         interpolate_many(f, np.array([1.01]), np.array([0.0]))
     # within the node-snap slack the boundary itself is fine
     assert interpolate_many(f, np.array([1.0]), np.array([-1.0]))[0] == 1.0
+
+
+def test_window_shares_one_locate_across_its_fields():
+    # three fields cropped to columns 3..11, rows 5..13 of a 17^2 grid
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 17, 17)
+    rng = np.random.default_rng(11)
+    fields = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(3)]
+    rows, cols = slice(5, 14), slice(3, 12)
+    win = FieldWindow(g, cols.start, rows.start, np.stack([f.values[rows, cols] for f in fields]))
+
+    # node values come back exactly, for every field of the stack; a node
+    # on the window's top or right edge would need the cell beyond it
+    J, I = np.meshgrid(np.arange(5, 13), np.arange(3, 11), indexing="ij")
+    got = interpolate_many(win, g.xs[I.ravel()], g.ys[J.ravel()])
+    assert got.shape == (3, I.size)
+    for k, f in enumerate(fields):
+        assert np.array_equal(got[k], f.values[J.ravel(), I.ravel()])
+
+    # between nodes each layer equals the uncropped field's interpolant
+    xs = rng.uniform(g.x(3), g.x(10), size=300)
+    ys = rng.uniform(g.y(5), g.y(12), size=300)
+    got = interpolate_many(win, xs, ys)
+    for k, f in enumerate(fields):
+        assert np.array_equal(got[k], interpolate_many(f, xs, ys))
+
+    with pytest.raises(ValueError, match="outside grid bounds"):
+        interpolate_many(win, np.array([1.01]), np.array([0.0]))
+    with pytest.raises(ValueError, match="outside the field window"):
+        interpolate_many(win, np.array([g.x(1)]), np.array([g.y(8)]))
+    with pytest.raises(ValueError, match="outside the field window"):
+        interpolate_many(win, np.array([g.x(11)]), np.array([g.y(8)]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membranelab import (
+    BoundaryMap,
     DegenerateRescaleError,
+    FieldAnalysis,
     MonotonicityProfile,
+    ProblemSpec,
     RadiusLadder,
     acf_psi,
     blowup_rescale,
     build_grid,
+    classify_point,
+    default_thresholds,
     directional_parts,
+    directional_psi,
+    gradient_fields,
+    interpolate_many,
     phi_ladder,
     psi_ladder,
     s_norm,
     sample,
+    solve,
     weiss_phi,
 )
+from membranelab.cli import _reference_points
+from membranelab.freeboundary import _DIRECTIONS
+from membranelab.monotonicity import _circle, _polar_disk
 from conftest import profile_fn
 
 PI_8 = math.pi / 8.0
@@ -198,3 +210,106 @@ def test_phi_ladder_tolerance_scales_with_values(r_top):
     prof = phi_ladder(u, (0.0, 0.0), lad, 2.0, 2.0)
     assert len(prof.values) == 2
     assert prof.tol_mono > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The shared disk kernel against the per-field path
+# ---------------------------------------------------------------------------
+
+
+def package_disk(grid):
+    """The package's disk rule for fields on ``grid``."""
+    return lambda center, r: _polar_disk(center, r)
+
+
+def per_field_psi(h1, h2, z, radii, disk):
+    """acf_psi along radii with every gradient component interpolated alone.
+
+    This is the path the package took before the shared kernel: the
+    gradient fields of each member, then one interpolate_many per field at
+    the points of ``disk``.
+    """
+    grads = (gradient_fields(h1), gradient_fields(h2))
+    out = []
+    for r in radii:
+        xs, ys, w = disk(z, r)
+        total = 1.0 / r**4
+        for gx, gy in grads:
+            gxv = interpolate_many(gx, xs, ys)
+            gyv = interpolate_many(gy, xs, ys)
+            total *= float(np.sum((gxv * gxv + gyv * gyv) * w))
+        out.append(total)
+    return out
+
+
+def per_field_directional_psi(u, z, radii, e, disk):
+    """classify_point's psi before the kernel: directional_parts, then per_field_psi."""
+    hp, hm = directional_parts(u, e)
+    return per_field_psi(hp, hm, z, radii, disk)
+
+
+def per_field_phi(u, x0, r, lp, lm, disk):
+    """weiss_phi with u and each gradient component interpolated alone."""
+    gx, gy = gradient_fields(u)
+    xs, ys, w = disk(x0, r)
+    uv = interpolate_many(u, xs, ys)
+    gxv = interpolate_many(gx, xs, ys)
+    gyv = interpolate_many(gy, xs, ys)
+    bulk = gxv * gxv + gyv * gyv + lp * np.maximum(uv, 0.0) + lm * np.maximum(-uv, 0.0)
+    cx, cy, cw = _circle(x0, r)
+    ring = float(np.sum(interpolate_many(u, cx, cy) ** 2) * cw)
+    return float(np.sum(bulk * w)) / r**4 - 2.0 * ring / r**5
+
+
+@pytest.fixture(scope="module")
+def kernel_cases(profile_solutions, tau_solution, poly_solutions):
+    """(field, center, radii) triples: sweep points, slab, one-phase and wavy data."""
+    cases = []
+    v, spec, u, _ = profile_solutions[129]
+    h = spec.grid.h
+    radii = (32 * h, 16 * h, 8 * h)
+    fb = FieldAnalysis(u, spec.tol_zero).free_boundary
+    points = _reference_points(fb, spec.grid, radii[0], 8)
+    assert len(points) == 8
+    cases += [(u, p, radii) for p in points]
+    u_tau = tau_solution[2]
+    cases += [(u_tau, (0.0, 0.0), radii), (u_tau, (-0.4, 0.25), radii)]
+    cases.append((poly_solutions[129][2], (0.0, 0.0), radii))
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
+    bc = BoundaryMap.from_callable(g, lambda X, Y: 0.5 * X * np.abs(X) + 0.1 * np.sin(np.pi * Y))
+    u_wavy, _ = solve(ProblemSpec(g, bc, 2.0, 2.0))
+    # the top ball touches the domain edge, so the window is clipped there
+    cases.append((u_wavy, (0.0, 0.0), (32 * g.h, 16 * g.h, 8 * g.h)))
+    return cases
+
+
+def test_directional_psi_matches_the_per_field_path(kernel_cases):
+    dirs = [e for _, e in _DIRECTIONS]
+    for u, p, radii in kernel_cases:
+        disk = package_disk(u.grid)
+        profs = directional_psi(gradient_fields(u), p, RadiusLadder(p, radii), dirs)
+        for e, prof in zip(dirs, profs):
+            assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), (p, e)
+
+
+def test_classification_psi_is_the_per_field_psi(profile_solutions):
+    v, spec, u, _ = profile_solutions[129]
+    h = spec.grid.h
+    radii = (32 * h, 16 * h, 8 * h)
+    pc = classify_point(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0),
+                        RadiusLadder((0.0, 0.0), radii), default_thresholds(h))
+    disk = package_disk(spec.grid)
+    for name, e in _DIRECTIONS:
+        assert list(pc.evidence["psi"][name]) == per_field_directional_psi(u, (0.0, 0.0), radii, e, disk)
+
+
+def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
+    for u, p, radii in kernel_cases[::4]:
+        disk = package_disk(u.grid)
+        prof = phi_ladder(u, p, RadiusLadder(p, radii), 2.0, 2.0)
+        assert list(prof.values) == [per_field_phi(u, p, r, 2.0, 2.0, disk) for r in radii]
+        hp, hm = directional_parts(u, (math.sqrt(0.5), -math.sqrt(0.5)))
+        prof = psi_ladder(hp, hm, p, RadiusLadder(p, radii))
+        assert list(prof.values) == per_field_psi(hp, hm, p, radii, disk)
+        assert acf_psi(hp, hm, p, radii[1]) == prof.values[1]
+        assert weiss_phi(u, p, radii[2], 2.0, 2.0) == per_field_phi(u, p, radii[2], 2.0, 2.0, disk)
