@@ -4,7 +4,9 @@ Contours the two phase boundaries of a thresholded field, classifies
 points on them through a gradient / functional-decay / blow-up decision
 chain, fits the boundaries as a pair of graphs in a rotated frame, traces
 normalized circle restrictions and their reflection antisymmetrization,
-and reports perimeter and covering-number estimates.
+and reports perimeter and covering-number estimates.  A ``FieldAnalysis``
+holds one solved field together with its gradient fields and its free
+boundary, built once and shared by every analysis of that field.
 """
 
 from __future__ import annotations
@@ -284,16 +286,6 @@ class PointClass:
         return {"class": self.label, "evidence": self.evidence}
 
 
-def _gradient_at(u: ScalarField, p) -> np.ndarray:
-    # central differences of the interpolant with the grid step; exact
-    # central differences when p is a node
-    h = u.grid.h
-    xs = np.array([p[0] + h, p[0] - h, p[0], p[0]])
-    ys = np.array([p[1], p[1], p[1] + h, p[1] - h])
-    v = interpolate_many(u, xs, ys)
-    return np.array([(v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / (2.0 * h)])
-
-
 def dist_to_polynomial_class(f: ScalarField) -> tuple[float, OnePhasePolynomial | None]:
     """Sup distance on the unit disk to the sign-definite quadratics.
 
@@ -337,12 +329,14 @@ def classify_point(
     close to the ramp class means branch; a blow-up close to a
     sign-definite quadratic means one_phase_singular; anything else is
     indeterminate.  A degenerate rescale (field vanishing on the blow-up
-    circle) is indeterminate as well.
+    circle) is indeterminate as well.  The gradient at p is the bilinear
+    interpolant of the field's gradient fields.
     """
     th = thresholds
     u = fa.u
-    grad = _gradient_at(u, p)
-    gn = float(np.hypot(grad[0], grad[1]))
+    gx, gy = fa.gradients
+    x, y = np.array([p[0]]), np.array([p[1]])
+    gn = float(np.hypot(interpolate_many(gx, x, y)[0], interpolate_many(gy, x, y)[0]))
     evidence: dict = {
         "gradient_norm": gn,
         "psi": None,

@@ -11,11 +11,16 @@ Two functionals drive the blow-up analysis:
   for a nonnegative pair (the planar weight is trivial), nondecreasing in r
   when the pair are subharmonic with disjoint supports.
 
-Disk integrals use a polar midpoint rule (_NQ radial x _NQ angular cells)
-on bilinearly interpolated integrands; circle integrals use the _NQ-node
-periodic trapezoid rule.  Gradients come from interpolated central
-difference fields.  All functions are pure; ladders may be evaluated in
-parallel by the caller.
+Disk integrals use a polar midpoint rule of nq radial x nq angular cells,
+nq = min(256, max(32, ceil(4 r / h))) on a grid of step h: 4 cells per
+grid step of the radius, so radii of 64 steps or more get the full 256^2
+rule.  The integrands are bilinearly interpolated, and every disk integral
+goes through one kernel that interpolates all the fields it needs from a
+single locate per point.  Circle integrals (s_norm, the boundary term of
+weiss_phi, and with them every blow-up) always use the 256-node periodic
+trapezoid rule.  Gradients come from interpolated central difference
+fields.  All functions are pure; ladders may be evaluated in parallel by
+the caller.
 """
 
 from __future__ import annotations
@@ -36,9 +41,13 @@ from .grid import (
 )
 
 
-# Quadrature resolution: radial and angular cells of the disk rule, nodes
-# of the circle rule.
+# Nodes of the circle rule, and the most radial and angular cells the disk
+# rule takes.
 _NQ = 256
+
+# The disk rule takes 4 cells per grid step of the radius, but at least
+# _NQ_MIN; so r >= 64h gets the full _NQ.
+_NQ_MIN = 32
 
 # Points per interpolate_many call of the disk kernel: bounds the
 # (fields, points) temporaries of a 16-field stack to about 1 MB.
@@ -100,11 +109,12 @@ def _check_ball(grid: Grid2D, center: tuple[float, float], r: float) -> None:
         raise ValueError(f"ball of radius {r} at {center} exits the grid")
 
 
-def _polar_disk(center, r):
-    dr = r / _NQ
-    dth = 2.0 * math.pi / _NQ
-    rk = (np.arange(_NQ) + 0.5) * dr
-    th = (np.arange(_NQ) + 0.5) * dth
+def _polar_disk(center, r, h):
+    nq = min(_NQ, max(_NQ_MIN, math.ceil(4.0 * r / h)))
+    dr = r / nq
+    dth = 2.0 * math.pi / nq
+    rk = (np.arange(nq) + 0.5) * dr
+    th = (np.arange(nq) + 0.5) * dth
     R, T = np.meshgrid(rk, th)
     xs = center[0] + R * np.cos(T)
     ys = center[1] + R * np.sin(T)
@@ -148,7 +158,7 @@ def _disk_sums(win: FieldWindow, center, r: float, integrand) -> list[float]:
     points pass through ``interpolate_many`` in blocks of _BLOCK, each one
     located once for the whole stack, and each row is summed in one pass.
     """
-    xs, ys, w = _polar_disk(center, r)
+    xs, ys, w = _polar_disk(center, r, win.grid.h)
     rows = None
     for s in range(0, w.size, _BLOCK):
         b = slice(s, s + _BLOCK)

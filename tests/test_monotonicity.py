@@ -219,7 +219,7 @@ def test_phi_ladder_tolerance_scales_with_values(r_top):
 
 def package_disk(grid):
     """The package's disk rule for fields on ``grid``."""
-    return lambda center, r: _polar_disk(center, r)
+    return lambda center, r: _polar_disk(center, r, grid.h)
 
 
 def per_field_psi(h1, h2, z, radii, disk):
@@ -313,3 +313,37 @@ def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
         assert list(prof.values) == per_field_psi(hp, hm, p, radii, disk)
         assert acf_psi(hp, hm, p, radii[1]) == prof.values[1]
         assert weiss_phi(u, p, radii[2], 2.0, 2.0) == per_field_phi(u, p, radii[2], 2.0, 2.0, disk)
+
+
+def full_polar_disk(center, r):
+    """The 256 x 256 polar midpoint rule at every r/h, as before the sized rule."""
+    nq = 256
+    dr = r / nq
+    dth = 2.0 * math.pi / nq
+    rk = (np.arange(nq) + 0.5) * dr
+    th = (np.arange(nq) + 0.5) * dth
+    R, T = np.meshgrid(rk, th)
+    xs = center[0] + R * np.cos(T)
+    ys = center[1] + R * np.sin(T)
+    w = R * dr * dth
+    return xs.ravel(), ys.ravel(), w.ravel()
+
+
+@pytest.mark.parametrize("steps", [8, 16, 32, 64, 128, 256])
+def test_sized_disk_rule_against_the_full_rule(sampled_profile_641, halfplane_parts_641, steps):
+    g, u = sampled_profile_641
+    _, hp, hm = halfplane_parts_641
+    r = steps * g.h
+    for z in ((0.0, 0.0), (0.013, -0.2)):
+        if not g.contains_ball(z, r):
+            continue
+        phi = weiss_phi(u, z, r, 2.0, 2.0)
+        phi_full = per_field_phi(u, z, r, 2.0, 2.0, full_polar_disk)
+        psi = acf_psi(hp, hm, z, r)
+        psi_full = per_field_psi(hp, hm, z, (r,), full_polar_disk)[0]
+        if steps >= 64:
+            # criteria 3 and 4 run here and see the full rule's numbers
+            assert phi == phi_full and psi == psi_full
+        else:
+            assert abs(phi - phi_full) <= 5e-3 * abs(phi_full), (z, phi, phi_full)
+            assert abs(psi - psi_full) <= 5e-3 * abs(psi_full), (z, psi, psi_full)
