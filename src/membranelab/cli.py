@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import (
+    MIN_WINDOW_STEPS,
     FieldAnalysis,
     FreeBoundarySet,
     classify_point,
@@ -163,6 +164,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("domain: x_max/y_max must exceed x_min/y_min")
     if n < 3:
         raise ConfigError("domain.n: need at least 3 nodes per side")
+    # the smallest window fit_two_graphs accepts on the configured grid
+    min_window = MIN_WINDOW_STEPS * ((x_max - x_min) / (n - 1))
 
     lp = _get(cp, "problem", "lambda_plus", float, required=True)
     lm = _get(cp, "problem", "lambda_minus", float, required=True)
@@ -221,6 +224,9 @@ def load_config(path: str) -> ExperimentConfig:
         }
         if diag_params["window"] <= 0.0:
             raise ConfigError("diagnostics.window: must be positive")
+        if "graphs" in diagnostics and diag_params["window"] < min_window:
+            raise ConfigError(f"diagnostics.window: must cover at least {MIN_WINDOW_STEPS:g} grid "
+                              f"steps ({min_window!r}) when graphs run")
         if any(e <= 0.0 for e in diag_params["eps"]):
             raise ConfigError("diagnostics.eps: need positive radii")
         if diag_params["xi_r"] <= 0.0:
@@ -250,6 +256,8 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"sweep.{key}: must be at least 1")
         if sweep["window"] <= 0.0:
             raise ConfigError("sweep.window: must be positive")
+        if sweep["window"] < min_window:
+            raise ConfigError(f"sweep.window: must cover at least {MIN_WINDOW_STEPS:g} grid steps ({min_window!r})")
 
     out_dir = _get(cp, "output", "dir", str, required=True)
 
@@ -531,7 +539,7 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
     radii = dp["radii"] or (32.0 * g.h, 16.0 * g.h, 8.0 * g.h)
     if "phi_ladder" in config.diagnostics:
         ladder = RadiusLadder(point, radii)
-        prof = phi_ladder(u, point, ladder, config.lambda_plus, config.lambda_minus)
+        prof = phi_ladder(u, fa.gradients, point, ladder, config.lambda_plus, config.lambda_minus)
         prof.to_csv(os.path.join(out, "phi_ladder.csv"))
     if "psi_ladder" in config.diagnostics:
         ladder = RadiusLadder(point, radii)

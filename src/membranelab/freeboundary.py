@@ -245,6 +245,9 @@ _LABELS = ("regular", "branch", "one_phase_singular", "indeterminate")
 # Nodes per side of the [-1, 1]^2 grid that blow-ups are sampled on.
 _BLOWUP_N = 65
 
+# The smallest graph-fit window, in grid steps; config loading checks it too.
+MIN_WINDOW_STEPS = 8.0
+
 
 @dataclass(frozen=True)
 class ClassifyThresholds:
@@ -423,8 +426,8 @@ def fit_two_graphs(
     """
     u = fa.u
     g = u.grid
-    if window < 8.0 * g.h:
-        raise ValueError("window must cover at least 8 grid steps")
+    if window < MIN_WINDOW_STEPS * g.h:
+        raise ValueError(f"window must cover at least {MIN_WINDOW_STEPS:g} grid steps")
     target = build_grid(-1.0, 1.0, -1.0, 1.0, _BLOWUP_N, _BLOWUP_N)
     v0 = blowup_rescale(u, p, 0.5 * window, target)
     _, best = dist_to_M(v0, lambda_plus=lambda_plus, lambda_minus=lambda_minus)

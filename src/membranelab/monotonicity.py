@@ -181,10 +181,10 @@ def _products(sums: list[float], r: float) -> list[float]:
     return [1.0 / r**4 * sums[k] * sums[k + 1] for k in range(0, len(sums), 2)]
 
 
-def _phi_values(u: ScalarField, x0, radii, lambda_plus: float, lambda_minus: float) -> list[float]:
+def _phi_values(u: ScalarField, grads, x0, radii, lambda_plus: float, lambda_minus: float) -> list[float]:
     for r in radii:
         _check_ball(u.grid, x0, r)
-    gx, gy = gradient_fields(u)
+    gx, gy = grads
     win = _window(u.grid, x0, radii[0], (u.values, gx.values, gy.values))
 
     def bulk(v):
@@ -209,7 +209,7 @@ def weiss_phi(
     lambda_minus: float,
 ) -> float:
     """Scale-invariant energy at center x0 and radius r (planar scaling)."""
-    return _phi_values(u, x0, (r,), lambda_plus, lambda_minus)[0]
+    return _phi_values(u, gradient_fields(u), x0, (r,), lambda_plus, lambda_minus)[0]
 
 
 _NEG_TOL = 1e-12
@@ -303,13 +303,17 @@ def _profile(ladder: RadiusLadder, vals: np.ndarray) -> MonotonicityProfile:
 
 def phi_ladder(
     u: ScalarField,
+    grads: tuple[ScalarField, ScalarField],
     x0: tuple[float, float],
     ladder: RadiusLadder,
     lambda_plus: float,
     lambda_minus: float,
 ) -> MonotonicityProfile:
-    """weiss_phi along a ladder with monotonicity violations flagged."""
-    return _profile(ladder, np.array(_phi_values(u, x0, ladder.radii, lambda_plus, lambda_minus)))
+    """weiss_phi along a ladder with monotonicity violations flagged.
+
+    ``grads`` are u's ``gradient_fields``, taken once per field.
+    """
+    return _profile(ladder, np.array(_phi_values(u, grads, x0, ladder.radii, lambda_plus, lambda_minus)))
 
 
 def psi_ladder(

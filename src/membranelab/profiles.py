@@ -152,33 +152,54 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # with step halving.  Every evaluated candidate is admissible, so the
 # returned distance is always an upper bound for the true infimum.
 #
+# Every screen below is exact: it changes how many candidates are
+# evaluated in full, never a returned value.  They all rest on one fact.
+# A node's error |ramp - f| is computed with the same floating-point
+# operations in the same order wherever it is computed, so the max over a
+# subset of the nodes can never exceed the max over all of them, and a min
+# over the same candidates keeps that order, bit for bit.
+#
 # The theta scan (stage 1 of ``dist_to_M``) gives each angle of a uniform
 # grid the value
 #
 #   scan(theta) = min over the quick chart grids of max over nodes |ramp - f|
 #
-# and hands the three smallest on to the full search.  It is exact and
-# pruned.  A lower bound of scan(theta) comes first, for all angles in one
-# array pass: the same quantity with the max taken over every
-# _BOUND_STRIDE-th node only.  Each node's |ramp - f| is computed with the
-# same operations in both passes, so a max over a subset of the nodes can
-# never exceed the max over all of them, and the min over the same
-# candidates keeps that order: bound(theta) <= scan(theta), bit for bit.
-# Exact values are then taken in order of increasing bound, _SCAN_BATCH
-# angles at a time, until the next bound is strictly above the third
-# smallest exact value found so far.  Every angle left over has
-# scan >= bound > that value, so it can be neither a leader nor tied with
-# one, and it keeps +inf.  Leaders are the three smallest values, ties
-# going to the lower angle index.  Batches of a few angles keep the
-# working arrays in cache; the rotation is taken per angle with math.cos
-# and math.sin as in ``_rotated_x1``, so an angle's value does not depend
-# on which batch it is in.
+# and hands the three smallest on to the full search.  A lower bound of
+# scan(theta) comes first, for all angles in one array pass: the same
+# quantity over every _ORDER_STRIDE-th node only.  Angles are then taken in
+# order of increasing bound, _SCAN_BATCH at a time, until the next bound is
+# strictly above the third smallest exact value found so far.  A batch is
+# filtered by the finer bound over every _BOUND_STRIDE-th node, and only the
+# angles whose finer bound is not above that third value get an exact value.
+# Every angle skipped either way has scan >= bound > the final third value,
+# so it can be neither a leader nor tied with one, and it keeps +inf.
+# Leaders are the three smallest values, ties going to the lower angle
+# index.  The rotation is taken per angle with math.cos and math.sin as in
+# ``_rotated_x1``, so an angle's value does not depend on its batch.
+#
+# The coarse chart grids of stage 2 (_COARSE^2 candidates each) are pruned
+# the same way: a bound per candidate over every _BOUND_STRIDE-th node,
+# exact values in bound order until the next bound is strictly above the
+# smallest exact value, and the flat argmin of the exact values, which is
+# the first minimum in (tau, beta1) or (beta2, beta1) order as in a full
+# row-by-row scan.
+#
+# The objective is a Chebyshev (sup-norm) fit, so its value is set by a few
+# extremal nodes.  ``_RampObjective.value`` keeps the last _SCREEN_NODES
+# nodes at which a full pass found its max, and with a ``cutoff`` it first
+# recomputes the candidate's error at those nodes, newest first, with the
+# full pass's scalar operations.  The first error >= cutoff is a lower
+# bound of the sup, and it is returned at once.  The descents pass their
+# best value as the cutoff and only ask ``v < best``, and the coarse grids
+# pass the float just above theirs (so a screened candidate is strictly
+# worse and cannot tie).  A candidate that survives the screen gets the
+# full pass, so every accepted value is the exact sup.
 #
 # Search constants: the box bounds A, B, C above; the number of angles of
 # the theta scan; the coarse grid points per chart axis; the step at which
 # coordinate descent and the theta polish stop; the scan's angles, their
-# rotations and its quick chart grids; the node stride of the bound and
-# the angles per exact batch.
+# rotations and its quick chart grids; the node strides of the fine bound
+# and of the angle order; the angles per batch; the screened nodes.
 
 _A = 4.0
 _B = 4.0
@@ -194,7 +215,9 @@ _B1_AQ = np.linspace(_C, _A, 12)
 _B1_BQ = np.linspace(0.0, _A, 9)
 _B2_BQ = np.linspace(0.0, _B, 9)
 _BOUND_STRIDE = 16
+_ORDER_STRIDE = 64
 _SCAN_BATCH = 4
+_SCREEN_NODES = 16
 
 
 def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,10 +229,6 @@ def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X[mask], Y[mask], f.values[mask]
 
 
-def _sup(candidate: np.ndarray, fvals: np.ndarray) -> float:
-    return float(np.max(np.abs(candidate - fvals)))
-
-
 class _RampObjective:
     """sup |ramp(params) - f| over unit-disk nodes, for one rotation."""
 
@@ -219,54 +238,112 @@ class _RampObjective:
         self.fvals = fvals
         self.lp = lp
         self.lm = lm
+        self._qlm = 0.25 * lm
         self._theta = None
         self._x1 = None
         self._pos2 = None
-        self._neg2 = {}
+        self._base = {}
+        self._buf = np.empty_like(fvals)
+        self._lin = np.empty_like(fvals)
+        self._worst = []    # recent argmax node indices, newest first
+        self._screen = []   # (x1, pos2, f) at those nodes, as floats
 
     def set_theta(self, theta: float) -> None:
         if self._theta != theta:
             self._theta = theta
             self._x1 = _rotated_x1(theta, self.X, self.Y)
             self._pos2 = _pos_part(self._x1, self.lp)
-            self._neg2 = {}
+            self._base = {}
+            self._screen = [self._node(i) for i in self._worst]
 
-    def neg_part(self, tau: float) -> np.ndarray:
-        # memoised per tau until the rotation changes: chart B always uses
-        # tau = 0, and chart A moves along beta1 keep tau
-        neg = self._neg2.get(tau)
-        if neg is None:
-            neg = self._neg2[tau] = _neg_part(self._x1, tau, self.lm)
-        return neg
+    def _node(self, i: int) -> tuple[float, float, float]:
+        return float(self._x1[i]), float(self._pos2[i]), float(self.fvals[i])
 
-    def value(self, beta1: float, beta2: float, tau: float) -> float:
-        cand = beta1 * (self._pos2 - self.neg_part(tau)) + beta2 * self._x1
-        return _sup(cand, self.fvals)
+    def base(self, tau: float) -> np.ndarray:
+        # pos2 - neg(tau), memoised per tau until the rotation changes:
+        # chart B always uses tau = 0, and chart A moves along beta1 keep tau
+        b = self._base.get(tau)
+        if b is None:
+            b = self._base[tau] = self._pos2 - _neg_part(self._x1, tau, self.lm)
+        return b
+
+    def value(self, beta1: float, beta2: float, tau: float, cutoff: float = math.inf) -> float:
+        """The sup, or some node's error once that error is >= ``cutoff``.
+
+        The screen repeats the full pass's arithmetic on the recent worst
+        nodes (see the search notes above), so a returned value below
+        ``cutoff`` is always the exact sup.
+        """
+        if cutoff < math.inf:
+            qlm = self._qlm
+            for x1, pos2, f in self._screen:
+                n = x1 - tau
+                base = pos2 - qlm * n * n if n < 0.0 else pos2
+                if beta2:
+                    err = abs(beta1 * base + beta2 * x1 - f)
+                else:
+                    err = abs(beta1 * base - f)
+                if err >= cutoff:
+                    return err
+        buf = np.multiply(self.base(tau), beta1, out=self._buf)
+        if beta2:
+            buf += np.multiply(self._x1, beta2, out=self._lin)
+        buf -= self.fvals
+        np.abs(buf, out=buf)
+        k = int(buf.argmax())
+        self._remember(k)
+        return float(buf[k])
+
+    def _remember(self, k: int) -> None:
+        if k in self._worst:
+            j = self._worst.index(k)
+            del self._worst[j], self._screen[j]
+        self._worst.insert(0, k)
+        self._screen.insert(0, self._node(k))
+        del self._worst[_SCREEN_NODES:], self._screen[_SCREEN_NODES:]
 
     def chart_a_batch(self, taus: np.ndarray, beta1s: np.ndarray):
         """Coarse scan of chart A; returns (best_value, beta1, tau)."""
-        best = (math.inf, 0.0, 0.0)
-        for tau in taus:
-            base = self._pos2 - self.neg_part(tau)
-            cand = beta1s[:, None] * base[None, :]
-            sups = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
-            k = int(np.argmin(sups))
-            if sups[k] < best[0]:
-                best = (float(sups[k]), float(beta1s[k]), float(tau))
-        return best
+        every = slice(None, None, _BOUND_STRIDE)
+        base = self._pos2[every] - _neg_part(self._x1[every], taus[:, None], self.lm)
+        cand = beta1s[:, None] * base[:, None, :]
+        bound = np.max(np.abs(cand - self.fvals[every]), axis=2)
+        taus, beta1s = taus.tolist(), beta1s.tolist()
+        v, i, j = _pruned_argmin(bound, lambda i, j, cut: self.value(beta1s[j], 0.0, taus[i], cut))
+        return v, beta1s[j], taus[i]
 
     def chart_b_batch(self, beta1s: np.ndarray, beta2s: np.ndarray):
         """Coarse scan of chart B (tau = 0); returns (best, beta1, beta2)."""
-        base = self._pos2 - self.neg_part(0.0)
-        best = (math.inf, 0.0, 0.0)
-        for b2 in beta2s:
-            cand = beta1s[:, None] * base[None, :] + b2 * self._x1[None, :]
-            sups = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
-            sups = np.where(beta1s + b2 >= _C, sups, math.inf)
-            k = int(np.argmin(sups))
-            if sups[k] < best[0]:
-                best = (float(sups[k]), float(beta1s[k]), float(b2))
-        return best
+        every = slice(None, None, _BOUND_STRIDE)
+        x1 = self._x1[every]
+        cand = beta1s[:, None] * (self._pos2[every] - _neg_part(x1, 0.0, self.lm)) + beta2s[:, None, None] * x1
+        bound = np.max(np.abs(cand - self.fvals[every]), axis=2)
+        bound[beta1s + beta2s[:, None] < _C] = math.inf
+        beta1s, beta2s = beta1s.tolist(), beta2s.tolist()
+        v, i, j = _pruned_argmin(bound, lambda i, j, cut: self.value(beta1s[j], beta2s[i], 0.0, cut))
+        return v, beta1s[j], beta2s[i]
+
+
+def _pruned_argmin(bound: np.ndarray, value) -> tuple[float, int, int]:
+    """(min, row, column) of ``value`` over a coarse chart grid.
+
+    ``bound[i, j]`` is a lower bound of candidate (i, j)'s value, and
+    ``value(i, j, cutoff)`` is its exact value or a number >= ``cutoff``.
+    Candidates are taken in order of increasing bound until the next bound
+    is strictly above the smallest exact value; ties go to the first
+    candidate in row-major order.
+    """
+    flat = bound.ravel()
+    vals = np.full(flat.size, math.inf)
+    ncol = bound.shape[1]
+    best = math.inf
+    for k in np.argsort(flat, kind="stable").tolist():
+        if flat[k] > best:
+            break
+        v = vals[k] = value(*divmod(k, ncol), math.nextafter(best, math.inf))
+        best = min(best, v)
+    k = int(np.argmin(vals))
+    return float(vals[k]), *divmod(k, ncol)
 
 
 def _descend_chart_a(obj: _RampObjective, beta1, tau, step_b, step_t):
@@ -275,12 +352,12 @@ def _descend_chart_a(obj: _RampObjective, beta1, tau, step_b, step_t):
         moved = False
         for d in (+step_b, -step_b):
             nb = min(max(beta1 + d, _C), _A)
-            v = obj.value(nb, 0.0, tau)
+            v = obj.value(nb, 0.0, tau, best)
             if v < best:
                 best, beta1, moved = v, nb, True
         for d in (+step_t, -step_t):
             nt = min(max(tau + d, -1.0), 0.0)
-            v = obj.value(beta1, 0.0, nt)
+            v = obj.value(beta1, 0.0, nt, best)
             if v < best:
                 best, tau, moved = v, nt, True
         if not moved:
@@ -297,14 +374,14 @@ def _descend_chart_b(obj: _RampObjective, beta1, beta2, step1, step2):
             nb = min(max(beta1 + d, 0.0), _A)
             if nb + beta2 < _C:
                 continue
-            v = obj.value(nb, beta2, 0.0)
+            v = obj.value(nb, beta2, 0.0, best)
             if v < best:
                 best, beta1, moved = v, nb, True
         for d in (+step2, -step2):
             nb = min(max(beta2 + d, 0.0), _B)
             if beta1 + nb < _C:
                 continue
-            v = obj.value(beta1, nb, 0.0)
+            v = obj.value(beta1, nb, 0.0, best)
             if v < best:
                 best, beta2, moved = v, nb, True
         if not moved:
@@ -358,14 +435,17 @@ def _quick_values(X, Y, fvals, lp, lm, rows: np.ndarray) -> np.ndarray:
 
 def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
     """Stage-1 value per angle of ``_THETAS``; pruned angles hold +inf."""
-    every = slice(None, None, _BOUND_STRIDE)
-    bound = _quick_values(X[every], Y[every], fvals[every], lp, lm, np.arange(_THETA_GRID))
+    coarse = slice(None, None, _ORDER_STRIDE)
+    bound = _quick_values(X[coarse], Y[coarse], fvals[coarse], lp, lm, np.arange(_THETA_GRID))
     order = np.argsort(bound, kind="stable")
     scan = np.full(_THETA_GRID, math.inf)
+    fine = slice(None, None, _BOUND_STRIDE)
     for i in range(0, _THETA_GRID, _SCAN_BATCH):
         rows = order[i:i + _SCAN_BATCH]
-        if bound[rows[0]] > np.partition(scan, 2)[2]:
+        third = np.partition(scan, 2)[2]
+        if bound[rows[0]] > third:
             break
+        rows = rows[_quick_values(X[fine], Y[fine], fvals[fine], lp, lm, rows) <= third]
         scan[rows] = _quick_values(X, Y, fvals, lp, lm, rows)
     return scan
 
@@ -381,14 +461,20 @@ def dist_to_M(
     Returns (distance, best profile).  Stage 1 scans a uniform grid of
     360 angles with a cheap inner search (a few coarse chart grids on a
     node subsample) and keeps the three angles of smallest value, ties
-    going to the lower angle.  The scan is exact but pruned: a lower bound
-    from every 16th subsampled node orders the angles, and an angle is
-    evaluated only while its bound is not above the third smallest value
-    found.  The bound never exceeds the angle's value, so a skipped angle
-    has a value strictly above three others and cannot be a leader.
-    Stage 2 re-searches the leaders at full resolution over both charts
-    (coarse parameter grid, then coordinate descent with step halving),
-    and stage 3 polishes theta locally by step halving.
+    going to the lower angle.  Stage 2 re-searches the leaders at full
+    resolution over both charts (a 32 x 32 coarse parameter grid, then
+    coordinate descent with step halving), and stage 3 polishes theta
+    locally by step halving.
+
+    Every stage is exact but screened.  Angles and coarse candidates are
+    taken in order of a lower bound from a node subset and skipped once
+    the bound is strictly above the values still in play.  Each descent
+    move is first tested on the nodes where recent full passes found
+    their max, and is rejected as soon as one of them already reaches
+    the best value.  A bound or a screened error repeats the full pass's
+    arithmetic on fewer nodes, so it never exceeds the true sup, bit for
+    bit: the result is the one an unscreened search of every candidate
+    returns.
     """
     X, Y, fvals = _disk_nodes(f)
 

@@ -150,12 +150,12 @@ def test_criterion_05_monotonicity_ladders(timed_profile_solves):
     h = spec.grid.h
     radii = (64 * h, 32 * h, 16 * h, 8 * h)
     points = ((0.0, 0.0), (0.0, 0.25), (0.0, -0.25))
-    from membranelab import directional_parts, phi_ladder, psi_ladder
+    from membranelab import directional_parts, gradient_fields, phi_ladder, psi_ladder
     hp, hm = directional_parts(u, (1.0, 0.0))
     total = 0
     for p in points:
         lad = RadiusLadder(p, radii)
-        prof_phi = phi_ladder(u, p, lad, 2.0, 2.0)
+        prof_phi = phi_ladder(u, gradient_fields(u), p, lad, 2.0, 2.0)
         prof_psi = psi_ladder(hp, hm, p, lad)
         assert prof_phi.violations == (), f"phi violations at {p}: {prof_phi.violations}"
         assert prof_psi.violations == (), f"psi violations at {p}: {prof_psi.violations}"

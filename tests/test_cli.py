@@ -105,6 +105,9 @@ k = 2
     ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = 0.0", "sweep.window:"),
     ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = -0.25", "sweep.window:"),
     ("append:[diagnostics]\nwindow = 0.0", "diagnostics.window:"),
+    # 8 grid steps of the n = 65 grid on [-1, 1] are 0.25
+    ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = 0.2", "sweep.window: must cover at least 8"),
+    ("append:[diagnostics]\nrun = graphs\nwindow = 0.2", "diagnostics.window: must cover at least 8"),
     ("append:[diagnostics]\neps = 0.25, 0.0", "diagnostics.eps:"),
     ("append:[diagnostics]\neps = -0.125", "diagnostics.eps:"),
     ("append:[diagnostics]\nxi_r = 0.0", "diagnostics.xi_r:"),
@@ -268,6 +271,18 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", budget]) == 2
     assert "sweep.classify_budget:" in capsys.readouterr().err
+
+    # a window under 8 grid steps fails at load time, before any solve
+    for name, section in (("sweep", "[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = 0.2"),
+                          ("diagnose", "[diagnostics]\nrun = graphs\nwindow = 0.2")):
+        small = write_ini(tmp_path, BASE_INI.format(out=tmp_path / f"w_{name}") + "\n" + section + "\n",
+                          f"{name}.ini")
+        assert main([name, small]) == 2
+        assert "window: must cover at least 8 grid steps" in capsys.readouterr().err
+        assert not (tmp_path / f"w_{name}").exists()
+    # without graphs to fit, the diagnostics window is not read
+    assert load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "w_ok")
+                                 + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\n", "ok.ini"))
 
 
 def test_run_returns_2_on_config_error(tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_ball_containment_enforced(sampled_profile_641):
 def test_phi_ladder_clean_on_exact_profile(sampled_profile_641):
     g, u = sampled_profile_641
     lad = RadiusLadder((0.0, 0.0), (1.0, 0.5, 0.25, 0.125))
-    prof = phi_ladder(u, (0.0, 0.0), lad, 2.0, 2.0)
+    prof = phi_ladder(u, gradient_fields(u), (0.0, 0.0), lad, 2.0, 2.0)
     assert prof.violations == ()
     assert np.allclose(prof.values, PI_8, rtol=1e-2)
 
@@ -207,7 +207,7 @@ def test_phi_ladder_tolerance_scales_with_values(r_top):
     g = build_grid(-1.25, 1.25, -1.25, 1.25, 161, 161)
     u = sample(g, profile_fn())
     lad = RadiusLadder((0.0, 0.0), (r_top, 0.5 * r_top))
-    prof = phi_ladder(u, (0.0, 0.0), lad, 2.0, 2.0)
+    prof = phi_ladder(u, gradient_fields(u), (0.0, 0.0), lad, 2.0, 2.0)
     assert len(prof.values) == 2
     assert prof.tol_mono > 0.0
 
@@ -306,7 +306,7 @@ def test_classification_psi_is_the_per_field_psi(profile_solutions):
 def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
     for u, p, radii in kernel_cases[::4]:
         disk = package_disk(u.grid)
-        prof = phi_ladder(u, p, RadiusLadder(p, radii), 2.0, 2.0)
+        prof = phi_ladder(u, gradient_fields(u), p, RadiusLadder(p, radii), 2.0, 2.0)
         assert list(prof.values) == [per_field_phi(u, p, r, 2.0, 2.0, disk) for r in radii]
         hp, hm = directional_parts(u, (math.sqrt(0.5), -math.sqrt(0.5)))
         prof = psi_ladder(hp, hm, p, RadiusLadder(p, radii))

@@ -210,13 +210,141 @@ def test_dist_to_m_recovers_rotation():
 
 
 # ---------------------------------------------------------------------------
-# The pruned theta scan against the full 360-angle loop
+# The unscreened search: a test-local oracle for dist_to_M
 # ---------------------------------------------------------------------------
+#
+# The search as it was before any screen or pruning: a full pass over every
+# disk node for each candidate, the full coarse chart grids and the full
+# 360-angle loop of stage 1.  The package's search must return the same
+# bits on every input.
+
+
+class OracleObjective:
+    """sup |ramp(params) - f| over unit-disk nodes, one full pass per value."""
+
+    def __init__(self, X, Y, fvals, lp, lm):
+        self.X = X
+        self.Y = Y
+        self.fvals = fvals
+        self.lp = lp
+        self.lm = lm
+        self._theta = None
+        self._x1 = None
+        self._pos2 = None
+        self._neg2 = {}
+
+    def set_theta(self, theta):
+        if self._theta != theta:
+            self._theta = theta
+            self._x1 = profiles._rotated_x1(theta, self.X, self.Y)
+            self._pos2 = profiles._pos_part(self._x1, self.lp)
+            self._neg2 = {}
+
+    def neg_part(self, tau):
+        neg = self._neg2.get(tau)
+        if neg is None:
+            neg = self._neg2[tau] = profiles._neg_part(self._x1, tau, self.lm)
+        return neg
+
+    def value(self, beta1, beta2, tau):
+        cand = beta1 * (self._pos2 - self.neg_part(tau)) + beta2 * self._x1
+        return float(np.max(np.abs(cand - self.fvals)))
+
+    def chart_a_batch(self, taus, beta1s):
+        best = (math.inf, 0.0, 0.0)
+        for tau in taus:
+            base = self._pos2 - self.neg_part(tau)
+            cand = beta1s[:, None] * base[None, :]
+            sups = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
+            k = int(np.argmin(sups))
+            if sups[k] < best[0]:
+                best = (float(sups[k]), float(beta1s[k]), float(tau))
+        return best
+
+    def chart_b_batch(self, beta1s, beta2s):
+        base = self._pos2 - self.neg_part(0.0)
+        best = (math.inf, 0.0, 0.0)
+        for b2 in beta2s:
+            cand = beta1s[:, None] * base[None, :] + b2 * self._x1[None, :]
+            sups = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
+            sups = np.where(beta1s + b2 >= profiles._C, sups, math.inf)
+            k = int(np.argmin(sups))
+            if sups[k] < best[0]:
+                best = (float(sups[k]), float(beta1s[k]), float(b2))
+        return best
+
+
+def oracle_descend_chart_a(obj, beta1, tau, step_b, step_t):
+    A, C, tol = profiles._A, profiles._C, profiles._REFINE_TOL
+    best = obj.value(beta1, 0.0, tau)
+    while step_b > tol or step_t > tol:
+        moved = False
+        for d in (+step_b, -step_b):
+            nb = min(max(beta1 + d, C), A)
+            v = obj.value(nb, 0.0, tau)
+            if v < best:
+                best, beta1, moved = v, nb, True
+        for d in (+step_t, -step_t):
+            nt = min(max(tau + d, -1.0), 0.0)
+            v = obj.value(beta1, 0.0, nt)
+            if v < best:
+                best, tau, moved = v, nt, True
+        if not moved:
+            step_b *= 0.5
+            step_t *= 0.5
+    return best, beta1, 0.0, tau
+
+
+def oracle_descend_chart_b(obj, beta1, beta2, step1, step2):
+    A, B, C, tol = profiles._A, profiles._B, profiles._C, profiles._REFINE_TOL
+    best = obj.value(beta1, beta2, 0.0)
+    while step1 > tol or step2 > tol:
+        moved = False
+        for d in (+step1, -step1):
+            nb = min(max(beta1 + d, 0.0), A)
+            if nb + beta2 < C:
+                continue
+            v = obj.value(nb, beta2, 0.0)
+            if v < best:
+                best, beta1, moved = v, nb, True
+        for d in (+step2, -step2):
+            nb = min(max(beta2 + d, 0.0), B)
+            if beta1 + nb < C:
+                continue
+            v = obj.value(beta1, nb, 0.0)
+            if v < best:
+                best, beta2, moved = v, nb, True
+        if not moved:
+            step1 *= 0.5
+            step2 *= 0.5
+    return best, beta1, beta2, 0.0
+
+
+def oracle_search_fixed_theta(obj, theta):
+    A, B, C, n = profiles._A, profiles._B, profiles._C, profiles._COARSE
+    obj.set_theta(theta)
+    va, b1a, ta = obj.chart_a_batch(np.linspace(-1.0, 0.0, n), np.linspace(C, A, n))
+    step = max((A - C) / (n - 1), 1.0 / (n - 1))
+    va, b1a, b2a, ta = oracle_descend_chart_a(obj, b1a, ta, step, step)
+    vb, b1b, b2b = obj.chart_b_batch(np.linspace(0.0, A, n), np.linspace(0.0, B, n))
+    stepb = max(A, B) / (n - 1)
+    vb, b1b, b2b, tb = oracle_descend_chart_b(obj, b1b, b2b, stepb, stepb)
+    if va <= vb:
+        return va, b1a, b2a, ta
+    return vb, b1b, b2b, tb
+
+
+def oracle_search_theta_local(obj, theta, beta1, beta2, tau):
+    obj.set_theta(theta)
+    if beta2 == 0.0:
+        b1 = min(max(beta1, profiles._C), profiles._A)
+        return oracle_descend_chart_a(obj, b1, tau, 0.05, 0.05)
+    return oracle_descend_chart_b(obj, beta1, beta2, 0.05, 0.05)
 
 
 def loop_theta_scan(X, Y, fvals, lp, lm):
     """Brute-force stage 1 of dist_to_M: the quick search at every angle in turn."""
-    obj = profiles._RampObjective(X, Y, fvals, lp, lm)
+    obj = OracleObjective(X, Y, fvals, lp, lm)
     thetas = -math.pi + 2.0 * math.pi * np.arange(profiles._THETA_GRID) / profiles._THETA_GRID
     n_quick = 9
     taus_q = np.linspace(-1.0, 0.0, n_quick)
@@ -230,6 +358,32 @@ def loop_theta_scan(X, Y, fvals, lp, lm):
         vb, _, _ = obj.chart_b_batch(b1_bq, b2_bq)
         scan[k] = min(va, vb)
     return scan
+
+
+def oracle_dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0):
+    """dist_to_M with every candidate evaluated in full."""
+    X, Y, fvals = profiles._disk_nodes(f)
+    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
+    scan = loop_theta_scan(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
+    obj = OracleObjective(X, Y, fvals, lambda_plus, lambda_minus)
+    best = None
+    for k in np.argsort(scan, kind="stable")[:3]:
+        th = -math.pi + 2.0 * math.pi * int(k) / profiles._THETA_GRID
+        val, b1, b2, tau = oracle_search_fixed_theta(obj, th)
+        if best is None or val < best[0]:
+            best = (val, b1, b2, tau, th)
+    val, b1, b2, tau, th = best
+    step = 2.0 * math.pi / profiles._THETA_GRID
+    while step > profiles._REFINE_TOL:
+        moved = False
+        for d in (+step, -step):
+            v, nb1, nb2, ntau = oracle_search_theta_local(obj, th + d, b1, b2, tau)
+            if v < val:
+                val, b1, b2, tau, th = v, nb1, nb2, ntau, th + d
+                moved = True
+        if not moved:
+            step *= 0.5
+    return val, GlobalProfile(b1, b2, tau, th, lambda_plus, lambda_minus)
 
 
 def ramp_fn(beta1=1.0, tau=0.0, theta=0.0, lp=2.0, lm=2.0, offset=0.0):
@@ -296,3 +450,67 @@ def test_theta_scan_tie_goes_to_the_lower_angle():
     scan = profiles._theta_scan(X[::4], Y[::4], fvals[::4], 2.0, 2.0)
     assert scan[179] == scan[181] == scan.min()
     assert list(np.argsort(scan, kind="stable")[:3]) == [179, 181, 180]
+
+
+# ---------------------------------------------------------------------------
+# The screened search against the unscreened oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(SCAN_CASES))
+def test_dist_to_M_matches_the_unscreened_search(name):
+    n, fn, lp, lm, _ = SCAN_CASES[name]
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn)
+    got = dist_to_M(f, lambda_plus=lp, lambda_minus=lm)
+    assert repr(got) == repr(oracle_dist_to_M(f, lp, lm))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    beta1=st.floats(min_value=0.1, max_value=3.0),
+    tau=st.floats(min_value=-1.0, max_value=0.0),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    noise=st.sampled_from([0.0, 1e-3, 3e-2]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_dist_to_M_fuzz_matches_the_unscreened_search(beta1, tau, theta, noise, seed):
+    ramp = ramp_fn(beta1=beta1, tau=tau, theta=theta)
+    rng = np.random.default_rng(seed)
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33),
+               lambda X, Y: ramp(X, Y) + noise * rng.standard_normal(X.shape))
+    assert repr(dist_to_M(f)) == repr(oracle_dist_to_M(f))
+
+
+def test_screen_and_pruned_grids_do_the_work(monkeypatch):
+    # on a ramp blow-up almost every descent move is rejected on the
+    # recent worst nodes, and the coarse grids evaluate few of their
+    # candidates in full
+    counts = {"value": 0, "full": 0}
+    exact_per_grid = []
+    value, remember, pruned = (profiles._RampObjective.value,
+                               profiles._RampObjective._remember, profiles._pruned_argmin)
+
+    def counting_value(self, *args):
+        counts["value"] += 1
+        return value(self, *args)
+
+    def counting_remember(self, k):
+        counts["full"] += 1   # one per full pass
+        remember(self, k)
+
+    def counting_pruned(bound, fn):
+        seen = []
+        out = pruned(bound, lambda *args: seen.append(args) or fn(*args))
+        exact_per_grid.append((len(seen), bound.size))
+        return out
+
+    monkeypatch.setattr(profiles._RampObjective, "value", counting_value)
+    monkeypatch.setattr(profiles._RampObjective, "_remember", counting_remember)
+    monkeypatch.setattr(profiles, "_pruned_argmin", counting_pruned)
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65), ramp_fn(tau=-0.3, theta=0.7))
+    dist_to_M(f)
+    assert counts["full"] < 0.1 * counts["value"]
+    assert len(exact_per_grid) == 6   # two charts at each of three leaders
+    for n_exact, size in exact_per_grid:
+        assert size == profiles._COARSE ** 2
+        assert n_exact < size // 8
