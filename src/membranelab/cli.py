@@ -164,8 +164,12 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("domain: x_max/y_max must exceed x_min/y_min")
     if n < 3:
         raise ConfigError("domain.n: need at least 3 nodes per side")
+    try:
+        grid = build_grid(x_min, x_max, y_min, y_max, n, n)
+    except ValueError as exc:
+        raise ConfigError(f"domain: {exc}") from None
     # the smallest window fit_two_graphs accepts on the configured grid
-    min_window = MIN_WINDOW_STEPS * ((x_max - x_min) / (n - 1))
+    min_window = MIN_WINDOW_STEPS * grid.h
 
     lp = _get(cp, "problem", "lambda_plus", float, required=True)
     lm = _get(cp, "problem", "lambda_minus", float, required=True)

@@ -21,9 +21,9 @@ from .grid import Grid2D, ScalarField, build_grid, float_repr, gradient_fields, 
 from .monotonicity import (
     DegenerateRescaleError,
     RadiusLadder,
+    _nonzero_s_norm,
     blowup_rescale,
     directional_psi,
-    s_norm,
 )
 from .profiles import OnePhasePolynomial, _disk_nodes, dist_to_M
 
@@ -242,8 +242,8 @@ _DIRECTIONS = (
 
 _LABELS = ("regular", "branch", "one_phase_singular", "indeterminate")
 
-# Nodes per side of the [-1, 1]^2 grid that blow-ups are sampled on.
-_BLOWUP_N = 65
+# The [-1, 1]^2 grid that blow-ups are sampled on.
+_BLOWUP_GRID = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
 
 # The smallest graph-fit window, in grid steps; config loading checks it too.
 MIN_WINDOW_STEPS = 8.0
@@ -319,6 +319,13 @@ def dist_to_polynomial_class(f: ScalarField) -> tuple[float, OnePhasePolynomial 
     return best_d, best_poly
 
 
+def _blowup_fit(u: ScalarField, p, r: float, lambda_plus: float, lambda_minus: float):
+    """(blow-up of u at p with radius r, its dist_to_M, its nearest ramp)."""
+    v0 = blowup_rescale(u, p, r, _BLOWUP_GRID)
+    dist, best = dist_to_M(v0, lambda_plus=lambda_plus, lambda_minus=lambda_minus)
+    return v0, dist, best
+
+
 def classify_point(
     fa: FieldAnalysis,
     p: tuple[float, float],
@@ -356,15 +363,11 @@ def classify_point(
     psi = {name: prof.values for (name, _), prof in zip(_DIRECTIONS, profs)}
     evidence["psi"] = psi
 
-    r_min = ladder.radii[-1]
-    target = build_grid(-1.0, 1.0, -1.0, 1.0, _BLOWUP_N, _BLOWUP_N)
     try:
-        v0 = blowup_rescale(u, p, r_min, target)
+        v0, dist_m, best = _blowup_fit(u, p, ladder.radii[-1], th.lambda_plus, th.lambda_minus)
     except DegenerateRescaleError:
         evidence["decided_by"] = "degenerate_rescale"
         return PointClass("indeterminate", evidence)
-
-    dist_m, best = dist_to_M(v0, lambda_plus=th.lambda_plus, lambda_minus=th.lambda_minus)
     evidence["dist_to_m"] = dist_m
     evidence["best_theta"] = best.theta
     if all(vals[-1] < th.tol_psi for vals in psi.values()) and dist_m < th.tol_dist:
@@ -428,9 +431,7 @@ def fit_two_graphs(
     g = u.grid
     if window < MIN_WINDOW_STEPS * g.h:
         raise ValueError(f"window must cover at least {MIN_WINDOW_STEPS:g} grid steps")
-    target = build_grid(-1.0, 1.0, -1.0, 1.0, _BLOWUP_N, _BLOWUP_N)
-    v0 = blowup_rescale(u, p, 0.5 * window, target)
-    _, best = dist_to_M(v0, lambda_plus=lambda_plus, lambda_minus=lambda_minus)
+    _, _, best = _blowup_fit(u, p, 0.5 * window, lambda_plus, lambda_minus)
     theta = best.theta
     d = np.array([math.cos(theta), -math.sin(theta)])
     t = np.array([math.sin(theta), math.cos(theta)])
@@ -523,9 +524,7 @@ def circle_trace(
     """Trace the circle-normalized field on m uniform samples of [-pi, pi)."""
     if m < 4:
         raise ValueError("m must be at least 4")
-    s = s_norm(u, y, r)
-    if s == 0.0:
-        raise DegenerateRescaleError(f"field vanishes on the circle of radius {r} at {y}")
+    s = _nonzero_s_norm(u, y, r)
     thetas = -math.pi + 2.0 * math.pi * np.arange(m) / m
     xs = y[0] + r * np.cos(thetas + theta_rotation)
     ys = y[1] + r * np.sin(thetas + theta_rotation)

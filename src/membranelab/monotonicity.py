@@ -130,6 +130,12 @@ def _circle(center, r):
     return xs, ys, w
 
 
+def _circle_sum(u: ScalarField, center, r: float) -> float:
+    """int_{bd B_r(center)} u^2 by the circle rule; the one circle integral."""
+    xs, ys, w = _circle(center, r)
+    return float(np.sum(interpolate_many(u, xs, ys) ** 2) * w)
+
+
 def _crop(grid: Grid2D, center, r: float) -> tuple[slice, slice]:
     """Rows and columns of the nodes quadrature on B_r(center) reads.
 
@@ -195,9 +201,7 @@ def _phi_values(u: ScalarField, grads, x0, radii, lambda_plus: float, lambda_min
     out = []
     for r in radii:
         (disk,) = _disk_sums(win, x0, r, bulk)
-        cx, cy, cw = _circle(x0, r)
-        ring = float(np.sum(interpolate_many(u, cx, cy) ** 2) * cw)
-        out.append(disk / r**4 - 2.0 * ring / r**5)
+        out.append(disk / r**4 - 2.0 * _circle_sum(u, x0, r) / r**5)
     return out
 
 
@@ -257,9 +261,15 @@ def directional_parts(u: ScalarField, e: tuple[float, float]) -> tuple[ScalarFie
 def s_norm(u: ScalarField, y: tuple[float, float], r: float) -> float:
     """Circle normalization S_r with r^(n-1) S_r^2 = int_{bd B_r} u^2."""
     _check_ball(u.grid, y, r)
-    xs, ys, w = _circle(y, r)
-    integral = float(np.sum(interpolate_many(u, xs, ys) ** 2) * w)
-    return math.sqrt(integral / r)
+    return math.sqrt(_circle_sum(u, y, r) / r)
+
+
+def _nonzero_s_norm(u: ScalarField, y: tuple[float, float], r: float) -> float:
+    """s_norm, raising DegenerateRescaleError when S_r vanishes."""
+    s = s_norm(u, y, r)
+    if s == 0.0:
+        raise DegenerateRescaleError(f"field vanishes on the circle of radius {r} at {y}")
+    return s
 
 
 def blowup_rescale(
@@ -273,9 +283,7 @@ def blowup_rescale(
     The target nodes (scaled by r and shifted to y) must land inside the
     source grid.  Raises DegenerateRescaleError when S_r vanishes.
     """
-    s = s_norm(u, y, r)
-    if s == 0.0:
-        raise DegenerateRescaleError(f"field vanishes on the circle of radius {r} at {y}")
+    s = _nonzero_s_norm(u, y, r)
     X, Y = target.meshgrid()
     xs = y[0] + r * X.ravel()
     ys = y[1] + r * Y.ravel()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,14 +145,6 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # Distance to the ramp classes
 # ---------------------------------------------------------------------------
 #
-# The admissible set splits into two charts once "beta2 != 0 forces tau = 0"
-# is taken literally:
-#   chart A: beta2 = 0, beta1 in [C, A], tau in [-1, 0]
-#   chart B: tau = 0, beta1 in [0, A], beta2 in [0, B], beta1 + beta2 >= C
-# Both are scanned on a coarse grid, then polished by coordinate descent
-# with step halving.  Every evaluated candidate is admissible, so the
-# returned distance is always an upper bound for the true infimum.
-#
 # Every screen below is exact: it changes how many candidates are
 # evaluated in full, never a returned value.  They all rest on one fact.
 # A node's error |ramp - f| is computed with the same floating-point
@@ -181,8 +174,7 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # the same way: a bound per candidate over every _BOUND_STRIDE-th node,
 # exact values in bound order until the next bound is strictly above the
 # smallest exact value, and the flat argmin of the exact values, which is
-# the first minimum in (tau, beta1) or (beta2, beta1) order as in a full
-# row-by-row scan.
+# the first minimum in (s, beta1) order as in a full row-by-row scan.
 #
 # The objective is a Chebyshev (sup-norm) fit, so its value is set by a few
 # extremal nodes.  ``_RampObjective.value`` keeps the last _SCREEN_NODES
@@ -195,11 +187,11 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # worse and cannot tie).  A candidate that survives the screen gets the
 # full pass, so every accepted value is the exact sup.
 #
-# Search constants: the box bounds A, B, C above; the number of angles of
-# the theta scan; the coarse grid points per chart axis; the step at which
-# coordinate descent and the theta polish stop; the scan's angles, their
-# rotations and its quick chart grids; the node strides of the fine bound
-# and of the angle order; the angles per batch; the screened nodes.
+# Search constants: the box bounds A, B, C of the charts below; the number
+# of angles of the theta scan; the coarse grid points per chart axis; the
+# step at which coordinate descent and the theta polish stop; the scan's
+# angles and their rotations; the node strides of the fine bound and of the
+# angle order; the angles per batch; the screened nodes.
 
 _A = 4.0
 _B = 4.0
@@ -210,14 +202,53 @@ _REFINE_TOL = 1e-6
 _THETAS = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
 _COS = np.array([math.cos(t) for t in _THETAS.tolist()])
 _SIN = np.array([math.sin(t) for t in _THETAS.tolist()])
-_TAUS_Q = np.linspace(-1.0, 0.0, 9)
-_B1_AQ = np.linspace(_C, _A, 12)
-_B1_BQ = np.linspace(0.0, _A, 9)
-_B2_BQ = np.linspace(0.0, _B, 9)
 _BOUND_STRIDE = 16
 _ORDER_STRIDE = 64
 _SCAN_BATCH = 4
 _SCREEN_NODES = 16
+
+
+# The admissible set splits into two charts once "beta2 != 0 forces tau = 0"
+# is taken literally.  A chart has beta1 and one more parameter s:
+#   chart A: beta2 = 0, s = tau in [-1, 0], beta1 in [C, A]
+#   chart B: tau = 0, s = beta2 in [0, B], beta1 in [0, A], beta1 + beta2 >= C
+# A row of _CHARTS holds the map (beta1, s) -> (beta1, beta2, tau), the box
+# of (beta1, s) and the stage-1 quick-grid points per axis.  Every stage
+# skips beta1 + beta2 < C, which chart A never reaches.  So every evaluated
+# candidate is admissible, and the returned distance is an upper bound for
+# the true infimum.
+class _Chart(NamedTuple):
+    params: Callable  # (beta1, s) -> (beta1, beta2, tau)
+    box: tuple        # ((beta1 lo, hi), (s lo, hi))
+    quick: tuple      # stage-1 grid points per axis (beta1, s)
+
+
+_CHARTS = (
+    _Chart(lambda b1, s: (b1, 0.0, s), ((_C, _A), (-1.0, 0.0)), (12, 9)),
+    _Chart(lambda b1, s: (b1, s, 0.0), ((0.0, _A), (0.0, _B)), (9, 9)),
+)
+
+
+def _chart_grid(chart: _Chart, n_beta1: int, n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    (lo1, hi1), (lo2, hi2) = chart.box
+    return np.linspace(lo1, hi1, n_beta1), np.linspace(lo2, hi2, n_s)
+
+
+def _chart_sups(x1, pos2, fvals, lm, chart: _Chart, beta1s, ss) -> np.ndarray:
+    """max |ramp - f| over the nodes (last axis) for each (s, beta1) of a chart grid.
+
+    The result has x1's leading axes, then (s, beta1), with +inf where
+    beta1 + beta2 < C.  Looping over s keeps each candidate block in cache.
+    """
+    sups = np.empty(x1.shape[:-1] + (len(ss), len(beta1s)))
+    for i, s in enumerate(ss.tolist()):
+        _, beta2, tau = chart.params(beta1s, s)
+        cand = beta1s[:, None] * (pos2 - _neg_part(x1, tau, lm))[..., None, :]
+        if beta2:
+            cand += beta2 * x1[..., None, :]
+        sup = np.max(np.abs(cand - fvals), axis=-1)
+        sups[..., i, :] = np.where(beta1s + beta2 >= _C, sup, math.inf)
+    return sups
 
 
 def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,26 +333,14 @@ class _RampObjective:
         self._screen.insert(0, self._node(k))
         del self._worst[_SCREEN_NODES:], self._screen[_SCREEN_NODES:]
 
-    def chart_a_batch(self, taus: np.ndarray, beta1s: np.ndarray):
-        """Coarse scan of chart A; returns (best_value, beta1, tau)."""
+    def chart_batch(self, chart: _Chart) -> tuple[float, float]:
+        """Coarse scan of one chart; returns the (beta1, s) of its best candidate."""
+        beta1s, ss = _chart_grid(chart, _COARSE, _COARSE)
         every = slice(None, None, _BOUND_STRIDE)
-        base = self._pos2[every] - _neg_part(self._x1[every], taus[:, None], self.lm)
-        cand = beta1s[:, None] * base[:, None, :]
-        bound = np.max(np.abs(cand - self.fvals[every]), axis=2)
-        taus, beta1s = taus.tolist(), beta1s.tolist()
-        v, i, j = _pruned_argmin(bound, lambda i, j, cut: self.value(beta1s[j], 0.0, taus[i], cut))
-        return v, beta1s[j], taus[i]
-
-    def chart_b_batch(self, beta1s: np.ndarray, beta2s: np.ndarray):
-        """Coarse scan of chart B (tau = 0); returns (best, beta1, beta2)."""
-        every = slice(None, None, _BOUND_STRIDE)
-        x1 = self._x1[every]
-        cand = beta1s[:, None] * (self._pos2[every] - _neg_part(x1, 0.0, self.lm)) + beta2s[:, None, None] * x1
-        bound = np.max(np.abs(cand - self.fvals[every]), axis=2)
-        bound[beta1s + beta2s[:, None] < _C] = math.inf
-        beta1s, beta2s = beta1s.tolist(), beta2s.tolist()
-        v, i, j = _pruned_argmin(bound, lambda i, j, cut: self.value(beta1s[j], beta2s[i], 0.0, cut))
-        return v, beta1s[j], beta2s[i]
+        bound = _chart_sups(self._x1[every], self._pos2[every], self.fvals[every], self.lm, chart, beta1s, ss)
+        beta1s, ss = beta1s.tolist(), ss.tolist()
+        _, i, j = _pruned_argmin(bound, lambda i, j, cut: self.value(*chart.params(beta1s[j], ss[i]), cut))
+        return beta1s[j], ss[i]
 
 
 def _pruned_argmin(bound: np.ndarray, value) -> tuple[float, int, int]:
@@ -346,91 +365,58 @@ def _pruned_argmin(bound: np.ndarray, value) -> tuple[float, int, int]:
     return float(vals[k]), *divmod(k, ncol)
 
 
-def _descend_chart_a(obj: _RampObjective, beta1, tau, step_b, step_t):
-    best = obj.value(beta1, 0.0, tau)
-    while step_b > _REFINE_TOL or step_t > _REFINE_TOL:
-        moved = False
-        for d in (+step_b, -step_b):
-            nb = min(max(beta1 + d, _C), _A)
-            v = obj.value(nb, 0.0, tau, best)
-            if v < best:
-                best, beta1, moved = v, nb, True
-        for d in (+step_t, -step_t):
-            nt = min(max(tau + d, -1.0), 0.0)
-            v = obj.value(beta1, 0.0, nt, best)
-            if v < best:
-                best, tau, moved = v, nt, True
-        if not moved:
-            step_b *= 0.5
-            step_t *= 0.5
-    return best, beta1, 0.0, tau
+def _descend(obj: _RampObjective, chart: _Chart, beta1, s, step1, step2):
+    """Coordinate descent with step halving on one chart, beta1 moving first.
 
-
-def _descend_chart_b(obj: _RampObjective, beta1, beta2, step1, step2):
-    best = obj.value(beta1, beta2, 0.0)
+    Returns (value, beta1, beta2, tau); moves to beta1 + beta2 < C are skipped.
+    """
+    (lo1, hi1), (lo2, hi2) = chart.box
+    at = chart.params
+    best = obj.value(*at(beta1, s))
     while step1 > _REFINE_TOL or step2 > _REFINE_TOL:
         moved = False
         for d in (+step1, -step1):
-            nb = min(max(beta1 + d, 0.0), _A)
-            if nb + beta2 < _C:
-                continue
-            v = obj.value(nb, beta2, 0.0, best)
-            if v < best:
-                best, beta1, moved = v, nb, True
+            b1, b2, tau = at(min(max(beta1 + d, lo1), hi1), s)
+            if b1 + b2 >= _C:
+                v = obj.value(b1, b2, tau, best)
+                if v < best:
+                    best, beta1, moved = v, b1, True
         for d in (+step2, -step2):
-            nb = min(max(beta2 + d, 0.0), _B)
-            if beta1 + nb < _C:
-                continue
-            v = obj.value(beta1, nb, 0.0, best)
-            if v < best:
-                best, beta2, moved = v, nb, True
+            ns = min(max(s + d, lo2), hi2)
+            b1, b2, tau = at(beta1, ns)
+            if b1 + b2 >= _C:
+                v = obj.value(b1, b2, tau, best)
+                if v < best:
+                    best, s, moved = v, ns, True
         if not moved:
             step1 *= 0.5
             step2 *= 0.5
-    return best, beta1, beta2, 0.0
+    return (best, *at(beta1, s))
 
 
 def _search_fixed_theta(obj, theta):
-    """Full two-chart search at one rotation angle."""
+    """Coarse grid and descent on every chart at one angle; chart A wins ties."""
     obj.set_theta(theta)
-    taus = np.linspace(-1.0, 0.0, _COARSE)
-    b1_a = np.linspace(_C, _A, _COARSE)
-    va, b1a, ta = obj.chart_a_batch(taus, b1_a)
-    step = max((_A - _C) / (_COARSE - 1), 1.0 / (_COARSE - 1))
-    va, b1a, b2a, ta = _descend_chart_a(obj, b1a, ta, step, step)
-
-    b1_b = np.linspace(0.0, _A, _COARSE)
-    b2_b = np.linspace(0.0, _B, _COARSE)
-    vb, b1b, b2b = obj.chart_b_batch(b1_b, b2_b)
-    stepb = max(_A, _B) / (_COARSE - 1)
-    vb, b1b, b2b, tb = _descend_chart_b(obj, b1b, b2b, stepb, stepb)
-
-    if va <= vb:
-        return va, b1a, b2a, ta
-    return vb, b1b, b2b, tb
+    best = None
+    for chart in _CHARTS:
+        (lo1, hi1), (lo2, hi2) = chart.box
+        step = max(hi1 - lo1, hi2 - lo2) / (_COARSE - 1)
+        found = _descend(obj, chart, *obj.chart_batch(chart), step, step)
+        if best is None or found[0] < best[0]:
+            best = found
+    return best
 
 
 def _quick_values(X, Y, fvals, lp, lm, rows: np.ndarray) -> np.ndarray:
     """Stage-1 value of each angle index in ``rows`` over the given nodes.
 
-    min over the quick grids of both charts of max |ramp - f|, with the
+    min over the quick grids of every chart of max |ramp - f|, with the
     elementwise arithmetic of ``_RampObjective`` at one angle.
     """
     x1 = _COS[rows, None] * X - _SIN[rows, None] * Y
     pos2 = _pos_part(x1, lp)
-    best = np.full(len(rows), math.inf)
-    for tau in _TAUS_Q:
-        base = pos2 - _neg_part(x1, tau, lm)
-        cand = _B1_AQ[:, None] * base[:, None, :]
-        sups = np.max(np.abs(cand - fvals), axis=2)
-        best = np.minimum(best, sups.min(axis=1))
-    base = pos2 - _neg_part(x1, 0.0, lm)
-    for b2 in _B2_BQ:
-        cand = _B1_BQ[:, None] * base[:, None, :] + b2 * x1[:, None, :]
-        sups = np.max(np.abs(cand - fvals), axis=2)
-        sups = np.where(_B1_BQ + b2 >= _C, sups, math.inf)
-        best = np.minimum(best, sups.min(axis=1))
-    return best
+    sups = [_chart_sups(x1, pos2, fvals, lm, chart, *_chart_grid(chart, *chart.quick)) for chart in _CHARTS]
+    return np.min([s.min(axis=(1, 2)) for s in sups], axis=0)
 
 
 def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
@@ -511,10 +497,8 @@ def dist_to_M(
 
 
 def _search_theta_local(obj, theta, beta1, beta2, tau):
-    """Re-optimize ramp parameters at a nearby theta, warm-started."""
+    """Re-optimize ramp parameters at a nearby theta, warm-started on their chart."""
     obj.set_theta(theta)
-    step = 0.05
-    if beta2 == 0.0:
-        b1 = min(max(beta1, _C), _A)
-        return _descend_chart_a(obj, b1, tau, step, step)
-    return _descend_chart_b(obj, beta1, beta2, step, step)
+    chart, s = (_CHARTS[0], tau) if beta2 == 0.0 else (_CHARTS[1], beta2)
+    (lo, hi), _ = chart.box
+    return _descend(obj, chart, min(max(beta1, lo), hi), s, 0.05, 0.05)

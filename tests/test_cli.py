@@ -90,6 +90,7 @@ k = 2
 @pytest.mark.parametrize("mutation, needle", [
     ("[domain]\nx_min = -1", "required section missing"),
     ("replace:n = 65\nn = 2", "at least 3 nodes"),
+    ("replace:y_max = 1.0\ny_max = 1.5", "domain: spacing mismatch"),
     ("replace:lambda_plus = 2.0\nlambda_plus = -1.0", "must be positive"),
     ("replace:kind = profile\nkind = cubic", "unknown kind"),
     ("append:[diagnostics]\nrun = swirl", "unknown diagnostic"),
@@ -133,16 +134,32 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
-def test_readme_config_example_loads(tmp_path):
+def readme_blocks(lang):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        blocks = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+        return re.findall(rf"```{lang}\n(.*?)```", fh.read(), re.S)
+
+
+def test_readme_config_example_loads(tmp_path):
+    blocks = readme_blocks("ini")
     assert len(blocks) == 1
     text = re.sub(r"(?m)^dir = .*$", f"dir = {tmp_path / 'out'}", blocks[0])
     cfg = load_config(write_ini(tmp_path, text))
     assert cfg.diag_params["point"] == (0.0, 0.0)
     assert cfg.diag_params["radii"] == (0.5, 0.25, 0.125, 0.0625)
     assert cfg.sweep["amplitudes"] == (0.1, 0.05, 0.025)
+
+
+def test_readme_library_example_runs():
+    # the documented API runs as written, on the half-plane profile it sets up
+    blocks = readme_blocks("python")
+    assert len(blocks) == 1
+    ns = {}
+    exec(compile(blocks[0], "README.md", "exec"), ns)
+    assert ns["report"].converged
+    assert ns["phi"] == pytest.approx(math.pi / 8.0, rel=1e-2)
+    assert ns["label"] == "branch"
+    assert ns["fit"].theta == pytest.approx(0.0, abs=2.0 * math.pi / 360.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +277,14 @@ def test_main_exit_codes(tmp_path, capsys):
         "lambda_plus = 2.0", "lambda_plus = 0.0"), "bad.ini")
     assert main(["solve", bad]) == 2
     assert "config error" in capsys.readouterr().err.lower()
+
+    # unequal x and y steps fail at load time, before the output directory exists
+    uneven = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "m4").replace(
+        "y_max = 1.0", "y_max = 1.5").replace("n = 65", "n = 33"), "uneven.ini")
+    capsys.readouterr()
+    assert main(["solve", uneven]) == 2
+    assert "config error: domain: spacing mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "m4").exists()
 
     # sweep verb demands a [sweep] section
     assert main(["sweep", ini]) == 2

@@ -514,3 +514,34 @@ def test_screen_and_pruned_grids_do_the_work(monkeypatch):
     for n_exact, size in exact_per_grid:
         assert size == profiles._COARSE ** 2
         assert n_exact < size // 8
+
+
+# three more fields whose best fit sits on a face of the parameter box
+# (beta1 = A, beta2 = B, beta1 = 0), where the descent proposes moves past it
+BOX_FACE_CASES = {
+    **SCAN_CASES,
+    "steeper_than_beta1_box": (33, ramp_fn(beta1=6.0), 2.0, 2.0, True),
+    "steeper_than_beta2_box": (33, lambda X, Y: 6.0 * X, 2.0, 2.0, True),
+    "linear": (33, lambda X, Y: X, 2.0, 2.0, True),
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_FACE_CASES))
+def test_every_evaluated_candidate_is_admissible(name, monkeypatch):
+    # the returned distance bounds the true infimum from above only if every
+    # candidate the search evaluates lies in the class and its parameter box
+    n, fn, lp, lm, _ = BOX_FACE_CASES[name]
+    seen = set()
+    value = profiles._RampObjective.value
+
+    def recording_value(self, beta1, beta2, tau, *cutoff):
+        seen.add((beta1, beta2, tau))
+        return value(self, beta1, beta2, tau, *cutoff)
+
+    monkeypatch.setattr(profiles._RampObjective, "value", recording_value)
+    dist_to_M(sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn), lambda_plus=lp, lambda_minus=lm)
+    assert seen
+    for beta1, beta2, tau in seen:
+        GlobalProfile(beta1, beta2, tau, 0.0, lp, lm)   # raises outside the class
+        assert beta1 + beta2 >= profiles._C
+        assert beta1 <= profiles._A and beta2 <= profiles._B
