@@ -4,7 +4,9 @@ One INI config file describes one experiment: a grid, boundary data, a
 solver run, optional diagnostics, and an optional boundary stability
 sweep.  Artifacts land in one output directory as CSV and JSON with all
 floats at 17 significant digits, so identical configs reproduce
-byte-identical files.
+byte-identical files.  Every JSON artifact goes through ``write_json`` and
+every CSV artifact through ``grid.write_csv``; the numerical modules write
+no files.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import (
+    MIN_EPS_STEPS,
     MIN_WINDOW_STEPS,
     FieldAnalysis,
     FreeBoundarySet,
@@ -32,7 +35,7 @@ from .freeboundary import (
     perimeter_estimate,
     reflection_xi,
 )
-from .grid import BoundaryMap, Grid2D, build_grid, dump_field_csv, float_repr, sample
+from .grid import BoundaryMap, Grid2D, build_grid, dump_field_csv, float_repr, sample, write_csv
 from .monotonicity import RadiusLadder, acf_psi, directional_psi, phi_ladder, s_norm, weiss_phi
 from .profiles import GlobalProfile, OnePhasePolynomial, eval_many
 from .solver import ProblemSpec, SolverError, comparison_check, solve
@@ -128,8 +131,15 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=No
         raise ConfigError(f"{section}.{key}: {exc}") from None
 
 
+def _finite(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {raw.strip()!r}")
+    return v
+
+
 def _floats(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
 
 
 def _names(raw: str) -> tuple:
@@ -155,10 +165,10 @@ def load_config(path: str) -> ExperimentConfig:
                 if key not in keys:
                     raise ConfigError(f"{sec}.{key}: unknown key")
 
-    x_min = _get(cp, "domain", "x_min", float, required=True)
-    x_max = _get(cp, "domain", "x_max", float, required=True)
-    y_min = _get(cp, "domain", "y_min", float, required=True)
-    y_max = _get(cp, "domain", "y_max", float, required=True)
+    x_min = _get(cp, "domain", "x_min", _finite, required=True)
+    x_max = _get(cp, "domain", "x_max", _finite, required=True)
+    y_min = _get(cp, "domain", "y_min", _finite, required=True)
+    y_max = _get(cp, "domain", "y_max", _finite, required=True)
     n = _get(cp, "domain", "n", int, required=True)
     if not (x_max > x_min and y_max > y_min):
         raise ConfigError("domain: x_max/y_max must exceed x_min/y_min")
@@ -168,34 +178,36 @@ def load_config(path: str) -> ExperimentConfig:
         grid = build_grid(x_min, x_max, y_min, y_max, n, n)
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from None
-    # the smallest window fit_two_graphs accepts on the configured grid
+    # the smallest window fit_two_graphs and eps covering_count accept on
+    # the configured grid
     min_window = MIN_WINDOW_STEPS * grid.h
+    min_eps = MIN_EPS_STEPS * grid.h
 
-    lp = _get(cp, "problem", "lambda_plus", float, required=True)
-    lm = _get(cp, "problem", "lambda_minus", float, required=True)
+    lp = _get(cp, "problem", "lambda_plus", _finite, required=True)
+    lm = _get(cp, "problem", "lambda_minus", _finite, required=True)
     if lp <= 0.0 or lm <= 0.0:
         raise ConfigError("problem.lambda_plus/lambda_minus: must be positive")
 
     kind = _get(cp, "boundary", "kind", str, required=True).strip().lower()
-    offset = _get(cp, "boundary", "offset", float, default=0.0)
+    offset = _get(cp, "boundary", "offset", _finite, default=0.0)
     if kind == "profile":
         params = {
-            "beta1": _get(cp, "boundary", "beta1", float, default=1.0),
-            "beta2": _get(cp, "boundary", "beta2", float, default=0.0),
-            "tau": _get(cp, "boundary", "tau", float, default=0.0),
-            "theta": _get(cp, "boundary", "theta", float, default=0.0),
+            "beta1": _get(cp, "boundary", "beta1", _finite, default=1.0),
+            "beta2": _get(cp, "boundary", "beta2", _finite, default=0.0),
+            "tau": _get(cp, "boundary", "tau", _finite, default=0.0),
+            "theta": _get(cp, "boundary", "theta", _finite, default=0.0),
         }
     elif kind == "polynomial":
         params = {
-            "cxx": _get(cp, "boundary", "cxx", float, required=True),
-            "cxy": _get(cp, "boundary", "cxy", float, default=0.0),
-            "cyy": _get(cp, "boundary", "cyy", float, required=True),
+            "cxx": _get(cp, "boundary", "cxx", _finite, required=True),
+            "cxy": _get(cp, "boundary", "cxy", _finite, default=0.0),
+            "cyy": _get(cp, "boundary", "cyy", _finite, required=True),
             "sign": _get(cp, "boundary", "sign", int, default=1),
         }
     else:
         raise ConfigError(f"boundary.kind: unknown kind {kind!r}")
 
-    tol_linear = _get(cp, "solver", "tol_linear", float, default=1e-10) if cp.has_section("solver") else 1e-10
+    tol_linear = _get(cp, "solver", "tol_linear", _finite, default=1e-10) if cp.has_section("solver") else 1e-10
     max_sweeps = _get(cp, "solver", "max_sweeps", int, default=200) if cp.has_section("solver") else 200
     if tol_linear <= 0.0:
         raise ConfigError("solver.tol_linear: must be positive")
@@ -220,11 +232,11 @@ def load_config(path: str) -> ExperimentConfig:
         diag_params = {
             "point": point,
             "radii": radii,
-            "window": _get(cp, "diagnostics", "window", float, default=0.25),
+            "window": _get(cp, "diagnostics", "window", _finite, default=0.25),
             "eps": _get(cp, "diagnostics", "eps", _floats, default=()),
-            "xi_r": _get(cp, "diagnostics", "xi_r", float, default=0.5),
+            "xi_r": _get(cp, "diagnostics", "xi_r", _finite, default=0.5),
             "xi_m": _get(cp, "diagnostics", "xi_m", int, default=256),
-            "xi_rotation": _get(cp, "diagnostics", "xi_rotation", float, default=0.0),
+            "xi_rotation": _get(cp, "diagnostics", "xi_rotation", _finite, default=0.0),
         }
         if diag_params["window"] <= 0.0:
             raise ConfigError("diagnostics.window: must be positive")
@@ -233,6 +245,9 @@ def load_config(path: str) -> ExperimentConfig:
                               f"steps ({min_window!r}) when graphs run")
         if any(e <= 0.0 for e in diag_params["eps"]):
             raise ConfigError("diagnostics.eps: need positive radii")
+        if "covering" in diagnostics and any(e < min_eps for e in diag_params["eps"]):
+            raise ConfigError(f"diagnostics.eps: must be at least {MIN_EPS_STEPS:g} grid steps "
+                              f"({min_eps!r}) when covering runs")
         if diag_params["xi_r"] <= 0.0:
             raise ConfigError("diagnostics.xi_r: must be positive")
         if diag_params["xi_m"] < 4 or diag_params["xi_m"] % 2 != 0:
@@ -253,7 +268,7 @@ def load_config(path: str) -> ExperimentConfig:
             "amplitudes": amplitudes,
             "k": _get(cp, "sweep", "k", int, default=1),
             "classify_budget": _get(cp, "sweep", "classify_budget", int, default=8),
-            "window": _get(cp, "sweep", "window", float, default=0.25),
+            "window": _get(cp, "sweep", "window", _finite, default=0.25),
         }
         for key in ("k", "classify_budget"):
             if sweep[key] < 1:
@@ -283,25 +298,11 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if v is None or isinstance(v, str):
-        return v
-    raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
 def _dumps(v, ind: str = "") -> str:
+    if dataclasses.is_dataclass(v) and not isinstance(v, type):
+        v = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+    elif isinstance(v, np.ndarray):
+        v = v.tolist()
     if isinstance(v, dict):
         if not v:
             return "{}"
@@ -309,34 +310,50 @@ def _dumps(v, ind: str = "") -> str:
             f'{ind}  "{k}": {_dumps(x, ind + "  ")}' for k, x in v.items()
         )
         return "{\n" + items + "\n" + ind + "}"
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
         items = ",\n".join(f"{ind}  {_dumps(x, ind + '  ')}" for x in v)
         return "[\n" + items + "\n" + ind + "]"
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return float_repr(v)
     if v is None:
         return "null"
-    if isinstance(v, float):
-        return float_repr(v)
-    if isinstance(v, int):
-        return str(v)
-    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(v, str):
+        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 def write_json(obj, path: str) -> None:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats.
+
+    A dataclass is written as the dict of its fields in declaration order;
+    tuples and ndarrays as lists, numpy scalars as their Python values.
+    """
+    text = _dumps(obj)
     with open(path, "w") as fh:
-        fh.write(_dumps(_jsonable(obj)) + "\n")
+        fh.write(text + "\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(float_repr(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_free_boundary(fb: FreeBoundarySet, path: str) -> None:
+    """Every chain vertex as `phase,component_id,x,y` rows, plus chains first."""
+    write_csv(path, "phase,component_id,x,y", (
+        (phase, cid, x, y)
+        for phase, chains in (("plus", fb.plus_boundary), ("minus", fb.minus_boundary))
+        for cid, chain in enumerate(chains)
+        for x, y in chain.tolist()
+    ))
+
+
+def _write_ladder(prof, path: str) -> None:
+    """A phi or psi ladder as `r,value,violation_flag` rows, largest radius first."""
+    flagged = {pair[0] for pair in prof.violations}
+    write_csv(path, "r,value,violation_flag",
+              ((r, v, int(r in flagged)) for r, v in zip(prof.ladder.radii, prof.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +370,6 @@ class SweepRow:
     hausdorff_to_reference: float
     graph_summaries: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "sup_boundary_diff": self.sup_boundary_diff,
-            "sup_interior_diff": self.sup_interior_diff,
-            "comparison_holds": self.comparison_holds,
-            "hausdorff_to_reference": self.hausdorff_to_reference,
-            "graph_summaries": list(self.graph_summaries),
-        }
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -378,15 +385,6 @@ class StabilityReport:
         deltas = [row.delta for row in self.rows]
         if any(deltas[k + 1] >= deltas[k] for k in range(len(deltas) - 1)):
             raise ValueError("sweep rows must be ordered by decreasing delta")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [row.to_json_dict() for row in self.rows],
-            "hausdorff_monotone": self.hausdorff_monotone,
-            "tol_geometry": self.tol_geometry,
-            "reference_points": [list(p) for p in self.reference_points],
-            "reference_labels": list(self.reference_labels),
-        }
 
 
 def hausdorff_distance(a, b) -> float:
@@ -538,49 +536,36 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
     out = config.output_dir
     point = dp["point"]
     fb = fa.free_boundary
-    fb.to_csv(os.path.join(out, "free_boundary.csv"))
+    _write_free_boundary(fb, os.path.join(out, "free_boundary.csv"))
 
     radii = dp["radii"] or (32.0 * g.h, 16.0 * g.h, 8.0 * g.h)
     if "phi_ladder" in config.diagnostics:
         ladder = RadiusLadder(point, radii)
         prof = phi_ladder(u, fa.gradients, point, ladder, config.lambda_plus, config.lambda_minus)
-        prof.to_csv(os.path.join(out, "phi_ladder.csv"))
+        _write_ladder(prof, os.path.join(out, "phi_ladder.csv"))
     if "psi_ladder" in config.diagnostics:
         ladder = RadiusLadder(point, radii)
         (prof,) = directional_psi(fa.gradients, point, ladder, [(1.0, 0.0)])
-        prof.to_csv(os.path.join(out, "psi_ladder.csv"))
+        _write_ladder(prof, os.path.join(out, "psi_ladder.csv"))
     if "classify" in config.diagnostics:
         ladder = RadiusLadder(point, radii)
         thresholds = default_thresholds(g.h, config.lambda_plus, config.lambda_minus)
         cls = classify_point(fa, point, ladder, thresholds)
-        report = [{"point": [point[0], point[1]], **cls.to_json_dict()}]
-        write_json(report, os.path.join(out, "classification.json"))
+        record = {"point": point, "class": cls.label, "evidence": cls.evidence}
+        write_json([record], os.path.join(out, "classification.json"))
     if "graphs" in config.diagnostics:
         fit = fit_two_graphs(
             fa, point, dp["window"],
             lambda_plus=config.lambda_plus, lambda_minus=config.lambda_minus,
         )
-        write_json({
-            "direction": list(fit.direction),
-            "transverse": list(fit.transverse),
-            "theta": fit.theta,
-            "t_samples": fit.t_samples,
-            "gplus": fit.gplus,
-            "gminus": fit.gminus,
-            "lipschitz_estimate": fit.lipschitz_estimate,
-            "max_normal_oscillation": fit.max_normal_oscillation,
-        }, os.path.join(out, "graphs.json"))
+        write_json(fit, os.path.join(out, "graphs.json"))
     if "xi" in config.diagnostics:
         phi = circle_trace(u, point, dp["xi_rotation"], dp["xi_r"], dp["xi_m"])
         xi = reflection_xi(phi)
-        _write_csv(
-            os.path.join(out, "xi.csv"), "theta,xi",
-            zip(xi.thetas.tolist(), xi.values.tolist()),
-        )
+        write_csv(os.path.join(out, "xi.csv"), "theta,xi", zip(xi.thetas.tolist(), xi.values.tolist()))
     if "perimeter" in config.diagnostics:
         lengths = perimeter_estimate(fa, (g.x_min, g.x_max, g.y_min, g.y_max))
-        write_json({"plus": lengths.plus, "minus": lengths.minus},
-                   os.path.join(out, "perimeter.json"))
+        write_json(lengths, os.path.join(out, "perimeter.json"))
     if "covering" in config.diagnostics:
         eps_list = dp["eps"] or (32.0 * g.h, 16.0 * g.h, 8.0 * g.h)
         rows = []
@@ -598,13 +583,13 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
         spec = config.problem(g)
         u, report = solve(spec)
         dump_field_csv(u, os.path.join(config.output_dir, "field.csv"))
-        write_json(report.to_json_dict(), os.path.join(config.output_dir, "solve_report.json"))
+        write_json(report, os.path.join(config.output_dir, "solve_report.json"))
         fa = FieldAnalysis(u, spec.tol_zero)
         if mode == "diagnose":
             _run_diagnostics(config, fa)
         elif mode == "sweep":
             report_s = stability_sweep(config, fa)
-            write_json(report_s.to_json_dict(), os.path.join(config.output_dir, "stability.json"))
+            write_json(report_s, os.path.join(config.output_dir, "stability.json"))
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

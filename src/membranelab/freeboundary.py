@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid2D, ScalarField, build_grid, float_repr, gradient_fields, interpolate_many
+from .grid import Grid2D, ScalarField, build_grid, gradient_fields, interpolate_many
 from .monotonicity import (
     DegenerateRescaleError,
     RadiusLadder,
@@ -167,28 +167,11 @@ class FreeBoundarySet:
     minus_boundary: tuple
     spacing: float
 
-    def all_vertices(self, window=None) -> np.ndarray:
+    def all_vertices(self) -> np.ndarray:
         chains = list(self.plus_boundary) + list(self.minus_boundary)
         if not chains:
             return np.zeros((0, 2))
-        pts = np.vstack(chains)
-        if window is not None:
-            x0, x1, y0, y1 = window
-            keep = (
-                (pts[:, 0] >= x0) & (pts[:, 0] <= x1)
-                & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)
-            )
-            pts = pts[keep]
-        return pts
-
-    def to_csv(self, path: str) -> None:
-        lines = ["phase,component_id,x,y"]
-        for phase, chains in (("plus", self.plus_boundary), ("minus", self.minus_boundary)):
-            for cid, chain in enumerate(chains):
-                for x, y in chain:
-                    lines.append(f"{phase},{cid},{float_repr(x)},{float_repr(y)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return np.vstack(chains)
 
 
 def extract_free_boundary(u: ScalarField, tol_zero: float) -> FreeBoundarySet:
@@ -245,8 +228,10 @@ _LABELS = ("regular", "branch", "one_phase_singular", "indeterminate")
 # The [-1, 1]^2 grid that blow-ups are sampled on.
 _BLOWUP_GRID = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
 
-# The smallest graph-fit window, in grid steps; config loading checks it too.
+# The smallest graph-fit window and covering radius, in grid steps; config
+# loading checks them too.
 MIN_WINDOW_STEPS = 8.0
+MIN_EPS_STEPS = 2.0
 
 
 @dataclass(frozen=True)
@@ -284,9 +269,6 @@ class PointClass:
     def __post_init__(self) -> None:
         if self.label not in _LABELS:
             raise ValueError(f"unknown label {self.label!r}")
-
-    def to_json_dict(self) -> dict:
-        return {"class": self.label, "evidence": self.evidence}
 
 
 def dist_to_polynomial_class(f: ScalarField) -> tuple[float, OnePhasePolynomial | None]:
@@ -606,18 +588,18 @@ def perimeter_estimate(fa: FieldAnalysis, window) -> PhaseLengths:
     )
 
 
-def covering_count(fb: FreeBoundarySet, eps: float, window=None) -> int:
+def covering_count(fb: FreeBoundarySet, eps: float) -> int:
     """Greedy covering of the boundary vertices by eps-balls on the curve.
 
     The first uncovered vertex in lexicographic order opens each new ball,
     so centers sit on the curve and N(eps) * eps estimates length from
     above on rectifiable curves.
     """
-    if eps < 2.0 * fb.spacing:
+    if eps < MIN_EPS_STEPS * fb.spacing:
         raise ValueError(
-            f"eps = {eps} under-resolved; need at least two grid steps = {2.0 * fb.spacing}"
+            f"eps = {eps} under-resolved; need at least two grid steps = {MIN_EPS_STEPS * fb.spacing}"
         )
-    pts = fb.all_vertices(window)
+    pts = fb.all_vertices()
     if pts.shape[0] == 0:
         return 0
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]

@@ -3,7 +3,8 @@
 Everything downstream (the solver, the monotone functionals, free-boundary
 extraction) works on a ``Grid2D`` plus a ``ScalarField``.  Fields store their
 values row-major by y then x, so ``values[j, i]`` lives at
-``(x_min + i*h, y_min + j*h)``.  All operations here are pure functions on
+``(x_min + i*h, y_min + j*h)``.  Apart from the CSV writers (``write_csv``
+and ``dump_field_csv``), all operations here are pure functions on
 immutable value types and are safe to evaluate concurrently.
 """
 
@@ -28,6 +29,19 @@ def float_repr(v: float) -> str:
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return format(v, ".17g")
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """Write a header line and one comma-joined line per row.
+
+    Floats (numpy floats included) go through ``float_repr``, every other
+    cell through ``str``.  ``rows`` may be any iterable; it is consumed
+    once, one row at a time.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([float_repr(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -283,12 +297,7 @@ class BoundaryMap:
 def dump_field_csv(f: ScalarField, path: str) -> None:
     """Write `x,y,value` rows for every node, row-major by y then x."""
     g = f.grid
-    lines = ["x,y,value"]
-    xs, ys = g.xs, g.ys
-    v = f.values
-    for j in range(g.ny):
-        yj = ys[j]
-        for i in range(g.nx):
-            lines.append(f"{float_repr(xs[i])},{float_repr(yj)},{float_repr(v[j, i])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    xs = g.xs.tolist()
+    # one grid row of values becomes Python floats at a time
+    rows = ((x, y, v) for y, vals in zip(g.ys.tolist(), f.values) for x, v in zip(xs, vals.tolist()))
+    write_csv(path, "x,y,value", rows)

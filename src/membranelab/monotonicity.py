@@ -35,7 +35,6 @@ from .grid import (
     Grid2D,
     ScalarField,
     _gradient_arrays,
-    float_repr,
     gradient_fields,
     interpolate_many,
 )
@@ -92,14 +91,6 @@ class MonotonicityProfile:
     values: tuple[float, ...]
     violations: tuple[tuple[float, float], ...]
     tol_mono: float
-
-    def to_csv(self, path: str) -> None:
-        flagged = {pair[0] for pair in self.violations}
-        lines = ["r,value,violation_flag"]
-        for r, v in zip(self.ladder.radii, self.values):
-            lines.append(f"{float_repr(r)},{float_repr(v)},{1 if r in flagged else 0}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def _check_ball(grid: Grid2D, center: tuple[float, float], r: float) -> None:

@@ -51,7 +51,6 @@ class ProblemSpec:
     lambda_minus: float
     tol_linear: float = 1e-10
     tol_pattern: int = 200
-    tol_zero: float | None = None
 
     def __post_init__(self) -> None:
         if self.lambda_plus <= 0.0 or self.lambda_minus <= 0.0:
@@ -60,12 +59,11 @@ class ProblemSpec:
             raise ValueError("boundary map grid differs from problem grid")
         if self.tol_linear <= 0.0 or self.tol_pattern < 1:
             raise ValueError("bad solver tolerances")
-        if self.tol_zero is None:
-            object.__setattr__(
-                self, "tol_zero", 1e-10 * (self.lambda_plus + self.lambda_minus)
-            )
-        elif self.tol_zero <= 0.0:
-            raise ValueError("tol_zero must be positive")
+
+    @property
+    def tol_zero(self) -> float:
+        """Half-width of the zero band: 1e-10 * (lambda_plus + lambda_minus)."""
+        return 1e-10 * (self.lambda_plus + self.lambda_minus)
 
 
 @dataclass
@@ -84,17 +82,6 @@ class SolveReport:
     energy_history: list[float] = field(default_factory=list)
     converged: bool = True
     levels: list[dict] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_energy": self.final_energy,
-            "final_residual": self.final_residual,
-            "pattern_changes": list(self.pattern_changes),
-            "energy_history": list(self.energy_history),
-            "converged": self.converged,
-            "levels": [dict(level) for level in self.levels],
-        }
 
 
 class SolverError(RuntimeError):

@@ -1,8 +1,10 @@
 """Config parsing, artifact determinism, sweeps, exit codes."""
 import filecmp
+import json
 import math
 import os
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -114,6 +116,11 @@ k = 2
     ("append:[diagnostics]\nxi_r = 0.0", "diagnostics.xi_r:"),
     ("append:[diagnostics]\nxi_m = 63", "diagnostics.xi_m:"),
     ("append:[diagnostics]\nxi_m = 2", "diagnostics.xi_m:"),
+    # 2 grid steps of the n = 65 grid on [-1, 1] are 0.0625
+    ("append:[diagnostics]\nrun = covering\neps = 0.25, 0.04", "diagnostics.eps: must be at least 2 grid steps"),
+    ("append:[solver]\ntol_linear = nan", "solver.tol_linear: must be finite"),
+    ("replace:lambda_plus = 2.0\nlambda_plus = inf", "problem.lambda_plus: must be finite"),
+    ("append:[diagnostics]\npoint = nan 0", "diagnostics.point: must be finite"),
 ])
 def test_load_config_rejects_bad_inputs(tmp_path, mutation, needle):
     text = BASE_INI.format(out=tmp_path / "out")
@@ -176,6 +183,37 @@ def test_write_json_golden_bytes(tmp_path):
     )
 
 
+@dataclass(frozen=True)
+class _Inner:
+    flag: np.bool_
+    count: np.int64
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    pair: tuple
+    values: np.ndarray
+    inner: _Inner
+    x: np.float64
+    zero: float
+
+
+def test_write_json_golden_bytes_of_a_dataclass(tmp_path):
+    # fields in declaration order; numpy scalars and arrays, tuples, -0.0
+    # and quotes all take the same text as their Python counterparts
+    path = tmp_path / "d.json"
+    obj = _Outer('say "hi"', (1, 0.5), np.array([0.25, -1.0]),
+                 _Inner(np.bool_(True), np.int64(7)), np.float64(0.1), -0.0)
+    write_json(obj, str(path))
+    assert path.read_text() == (
+        '{\n  "name": "say \\"hi\\"",\n  "pair": [\n    1,\n    0.5\n  ],\n'
+        '  "values": [\n    0.25,\n    -1\n  ],\n'
+        '  "inner": {\n    "flag": true,\n    "count": 7\n  },\n'
+        '  "x": 0.10000000000000001,\n  "zero": 0\n}\n'
+    )
+
+
 def test_write_json_uses_17_digit_floats(tmp_path):
     path = tmp_path / "f.json"
     write_json({"pi": math.pi}, str(path))
@@ -223,10 +261,12 @@ def make_row(delta):
     return SweepRow(delta, delta, 0.9 * delta, True, 0.1, ())
 
 
-def test_stability_report_requires_decreasing_deltas():
+def test_stability_report_requires_decreasing_deltas(tmp_path):
     rows = (make_row(0.1), make_row(0.05))
     rep = StabilityReport(rows, True, 0.01, ((0.0, 0.0),), ("branch",))
-    assert rep.to_json_dict()["hausdorff_monotone"] is True
+    path = tmp_path / "stability.json"
+    write_json(rep, str(path))
+    assert json.loads(path.read_text())["hausdorff_monotone"] is True
     with pytest.raises(ValueError):
         StabilityReport((make_row(0.05), make_row(0.1)), True, 0.01, (), ())
 
@@ -289,6 +329,15 @@ def test_main_exit_codes(tmp_path, capsys):
     # sweep verb demands a [sweep] section
     assert main(["sweep", ini]) == 2
 
+    # a non-finite float fails at load time, before the output directory exists
+    for name, text in (("nan", BASE_INI + "\n[solver]\ntol_linear = nan\n"),
+                       ("inf", BASE_INI.replace("lambda_plus = 2.0", "lambda_plus = inf"))):
+        bad = write_ini(tmp_path, text.format(out=tmp_path / f"f_{name}"), f"{name}.ini")
+        capsys.readouterr()
+        assert main(["solve", bad]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / f"f_{name}").exists()
+
     # a classify budget below 1 is a config error, not a numpy failure
     budget = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "m3")
                        + "\n[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = -1\n",
@@ -305,9 +354,15 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([name, small]) == 2
         assert "window: must cover at least 8 grid steps" in capsys.readouterr().err
         assert not (tmp_path / f"w_{name}").exists()
+    # so does a covering radius under 2 grid steps, before any solve
+    small = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "e_small")
+                      + "\n[diagnostics]\nrun = covering\neps = 0.04\n", "eps.ini")
+    assert main(["diagnose", small]) == 2
+    assert "config error: diagnostics.eps: must be at least 2 grid steps" in capsys.readouterr().err
+    assert not (tmp_path / "e_small").exists()
     # without graphs to fit, the diagnostics window is not read
     assert load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "w_ok")
-                                 + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\n", "ok.ini"))
+                                 + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\neps = 0.04\n", "ok.ini"))
 
 
 def test_run_returns_2_on_config_error(tmp_path, capsys):

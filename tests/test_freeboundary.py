@@ -32,6 +32,7 @@ from membranelab import (
     solve,
 )
 from membranelab import GlobalProfile, OnePhasePolynomial
+from membranelab.cli import _write_free_boundary
 from conftest import profile_fn
 
 S_1 = math.sqrt(3.0 * math.pi / 16.0)
@@ -104,14 +105,11 @@ def test_circle_zero_set_closes_into_a_loop():
     assert np.max(np.abs(radii - 0.5)) <= g.h
 
 
-def test_window_filter_and_csv(tmp_path, profile_solutions):
+def test_free_boundary_csv(tmp_path, profile_solutions):
     v, spec, u, _ = profile_solutions[65]
     fb = extract_free_boundary(u, spec.tol_zero)
-    upper = fb.all_vertices(window=(-1.0, 1.0, 0.0, 1.0))
-    assert upper.shape[0] > 0
-    assert float(np.min(upper[:, 1])) >= 0.0
     path = tmp_path / "fb.csv"
-    fb.to_csv(str(path))
+    _write_free_boundary(fb, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "phase,component_id,x,y"
     assert lines[1].startswith("plus,0,")

@@ -38,7 +38,7 @@ from membranelab import (
     solve,
     weiss_phi,
 )
-from membranelab.cli import _reference_points
+from membranelab.cli import _reference_points, _write_ladder
 from membranelab.freeboundary import _DIRECTIONS
 from membranelab.monotonicity import _circle, _polar_disk
 from conftest import profile_fn
@@ -69,7 +69,7 @@ def test_monotonicity_profile_csv(tmp_path):
     lad = RadiusLadder((0.0, 0.0), (0.5, 0.25))
     prof = MonotonicityProfile(lad, (1.0, 2.0), ((0.25, 0.5),), 0.1)
     path = tmp_path / "ladder.csv"
-    prof.to_csv(str(path))
+    _write_ladder(prof, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "r,value,violation_flag"
     assert lines[1].startswith("0.5,1,")

@@ -1,4 +1,6 @@
 """Active-set solver: exactness, convergence, comparison, failure paths."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from membranelab import (
     laplacian_interior,
     residual_field,
     solve,
+    write_json,
 )
 from membranelab.solver import _forcing, _neighbor_sum, _pattern
 from conftest import LP, LM, make_poly_problem, make_profile_problem
@@ -123,9 +126,11 @@ def test_energy_history_non_increasing(tau_solution):
     assert np.all(np.diff(e) <= 1e-12)
 
 
-def test_report_json_dict_shape(profile_solutions):
+def test_report_json_dict_shape(tmp_path, profile_solutions):
     _, _, _, report = profile_solutions[65]
-    d = report.to_json_dict()
+    path = tmp_path / "solve_report.json"
+    write_json(report, str(path))
+    d = json.loads(path.read_text())
     for key in ("iterations", "final_energy", "final_residual",
                 "pattern_changes", "energy_history", "converged", "levels"):
         assert key in d
