@@ -36,7 +36,9 @@ from .freeboundary import (
     reflection_xi,
 )
 from .grid import BoundaryMap, Grid2D, build_grid, dump_field_csv, float_repr, sample, write_csv
-from .monotonicity import RadiusLadder, acf_psi, directional_psi, phi_ladder, s_norm, weiss_phi
+from .monotonicity import (
+    RadiusLadder, acf_psi, check_ball, directional_psi, phi_ladder, s_norm, weiss_phi,
+)
 from .profiles import GlobalProfile, OnePhasePolynomial, eval_many
 from .solver import ProblemSpec, SolverError, comparison_check, solve
 
@@ -224,7 +226,8 @@ def load_config(path: str) -> ExperimentConfig:
         point = _get(cp, "diagnostics", "point", _floats, default=(0.0, 0.0))
         if len(point) != 2:
             raise ConfigError("diagnostics.point: need exactly two coordinates")
-        radii = _get(cp, "diagnostics", "radii", _floats, default=())
+        radii = _get(cp, "diagnostics", "radii", _floats, default=()) or (
+            32.0 * grid.h, 16.0 * grid.h, 8.0 * grid.h)
         if any(r <= 0.0 for r in radii):
             raise ConfigError("diagnostics.radii: need positive radii")
         if any(radii[k + 1] >= radii[k] for k in range(len(radii) - 1)):
@@ -252,6 +255,21 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError("diagnostics.xi_r: must be positive")
         if diag_params["xi_m"] < 4 or diag_params["xi_m"] % 2 != 0:
             raise ConfigError("diagnostics.xi_m: must be even and at least 4")
+        # the balls the diagnostics integrate over, checked on the configured grid
+        balls = []
+        if set(diagnostics) & {"phi_ladder", "psi_ladder", "classify"}:
+            balls += [("radii", r) for r in radii]
+        if "xi" in diagnostics:
+            balls.append(("xi_r", diag_params["xi_r"]))
+        if "graphs" in diagnostics:
+            balls.append(("window", 0.5 * diag_params["window"]))
+        if balls and not grid.contains_ball(point, 0.0):
+            raise ConfigError(f"diagnostics.point: {point} lies outside the domain")
+        for key, r in balls:
+            try:
+                check_ball(grid, point, r)
+            except ValueError as exc:
+                raise ConfigError(f"diagnostics.{key}: {exc}") from None
 
     sweep = None
     if cp.has_section("sweep"):
@@ -538,17 +556,14 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
     fb = fa.free_boundary
     _write_free_boundary(fb, os.path.join(out, "free_boundary.csv"))
 
-    radii = dp["radii"] or (32.0 * g.h, 16.0 * g.h, 8.0 * g.h)
+    ladder = RadiusLadder(point, dp["radii"])
     if "phi_ladder" in config.diagnostics:
-        ladder = RadiusLadder(point, radii)
         prof = phi_ladder(u, fa.gradients, point, ladder, config.lambda_plus, config.lambda_minus)
         _write_ladder(prof, os.path.join(out, "phi_ladder.csv"))
     if "psi_ladder" in config.diagnostics:
-        ladder = RadiusLadder(point, radii)
         (prof,) = directional_psi(fa.gradients, point, ladder, [(1.0, 0.0)])
         _write_ladder(prof, os.path.join(out, "psi_ladder.csv"))
     if "classify" in config.diagnostics:
-        ladder = RadiusLadder(point, radii)
         thresholds = default_thresholds(g.h, config.lambda_plus, config.lambda_minus)
         cls = classify_point(fa, point, ladder, thresholds)
         record = {"point": point, "class": cls.label, "evidence": cls.evidence}

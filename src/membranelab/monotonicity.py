@@ -93,7 +93,8 @@ class MonotonicityProfile:
     tol_mono: float
 
 
-def _check_ball(grid: Grid2D, center: tuple[float, float], r: float) -> None:
+def check_ball(grid: Grid2D, center: tuple[float, float], r: float) -> None:
+    """Raise ValueError unless r exceeds 2 grid steps and the ball lies in the grid."""
     if r <= 2.0 * grid.h:
         raise ValueError(f"radius {r} under-resolved for spacing {grid.h}")
     if not grid.contains_ball(center, r):
@@ -180,7 +181,7 @@ def _products(sums: list[float], r: float) -> list[float]:
 
 def _phi_values(u: ScalarField, grads, x0, radii, lambda_plus: float, lambda_minus: float) -> list[float]:
     for r in radii:
-        _check_ball(u.grid, x0, r)
+        check_ball(u.grid, x0, r)
     gx, gy = grads
     win = _window(u.grid, x0, radii[0], (u.values, gx.values, gy.values))
 
@@ -214,7 +215,7 @@ def _psi_values(h1: ScalarField, h2: ScalarField, z, radii) -> list[float]:
     if h1.grid != h2.grid:
         raise ValueError("pair must share a grid")
     for r in radii:
-        _check_ball(h1.grid, z, r)
+        check_ball(h1.grid, z, r)
     if float(np.min(h1.values)) < -_NEG_TOL or float(np.min(h2.values)) < -_NEG_TOL:
         raise ValueError("pair members must be nonnegative (within 1e-12)")
     (g1x, g1y), (g2x, g2y) = gradient_fields(h1), gradient_fields(h2)
@@ -251,7 +252,7 @@ def directional_parts(u: ScalarField, e: tuple[float, float]) -> tuple[ScalarFie
 
 def s_norm(u: ScalarField, y: tuple[float, float], r: float) -> float:
     """Circle normalization S_r with r^(n-1) S_r^2 = int_{bd B_r} u^2."""
-    _check_ball(u.grid, y, r)
+    check_ball(u.grid, y, r)
     return math.sqrt(_circle_sum(u, y, r) / r)
 
 
@@ -342,7 +343,7 @@ def directional_psi(
     gx, gy = grads
     g = gx.grid
     for r in ladder.radii:
-        _check_ball(g, z, r)
+        check_ball(g, z, r)
     rows, cols = _crop(g, z, ladder.radii[0])
     wgx, wgy = gx.values[rows, cols], gy.values[rows, cols]
     # layers per direction: d/dx, d/dy of the positive part, then of the negative part

@@ -27,9 +27,18 @@ coarse grid keeps at least 17 nodes per axis, solves the coarsest level
 from the harmonic extension, and starts each finer level (its values and
 its states) from the bilinear prolongation of the level below, so a
 level needs only a few sweeps.  Each level runs at most tol_pattern
-sweeps.  CG stops on its true residual: when the recursively updated
-residual meets the target, b - A w is recomputed and the iteration
-restarts from it if the drift left it above.
+sweeps.
+
+Each sweep's CG is preconditioned by one symmetric geometric V(1,1)
+cycle on the free set (Tatebe, 6th Copper Mountain Conf. on Multigrid
+Methods, 1993): pinned nodes are zero Dirichlet nodes on every level,
+red-black Gauss-Seidel smooths before and, in mirrored colour order,
+after the coarse-grid correction, and the restriction is the transpose
+of the bilinear prolongation over 4.  The iteration count per sweep then
+stays near 10 whatever n.  CG stops on its true residual: when the
+recursively updated residual meets the target, b - A w is recomputed and
+the iteration restarts from it if the drift left it above, unless it did
+not shrink since the last restart, which marks the rounding floor.
 """
 
 from __future__ import annotations
@@ -119,48 +128,144 @@ def _neighbor_sum(full: np.ndarray) -> np.ndarray:
     return full[1:-1, :-2] + full[1:-1, 2:] + full[:-2, 1:-1] + full[2:, 1:-1]
 
 
+@dataclass
+class _Level:
+    """One grid of the V-cycle: the five-point operator on a free set.
+
+    Arrays are interior arrays; pinned nodes and the ring are zero
+    Dirichlet nodes.  `red` and `black` are the free nodes of each colour
+    of the checkerboard; `full` is the zero-ringed scratch array that
+    neighbor sums read.
+    """
+
+    h2: float
+    free: np.ndarray
+    red: np.ndarray
+    black: np.ndarray
+    full: np.ndarray
+    inverse: np.ndarray | None = None
+
+    @classmethod
+    def on(cls, h: float, free: np.ndarray) -> "_Level":
+        my, mx = free.shape
+        red = (np.arange(my)[:, None] + np.arange(mx)) % 2 == 0
+        return cls(h * h, free, red & free, ~red & free, np.zeros((my + 2, mx + 2)))
+
+    def neighbors(self, w: np.ndarray) -> np.ndarray:
+        self.full[1:-1, 1:-1] = w
+        return _neighbor_sum(self.full)
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """(4w - sum of neighbors(w)) / h^2 on the free nodes, zero elsewhere."""
+        out = (4.0 * w - self.neighbors(w)) / self.h2
+        out[~self.free] = 0.0
+        return out
+
+    def smooth(self, z: np.ndarray, q: np.ndarray, colors) -> np.ndarray:
+        """One Gauss-Seidel half-sweep per colour mask, in order; q = h^2 r / 4."""
+        for color in colors:
+            z = np.where(color, q + 0.25 * self.neighbors(z), z)
+        return z
+
+
+def _restrict(r: np.ndarray) -> np.ndarray:
+    """Full weighting: the transpose of interior bilinear interpolation, over 4."""
+    r = r[:, 1::2] + 0.5 * (r[:, :-1:2] + r[:, 2::2])
+    return 0.25 * (r[1::2, :] + 0.5 * (r[:-1:2, :] + r[2::2, :]))
+
+
+def _vcycle_ladder(h: float, free: np.ndarray) -> list[_Level]:
+    """Levels of the V-cycle, finest first, with the coarsest inverse if small.
+
+    Interior arrays halve while m - 1 is even on both axes and both exceed
+    7 nodes; a coarse node is free iff its collocated fine node is free.
+    The coarsest level carries the dense inverse of its free block when it
+    has at most 256 nodes; otherwise smoothing alone is its cycle.
+    """
+    ladder = [_Level.on(h, free)]
+    while True:
+        my, mx = free.shape
+        if (my - 1) % 2 or (mx - 1) % 2 or min(my, mx) <= 7:
+            break
+        h, free = 2.0 * h, free[1::2, 1::2]
+        ladder.append(_Level.on(h, free))
+    last = ladder[-1]
+    if last.free.size <= 256:
+        my, mx = last.free.shape
+        ids = np.arange(my * mx).reshape(my, mx)
+        a = 4.0 * np.eye(my * mx)
+        for i, j in ((ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])):
+            a[i, j] = a[j, i] = -1.0
+        keep = last.free.ravel()
+        inv = np.zeros_like(a)
+        inv[np.ix_(keep, keep)] = np.linalg.inv(a[np.ix_(keep, keep)]) * last.h2
+        last.inverse = 0.5 * (inv + inv.T)
+    return ladder
+
+
+def _vcycle(ladder: list[_Level], r: np.ndarray, k: int = 0) -> np.ndarray:
+    """One symmetric V(1,1) cycle for level k applied to r (zero off the free set).
+
+    Red-black Gauss-Seidel from zero, red then black; the coarse-grid
+    correction restricts the residual by full weighting and prolongs the
+    coarse cycle's result bilinearly, masked to the free set; then black
+    then red, the mirror of the pre-smoother, which keeps the cycle a
+    symmetric positive definite operator.
+    """
+    level = ladder[k]
+    if level.inverse is not None:
+        return (level.inverse @ r.ravel()).reshape(r.shape)
+    q = (0.25 * level.h2) * r
+    # the red half-sweep from zero leaves q on the red nodes
+    z = level.smooth(np.where(level.red, q, 0.0), q, (level.black,))
+    if k + 1 < len(ladder):
+        coarse = ladder[k + 1]
+        rc = _restrict(r - level.apply(z))
+        rc[~coarse.free] = 0.0
+        ec = np.zeros(coarse.full.shape)
+        ec[1:-1, 1:-1] = _vcycle(ladder, rc, k + 1)
+        z += np.where(level.free, _interpolate(ec)[1:-1, 1:-1], 0.0)
+    return level.smooth(z, q, (level.black, level.red))
+
+
 def _cg(grid: Grid2D, rhs: np.ndarray, w0: np.ndarray, free: np.ndarray,
         tol: float, max_iter: int):
     """PCG for (4w - sum of neighbors(w)) / h^2 = rhs on the free nodes.
 
     Pinned nodes (free == False) are held at zero and excluded from the
-    system; the ring is zero as well.  Jacobi preconditioning; stops on
+    system; the ring is zero as well.  The preconditioner is one symmetric
+    V(1,1) cycle on the free set, its ladder built once per call.  CG stops on
     the max-norm of the true residual: once the recursively updated
     residual meets tol, b - A w is recomputed and, if it is still above
-    tol, the iteration restarts from it within the same max_iter.
+    tol, the iteration restarts from it within the same max_iter.  A
+    restart whose true residual is no smaller than the previous one's
+    returns at once: the residual has reached its rounding floor.
     Returns (solution, final max residual, iterations).
     """
-    h2 = grid.h * grid.h
-    ny, nx = grid.shape
-    full = np.zeros((ny, nx))
-
-    def apply_a(w: np.ndarray) -> np.ndarray:
-        full[1:-1, 1:-1] = w
-        out = (4.0 * w - _neighbor_sum(full)) / h2
-        out[~free] = 0.0
-        return out
-
+    ladder = _vcycle_ladder(grid.h, free)
+    fine = ladder[0]
     b = np.where(free, rhs, 0.0)
     w = np.where(free, w0, 0.0)
-    minv = h2 / 4.0
     it = 0
+    res_prev = float("inf")
     while True:
-        r = b - apply_a(w)
+        r = b - fine.apply(w)
         res = float(np.max(np.abs(r)))
-        if res <= tol or it == max_iter:
+        if res <= tol or it == max_iter or res >= res_prev:
             return w, res, it
-        z = minv * r
+        res_prev = res
+        z = _vcycle(ladder, r)
         p = z.copy()
         rz = float(np.sum(r * z))
         while it < max_iter:
             it += 1
-            ap = apply_a(p)
+            ap = fine.apply(p)
             alpha = rz / float(np.sum(p * ap))
             w += alpha * p
             r -= alpha * ap
             if float(np.max(np.abs(r))) <= tol:
                 break
-            z = minv * r
+            z = _vcycle(ladder, r)
             rz_new = float(np.sum(r * z))
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -177,14 +282,20 @@ def _coarsen(spec: ProblemSpec) -> ProblemSpec | None:
     )
 
 
-def _prolong(coarse: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Bilinear interpolation onto the twice finer grid of spec, its ring restored."""
-    fine = np.zeros(spec.grid.shape)
+def _interpolate(coarse: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a full grid array onto the twice finer grid."""
+    ny, nx = coarse.shape
+    fine = np.empty((2 * ny - 1, 2 * nx - 1))
     fine[::2, ::2] = coarse
     fine[::2, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
     fine[1::2, :] = 0.5 * (fine[:-2:2, :] + fine[2::2, :])
+    return fine
+
+
+def _prolong(coarse: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Bilinear interpolation onto the twice finer grid of spec, its ring restored."""
     out = spec.boundary.values.copy()
-    out[1:-1, 1:-1] = fine[1:-1, 1:-1]
+    out[1:-1, 1:-1] = _interpolate(coarse)[1:-1, 1:-1]
     return out
 
 
@@ -206,7 +317,7 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     interior node outside the zero band, and the recorded energies are
     non-increasing.  Raises SolverError, carrying the report of the level
     that failed, if a level's states do not settle within tol_pattern
-    sweeps.
+    sweeps or a sweep's CG stops above tol_linear.
     """
     ladder = [spec]
     while (coarse := _coarsen(ladder[-1])) is not None:
@@ -288,10 +399,10 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None,
         report.final_energy = J_new
         report.final_residual = res
 
+        if res > spec.tol_linear:
+            report.converged = False
+            raise SolverError("linear residual target not met", report)
         if changes == 0:
-            if res > spec.tol_linear:
-                report.converged = False
-                raise SolverError("linear residual target not met", report)
             report.converged = True
             return field_v, report
 

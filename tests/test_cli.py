@@ -121,6 +121,16 @@ k = 2
     ("append:[solver]\ntol_linear = nan", "solver.tol_linear: must be finite"),
     ("replace:lambda_plus = 2.0\nlambda_plus = inf", "problem.lambda_plus: must be finite"),
     ("append:[diagnostics]\npoint = nan 0", "diagnostics.point: must be finite"),
+    # radii must exceed 2 grid steps (0.0625) and their balls must stay in the grid
+    ("append:[diagnostics]\nrun = phi_ladder\nradii = 0.5, 0.05", "diagnostics.radii: radius 0.05 under-resolved"),
+    ("append:[diagnostics]\nrun = classify\nradii = 0.5, 0.0625", "diagnostics.radii: radius 0.0625 under-resolved"),
+    ("append:[diagnostics]\nrun = psi_ladder\npoint = 0.75 0\nradii = 0.5", "diagnostics.radii: ball of radius 0.5"),
+    # the default ladder is 32, 16 and 8 grid steps: 1.0, 0.5 and 0.25
+    ("append:[diagnostics]\nrun = phi_ladder\npoint = 0.5 0", "diagnostics.radii: ball of radius 1.0"),
+    ("append:[diagnostics]\nrun = xi\nxi_r = 1.5", "diagnostics.xi_r: ball of radius 1.5"),
+    ("append:[diagnostics]\nrun = xi\nxi_r = 0.05", "diagnostics.xi_r: radius 0.05 under-resolved"),
+    ("append:[diagnostics]\nrun = graphs\npoint = 0 0.9", "diagnostics.window: ball of radius 0.125"),
+    ("append:[diagnostics]\nrun = graphs\npoint = 2 0", "diagnostics.point: .* lies outside the domain"),
 ])
 def test_load_config_rejects_bad_inputs(tmp_path, mutation, needle):
     text = BASE_INI.format(out=tmp_path / "out")
@@ -360,6 +370,15 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["diagnose", small]) == 2
     assert "config error: diagnostics.eps: must be at least 2 grid steps" in capsys.readouterr().err
     assert not (tmp_path / "e_small").exists()
+    # so do radii under 2 grid steps and balls that leave the grid
+    for name, section in (("radii", "run = phi_ladder\nradii = 0.5, 0.05"),
+                          ("xi_r", "run = xi\nxi_r = 1.5"),
+                          ("point", "run = classify\npoint = 0 -1.5")):
+        bad = write_ini(tmp_path, BASE_INI.format(out=tmp_path / f"d_{name}")
+                        + f"\n[diagnostics]\n{section}\n", f"{name}.ini")
+        assert main(["diagnose", bad]) == 2
+        assert f"config error: diagnostics.{name}:" in capsys.readouterr().err
+        assert not (tmp_path / f"d_{name}").exists()
     # without graphs to fit, the diagnostics window is not read
     assert load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "w_ok")
                                  + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\neps = 0.04\n", "ok.ini"))

@@ -22,7 +22,7 @@ from membranelab import (
     solve,
     write_json,
 )
-from membranelab.solver import _forcing, _neighbor_sum, _pattern
+from membranelab.solver import _forcing, _neighbor_sum, _pattern, _vcycle, _vcycle_ladder
 from conftest import LP, LM, make_poly_problem, make_profile_problem
 
 
@@ -204,6 +204,76 @@ def test_sweep_budget_exhaustion_raises_with_report():
     report = err.value.report
     assert not report.converged
     assert report.iterations == 1
+
+
+def test_stalled_cg_fails_fast():
+    # 1e-15 is under the rounding floor of the five-point residual even on
+    # the 17-node level; the loop without the stall exit ran all 60 * 17
+    # iterations of both CG calls there (2,040) before failing
+    spec = make_profile_problem(65)[1]
+    tight = ProblemSpec(spec.grid, spec.boundary, LP, LM, tol_linear=1e-15)
+    with pytest.raises(SolverError, match="linear residual target not met") as err:
+        solve(tight)
+    report = err.value.report
+    assert not report.converged
+    assert report.levels[-1]["cg_iterations"] <= 100
+
+
+# ---------------------------------------------------------------------------
+# The V-cycle preconditioner
+# ---------------------------------------------------------------------------
+
+
+def band_free(shape):
+    free = np.ones(shape, dtype=bool)
+    free[:, shape[1] // 3:shape[1] // 2] = False
+    return free
+
+
+def scattered_free(shape):
+    return np.random.default_rng(3).random(shape) > 0.2
+
+
+def all_free(shape):
+    return np.ones(shape, dtype=bool)
+
+
+# name: (interior shape, free set builder)
+VCYCLE_CASES = {
+    "pinned_band_65": ((63, 63), band_free),
+    "scattered_pins_65": ((63, 63), scattered_free),
+    "rectangle_129x65": ((63, 127), all_free),
+    "odd_100": ((98, 98), all_free),
+    "nodes_17": ((15, 15), band_free),
+}
+
+
+@pytest.mark.parametrize("name", list(VCYCLE_CASES))
+def test_vcycle_is_symmetric_positive_definite(name):
+    shape, build = VCYCLE_CASES[name]
+    free = build(shape)
+    h = 2.0 / (shape[1] + 1)
+    ladder = _vcycle_ladder(h, free)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = (np.where(free, rng.standard_normal(shape), 0.0) for _ in range(2))
+        bx, by = _vcycle(ladder, x), _vcycle(ladder, y)
+        assert np.all(bx[~free] == 0.0)
+        scale = np.linalg.norm(bx) * np.linalg.norm(y)
+        assert abs(np.sum(bx * y) - np.sum(x * by)) <= 1e-12 * scale
+        assert np.sum(bx * x) > 0.0
+
+
+@pytest.mark.parametrize("n, tau", [(257, 0.0), (513, 0.0), (513, -0.4)])
+def test_vcycle_keeps_cg_iterations_per_sweep_flat(n, tau, profile_solutions):
+    # Jacobi preconditioning took 439 and 860 finest-level iterations on
+    # profile data at n = 257 and 513, about linear in n
+    if (n, tau) == (257, 0.0):
+        _, _, _, report = profile_solutions[257]
+    else:
+        _, report = solve(make_profile_problem(n, tau=tau)[1])
+    finest = report.levels[-1]
+    assert finest["cg_iterations"] <= 30 * finest["sweeps"]
 
 
 # ---------------------------------------------------------------------------
