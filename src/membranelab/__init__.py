@@ -15,6 +15,7 @@ from .grid import (
 from .profiles import (
     GlobalProfile,
     OnePhasePolynomial,
+    RampFitError,
     dist_to_M,
     eval_many,
     eval_polynomial_many,

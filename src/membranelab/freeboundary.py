@@ -592,8 +592,12 @@ def covering_count(fb: FreeBoundarySet, eps: float) -> int:
     """Greedy covering of the boundary vertices by eps-balls on the curve.
 
     The first uncovered vertex in lexicographic order opens each new ball,
-    so centers sit on the curve and N(eps) * eps estimates length from
-    above on rectifiable curves.
+    so the centers are vertices more than eps apart and every vertex lies
+    within eps of one.  On a straight curve of length L that gives
+    L / (2 eps) <= N(eps) <= L / eps + 1: N(eps) * eps lies between half
+    the length and about the length, and is no upper bound.  On the solved
+    n = 257 profile field, whose phase boundaries have length 2.0, it reads
+    2.0, 1.875 and 1.8125 at eps = 32h, 16h and 8h.
     """
     if eps < MIN_EPS_STEPS * fb.spacing:
         raise ValueError(

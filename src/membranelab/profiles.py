@@ -20,8 +20,10 @@ blow-up classification.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -145,67 +147,107 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # Distance to the ramp classes
 # ---------------------------------------------------------------------------
 #
-# Every screen below is exact: it changes how many candidates are
-# evaluated in full, never a returned value.  They all rest on one fact.
-# A node's error |ramp - f| is computed with the same floating-point
-# operations in the same order wherever it is computed, so the max over a
-# subset of the nodes can never exceed the max over all of them, and a min
-# over the same candidates keeps that order, bit for bit.
-#
-# The theta scan (stage 1 of ``dist_to_M``) gives each angle of a uniform
-# grid the value
+# Stage 1 of ``dist_to_M`` gives each angle of a uniform grid the value
 #
 #   scan(theta) = min over the quick chart grids of max over nodes |ramp - f|
 #
-# and hands the three smallest on to the full search.  A lower bound of
-# scan(theta) comes first, for all angles in one array pass: the same
-# quantity over every _ORDER_STRIDE-th node only.  Angles are then taken in
-# order of increasing bound, _SCAN_BATCH at a time, until the next bound is
-# strictly above the third smallest exact value found so far.  A batch is
-# filtered by the finer bound over every _BOUND_STRIDE-th node, and only the
-# angles whose finer bound is not above that third value get an exact value.
-# Every angle skipped either way has scan >= bound > the final third value,
-# so it can be neither a leader nor tied with one, and it keeps +inf.
-# Leaders are the three smallest values, ties going to the lower angle
-# index.  The rotation is taken per angle with math.cos and math.sin as in
-# ``_rotated_x1``, so an angle's value does not depend on its batch.
+# and hands the three smallest on to stage 2.  The scan is pruned, but
+# exactly.  A lower bound of scan(theta) comes first, for all angles in one
+# array pass: the same quantity over every _ORDER_STRIDE-th node only.  A
+# node's error is computed with the same floating-point operations wherever
+# it is computed, so a max over fewer nodes never exceeds the full one.
+# Angles are then taken in order of increasing bound, _SCAN_BATCH at a
+# time, until the next bound is strictly above the third smallest exact
+# value found so far.  A batch is filtered by the finer bound over every
+# _BOUND_STRIDE-th node, and only the angles whose finer bound is not above
+# that third value get an exact value.  Every angle skipped either way has
+# scan >= bound > the final third value, so it can be neither a leader nor
+# tied with one, and it keeps +inf.  Leaders are the three smallest values,
+# ties going to the lower angle index.  The rotation is taken per angle
+# with math.cos and math.sin as in ``_rotated_x1``, so an angle's value
+# does not depend on its batch.
 #
-# The coarse chart grids of stage 2 (_COARSE^2 candidates each) are pruned
-# the same way: a bound per candidate over every _BOUND_STRIDE-th node,
-# exact values in bound order until the next bound is strictly above the
-# smallest exact value, and the flat argmin of the exact values, which is
-# the first minimum in (s, beta1) order as in a full row-by-row scan.
+# Stages 2 and 3 solve for the linear coefficients exactly.  At a fixed
+# angle the ramp is linear in (beta1, beta2), and in beta1 alone at a fixed
+# tau, so the sup error over the nodes is a linear Chebyshev problem: a
+# linear program in the coefficients and the level h, which the exchange
+# algorithm solves exactly (Stiefel 1959; Cheney, Introduction to
+# Approximation Theory, 1966, ch. 2).  Chart A's tau and both charts'
+# theta keep an outer search: the scan leaders and a tau grid, then step
+# halving.
 #
-# The objective is a Chebyshev (sup-norm) fit, so its value is set by a few
-# extremal nodes.  ``_RampObjective.value`` keeps the last _SCREEN_NODES
-# nodes at which a full pass found its max, and with a ``cutoff`` it first
-# recomputes the candidate's error at those nodes, newest first, with the
-# full pass's scalar operations.  The first error >= cutoff is a lower
-# bound of the sup, and it is returned at once.  The descents pass their
-# best value as the cutoff and only ask ``v < best``, and the coarse grids
-# pass the float just above theirs (so a screened candidate is strictly
-# worse and cannot tie).  A candidate that survives the screen gets the
-# full pass, so every accepted value is the exact sup.
+# An exchange keeps a reference of one element more than there are
+# coefficients.  A node element (k, s) is levelled at s (ramp_k - f_k) = h;
+# chart B's reference may also hold faces of its box, n . c = d.  The
+# reference's weights, which sum to 1 over its nodes, cancel the nodes'
+# signed gradients s a_k together with the face normals; while they are
+# >= 0, weak duality makes h a lower bound of the optimum.  Each pass lets
+# in the node of largest error (or, in chart B, else the face most
+# broken), and the element that leaves keeps the weights >= 0 and h
+# non-decreasing: in one dimension it is the line of the same slope sign,
+# in two the ratio test of the dual simplex method picks it.  An exchange
+# stops once no error exceeds h by more than the gap and 8 ulps of the
+# field, and every face holds to rounding; or when the element that would
+# enter is in the reference already (its error is h up to rounding), or
+# the largest error has no gradient, so that it bounds every fit from
+# below.  So its result is exact, and the final reference certifies it.
+# A singular reference, a cycle (only pivots that leave h where it was
+# can close one) and _MAX_EXCHANGES passes raise RampFitError; none is
+# skipped.
+#
+# In one dimension (``_line_fit``) node k has the error lines
+# +-(t g_k - e_k); the reference keeps the rising line of one node and
+# the falling line of another, and a cold start takes both lines of the
+# node of largest |g|.  In two (``_plane_fit``) an element is a node
+# (k, s) or a face len(f) + i of _FACES.  Its cold start is the optimum at
+# beta2 = 0, held there by whichever face of beta2 has a weight >= 0.  A
+# fit may be warm started from a nearby fit's reference, which changes
+# its passes, not its result; a warm reference that is ill-conditioned or
+# has a negative weight gives way to the cold start.  The solution meets
+# the box to rounding: it is clamped into the box, beta1 raised by ulps
+# until beta1 + beta2 >= C, and its error recomputed if that moved it.
+#
+# Stage 2 fits both charts at each leader: chart B once, chart A at each
+# of _TAU_GRID taus, each warm started from the one before, then by step
+# halving on tau.  Stage 3 polishes the best fit of each chart, over
+# (theta, tau) in chart A and over theta in chart B; chart A wins ties.
+# Step halving is a pattern search: one step along each coordinate, and
+# for two along both diagonals, clamped to the bounds; every strict
+# improvement is kept, and all steps halve when none helps, down to
+# _REFINE_TOL.  Each move is warm started from the last fit in its own
+# direction, the nearest reference while the best point stays.
 #
 # Search constants: the box bounds A, B, C of the charts below; the number
-# of angles of the theta scan; the coarse grid points per chart axis; the
-# step at which coordinate descent and the theta polish stop; the scan's
-# angles and their rotations; the node strides of the fine bound and of the
-# angle order; the angles per batch; the screened nodes.
+# of angles of the theta scan and of chart A's starting taus; the step at
+# which step halving stops; the scan's angles and their rotations; the
+# node strides of the fine bound and of the angle order; the angles per
+# batch; the relative gap at which an exchange stops; the rounding of a
+# coefficient on a face, or of a zero gradient; the inverse of the largest
+# condition number of a usable reference, and the smallest usable pivot
+# relative to the largest; the most passes of an exchange.
 
 _A = 4.0
 _B = 4.0
 _C = 0.05  # excludes the zero profile from the class
 _THETA_GRID = 360
-_COARSE = 32
-_REFINE_TOL = 1e-6
+_TAU_GRID = 32
+_REFINE_TOL = 1e-7
 _THETAS = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
 _COS = np.array([math.cos(t) for t in _THETAS.tolist()])
 _SIN = np.array([math.sin(t) for t in _THETAS.tolist()])
+_TAUS = np.linspace(-1.0, 0.0, _TAU_GRID).tolist()
 _BOUND_STRIDE = 16
 _ORDER_STRIDE = 64
 _SCAN_BATCH = 4
-_SCREEN_NODES = 16
+_GAP = 1e-13
+_EPS = float(np.finfo(float).eps)
+_ROUND = 8.0 * _EPS * max(_A, _B)
+_COLLINEAR = 1e-10
+_MAX_EXCHANGES = 64
+
+
+class RampFitError(ValueError):
+    """An exchange met a singular reference, cycled or did not converge."""
 
 
 # The admissible set splits into two charts once "beta2 != 0 forces tau = 0"
@@ -213,10 +255,10 @@ _SCREEN_NODES = 16
 #   chart A: beta2 = 0, s = tau in [-1, 0], beta1 in [C, A]
 #   chart B: tau = 0, s = beta2 in [0, B], beta1 in [0, A], beta1 + beta2 >= C
 # A row of _CHARTS holds the map (beta1, s) -> (beta1, beta2, tau), the box
-# of (beta1, s) and the stage-1 quick-grid points per axis.  Every stage
-# skips beta1 + beta2 < C, which chart A never reaches.  So every evaluated
-# candidate is admissible, and the returned distance is an upper bound for
-# the true infimum.
+# of (beta1, s) and the stage-1 grid points per axis.  Chart B's box has the
+# faces n . (beta1, beta2) <= d of _FACES.  Stage 1 skips beta1 + beta2 < C,
+# and stages 2 and 3 return points of the box only, so the returned distance
+# is the sup error of an admissible ramp: an upper bound for the infimum.
 class _Chart(NamedTuple):
     params: Callable  # (beta1, s) -> (beta1, beta2, tau)
     box: tuple        # ((beta1 lo, hi), (s lo, hi))
@@ -227,6 +269,7 @@ _CHARTS = (
     _Chart(lambda b1, s: (b1, 0.0, s), ((_C, _A), (-1.0, 0.0)), (12, 9)),
     _Chart(lambda b1, s: (b1, s, 0.0), ((0.0, _A), (0.0, _B)), (9, 9)),
 )
+_FACES = np.array([(-1.0, 0.0, 0.0), (1.0, 0.0, _A), (0.0, -1.0, 0.0), (0.0, 1.0, _B), (-1.0, -1.0, -_C)])
 
 
 def _chart_grid(chart: _Chart, n_beta1: int, n_s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +303,97 @@ def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X[mask], Y[mask], f.values[mask]
 
 
+def _line_fit(g: np.ndarray, e: np.ndarray, floor: float, ref=None) -> tuple[float, float, tuple]:
+    """min over t of max |t g - e| by the two-line exchange: (min, t, reference)."""
+    if ref is None or g[ref[0]] == 0.0 or g[ref[1]] == 0.0:
+        ref = (int(np.argmax(np.abs(g))),) * 2
+    u, d = ref
+    if g[u] == 0.0:
+        raise RampFitError("no node's error depends on the fitted coefficient")
+    for _ in range(_MAX_EXCHANGES):
+        gu, gd = float(g[u]), float(g[d])
+        eu = float(e[u]) if gu > 0.0 else -float(e[u])
+        ed = float(e[d]) if gd > 0.0 else -float(e[d])
+        t = (eu + ed) / (abs(gu) + abs(gd))
+        err = t * g - e
+        k = int(np.argmax(np.abs(err)))
+        top, rising = abs(float(err[k])), float(err[k]) * float(g[k]) > 0.0
+        if top <= t * abs(gu) - eu + _GAP * top + floor or abs(g[k]) <= _ROUND or k == (u if rising else d):
+            return top, t, (u, d)
+        u, d = (k, d) if rising else (u, k)
+    raise RampFitError(f"two-line exchange did not converge in {_MAX_EXCHANGES} passes")
+
+
+def _plane_fit(b: np.ndarray, x: np.ndarray, f: np.ndarray, floor: float, ref=None) -> tuple:
+    """min over chart B's box of max |beta1 b + beta2 x - f|: (min, (beta1, beta2), reference)."""
+    size = len(f)
+
+    def column(k, s):
+        # (basis column, right-hand side) of an element
+        if k < size:
+            return (s * b[k], s * x[k], 1.0), s * f[k]
+        n1, n2, bound = _FACES[k - size].tolist()
+        return (n1, n2, 0.0), bound
+
+    def solve(ref):
+        cols, rhs = zip(*(column(*elem) for elem in ref))
+        basis = np.array(cols).T
+        if np.linalg.cond(basis) < 1.0 / _COLLINEAR:
+            inv = np.linalg.inv(basis)
+            if inv[:, 2].min() >= -_GAP:
+                return basis, np.array(rhs), inv
+        return None
+
+    solved = None if ref is None else solve(ref)
+    if solved is None:
+        _, _, (u, d) = _line_fit(b, f, floor)
+        lines = ((u, 1.0 if b[u] > 0.0 else -1.0), (d, -1.0 if b[d] > 0.0 else 1.0))
+        for ref in (lines + ((size + 2, 1.0),), lines + ((size + 3, 1.0),)):
+            solved = solve(ref)
+            if solved is not None:
+                break
+        else:
+            raise RampFitError(f"no well-conditioned exchange reference to start from: {ref}")
+    basis, rhs, inv = solved
+    seen = set()
+    for _ in range(_MAX_EXCHANGES):
+        if frozenset(ref) in seen:
+            raise RampFitError(f"exchange cycled at {ref}")
+        seen.add(frozenset(ref))
+        z = inv.T @ rhs
+        z += inv.T @ (rhs - basis.T @ z)   # one refinement step
+        beta, h = z[:2], -z[2]
+        err = beta[0] * b + beta[1] * x - f
+        j = int(np.argmax(np.abs(err)))
+        top = abs(float(err[j]))
+        broken = _FACES[:, :2] @ beta - _FACES[:, 2]
+        enter = (j, 1.0 if err[j] > 0.0 else -1.0)
+        if top <= h + _GAP * top + floor or abs(b[j]) + abs(x[j]) <= _ROUND or enter in ref:
+            if broken.max() <= _ROUND:
+                return top, tuple(beta.tolist()), ref
+            enter = (size + int(np.argmax(broken)), 1.0)
+        col, r = column(*enter)
+        mu = inv @ col
+        ratio = np.divide(np.maximum(inv[:, 2], 0.0), mu, out=np.full(3, math.inf),
+                          where=mu > _COLLINEAR * np.abs(mu).max())   # a pivot of rounding size is no pivot
+        k = int(np.argmin(ratio))
+        inv -= np.outer(mu - np.eye(3)[k], inv[k] / mu[k])   # the basis inverse after the swap
+        basis[:, k], rhs[k] = col, r
+        ref = ref[:k] + (enter,) + ref[k + 1:]
+    raise RampFitError(f"three-element exchange did not converge in {_MAX_EXCHANGES} passes")
+
+
+class _Fit(NamedTuple):
+    value: float   # sup error of the ramp, which is admissible
+    beta1: float
+    beta2: float
+    tau: float
+    theta: float
+    ref: tuple     # the exchange reference: a warm start for a nearby fit
+
+
 class _RampObjective:
-    """sup |ramp(params) - f| over unit-disk nodes, for one rotation."""
+    """The unit-disk nodes of a field in one rotated frame, and the exact fits there."""
 
     def __init__(self, X, Y, fvals, lp, lm):
         self.X = X
@@ -269,149 +401,65 @@ class _RampObjective:
         self.fvals = fvals
         self.lp = lp
         self.lm = lm
-        self._qlm = 0.25 * lm
+        self.floor = 8.0 * _EPS * float(np.max(np.abs(fvals)))   # rounding of an error
         self._theta = None
-        self._x1 = None
+        self.x1 = None
         self._pos2 = None
-        self._base = {}
-        self._buf = np.empty_like(fvals)
-        self._lin = np.empty_like(fvals)
-        self._worst = []    # recent argmax node indices, newest first
-        self._screen = []   # (x1, pos2, f) at those nodes, as floats
 
     def set_theta(self, theta: float) -> None:
         if self._theta != theta:
             self._theta = theta
-            self._x1 = _rotated_x1(theta, self.X, self.Y)
-            self._pos2 = _pos_part(self._x1, self.lp)
-            self._base = {}
-            self._screen = [self._node(i) for i in self._worst]
-
-    def _node(self, i: int) -> tuple[float, float, float]:
-        return float(self._x1[i]), float(self._pos2[i]), float(self.fvals[i])
+            self.x1 = _rotated_x1(theta, self.X, self.Y)
+            self._pos2 = _pos_part(self.x1, self.lp)
 
     def base(self, tau: float) -> np.ndarray:
-        # pos2 - neg(tau), memoised per tau until the rotation changes:
-        # chart B always uses tau = 0, and chart A moves along beta1 keep tau
-        b = self._base.get(tau)
-        if b is None:
-            b = self._base[tau] = self._pos2 - _neg_part(self._x1, tau, self.lm)
-        return b
+        return self._pos2 - _neg_part(self.x1, tau, self.lm)
 
-    def value(self, beta1: float, beta2: float, tau: float, cutoff: float = math.inf) -> float:
-        """The sup, or some node's error once that error is >= ``cutoff``.
+    def fit_a(self, theta: float, tau: float, *, ref=None) -> _Fit:
+        """Chart A at (theta, tau): the exact beta1 over [C, A]."""
+        self.set_theta(theta)
+        b = self.base(tau)
+        val, t, ref = _line_fit(b, self.fvals, self.floor, ref)
+        beta1 = min(max(t, _C), _A)
+        if beta1 != t:
+            val = float(np.max(np.abs(beta1 * b - self.fvals)))
+        return _Fit(val, beta1, 0.0, tau, theta, ref)
 
-        The screen repeats the full pass's arithmetic on the recent worst
-        nodes (see the search notes above), so a returned value below
-        ``cutoff`` is always the exact sup.
-        """
-        if cutoff < math.inf:
-            qlm = self._qlm
-            for x1, pos2, f in self._screen:
-                n = x1 - tau
-                base = pos2 - qlm * n * n if n < 0.0 else pos2
-                if beta2:
-                    err = abs(beta1 * base + beta2 * x1 - f)
-                else:
-                    err = abs(beta1 * base - f)
-                if err >= cutoff:
-                    return err
-        buf = np.multiply(self.base(tau), beta1, out=self._buf)
-        if beta2:
-            buf += np.multiply(self._x1, beta2, out=self._lin)
-        buf -= self.fvals
-        np.abs(buf, out=buf)
-        k = int(buf.argmax())
-        self._remember(k)
-        return float(buf[k])
-
-    def _remember(self, k: int) -> None:
-        if k in self._worst:
-            j = self._worst.index(k)
-            del self._worst[j], self._screen[j]
-        self._worst.insert(0, k)
-        self._screen.insert(0, self._node(k))
-        del self._worst[_SCREEN_NODES:], self._screen[_SCREEN_NODES:]
-
-    def chart_batch(self, chart: _Chart) -> tuple[float, float]:
-        """Coarse scan of one chart; returns the (beta1, s) of its best candidate."""
-        beta1s, ss = _chart_grid(chart, _COARSE, _COARSE)
-        every = slice(None, None, _BOUND_STRIDE)
-        bound = _chart_sups(self._x1[every], self._pos2[every], self.fvals[every], self.lm, chart, beta1s, ss)
-        beta1s, ss = beta1s.tolist(), ss.tolist()
-        _, i, j = _pruned_argmin(bound, lambda i, j, cut: self.value(*chart.params(beta1s[j], ss[i]), cut))
-        return beta1s[j], ss[i]
+    def fit_b(self, theta: float, *, ref=None) -> _Fit:
+        """Chart B at theta: the exact (beta1, beta2) over its box."""
+        self.set_theta(theta)
+        b = self.base(0.0)
+        val, (t1, t2), ref = _plane_fit(b, self.x1, self.fvals, self.floor, ref)
+        beta1, beta2 = min(max(t1, 0.0), _A), min(max(t2, 0.0), _B)
+        while beta1 + beta2 < _C:
+            beta1 = math.nextafter(max(beta1, _C - beta2), math.inf)
+        if (beta1, beta2) != (t1, t2):
+            val = float(np.max(np.abs(beta1 * b + beta2 * self.x1 - self.fvals)))
+        return _Fit(val, beta1, beta2, 0.0, theta, ref)
 
 
-def _pruned_argmin(bound: np.ndarray, value) -> tuple[float, int, int]:
-    """(min, row, column) of ``value`` over a coarse chart grid.
-
-    ``bound[i, j]`` is a lower bound of candidate (i, j)'s value, and
-    ``value(i, j, cutoff)`` is its exact value or a number >= ``cutoff``.
-    Candidates are taken in order of increasing bound until the next bound
-    is strictly above the smallest exact value; ties go to the first
-    candidate in row-major order.
-    """
-    flat = bound.ravel()
-    vals = np.full(flat.size, math.inf)
-    ncol = bound.shape[1]
-    best = math.inf
-    for k in np.argsort(flat, kind="stable").tolist():
-        if flat[k] > best:
-            break
-        v = vals[k] = value(*divmod(k, ncol), math.nextafter(best, math.inf))
-        best = min(best, v)
-    k = int(np.argmin(vals))
-    return float(vals[k]), *divmod(k, ncol)
-
-
-def _descend(obj: _RampObjective, chart: _Chart, beta1, s, step1, step2):
-    """Coordinate descent with step halving on one chart, beta1 moving first.
-
-    Returns (value, beta1, beta2, tau); moves to beta1 + beta2 < C are skipped.
-    """
-    (lo1, hi1), (lo2, hi2) = chart.box
-    at = chart.params
-    best = obj.value(*at(beta1, s))
-    while step1 > _REFINE_TOL or step2 > _REFINE_TOL:
+def _step_halving(fit, found: _Fit, point: list, steps: list, lo: list, hi: list) -> _Fit:
+    """Pattern search of ``fit(*point, ref=...)`` over one or two coordinates (see above)."""
+    moves = [m for m in itertools.product((1, -1, 0), repeat=len(point)) if any(m)]
+    last = {}
+    while max(steps) > _REFINE_TOL:
         moved = False
-        for d in (+step1, -step1):
-            b1, b2, tau = at(min(max(beta1 + d, lo1), hi1), s)
-            if b1 + b2 >= _C:
-                v = obj.value(b1, b2, tau, best)
-                if v < best:
-                    best, beta1, moved = v, b1, True
-        for d in (+step2, -step2):
-            ns = min(max(s + d, lo2), hi2)
-            b1, b2, tau = at(beta1, ns)
-            if b1 + b2 >= _C:
-                v = obj.value(b1, b2, tau, best)
-                if v < best:
-                    best, s, moved = v, ns, True
+        for m in moves:
+            cand = [min(max(p + k * s, a), b) for p, k, s, a, b in zip(point, m, steps, lo, hi)]
+            if cand == point:
+                continue
+            got = last[m] = fit(*cand, ref=last[m].ref if m in last else found.ref)
+            if got.value < found.value:
+                found, point, moved = got, cand, True
         if not moved:
-            step1 *= 0.5
-            step2 *= 0.5
-    return (best, *at(beta1, s))
-
-
-def _search_fixed_theta(obj, theta):
-    """Coarse grid and descent on every chart at one angle; chart A wins ties."""
-    obj.set_theta(theta)
-    best = None
-    for chart in _CHARTS:
-        (lo1, hi1), (lo2, hi2) = chart.box
-        step = max(hi1 - lo1, hi2 - lo2) / (_COARSE - 1)
-        found = _descend(obj, chart, *obj.chart_batch(chart), step, step)
-        if best is None or found[0] < best[0]:
-            best = found
-    return best
+            steps = [0.5 * s for s in steps]
+    return found
 
 
 def _quick_values(X, Y, fvals, lp, lm, rows: np.ndarray) -> np.ndarray:
     """Stage-1 value of each angle index in ``rows`` over the given nodes.
 
-    min over the quick grids of every chart of max |ramp - f|, with the
-    elementwise arithmetic of ``_RampObjective`` at one angle.
+    min over the quick grids of every chart of max |ramp - f|.
     """
     x1 = _COS[rows, None] * X - _SIN[rows, None] * Y
     pos2 = _pos_part(x1, lp)
@@ -444,23 +492,11 @@ def dist_to_M(
 ) -> tuple[float, GlobalProfile]:
     """Sup-norm distance on the unit disk to the rotated ramp class.
 
-    Returns (distance, best profile).  Stage 1 scans a uniform grid of
-    360 angles with a cheap inner search (a few coarse chart grids on a
-    node subsample) and keeps the three angles of smallest value, ties
-    going to the lower angle.  Stage 2 re-searches the leaders at full
-    resolution over both charts (a 32 x 32 coarse parameter grid, then
-    coordinate descent with step halving), and stage 3 polishes theta
-    locally by step halving.
-
-    Every stage is exact but screened.  Angles and coarse candidates are
-    taken in order of a lower bound from a node subset and skipped once
-    the bound is strictly above the values still in play.  Each descent
-    move is first tested on the nodes where recent full passes found
-    their max, and is rejected as soon as one of them already reaches
-    the best value.  A bound or a screened error repeats the full pass's
-    arithmetic on fewer nodes, so it never exceeds the true sup, bit for
-    bit: the result is the one an unscreened search of every candidate
-    returns.
+    Returns (distance, best profile): a scan of 360 angles, an exact
+    inner solve for (beta1, beta2), and a local search of theta and tau
+    (see the notes above).  The distance is the sup error of the returned
+    profile, which is admissible, so it bounds the true infimum from
+    above; it is exact over (beta1, beta2) at the returned theta and tau.
     """
     X, Y, fvals = _disk_nodes(f)
 
@@ -468,37 +504,29 @@ def dist_to_M(
     sub = slice(None, None, 4) if X.size > 2000 else slice(None)
     scan = _theta_scan(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
 
-    # stage 2: full-resolution search at the leading angles
-    order = np.argsort(scan, kind="stable")
-    leaders = [float(_THETAS[k]) for k in order[:3]]
+    # stage 2: exact fits at the leading angles, the best of each chart kept
     obj = _RampObjective(X, Y, fvals, lambda_plus, lambda_minus)
-    best = None
-    for th in leaders:
-        val, b1, b2, tau = _search_fixed_theta(obj, th)
-        if best is None or val < best[0]:
-            best = (val, b1, b2, tau, th)
+    best_a = best_b = None
+    for k in np.argsort(scan, kind="stable")[:3].tolist():
+        theta = float(_THETAS[k])
+        a = fit = obj.fit_a(theta, _TAUS[0])
+        for tau in _TAUS[1:]:
+            fit = obj.fit_a(theta, tau, ref=fit.ref)
+            a = fit if fit.value < a.value else a
+        a = _step_halving(partial(obj.fit_a, theta), a, [a.tau], [1.0 / (_TAU_GRID - 1)], [-1.0], [0.0])
+        b = obj.fit_b(theta)
+        best_a = a if best_a is None or a.value < best_a.value else best_a
+        best_b = b if best_b is None or b.value < best_b.value else best_b
 
-    # stage 3: polish theta with step halving, re-descending the chart at
-    # each accepted move
-    val, b1, b2, tau, th = best
+    # stage 3: polish each chart's best fit
     step = 2.0 * math.pi / _THETA_GRID
-    while step > _REFINE_TOL:
-        moved = False
-        for d in (+step, -step):
-            cand_th = th + d
-            v, nb1, nb2, ntau = _search_theta_local(obj, cand_th, b1, b2, tau)
-            if v < val:
-                val, b1, b2, tau, th = v, nb1, nb2, ntau, cand_th
-                moved = True
-        if not moved:
-            step *= 0.5
-    prof = GlobalProfile(b1, b2, tau, th, lambda_plus, lambda_minus)
-    return val, prof
-
-
-def _search_theta_local(obj, theta, beta1, beta2, tau):
-    """Re-optimize ramp parameters at a nearby theta, warm-started on their chart."""
-    obj.set_theta(theta)
-    chart, s = (_CHARTS[0], tau) if beta2 == 0.0 else (_CHARTS[1], beta2)
-    (lo, hi), _ = chart.box
-    return _descend(obj, chart, min(max(beta1, lo), hi), s, 0.05, 0.05)
+    best_a = _step_halving(obj.fit_a, best_a, [best_a.theta, best_a.tau], [step, step],
+                           [-math.inf, -1.0], [math.inf, 0.0])
+    best_b = _step_halving(obj.fit_b, best_b, [best_b.theta], [step], [-math.inf], [math.inf])
+    finals = [best_a, best_b]
+    if best_a.tau == 0.0:
+        # chart A at tau = 0 is chart B's edge beta2 = 0: chart B's fit at
+        # that angle makes the result exact over both coefficients
+        finals.insert(1, obj.fit_b(best_a.theta))
+    best = min(finals, key=lambda fit: fit.value)
+    return best.value, GlobalProfile(best.beta1, best.beta2, best.tau, best.theta, lambda_plus, lambda_minus)

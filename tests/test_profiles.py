@@ -1,4 +1,5 @@
 """Profile/polynomial evaluation, validation, and class-distance search."""
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from membranelab import (
     GlobalProfile,
     OnePhasePolynomial,
+    blowup_rescale,
     build_grid,
     dist_to_M,
     eval_many,
@@ -153,8 +155,9 @@ def test_dist_to_mstar_member_is_zero():
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(0.8, 0.0, -0.3, 0.0, 2.0, 2.0)
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY))
-    # refinement stops on objective stall, so an off-lattice member lands
-    # near but not at zero; anything far below tol_dist = 0.1 is a match
+    # beta1 is solved exactly, but tau comes from a grid and step halving
+    # that stops at a step of 1e-7, so an off-grid member lands near but
+    # not at zero; anything far below tol_dist = 0.1 is a match
     val, best = dist_to_M(f)
     assert val < 1e-3
     assert best.beta1 == pytest.approx(0.8, abs=5e-3)
@@ -210,13 +213,19 @@ def test_dist_to_m_recovers_rotation():
 
 
 # ---------------------------------------------------------------------------
-# The unscreened search: a test-local oracle for dist_to_M
+# The descent search: a test-local oracle for dist_to_M
 # ---------------------------------------------------------------------------
 #
-# The search as it was before any screen or pruning: a full pass over every
-# disk node for each candidate, the full coarse chart grids and the full
-# 360-angle loop of stage 1.  The package's search must return the same
-# bits on every input.
+# The search as it was before the exact inner solve, without its screens
+# or pruning: the full 360-angle loop of stage 1, then 32 x 32 coarse chart
+# grids and coordinate descent with step halving, with a full pass over
+# every disk node for each candidate.  The descent stalls at the kinks of
+# the sup-norm objective, so it can overstate the distance.  The package's
+# search must never return more than the oracle, up to 1e-12, and its
+# profile must be admissible.
+
+ORACLE_COARSE = 32
+ORACLE_REFINE_TOL = 1e-6
 
 
 class OracleObjective:
@@ -275,7 +284,7 @@ class OracleObjective:
 
 
 def oracle_descend_chart_a(obj, beta1, tau, step_b, step_t):
-    A, C, tol = profiles._A, profiles._C, profiles._REFINE_TOL
+    A, C, tol = profiles._A, profiles._C, ORACLE_REFINE_TOL
     best = obj.value(beta1, 0.0, tau)
     while step_b > tol or step_t > tol:
         moved = False
@@ -296,7 +305,7 @@ def oracle_descend_chart_a(obj, beta1, tau, step_b, step_t):
 
 
 def oracle_descend_chart_b(obj, beta1, beta2, step1, step2):
-    A, B, C, tol = profiles._A, profiles._B, profiles._C, profiles._REFINE_TOL
+    A, B, C, tol = profiles._A, profiles._B, profiles._C, ORACLE_REFINE_TOL
     best = obj.value(beta1, beta2, 0.0)
     while step1 > tol or step2 > tol:
         moved = False
@@ -321,7 +330,7 @@ def oracle_descend_chart_b(obj, beta1, beta2, step1, step2):
 
 
 def oracle_search_fixed_theta(obj, theta):
-    A, B, C, n = profiles._A, profiles._B, profiles._C, profiles._COARSE
+    A, B, C, n = profiles._A, profiles._B, profiles._C, ORACLE_COARSE
     obj.set_theta(theta)
     va, b1a, ta = obj.chart_a_batch(np.linspace(-1.0, 0.0, n), np.linspace(C, A, n))
     step = max((A - C) / (n - 1), 1.0 / (n - 1))
@@ -374,7 +383,7 @@ def oracle_dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0):
             best = (val, b1, b2, tau, th)
     val, b1, b2, tau, th = best
     step = 2.0 * math.pi / profiles._THETA_GRID
-    while step > profiles._REFINE_TOL:
+    while step > ORACLE_REFINE_TOL:
         moved = False
         for d in (+step, -step):
             v, nb1, nb2, ntau = oracle_search_theta_local(obj, th + d, b1, b2, tau)
@@ -453,16 +462,80 @@ def test_theta_scan_tie_goes_to_the_lower_angle():
 
 
 # ---------------------------------------------------------------------------
-# The screened search against the unscreened oracle
+# The exact search against the descent oracle and its optimality certificate
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", list(SCAN_CASES))
-def test_dist_to_M_matches_the_unscreened_search(name):
-    n, fn, lp, lm, _ = SCAN_CASES[name]
+# three more fields whose best fit sits on a face of the parameter box
+# (beta1 = A, beta2 = B, beta1 = 0)
+BOX_FACE_CASES = {
+    **SCAN_CASES,
+    "steeper_than_beta1_box": (33, ramp_fn(beta1=6.0), 2.0, 2.0, True),
+    "steeper_than_beta2_box": (33, lambda X, Y: 6.0 * X, 2.0, 2.0, True),
+    "linear": (33, lambda X, Y: X, 2.0, 2.0, True),
+}
+
+
+def node_errors(f, prof):
+    """Signed errors ramp - f of a profile on the disk nodes, and their gradients in (beta1, beta2)."""
+    X, Y, fvals = profiles._disk_nodes(f)
+    err = eval_profile_many(prof, X, Y) - fvals
+    unit = GlobalProfile(1.0, 0.0, prof.tau, prof.theta, prof.lambda_plus, prof.lambda_minus)
+    x1 = math.cos(prof.theta) * X - math.sin(prof.theta) * Y
+    return err, np.column_stack([eval_profile_many(unit, X, Y), x1]), fvals
+
+
+def assert_admissible(f, got):
+    # the profile lies in the class and the box, and the distance is its
+    # recomputed sup error
+    dist, prof = got
+    GlobalProfile(prof.beta1, prof.beta2, prof.tau, prof.theta, prof.lambda_plus, prof.lambda_minus)
+    assert prof.beta1 + prof.beta2 >= profiles._C
+    assert prof.beta1 <= profiles._A and prof.beta2 <= profiles._B
+    err, _, _ = node_errors(f, prof)
+    assert abs(float(np.max(np.abs(err))) - dist) <= 1e-14
+
+
+def assert_optimal_coefficients(f, got):
+    """Certificate that (beta1, beta2) is optimal at the returned theta and tau.
+
+    The nodes whose error is within 1e-12 relative of the max (and of 8
+    ulps of the field, the rounding of an error) are the active ones.  0
+    must lie in the convex hull of their signed gradients plus the cone of
+    the outward normals of the active box faces; at tau < 0, beta2 = 0 is an
+    equality, so both of its normals count.  By Caratheodory a certificate
+    needs at most three of these vectors, so every subset of up to three is
+    tried for nonnegative weights.
+    """
+    dist, prof = got
+    err, grad, fvals = node_errors(f, prof)
+    top = float(np.max(np.abs(err)))
+    near = np.abs(err) >= top - (1e-12 * top + 8 * np.finfo(float).eps * float(np.max(np.abs(fvals))))
+    grads = np.unique(np.sign(err[near])[:, None] * grad[near], axis=0)
+    b1, b2, A, B, C = prof.beta1, prof.beta2, profiles._A, profiles._B, profiles._C
+    faces = {(1.0, 0.0): b1 == A, (-1.0, 0.0): b1 == 0.0 or (prof.tau != 0.0 and b1 == C),
+             (0.0, -1.0): b2 == 0.0, (0.0, 1.0): b2 == B or prof.tau != 0.0,
+             (-1.0, -1.0): b1 + b2 <= C * (1.0 + 1e-15)}
+    cols = [(g[0], g[1], 1.0) for g in grads] + [(n1, n2, 0.0) for (n1, n2), on in faces.items() if on]
+    target = np.array([0.0, 0.0, 1.0])
+    for size in (1, 2, 3):
+        for sub in itertools.combinations(range(len(cols)), size):
+            if sub[0] >= len(grads):
+                continue
+            M = np.array([cols[i] for i in sub]).T
+            w = np.linalg.lstsq(M, target, rcond=None)[0]
+            if np.linalg.norm(M @ w - target) <= 1e-9 and w.min() >= -1e-9:
+                return
+    raise AssertionError(f"no optimality certificate for {prof} at distance {dist}")
+
+
+@pytest.mark.parametrize("name", list(BOX_FACE_CASES))
+def test_dist_to_M_never_exceeds_the_descent_oracle(name):
+    n, fn, lp, lm, _ = BOX_FACE_CASES[name]
     f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn)
     got = dist_to_M(f, lambda_plus=lp, lambda_minus=lm)
-    assert repr(got) == repr(oracle_dist_to_M(f, lp, lm))
+    assert got[0] <= oracle_dist_to_M(f, lp, lm)[0] + 1e-12
+    assert_admissible(f, got)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -473,75 +546,85 @@ def test_dist_to_M_matches_the_unscreened_search(name):
     noise=st.sampled_from([0.0, 1e-3, 3e-2]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_dist_to_M_fuzz_matches_the_unscreened_search(beta1, tau, theta, noise, seed):
+def test_dist_to_M_fuzz_never_exceeds_the_descent_oracle(beta1, tau, theta, noise, seed):
     ramp = ramp_fn(beta1=beta1, tau=tau, theta=theta)
     rng = np.random.default_rng(seed)
     f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33),
                lambda X, Y: ramp(X, Y) + noise * rng.standard_normal(X.shape))
-    assert repr(dist_to_M(f)) == repr(oracle_dist_to_M(f))
+    got = dist_to_M(f)
+    assert got[0] <= oracle_dist_to_M(f)[0] + 1e-12
+    assert_admissible(f, got)
+    assert_optimal_coefficients(f, got)
 
 
-def test_screen_and_pruned_grids_do_the_work(monkeypatch):
-    # on a ramp blow-up almost every descent move is rejected on the
-    # recent worst nodes, and the coarse grids evaluate few of their
-    # candidates in full
-    counts = {"value": 0, "full": 0}
-    exact_per_grid = []
-    value, remember, pruned = (profiles._RampObjective.value,
-                               profiles._RampObjective._remember, profiles._pruned_argmin)
-
-    def counting_value(self, *args):
-        counts["value"] += 1
-        return value(self, *args)
-
-    def counting_remember(self, k):
-        counts["full"] += 1   # one per full pass
-        remember(self, k)
-
-    def counting_pruned(bound, fn):
-        seen = []
-        out = pruned(bound, lambda *args: seen.append(args) or fn(*args))
-        exact_per_grid.append((len(seen), bound.size))
-        return out
-
-    monkeypatch.setattr(profiles._RampObjective, "value", counting_value)
-    monkeypatch.setattr(profiles._RampObjective, "_remember", counting_remember)
-    monkeypatch.setattr(profiles, "_pruned_argmin", counting_pruned)
-    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65), ramp_fn(tau=-0.3, theta=0.7))
-    dist_to_M(f)
-    assert counts["full"] < 0.1 * counts["value"]
-    assert len(exact_per_grid) == 6   # two charts at each of three leaders
-    for n_exact, size in exact_per_grid:
-        assert size == profiles._COARSE ** 2
-        assert n_exact < size // 8
+@pytest.mark.parametrize("name", list(BOX_FACE_CASES))
+def test_returned_coefficients_carry_an_optimality_certificate(name):
+    n, fn, lp, lm, _ = BOX_FACE_CASES[name]
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn)
+    assert_optimal_coefficients(f, dist_to_M(f, lambda_plus=lp, lambda_minus=lm))
 
 
-# three more fields whose best fit sits on a face of the parameter box
-# (beta1 = A, beta2 = B, beta1 = 0), where the descent proposes moves past it
-BOX_FACE_CASES = {
-    **SCAN_CASES,
-    "steeper_than_beta1_box": (33, ramp_fn(beta1=6.0), 2.0, 2.0, True),
-    "steeper_than_beta2_box": (33, lambda X, Y: 6.0 * X, 2.0, 2.0, True),
-    "linear": (33, lambda X, Y: X, 2.0, 2.0, True),
-}
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("y0", [-0.2, 0.1])
+def test_dist_to_M_is_exact_on_profile_blowups(profile_solutions, n, y0):
+    # coordinate descent stopped at (beta1, beta2) = (1.3032, 0) with
+    # 6.351e-4: no move along one coordinate helps there.  The optimum at
+    # theta = 0 is 5.670e-4 at (1.2974, 0.00227).
+    _, spec, u, _ = profile_solutions[n]
+    v0 = blowup_rescale(u, (0.0, y0), 16 * spec.grid.h, build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65))
+    got = dist_to_M(v0)
+    assert got[0] <= 5.671e-4
+    assert_admissible(v0, got)
+    assert_optimal_coefficients(v0, got)
 
 
 @pytest.mark.parametrize("name", list(BOX_FACE_CASES))
 def test_every_evaluated_candidate_is_admissible(name, monkeypatch):
     # the returned distance bounds the true infimum from above only if every
-    # candidate the search evaluates lies in the class and its parameter box
+    # fit the search compares is an admissible ramp and carries its sup error
     n, fn, lp, lm, _ = BOX_FACE_CASES[name]
-    seen = set()
-    value = profiles._RampObjective.value
+    seen = []
 
-    def recording_value(self, beta1, beta2, tau, *cutoff):
-        seen.add((beta1, beta2, tau))
-        return value(self, beta1, beta2, tau, *cutoff)
+    def recording(fit):
+        def wrapped(self, *args, **kwargs):
+            got = fit(self, *args, **kwargs)
+            seen.append((self, got))
+            return got
+        return wrapped
 
-    monkeypatch.setattr(profiles._RampObjective, "value", recording_value)
+    for method in ("fit_a", "fit_b"):
+        monkeypatch.setattr(profiles._RampObjective, method, recording(getattr(profiles._RampObjective, method)))
     dist_to_M(sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn), lambda_plus=lp, lambda_minus=lm)
     assert seen
-    for beta1, beta2, tau in seen:
-        GlobalProfile(beta1, beta2, tau, 0.0, lp, lm)   # raises outside the class
-        assert beta1 + beta2 >= profiles._C
-        assert beta1 <= profiles._A and beta2 <= profiles._B
+    for obj, fit in seen:
+        prof = GlobalProfile(fit.beta1, fit.beta2, fit.tau, fit.theta, lp, lm)   # raises outside the class
+        assert fit.beta1 + fit.beta2 >= profiles._C
+        assert fit.beta1 <= profiles._A and fit.beta2 <= profiles._B
+        ramp = eval_profile_many(prof, obj.X, obj.Y)
+        assert float(np.max(np.abs(ramp - obj.fvals))) == pytest.approx(fit.value, rel=0.0, abs=1e-14)
+
+
+def test_a_singular_reference_raises():
+    # no node's error depends on the coefficients: no reference solves, and
+    # the error is typed rather than skipped
+    x = np.linspace(-1.0, 1.0, 9)
+    f = np.cos(3.0 * x)
+    with pytest.raises(profiles.RampFitError):
+        profiles._plane_fit(np.zeros_like(x), np.zeros_like(x), f, 0.0)
+    with pytest.raises(profiles.RampFitError):
+        profiles._line_fit(np.zeros_like(x), f, 0.0)
+
+
+def test_a_singular_warm_reference_gives_way_to_the_cold_start():
+    # at theta = 0 the rotated coordinate repeats down each grid column, and
+    # the nodes of largest and smallest x1 and of largest |f| have collinear
+    # gradients (b, x1): that reference has no 3 x 3 system
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33), lambda X, Y: X * np.abs(X) + 0.1 * Y * Y)
+    X, Y, fvals = profiles._disk_nodes(f)
+    obj = profiles._RampObjective(X, Y, fvals, 2.0, 2.0)
+    obj.set_theta(0.0)
+    b, x1 = obj.base(0.0), obj.x1
+    naive = tuple((int(k), 1.0) for k in (np.argmax(x1), np.argmin(x1), np.argmax(np.abs(fvals))))
+    assert np.linalg.matrix_rank(np.array([b[[k for k, _ in naive]], x1[[k for k, _ in naive]]])) == 1
+    cold = profiles._plane_fit(b, x1, fvals, obj.floor)
+    assert profiles._plane_fit(b, x1, fvals, obj.floor, naive) == cold

@@ -41,3 +41,24 @@ def test_numerical_modules_write_no_files():
                 assert called != "open", f"{name}.py calls open (line {node.lineno})"
             used = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
             assert "float_repr" not in used, f"{name}.py uses float_repr"
+
+
+def test_runtime_imports_are_stdlib_numpy_or_the_package():
+    # numpy is the only runtime dependency: an import of anything else
+    # (scipy, say, for a linear program) would pass every other test here
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "membranelab")
+    allowed = set(sys.stdlib_module_names) | {"numpy", "membranelab"}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue   # relative imports stay inside the package
+            for top in tops:
+                assert top in allowed, f"{name} imports {top} (line {node.lineno})"
