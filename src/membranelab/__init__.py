@@ -59,7 +59,6 @@ from .freeboundary import (
     circle_trace,
     classify_point,
     covering_count,
-    default_thresholds,
     dist_to_polynomial_class,
     extract_free_boundary,
     fit_two_graphs,

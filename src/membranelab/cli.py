@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import (
+    LADDER_STEPS,
     MIN_EPS_STEPS,
     MIN_WINDOW_STEPS,
     FieldAnalysis,
@@ -29,7 +30,6 @@ from .freeboundary import (
     classify_point,
     covering_count,
     circle_trace,
-    default_thresholds,
     extract_free_boundary,
     fit_two_graphs,
     perimeter_estimate,
@@ -226,8 +226,8 @@ def load_config(path: str) -> ExperimentConfig:
         point = _get(cp, "diagnostics", "point", _floats, default=(0.0, 0.0))
         if len(point) != 2:
             raise ConfigError("diagnostics.point: need exactly two coordinates")
-        radii = _get(cp, "diagnostics", "radii", _floats, default=()) or (
-            32.0 * grid.h, 16.0 * grid.h, 8.0 * grid.h)
+        radii = _get(cp, "diagnostics", "radii", _floats, default=()) or tuple(
+            k * grid.h for k in LADDER_STEPS)
         if any(r <= 0.0 for r in radii):
             raise ConfigError("diagnostics.radii: need positive radii")
         if any(radii[k + 1] >= radii[k] for k in range(len(radii) - 1)):
@@ -441,16 +441,18 @@ def _family_fn(family: str, k: int):
     return lambda X, Y: np.sin(k * math.pi * Y)
 
 
-def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, budget: int) -> list:
+def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, window: float, budget: int) -> list:
     """Pick up to ``budget`` classification targets on the reference curve.
 
-    Vertices are filtered so every ladder ball stays inside the grid, then
-    strided evenly in lexicographic order for determinism.
+    Vertices are kept only at least max(r_max, window) + 2h inside the grid,
+    so every ladder ball of radius up to ``r_max`` and every graph-fit
+    window of half-width ``window`` around a target stays inside it.  The
+    rest are strided evenly in lexicographic order for determinism.
     """
     pts = fb.all_vertices()
     if pts.shape[0] == 0:
         return []
-    margin = r_max + 2.0 * grid.h
+    margin = max(r_max, window) + 2.0 * grid.h
     keep = (
         (pts[:, 0] >= grid.x_min + margin) & (pts[:, 0] <= grid.x_max - margin)
         & (pts[:, 1] >= grid.y_min + margin) & (pts[:, 1] <= grid.y_max - margin)
@@ -466,9 +468,9 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, budget: i
 def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> StabilityReport:
     """Boundary perturbation sweep against a classified reference solve.
 
-    ``fa_ref`` holds the solved field of ``config``'s own problem; its
-    ``tol_zero`` contours every field of the sweep.  The reference free
-    boundary is classified first; any one-phase singular
+    ``fa_ref`` holds the solved field of ``config``'s own problem; each
+    perturbed problem is its ``spec`` with new boundary data.  The
+    reference free boundary is classified first; any one-phase singular
     point aborts the sweep.  Each row re-solves with perturbed data,
     checks the comparison principle, measures the free boundary
     displacement, and refits graphs at the reference branch points.
@@ -476,18 +478,18 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     if config.sweep is None:
         raise ConfigError("sweep: section required for stability_sweep")
     u_ref = fa_ref.u
-    g = u_ref.grid
-    spec = config.problem(g)
+    spec = fa_ref.spec
+    g = spec.grid
     fb_ref = fa_ref.free_boundary
     ref_chains = list(fb_ref.plus_boundary) + list(fb_ref.minus_boundary)
 
     h = g.h
-    radii = (32.0 * h, 16.0 * h, 8.0 * h)
-    thresholds = default_thresholds(h, config.lambda_plus, config.lambda_minus)
-    points = _reference_points(fb_ref, g, radii[0], config.sweep["classify_budget"])
+    radii = tuple(k * h for k in LADDER_STEPS)
+    window = config.sweep["window"]
+    points = _reference_points(fb_ref, g, radii[0], window, config.sweep["classify_budget"])
     labels = []
     for p in points:
-        cls = classify_point(fa_ref, p, RadiusLadder(p, radii), thresholds)
+        cls = classify_point(fa_ref, RadiusLadder(p, radii))
         labels.append(cls.label)
         if cls.label == "one_phase_singular":
             raise SweepHypothesisError(
@@ -497,22 +499,18 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     branch_points = [p for p, lab in zip(points, labels) if lab == "branch"][:3]
 
     fam = _family_fn(config.sweep["family"], config.sweep["k"])
-    window = config.sweep["window"]
     rows = []
     for delta in config.sweep["amplitudes"]:
-        bc_d = spec.boundary.perturbed(fam, delta)
-        u_d, _ = solve(dataclasses.replace(spec, boundary=bc_d))
-        cmp = comparison_check(u_ref, u_d, spec.boundary, bc_d, tol_linear=config.tol_linear)
-        fa_d = FieldAnalysis(u_d, fa_ref.tol_zero)
+        spec_d = dataclasses.replace(spec, boundary=spec.boundary.perturbed(fam, delta))
+        u_d, _ = solve(spec_d)
+        cmp = comparison_check(u_ref, u_d, spec.boundary, spec_d.boundary, tol_linear=spec.tol_linear)
+        fa_d = FieldAnalysis(u_d, spec_d)
         fb_d = fa_d.free_boundary
         chains_d = list(fb_d.plus_boundary) + list(fb_d.minus_boundary)
         dist = hausdorff_distance(ref_chains, chains_d)
         summaries = []
         for p in branch_points:
-            fit = fit_two_graphs(
-                fa_d, p, window,
-                lambda_plus=config.lambda_plus, lambda_minus=config.lambda_minus,
-            )
+            fit = fit_two_graphs(fa_d, p, window)
             summaries.append({
                 "point": [p[0], p[1]],
                 "theta": fit.theta,
@@ -558,21 +556,17 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
 
     ladder = RadiusLadder(point, dp["radii"])
     if "phi_ladder" in config.diagnostics:
-        prof = phi_ladder(u, fa.gradients, point, ladder, config.lambda_plus, config.lambda_minus)
+        prof = phi_ladder(u, fa.gradients, ladder, fa.spec.lambda_plus, fa.spec.lambda_minus)
         _write_ladder(prof, os.path.join(out, "phi_ladder.csv"))
     if "psi_ladder" in config.diagnostics:
-        (prof,) = directional_psi(fa.gradients, point, ladder, [(1.0, 0.0)])
+        (prof,) = directional_psi(fa.gradients, ladder, [(1.0, 0.0)])
         _write_ladder(prof, os.path.join(out, "psi_ladder.csv"))
     if "classify" in config.diagnostics:
-        thresholds = default_thresholds(g.h, config.lambda_plus, config.lambda_minus)
-        cls = classify_point(fa, point, ladder, thresholds)
+        cls = classify_point(fa, ladder)
         record = {"point": point, "class": cls.label, "evidence": cls.evidence}
         write_json([record], os.path.join(out, "classification.json"))
     if "graphs" in config.diagnostics:
-        fit = fit_two_graphs(
-            fa, point, dp["window"],
-            lambda_plus=config.lambda_plus, lambda_minus=config.lambda_minus,
-        )
+        fit = fit_two_graphs(fa, point, dp["window"])
         write_json(fit, os.path.join(out, "graphs.json"))
     if "xi" in config.diagnostics:
         phi = circle_trace(u, point, dp["xi_rotation"], dp["xi_r"], dp["xi_m"])
@@ -599,7 +593,7 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
         u, report = solve(spec)
         dump_field_csv(u, os.path.join(config.output_dir, "field.csv"))
         write_json(report, os.path.join(config.output_dir, "solve_report.json"))
-        fa = FieldAnalysis(u, spec.tol_zero)
+        fa = FieldAnalysis(u, spec)
         if mode == "diagnose":
             _run_diagnostics(config, fa)
         elif mode == "sweep":
@@ -647,13 +641,14 @@ def selftest() -> int:
     gs = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
     poly = OnePhasePolynomial(0.25, 0.0, 0.25, 1)
     bc = BoundaryMap.from_callable(gs, lambda X, Y: eval_many(poly, X, Y))
-    u_p, _ = solve(ProblemSpec(gs, bc, 2.0, 2.0))
+    spec = ProblemSpec(gs, bc, 2.0, 2.0)
+    u_p, _ = solve(spec)
     exact = sample(gs, lambda X, Y: eval_many(poly, X, Y))
     err = float(np.max(np.abs(u_p.values - exact.values)))
     checks.append(("one-phase polynomial reproduced by the solver", err < 1e-8))
 
     u_line = sample(gs, lambda X, Y: eval_many(prof, X, Y))
-    fb = extract_free_boundary(u_line, 4e-10)
+    fb = extract_free_boundary(u_line, spec.tol_zero)
     verts = fb.all_vertices()
     checks.append(("free boundary of the profile on the zero line",
                    verts.shape[0] > 0 and float(np.max(np.abs(verts[:, 0]))) <= gs.h))

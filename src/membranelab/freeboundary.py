@@ -26,6 +26,7 @@ from .monotonicity import (
     directional_psi,
 )
 from .profiles import OnePhasePolynomial, _disk_nodes, dist_to_M
+from .solver import ProblemSpec
 
 
 class ZeroSetEmptyError(ValueError):
@@ -189,17 +190,22 @@ def extract_free_boundary(u: ScalarField, tol_zero: float) -> FreeBoundarySet:
 
 
 class FieldAnalysis:
-    """A solved field and what the analysis derives from it, each built once.
+    """A solved field, its problem, and what the analysis derives from them.
 
-    ``gradients`` (``gradient_fields`` of ``u``) and ``free_boundary`` (its
-    contours at the +-``tol_zero`` levels) are computed on first use and
-    kept, so every classification, graph fit and estimate on the field
+    ``spec`` is the ``ProblemSpec`` the field solves: its zero band
+    ``tol_zero`` sets the contours and its phase coefficients set the ramp
+    class every blow-up is measured against.  ``gradients`` (``gradient_fields``
+    of ``u``), ``free_boundary`` (its contours at the +-``tol_zero`` levels)
+    and ``thresholds`` (the classification cuts) are computed on first use
+    and kept, so every classification, graph fit and estimate on the field
     shares them.  Nothing tied to a query point is kept.
     """
 
-    def __init__(self, u: ScalarField, tol_zero: float):
+    def __init__(self, u: ScalarField, spec: ProblemSpec):
+        if u.grid != spec.grid:
+            raise ValueError("field grid differs from problem grid")
         self.u = u
-        self.tol_zero = tol_zero
+        self.spec = spec
 
     @cached_property
     def gradients(self) -> tuple[ScalarField, ScalarField]:
@@ -207,7 +213,22 @@ class FieldAnalysis:
 
     @cached_property
     def free_boundary(self) -> FreeBoundarySet:
-        return extract_free_boundary(self.u, self.tol_zero)
+        return extract_free_boundary(self.u, self.spec.tol_zero)
+
+    @cached_property
+    def thresholds(self) -> ClassifyThresholds:
+        """Grid-anchored classification cuts.
+
+        The gradient cut sits above discretization noise, the decay cut at
+        1% of the generic product scale pi^2/4, and the blow-up distance cut
+        at 0.1 on the normalized unit disk.
+        """
+        s = self.spec
+        return ClassifyThresholds(
+            tol_grad=10.0 * s.grid.h * (s.lambda_plus + s.lambda_minus),
+            tol_psi=1e-2 * _PSI_REF,
+            tol_dist=0.1,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -233,30 +254,15 @@ _BLOWUP_GRID = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
 MIN_WINDOW_STEPS = 8.0
 MIN_EPS_STEPS = 2.0
 
+# The default classification ladder, in grid steps, largest radius first.
+LADDER_STEPS = (32.0, 16.0, 8.0)
+
 
 @dataclass(frozen=True)
 class ClassifyThresholds:
     tol_grad: float
     tol_psi: float
     tol_dist: float
-    lambda_plus: float = 2.0
-    lambda_minus: float = 2.0
-
-
-def default_thresholds(h: float, lambda_plus: float = 2.0, lambda_minus: float = 2.0) -> ClassifyThresholds:
-    """Grid-anchored defaults.
-
-    The gradient cut sits above discretization noise, the decay cut at 1%
-    of the generic product scale pi^2/4, and the blow-up distance cut at
-    0.1 on the normalized unit disk.
-    """
-    return ClassifyThresholds(
-        tol_grad=10.0 * h * (lambda_plus + lambda_minus),
-        tol_psi=1e-2 * _PSI_REF,
-        tol_dist=0.1,
-        lambda_plus=lambda_plus,
-        lambda_minus=lambda_minus,
-    )
 
 
 @dataclass(frozen=True)
@@ -301,31 +307,27 @@ def dist_to_polynomial_class(f: ScalarField) -> tuple[float, OnePhasePolynomial 
     return best_d, best_poly
 
 
-def _blowup_fit(u: ScalarField, p, r: float, lambda_plus: float, lambda_minus: float):
-    """(blow-up of u at p with radius r, its dist_to_M, its nearest ramp)."""
-    v0 = blowup_rescale(u, p, r, _BLOWUP_GRID)
-    dist, best = dist_to_M(v0, lambda_plus=lambda_plus, lambda_minus=lambda_minus)
+def _blowup_fit(fa: FieldAnalysis, p, r: float):
+    """(blow-up of fa.u at p with radius r, its dist_to_M, its nearest ramp)."""
+    v0 = blowup_rescale(fa.u, p, r, _BLOWUP_GRID)
+    dist, best = dist_to_M(v0, lambda_plus=fa.spec.lambda_plus, lambda_minus=fa.spec.lambda_minus)
     return v0, dist, best
 
 
-def classify_point(
-    fa: FieldAnalysis,
-    p: tuple[float, float],
-    ladder: RadiusLadder,
-    thresholds: ClassifyThresholds,
-) -> PointClass:
-    """Classify a free boundary point from local field behavior.
+def classify_point(fa: FieldAnalysis, ladder: RadiusLadder) -> PointClass:
+    """Classify the free boundary point at the ladder's center.
 
     Decision chain: a resolvable gradient means regular; decay of the
     directional product functional at the smallest radius plus a blow-up
     close to the ramp class means branch; a blow-up close to a
     sign-definite quadratic means one_phase_singular; anything else is
     indeterminate.  A degenerate rescale (field vanishing on the blow-up
-    circle) is indeterminate as well.  The gradient at p is the bilinear
-    interpolant of the field's gradient fields.
+    circle) is indeterminate as well.  The gradient at the center is the
+    bilinear interpolant of the field's gradient fields, and the cuts are
+    ``fa.thresholds``.
     """
-    th = thresholds
-    u = fa.u
+    th = fa.thresholds
+    p = ladder.center
     gx, gy = fa.gradients
     x, y = np.array([p[0]]), np.array([p[1]])
     gn = float(np.hypot(interpolate_many(gx, x, y)[0], interpolate_many(gy, x, y)[0]))
@@ -341,12 +343,12 @@ def classify_point(
         evidence["decided_by"] = "gradient"
         return PointClass("regular", evidence)
 
-    profs = directional_psi(fa.gradients, p, ladder, [e for _, e in _DIRECTIONS])
+    profs = directional_psi(fa.gradients, ladder, [e for _, e in _DIRECTIONS])
     psi = {name: prof.values for (name, _), prof in zip(_DIRECTIONS, profs)}
     evidence["psi"] = psi
 
     try:
-        v0, dist_m, best = _blowup_fit(u, p, ladder.radii[-1], th.lambda_plus, th.lambda_minus)
+        v0, dist_m, best = _blowup_fit(fa, p, ladder.radii[-1])
     except DegenerateRescaleError:
         evidence["decided_by"] = "degenerate_rescale"
         return PointClass("indeterminate", evidence)
@@ -395,13 +397,7 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def fit_two_graphs(
-    fa: FieldAnalysis,
-    p: tuple[float, float],
-    window: float,
-    lambda_plus: float = 2.0,
-    lambda_minus: float = 2.0,
-) -> GraphFit:
+def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> GraphFit:
     """Fit both phase boundaries as graphs near a degenerate point.
 
     The frame comes from the rotation of the best ramp fit to the blow-up
@@ -409,11 +405,10 @@ def fit_two_graphs(
     window of half-width ``window`` in the rotated frame and binned at
     roughly two grid steps along the transverse axis.
     """
-    u = fa.u
-    g = u.grid
+    g = fa.u.grid
     if window < MIN_WINDOW_STEPS * g.h:
         raise ValueError(f"window must cover at least {MIN_WINDOW_STEPS:g} grid steps")
-    _, _, best = _blowup_fit(u, p, 0.5 * window, lambda_plus, lambda_minus)
+    _, _, best = _blowup_fit(fa, p, 0.5 * window)
     theta = best.theta
     d = np.array([math.cos(theta), -math.sin(theta)])
     t = np.array([math.sin(theta), math.cos(theta)])

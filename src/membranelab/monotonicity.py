@@ -304,44 +304,40 @@ def _profile(ladder: RadiusLadder, vals: np.ndarray) -> MonotonicityProfile:
 def phi_ladder(
     u: ScalarField,
     grads: tuple[ScalarField, ScalarField],
-    x0: tuple[float, float],
     ladder: RadiusLadder,
     lambda_plus: float,
     lambda_minus: float,
 ) -> MonotonicityProfile:
-    """weiss_phi along a ladder with monotonicity violations flagged.
+    """weiss_phi about the ladder's center, with monotonicity violations flagged.
 
     ``grads`` are u's ``gradient_fields``, taken once per field.
     """
-    return _profile(ladder, np.array(_phi_values(u, grads, x0, ladder.radii, lambda_plus, lambda_minus)))
+    vals = _phi_values(u, grads, ladder.center, ladder.radii, lambda_plus, lambda_minus)
+    return _profile(ladder, np.array(vals))
 
 
-def psi_ladder(
-    h1: ScalarField,
-    h2: ScalarField,
-    z: tuple[float, float],
-    ladder: RadiusLadder,
-) -> MonotonicityProfile:
-    """acf_psi along a ladder with monotonicity violations flagged."""
-    return _profile(ladder, np.array(_psi_values(h1, h2, z, ladder.radii)))
+def psi_ladder(h1: ScalarField, h2: ScalarField, ladder: RadiusLadder) -> MonotonicityProfile:
+    """acf_psi about the ladder's center, with monotonicity violations flagged."""
+    return _profile(ladder, np.array(_psi_values(h1, h2, ladder.center, ladder.radii)))
 
 
 def directional_psi(
     grads: tuple[ScalarField, ScalarField],
-    z: tuple[float, float],
     ladder: RadiusLadder,
     directions,
 ) -> tuple[MonotonicityProfile, ...]:
     """psi_ladder of the directional parts of u along each unit direction.
 
-    ``grads`` are u's ``gradient_fields``.  The parts and their gradients
-    are formed only on the window of the ladder's largest ball, where they
-    equal ``directional_parts`` and its gradients bit for bit, and each
-    radius interpolates all of them from one locate per point.
+    ``grads`` are u's ``gradient_fields``; the center is the ladder's.  The
+    parts and their gradients are formed only on the window of the ladder's
+    largest ball, where they equal ``directional_parts`` and its gradients
+    bit for bit, and each radius interpolates all of them from one locate
+    per point.
     """
     dirs = [_unit(e) for e in directions]
     gx, gy = grads
     g = gx.grid
+    z = ladder.center
     for r in ladder.radii:
         check_ball(g, z, r)
     rows, cols = _crop(g, z, ladder.radii[0])

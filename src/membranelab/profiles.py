@@ -484,12 +484,7 @@ def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
     return scan
 
 
-def dist_to_M(
-    f: ScalarField,
-    *,
-    lambda_plus: float = 2.0,
-    lambda_minus: float = 2.0,
-) -> tuple[float, GlobalProfile]:
+def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tuple[float, GlobalProfile]:
     """Sup-norm distance on the unit disk to the rotated ramp class.
 
     Returns (distance, best profile): a scan of 360 angles, an exact

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from membranelab import (
+    BoundaryMap,
     GlobalProfile,
     OnePhasePolynomial,
     ProblemSpec,
@@ -25,6 +26,11 @@ def profile_fn(lp=LP, lm=LM):
     def fn(X, Y):
         return 0.25 * lp * np.maximum(X, 0.0) ** 2 - 0.25 * lm * np.minimum(X, 0.0) ** 2
     return fn
+
+
+def spec_of(u, lp=LP, lm=LM):
+    """The problem a sampled field is the data of: its own boundary trace."""
+    return ProblemSpec(u.grid, BoundaryMap(u.grid, u.values), lp, lm)
 
 
 def make_profile_problem(n, beta1=1.0, beta2=0.0, tau=0.0, theta=0.0):

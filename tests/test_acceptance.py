@@ -21,7 +21,6 @@ from membranelab import (
     circle_trace,
     classify_point,
     covering_count,
-    default_thresholds,
     dist_to_M,
     eval_many,
     eval_profile_many,
@@ -36,7 +35,7 @@ from membranelab import (
     stability_sweep,
     weiss_phi,
 )
-from conftest import make_poly_problem, make_profile_problem, profile_fn
+from conftest import make_poly_problem, make_profile_problem, profile_fn, spec_of
 
 PI_8 = math.pi / 8.0
 PSI_REF = math.pi**2 / 4.0
@@ -76,7 +75,7 @@ def shift_sweep_report(tmp_path_factory):
     cfg = load_config(str(ini))
     spec = cfg.problem(cfg.grid())
     u_ref, _ = solve(spec)
-    return cfg, stability_sweep(cfg, FieldAnalysis(u_ref, spec.tol_zero))
+    return cfg, stability_sweep(cfg, FieldAnalysis(u_ref, spec))
 
 
 def sup_field_error(v, spec, u):
@@ -155,8 +154,8 @@ def test_criterion_05_monotonicity_ladders(timed_profile_solves):
     total = 0
     for p in points:
         lad = RadiusLadder(p, radii)
-        prof_phi = phi_ladder(u, gradient_fields(u), p, lad, 2.0, 2.0)
-        prof_psi = psi_ladder(hp, hm, p, lad)
+        prof_phi = phi_ladder(u, gradient_fields(u), lad, 2.0, 2.0)
+        prof_psi = psi_ladder(hp, hm, lad)
         assert prof_phi.violations == (), f"phi violations at {p}: {prof_phi.violations}"
         assert prof_psi.violations == (), f"psi violations at {p}: {prof_psi.violations}"
         total += len(prof_phi.values) + len(prof_psi.values)
@@ -166,24 +165,24 @@ def test_criterion_05_monotonicity_ladders(timed_profile_solves):
 def test_criterion_06_classification_stable_under_halving(
     timed_profile_solves, poly_solutions
 ):
-    def classify(u, g, p=(0.0, 0.0), lp=2.0, lm=2.0):
+    def classify(u, spec, p=(0.0, 0.0)):
+        g = spec.grid
         lad = RadiusLadder(p, (32 * g.h, 16 * g.h, 8 * g.h))
-        fa = FieldAnalysis(u, 1e-10 * (lp + lm))
-        return classify_point(fa, p, lad, default_thresholds(g.h, lp, lm)).label
+        return classify_point(FieldAnalysis(u, spec), lad).label
 
     # branch points on the criterion-1 field, h = 1/64 and h = 1/128
     branch_labels = []
     for n in (129, 257):
         v, spec, u, report, secs = timed_profile_solves[n]
         for p in ((0.0, 0.0), (0.0, 0.25), (0.0, -0.25)):
-            branch_labels.append(classify(u, spec.grid, p))
+            branch_labels.append(classify(u, spec, p))
     assert set(branch_labels) == {"branch"}, branch_labels
 
     # one-phase singular origin of the criterion-2 field, both grids
     poly_labels = []
     for n in (129, 257):
         q, spec, u, report = poly_solutions[n]
-        poly_labels.append(classify(u, spec.grid))
+        poly_labels.append(classify(u, spec))
     assert set(poly_labels) == {"one_phase_singular"}, poly_labels
 
     # regular origin of the tilted profile, sampled at h = 1/128 and 1/256
@@ -193,7 +192,7 @@ def test_criterion_06_classification_stable_under_halving(
         g = build_grid(-1.0, 1.0, -1.0, 1.0, n, n)
         tilt = GlobalProfile(0.5, 0.5, 0.0, 0.0, 2.0, 2.0)
         u = sample(g, lambda X, Y: eval_profile_many(tilt, X, Y))
-        reg_labels.append(classify(u, g))
+        reg_labels.append(classify(u, spec_of(u)))
     assert set(reg_labels) == {"regular"}, reg_labels
 
     print(
@@ -208,7 +207,7 @@ def test_criterion_07_blowup_close_to_profile_class(timed_profile_solves):
     r = 16 * spec.grid.h
     target = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
     w = blowup_rescale(u, (0.0, 0.0), r, target)
-    d, best = dist_to_M(w)
+    d, best = dist_to_M(w, lambda_plus=spec.lambda_plus, lambda_minus=spec.lambda_minus)
     assert d < 0.1, f"dist_to_M = {d}"
     print(f"criterion 7: dist_to_M(blow-up at r = 16h) = {d:.5f} < 0.1")
 
@@ -238,7 +237,7 @@ def test_criterion_08_reflection_trace_of_rotated_profile():
 def test_criterion_09_two_graph_structure(timed_profile_solves, tau_solution):
     v, spec, u, report, secs = timed_profile_solves[129]
     h = spec.grid.h
-    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.25)
+    fit = fit_two_graphs(FieldAnalysis(u, spec), (0.0, 0.0), 0.25)
     dev_plus = float(np.max(np.abs(fit.gplus)))
     dev_minus = float(np.max(np.abs(fit.gminus)))
     assert dev_plus <= 2 * h and dev_minus <= 2 * h
@@ -247,7 +246,7 @@ def test_criterion_09_two_graph_structure(timed_profile_solves, tau_solution):
 
     vt, spec_t, ut, _ = tau_solution
     ht = spec_t.grid.h
-    fit_t = fit_two_graphs(FieldAnalysis(ut, spec_t.tol_zero), (0.0, 0.0), 0.5)
+    fit_t = fit_two_graphs(FieldAnalysis(ut, spec_t), (0.0, 0.0), 0.5)
     dev0 = float(np.max(np.abs(fit_t.gplus)))
     dev4 = float(np.max(np.abs(fit_t.gminus + 0.4)))
     assert dev0 <= 2 * ht and dev4 <= 2 * ht
@@ -287,7 +286,7 @@ def test_criterion_10_shift_sweep_stability(shift_sweep_report, tmp_path):
     spec = cfg.problem(cfg.grid())
     u_ref, _ = solve(spec)
     with pytest.raises(SweepHypothesisError):
-        stability_sweep(cfg, FieldAnalysis(u_ref, spec.tol_zero))
+        stability_sweep(cfg, FieldAnalysis(u_ref, spec))
     print(
         f"criterion 10: interior diffs {[f'{r.sup_interior_diff:.5f}' for r in report.rows]} <= deltas, "
         f"hausdorff {[f'{d:.3f}' for d in dists]} non-increasing, singular reference aborts"
@@ -302,7 +301,7 @@ def test_criterion_11_measure_estimates(
     for n in (65, 129, 257):
         v, spec, u, report, secs = timed_profile_solves[n]
         g = spec.grid
-        per = perimeter_estimate(FieldAnalysis(u, spec.tol_zero), (g.x_min, g.x_max, g.y_min, g.y_max))
+        per = perimeter_estimate(FieldAnalysis(u, spec), (g.x_min, g.x_max, g.y_min, g.y_max))
         assert abs(per.plus - 2.0) <= 2 * g.h, f"n={n}: plus {per.plus}"
         assert abs(per.minus - 2.0) <= 2 * g.h, f"n={n}: minus {per.minus}"
 

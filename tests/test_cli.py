@@ -428,7 +428,7 @@ def solved_sweep(ini):
     cfg = load_config(ini)
     spec = cfg.problem(cfg.grid())
     u_ref, _ = solve(spec)
-    return cfg, FieldAnalysis(u_ref, spec.tol_zero)
+    return cfg, FieldAnalysis(u_ref, spec)
 
 
 def test_stability_sweep_end_to_end(tmp_path):
@@ -464,6 +464,21 @@ def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):
     cfg = load_config(write_ini(tmp_path, ini.format(out=tmp_path / "once")))
     assert run(cfg, mode="sweep") == 0
     assert len(calls) == 1 + len(cfg.sweep["amplitudes"])
+
+
+@pytest.mark.parametrize("window", [0.9, 1.2])
+def test_sweep_reference_points_leave_room_for_the_graph_window(tmp_path, capsys, window):
+    # at n = 129 the ladder's largest radius is 0.25; a wider graph window
+    # around a point that only clears the ladder runs off the grid
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        f"\n[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = {window}\n")
+    out = tmp_path / "wide"
+    assert main(["sweep", write_ini(tmp_path, ini.format(out=out))]) == 0, capsys.readouterr().err
+    report = json.loads((out / "stability.json").read_text())
+    fitted = [s["point"] for row in report["rows"] for s in row["graph_summaries"]]
+    assert all(max(abs(x), abs(y)) + window <= 1.0 for x, y in fitted)
+    if window < 1.0:
+        assert fitted
 
 
 # ---------------------------------------------------------------------------

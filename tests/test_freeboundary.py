@@ -19,7 +19,6 @@ from membranelab import (
     circle_trace,
     classify_point,
     covering_count,
-    default_thresholds,
     dist_to_polynomial_class,
     eval_polynomial_many,
     eval_profile_many,
@@ -27,16 +26,16 @@ from membranelab import (
     fit_two_graphs,
     interpolate_many,
     perimeter_estimate,
+    profile_boundary_trace,
     reflection_xi,
     sample,
     solve,
 )
 from membranelab import GlobalProfile, OnePhasePolynomial
 from membranelab.cli import _write_free_boundary
-from conftest import profile_fn
+from conftest import profile_fn, spec_of
 
 S_1 = math.sqrt(3.0 * math.pi / 16.0)
-TOLZ = 4e-10  # tol_zero for lambda = (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +79,7 @@ def test_extraction_vertex_spacing_bounded_by_cell_diameter(profile_solutions):
 def test_extraction_of_positive_field_is_empty():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
     u = sample(g, lambda X, Y: np.ones_like(X))
-    fb = extract_free_boundary(u, TOLZ)
+    fb = extract_free_boundary(u, spec_of(u).tol_zero)
     assert fb.plus_boundary == () and fb.minus_boundary == ()
     assert fb.all_vertices().shape == (0, 2)
 
@@ -97,7 +96,7 @@ def test_extraction_recovers_the_pinned_slab(tau_solution):
 def test_circle_zero_set_closes_into_a_loop():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
     u = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
-    fb = extract_free_boundary(u, TOLZ)
+    fb = extract_free_boundary(u, spec_of(u).tol_zero)
     assert len(fb.plus_boundary) == 1
     loop = fb.plus_boundary[0]
     assert np.array_equal(loop[0], loop[-1])
@@ -152,7 +151,7 @@ def test_polynomial_cone_degenerate_field():
 
 def classify_at_origin(u, g, lp=2.0, lm=2.0):
     lad = RadiusLadder((0.0, 0.0), (32 * g.h, 16 * g.h, 8 * g.h))
-    return classify_point(FieldAnalysis(u, TOLZ), (0.0, 0.0), lad, default_thresholds(g.h, lp, lm))
+    return classify_point(FieldAnalysis(u, spec_of(u, lp, lm)), lad)
 
 
 def test_classify_branch_point():
@@ -209,6 +208,29 @@ def test_classify_invariant_under_quadratic_scaling():
     assert pc.label == "branch"
 
 
+@pytest.mark.parametrize("lp, lm", [(0.5, 4.0), (0.2, 5.0)])
+def test_analysis_at_asymmetric_lambdas(lp, lm):
+    # the ramp class, the blow-up distance and the graph frame all follow
+    # the field's own lambdas; (0.1, 0.3) lies within h of the rotated line
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    v = GlobalProfile(1.0, 0.0, 0.0, 0.3, lp, lm)
+    spec = ProblemSpec(g, profile_boundary_trace(v, g), lp, lm)
+    u, _ = solve(spec)
+    fa = FieldAnalysis(u, spec)
+    for p in ((0.0, 0.0), (0.1, 0.3)):
+        pc = classify_point(fa, RadiusLadder(p, (32 * g.h, 16 * g.h, 8 * g.h)))
+        assert pc.label == "branch", (p, pc.evidence)
+        assert pc.evidence["dist_to_m"] < 0.01
+        assert fit_two_graphs(fa, p, 0.25).theta == pytest.approx(0.3, abs=1e-3)
+
+
+def test_field_analysis_rejects_a_field_off_its_problem_grid():
+    u = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65), profile_fn())
+    coarse = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33), profile_fn())
+    with pytest.raises(ValueError):
+        FieldAnalysis(u, spec_of(coarse))
+
+
 def test_point_class_label_checked():
     from membranelab import PointClass
     with pytest.raises(ValueError):
@@ -222,7 +244,7 @@ def test_point_class_label_checked():
 
 def test_fit_two_graphs_on_straight_interface(profile_solutions):
     v, spec, u, _ = profile_solutions[129]
-    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.25)
+    fit = fit_two_graphs(FieldAnalysis(u, spec), (0.0, 0.0), 0.25)
     h = spec.grid.h
     assert float(np.max(np.abs(fit.gplus))) <= 2.0 * h
     assert float(np.max(np.abs(fit.gminus))) <= 2.0 * h
@@ -234,7 +256,7 @@ def test_fit_two_graphs_on_straight_interface(profile_solutions):
 def test_fit_two_graphs_recovers_slab_levels(tau_solution):
     v, spec, u, _ = tau_solution
     h = spec.grid.h
-    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.5)
+    fit = fit_two_graphs(FieldAnalysis(u, spec), (0.0, 0.0), 0.5)
     assert abs(float(np.median(fit.gplus)) - 0.0) <= 2.0 * h
     assert abs(float(np.median(fit.gminus)) + 0.4) <= 2.0 * h
 
@@ -246,7 +268,7 @@ def test_fit_two_graphs_handles_wavy_interfaces():
     )
     spec = ProblemSpec(g, bc, 2.0, 2.0)
     u, _ = solve(spec)
-    fit = fit_two_graphs(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0), 0.5)
+    fit = fit_two_graphs(FieldAnalysis(u, spec), (0.0, 0.0), 0.5)
     assert np.all(np.isfinite(fit.gplus)) and np.all(np.isfinite(fit.gminus))
     assert np.all(fit.gminus <= fit.gplus + 2.0 * g.h)
 
@@ -255,15 +277,15 @@ def test_fit_two_graphs_error_paths():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
     pos = sample(g, lambda X, Y: np.ones_like(X))
     with pytest.raises(ZeroSetEmptyError):
-        fit_two_graphs(FieldAnalysis(pos, TOLZ), (0.0, 0.0), 0.25)
+        fit_two_graphs(FieldAnalysis(pos, spec_of(pos)), (0.0, 0.0), 0.25)
     # a closed circle is never vertically simple over a square window:
     # center bins lose the far arcs, outer bins are past the radius
     circ = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
     for window in (0.45, 0.55):
         with pytest.raises(NotVerticallySimpleError):
-            fit_two_graphs(FieldAnalysis(circ, TOLZ), (0.0, 0.0), window)
+            fit_two_graphs(FieldAnalysis(circ, spec_of(circ)), (0.0, 0.0), window)
     with pytest.raises(ValueError):
-        fit_two_graphs(FieldAnalysis(circ, TOLZ), (0.0, 0.0), 4.0 * g.h)  # window under 8h
+        fit_two_graphs(FieldAnalysis(circ, spec_of(circ)), (0.0, 0.0), 4.0 * g.h)  # window under 8h
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +347,18 @@ def test_reflection_xi_kills_even_symmetry_exactly(half):
 def test_perimeter_of_straight_interface(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
     g = spec.grid
-    per = perimeter_estimate(FieldAnalysis(u, spec.tol_zero), (g.x_min, g.x_max, g.y_min, g.y_max))
+    per = perimeter_estimate(FieldAnalysis(u, spec), (g.x_min, g.x_max, g.y_min, g.y_max))
     assert per.plus == pytest.approx(2.0, abs=2.0 * g.h)
     assert per.minus == pytest.approx(2.0, abs=2.0 * g.h)
     # clipping to the upper half keeps exactly half the length
-    upper = perimeter_estimate(FieldAnalysis(u, spec.tol_zero), (g.x_min, g.x_max, 0.0, g.y_max))
+    upper = perimeter_estimate(FieldAnalysis(u, spec), (g.x_min, g.x_max, 0.0, g.y_max))
     assert upper.plus == pytest.approx(1.0, abs=2.0 * g.h)
 
 
 def test_perimeter_of_circle():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
     u = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
-    per = perimeter_estimate(FieldAnalysis(u, TOLZ), (-1.0, 1.0, -1.0, 1.0))
+    per = perimeter_estimate(FieldAnalysis(u, spec_of(u)), (-1.0, 1.0, -1.0, 1.0))
     assert per.plus == pytest.approx(math.pi, rel=2e-2)
     assert per.minus == pytest.approx(math.pi, rel=2e-2)
 
@@ -344,7 +366,7 @@ def test_perimeter_of_circle():
 def test_perimeter_of_empty_zero_set():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
     u = sample(g, lambda X, Y: np.ones_like(X))
-    per = perimeter_estimate(FieldAnalysis(u, TOLZ), (-1.0, 1.0, -1.0, 1.0))
+    per = perimeter_estimate(FieldAnalysis(u, spec_of(u)), (-1.0, 1.0, -1.0, 1.0))
     assert per.plus == 0.0 and per.minus == 0.0
 
 
@@ -362,7 +384,7 @@ def test_covering_count_brackets(profile_solutions):
 def test_covering_count_on_circle():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
     u = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
-    fb = extract_free_boundary(u, TOLZ)
+    fb = extract_free_boundary(u, spec_of(u).tol_zero)
     L = 2.0 * math.pi  # both phase boundaries, pi each
     eps = 16 * g.h
     prod = covering_count(fb, eps) * eps

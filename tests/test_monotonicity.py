@@ -26,7 +26,6 @@ from membranelab import (
     blowup_rescale,
     build_grid,
     classify_point,
-    default_thresholds,
     directional_parts,
     directional_psi,
     gradient_fields,
@@ -183,7 +182,7 @@ def test_ball_containment_enforced(sampled_profile_641):
 def test_phi_ladder_clean_on_exact_profile(sampled_profile_641):
     g, u = sampled_profile_641
     lad = RadiusLadder((0.0, 0.0), (1.0, 0.5, 0.25, 0.125))
-    prof = phi_ladder(u, gradient_fields(u), (0.0, 0.0), lad, 2.0, 2.0)
+    prof = phi_ladder(u, gradient_fields(u), lad, 2.0, 2.0)
     assert prof.violations == ()
     assert np.allclose(prof.values, PI_8, rtol=1e-2)
 
@@ -192,7 +191,7 @@ def test_psi_ladder_decays_for_profile_parts(sampled_profile_641):
     g, u = sampled_profile_641
     hp, hm = directional_parts(u, (1.0, 0.0))
     lad = RadiusLadder((0.0, 0.0), (1.0, 0.5, 0.25))
-    prof = psi_ladder(hp, hm, (0.0, 0.0), lad)
+    prof = psi_ladder(hp, hm, lad)
     assert prof.violations == ()
     # the pair loses the negative part entirely: psi is quadrature noise
     assert max(prof.values) <= 1e-2 * PSI_REF
@@ -207,7 +206,7 @@ def test_phi_ladder_tolerance_scales_with_values(r_top):
     g = build_grid(-1.25, 1.25, -1.25, 1.25, 161, 161)
     u = sample(g, profile_fn())
     lad = RadiusLadder((0.0, 0.0), (r_top, 0.5 * r_top))
-    prof = phi_ladder(u, gradient_fields(u), (0.0, 0.0), lad, 2.0, 2.0)
+    prof = phi_ladder(u, gradient_fields(u), lad, 2.0, 2.0)
     assert len(prof.values) == 2
     assert prof.tol_mono > 0.0
 
@@ -268,8 +267,8 @@ def kernel_cases(profile_solutions, tau_solution, poly_solutions):
     v, spec, u, _ = profile_solutions[129]
     h = spec.grid.h
     radii = (32 * h, 16 * h, 8 * h)
-    fb = FieldAnalysis(u, spec.tol_zero).free_boundary
-    points = _reference_points(fb, spec.grid, radii[0], 8)
+    fb = FieldAnalysis(u, spec).free_boundary
+    points = _reference_points(fb, spec.grid, radii[0], 0.25, 8)
     assert len(points) == 8
     cases += [(u, p, radii) for p in points]
     u_tau = tau_solution[2]
@@ -287,7 +286,7 @@ def test_directional_psi_matches_the_per_field_path(kernel_cases):
     dirs = [e for _, e in _DIRECTIONS]
     for u, p, radii in kernel_cases:
         disk = package_disk(u.grid)
-        profs = directional_psi(gradient_fields(u), p, RadiusLadder(p, radii), dirs)
+        profs = directional_psi(gradient_fields(u), RadiusLadder(p, radii), dirs)
         for e, prof in zip(dirs, profs):
             assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), (p, e)
 
@@ -296,8 +295,7 @@ def test_classification_psi_is_the_per_field_psi(profile_solutions):
     v, spec, u, _ = profile_solutions[129]
     h = spec.grid.h
     radii = (32 * h, 16 * h, 8 * h)
-    pc = classify_point(FieldAnalysis(u, spec.tol_zero), (0.0, 0.0),
-                        RadiusLadder((0.0, 0.0), radii), default_thresholds(h))
+    pc = classify_point(FieldAnalysis(u, spec), RadiusLadder((0.0, 0.0), radii))
     disk = package_disk(spec.grid)
     for name, e in _DIRECTIONS:
         assert list(pc.evidence["psi"][name]) == per_field_directional_psi(u, (0.0, 0.0), radii, e, disk)
@@ -306,10 +304,10 @@ def test_classification_psi_is_the_per_field_psi(profile_solutions):
 def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
     for u, p, radii in kernel_cases[::4]:
         disk = package_disk(u.grid)
-        prof = phi_ladder(u, gradient_fields(u), p, RadiusLadder(p, radii), 2.0, 2.0)
+        prof = phi_ladder(u, gradient_fields(u), RadiusLadder(p, radii), 2.0, 2.0)
         assert list(prof.values) == [per_field_phi(u, p, r, 2.0, 2.0, disk) for r in radii]
         hp, hm = directional_parts(u, (math.sqrt(0.5), -math.sqrt(0.5)))
-        prof = psi_ladder(hp, hm, p, RadiusLadder(p, radii))
+        prof = psi_ladder(hp, hm, RadiusLadder(p, radii))
         assert list(prof.values) == per_field_psi(hp, hm, p, radii, disk)
         assert acf_psi(hp, hm, p, radii[1]) == prof.values[1]
         assert weiss_phi(u, p, radii[2], 2.0, 2.0) == per_field_phi(u, p, radii[2], 2.0, 2.0, disk)

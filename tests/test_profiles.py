@@ -158,7 +158,7 @@ def test_dist_to_mstar_member_is_zero():
     # beta1 is solved exactly, but tau comes from a grid and step halving
     # that stops at a step of 1e-7, so an off-grid member lands near but
     # not at zero; anything far below tol_dist = 0.1 is a match
-    val, best = dist_to_M(f)
+    val, best = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert val < 1e-3
     assert best.beta1 == pytest.approx(0.8, abs=5e-3)
     assert best.tau == pytest.approx(-0.3, abs=5e-3)
@@ -169,7 +169,7 @@ def test_dist_to_mstar_offset_member():
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY) + 0.05)
-    val, _ = dist_to_M(f)
+    val, _ = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert val == pytest.approx(0.05, abs=2e-3)
 
 
@@ -178,7 +178,7 @@ def test_dist_to_mstar_zero_field_artifact():
     # the zero field sits at c * max ramp = 0.05 * 0.5 = 0.025 from it
     g, X, Y, inside = canonical_disk_nodes()
     f = sample(g, lambda XX, YY: np.zeros_like(XX))
-    val, _ = dist_to_M(f)
+    val, _ = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert val == pytest.approx(0.025, abs=1e-3)
 
 
@@ -189,7 +189,7 @@ def test_dist_to_mstar_beats_brute_force_scan():
     target = GlobalProfile(0.6, 0.0, -0.2, 0.0, 2.0, 2.0)
     fvals = eval_profile_many(target, X, Y) + 0.01 * Y  # not a member
     f = sample(g, lambda XX, YY: fvals)
-    val, _ = dist_to_M(f)
+    val, _ = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
 
     Xi, Yi = X[inside], Y[inside]
     fi = fvals[inside]
@@ -207,7 +207,7 @@ def test_dist_to_m_recovers_rotation():
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(1.0, 0.0, 0.0, 0.3, 2.0, 2.0)
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY))
-    val, best = dist_to_M(f)
+    val, best = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert val < 1e-5
     assert best.theta == pytest.approx(0.3, abs=2.0 * math.pi / 360.0)
 
@@ -551,7 +551,7 @@ def test_dist_to_M_fuzz_never_exceeds_the_descent_oracle(beta1, tau, theta, nois
     rng = np.random.default_rng(seed)
     f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33),
                lambda X, Y: ramp(X, Y) + noise * rng.standard_normal(X.shape))
-    got = dist_to_M(f)
+    got = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert got[0] <= oracle_dist_to_M(f)[0] + 1e-12
     assert_admissible(f, got)
     assert_optimal_coefficients(f, got)
@@ -572,7 +572,7 @@ def test_dist_to_M_is_exact_on_profile_blowups(profile_solutions, n, y0):
     # theta = 0 is 5.670e-4 at (1.2974, 0.00227).
     _, spec, u, _ = profile_solutions[n]
     v0 = blowup_rescale(u, (0.0, y0), 16 * spec.grid.h, build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65))
-    got = dist_to_M(v0)
+    got = dist_to_M(v0, lambda_plus=spec.lambda_plus, lambda_minus=spec.lambda_minus)
     assert got[0] <= 5.671e-4
     assert_admissible(v0, got)
     assert_optimal_coefficients(v0, got)

@@ -62,3 +62,33 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
                 continue   # relative imports stay inside the package
             for top in tops:
                 assert top in allowed, f"{name} imports {top} (line {node.lineno})"
+
+
+PHASE_COEFFICIENTS = {"lambda_plus", "lambda_minus"}
+
+
+def test_phase_coefficients_have_no_defaults():
+    # the ramp class, every blow-up distance and the classification cuts
+    # are set by the field's own lambdas; a default of 2.0 would silently
+    # measure an asymmetric field against the symmetric ramps
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "membranelab")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found += [f"{name}:{node.lineno} parameter {arg.arg}"
+                          for arg in defaulted if arg.arg in PHASE_COEFFICIENTS]
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{name}:{stmt.lineno} field {node.name}.{stmt.target.id}"
+                          for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                          and isinstance(stmt.target, ast.Name) and stmt.target.id in PHASE_COEFFICIENTS]
+    assert not found, f"phase coefficients with a default: {found}"
