@@ -262,7 +262,8 @@ def load_config(path: str) -> ExperimentConfig:
         if "xi" in diagnostics:
             balls.append(("xi_r", diag_params["xi_r"]))
         if "graphs" in diagnostics:
-            balls.append(("window", 0.5 * diag_params["window"]))
+            # fit_two_graphs bins vertices out to the window's half-width
+            balls.append(("window", diag_params["window"]))
         if balls and not grid.contains_ball(point, 0.0):
             raise ConfigError(f"diagnostics.point: {point} lies outside the domain")
         for key, r in balls:
@@ -295,6 +296,11 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError("sweep.window: must be positive")
         if sweep["window"] < min_window:
             raise ConfigError(f"sweep.window: must cover at least {MIN_WINDOW_STEPS:g} grid steps ({min_window!r})")
+        # the sweep classifies only vertices this far inside the grid
+        margin = _reference_margin(grid, LADDER_STEPS[0] * grid.h, sweep["window"])
+        if 2.0 * margin >= min(x_max - x_min, y_max - y_min):
+            raise ConfigError(f"sweep.window: reference points need a margin of max(32h, window) + 2h "
+                              f"({margin!r}) inside the domain, which leaves no room for them")
 
     out_dir = _get(cp, "output", "dir", str, required=True)
 
@@ -441,6 +447,11 @@ def _family_fn(family: str, k: int):
     return lambda X, Y: np.sin(k * math.pi * Y)
 
 
+def _reference_margin(grid: Grid2D, r_max: float, window: float) -> float:
+    """How far inside the grid a sweep reference point must lie."""
+    return max(r_max, window) + 2.0 * grid.h
+
+
 def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, window: float, budget: int) -> list:
     """Pick up to ``budget`` classification targets on the reference curve.
 
@@ -452,7 +463,7 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, window: f
     pts = fb.all_vertices()
     if pts.shape[0] == 0:
         return []
-    margin = max(r_max, window) + 2.0 * grid.h
+    margin = _reference_margin(grid, r_max, window)
     keep = (
         (pts[:, 0] >= grid.x_min + margin) & (pts[:, 0] <= grid.x_max - margin)
         & (pts[:, 1] >= grid.y_min + margin) & (pts[:, 1] <= grid.y_max - margin)
@@ -503,7 +514,7 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     for delta in config.sweep["amplitudes"]:
         spec_d = dataclasses.replace(spec, boundary=spec.boundary.perturbed(fam, delta))
         u_d, _ = solve(spec_d)
-        cmp = comparison_check(u_ref, u_d, spec.boundary, spec_d.boundary, tol_linear=spec.tol_linear)
+        cmp = comparison_check(u_ref, spec, u_d, spec_d)
         fa_d = FieldAnalysis(u_d, spec_d)
         fb_d = fa_d.free_boundary
         chains_d = list(fb_d.plus_boundary) + list(fb_d.minus_boundary)

@@ -6,6 +6,10 @@ values row-major by y then x, so ``values[j, i]`` lives at
 ``(x_min + i*h, y_min + j*h)``.  Apart from the CSV writers (``write_csv``
 and ``dump_field_csv``), all operations here are pure functions on
 immutable value types and are safe to evaluate concurrently.
+
+Every float in an artifact has one text form, ``_FLOAT_FORMAT`` (17
+significant digits, -0.0 written as 0): ``float_repr`` applies it to one
+value, and ``dump_field_csv`` applies it in bulk to a grid row at a time.
 """
 
 from __future__ import annotations
@@ -23,25 +27,34 @@ SPACING_RTOL = 1e-12
 _NODE_SNAP = 1e-12
 
 
+# The text form of every float in every artifact: it round-trips a double.
+_FLOAT_FORMAT = ".17g"
+
+
 def float_repr(v: float) -> str:
     """Canonical 17-significant-digit text form used in every artifact."""
     v = float(v)
     if v == 0.0:
         v = 0.0  # normalize -0.0
-    return format(v, ".17g")
+    return format(v, _FLOAT_FORMAT)
 
 
 def write_csv(path: str, header: str, rows) -> None:
     """Write a header line and one comma-joined line per row.
 
     Floats (numpy floats included) go through ``float_repr``, every other
-    cell through ``str``.  ``rows`` may be any iterable; it is consumed
-    once, one row at a time.
+    cell through ``str``.  A row given as a ``str`` is a block of whole,
+    already formatted lines and is written as it is; ``dump_field_csv``
+    passes one such block per grid row.  ``rows`` may be any iterable; it
+    is consumed once, one row at a time.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join([float_repr(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                fh.write(",".join([float_repr(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -295,9 +308,19 @@ class BoundaryMap:
 
 
 def dump_field_csv(f: ScalarField, path: str) -> None:
-    """Write `x,y,value` rows for every node, row-major by y then x."""
-    g = f.grid
-    xs = g.xs.tolist()
-    # one grid row of values becomes Python floats at a time
-    rows = ((x, y, v) for y, vals in zip(g.ys.tolist(), f.values) for x, v in zip(xs, vals.tolist()))
-    write_csv(path, "x,y,value", rows)
+    """Write `x,y,value` rows for every node, row-major by y then x.
+
+    Each x is formatted once for the file and each y once for its grid
+    row; a row's values are formatted by one ``%`` call over ``values +
+    0.0``, which writes -0.0 as 0 just as ``float_repr`` does.  The text
+    is byte for byte what ``float_repr`` gives cell by cell.
+    """
+    xs = [float_repr(x) for x in f.grid.xs.tolist()]
+
+    def blocks():
+        for y, vals in zip(f.grid.ys.tolist(), f.values):
+            # the separator carries this row's y: x_i,y,v_i per node
+            sep = f",{float_repr(y)},%{_FLOAT_FORMAT}\n"
+            yield (sep.join(xs) + sep) % tuple((vals + 0.0).tolist())
+
+    write_csv(path, "x,y,value", blocks())

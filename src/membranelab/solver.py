@@ -458,15 +458,17 @@ class ComparisonResult:
 
 
 def comparison_check(
-    u1: ScalarField,
-    u2: ScalarField,
-    d1: BoundaryMap,
-    d2: BoundaryMap,
-    tol_linear: float = 1e-10,
+    u1: ScalarField, spec1: ProblemSpec, u2: ScalarField, spec2: ProblemSpec
 ) -> ComparisonResult:
-    """Check sup interior |u1-u2| <= sup boundary |d1-d2| plus solver slack."""
-    if u1.grid != u2.grid or d1.grid != u1.grid or d2.grid != u1.grid:
+    """Check sup interior |u1-u2| <= sup boundary |d1-d2| plus solver slack.
+
+    Each field ``uk`` solves ``speck``, whose boundary map is its Dirichlet
+    data ``dk``; the slack is ten times the looser of the two specs'
+    ``tol_linear``.
+    """
+    if u1.grid != spec1.grid or u2.grid != spec2.grid or spec1.grid != spec2.grid:
         raise ValueError("comparison requires a shared grid")
     sup_int = float(np.max(np.abs(u1.values[1:-1, 1:-1] - u2.values[1:-1, 1:-1])))
-    sup_bdy = d1.sup_diff(d2)
+    sup_bdy = spec1.boundary.sup_diff(spec2.boundary)
+    tol_linear = max(spec1.tol_linear, spec2.tol_linear)
     return ComparisonResult(sup_int, sup_bdy, sup_int <= sup_bdy + 10.0 * tol_linear)

@@ -69,7 +69,8 @@ def test_load_config_happy_path(tmp_path):
 
 
 def test_load_config_inline_comments_and_sections(tmp_path):
-    text = BASE_INI.format(out=tmp_path / "out") + """
+    # n = 129: at n = 65 the sweep would leave no room for a reference point
+    text = BASE_INI.replace("n = 65", "n = 129").format(out=tmp_path / "out") + """
 [solver]
 tol_linear = 1e-9   ; tighter would also work
 max_sweeps = 50
@@ -110,6 +111,8 @@ k = 2
     ("append:[diagnostics]\nwindow = 0.0", "diagnostics.window:"),
     # 8 grid steps of the n = 65 grid on [-1, 1] are 0.25
     ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = 0.2", "sweep.window: must cover at least 8"),
+    # the default ladder's largest radius, 32h, is the whole half-width at n = 65
+    ("append:[sweep]\nfamily = constant\namplitudes = 0.1", r"sweep.window: reference points need a margin .*\(1.0625\)"),
     ("append:[diagnostics]\nrun = graphs\nwindow = 0.2", "diagnostics.window: must cover at least 8"),
     ("append:[diagnostics]\neps = 0.25, 0.0", "diagnostics.eps:"),
     ("append:[diagnostics]\neps = -0.125", "diagnostics.eps:"),
@@ -129,7 +132,7 @@ k = 2
     ("append:[diagnostics]\nrun = phi_ladder\npoint = 0.5 0", "diagnostics.radii: ball of radius 1.0"),
     ("append:[diagnostics]\nrun = xi\nxi_r = 1.5", "diagnostics.xi_r: ball of radius 1.5"),
     ("append:[diagnostics]\nrun = xi\nxi_r = 0.05", "diagnostics.xi_r: radius 0.05 under-resolved"),
-    ("append:[diagnostics]\nrun = graphs\npoint = 0 0.9", "diagnostics.window: ball of radius 0.125"),
+    ("append:[diagnostics]\nrun = graphs\npoint = 0 0.9", "diagnostics.window: ball of radius 0.25"),
     ("append:[diagnostics]\nrun = graphs\npoint = 2 0", "diagnostics.point: .* lies outside the domain"),
 ])
 def test_load_config_rejects_bad_inputs(tmp_path, mutation, needle):
@@ -460,7 +463,8 @@ def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):
         return solve(spec)
 
     monkeypatch.setattr(cli, "solve", counting_solve)
-    ini = BASE_INI + "\n[sweep]\nfamily = constant\namplitudes = 0.1, 0.05, 0.025\nclassify_budget = 2\n"
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        "\n[sweep]\nfamily = constant\namplitudes = 0.1, 0.05, 0.025\nclassify_budget = 2\n")
     cfg = load_config(write_ini(tmp_path, ini.format(out=tmp_path / "once")))
     assert run(cfg, mode="sweep") == 0
     assert len(calls) == 1 + len(cfg.sweep["amplitudes"])
@@ -468,17 +472,40 @@ def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("window", [0.9, 1.2])
 def test_sweep_reference_points_leave_room_for_the_graph_window(tmp_path, capsys, window):
-    # at n = 129 the ladder's largest radius is 0.25; a wider graph window
+    # at n = 129 the ladder's largest radius is 0.5; a wider graph window
     # around a point that only clears the ladder runs off the grid
     ini = BASE_INI.replace("n = 65", "n = 129") + (
         f"\n[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = {window}\n")
     out = tmp_path / "wide"
-    assert main(["sweep", write_ini(tmp_path, ini.format(out=out))]) == 0, capsys.readouterr().err
+    code = main(["sweep", write_ini(tmp_path, ini.format(out=out))])
+    err = capsys.readouterr().err
+    if window > 1.0:
+        # no vertex clears window + 2h: a config error before any solve
+        assert code == 2 and "sweep.window: reference points need a margin" in err
+        assert not out.exists()
+        return
+    assert code == 0, err
     report = json.loads((out / "stability.json").read_text())
     fitted = [s["point"] for row in report["rows"] for s in row["graph_summaries"]]
+    assert fitted
     assert all(max(abs(x), abs(y)) + window <= 1.0 for x, y in fitted)
-    if window < 1.0:
-        assert fitted
+
+
+@pytest.mark.parametrize("window", [0.9, 1.2])
+def test_graph_window_must_fit_its_square_in_the_grid(tmp_path, capsys, window):
+    # fit_two_graphs bins vertices out to the window's half-width around
+    # the point, not only out to the blow-up ball of radius window / 2
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        f"\n[diagnostics]\nrun = graphs\npoint = 0 0\nwindow = {window}\n")
+    out = tmp_path / "graphs"
+    code = main(["diagnose", write_ini(tmp_path, ini.format(out=out))])
+    err = capsys.readouterr().err
+    if window > 1.0:
+        assert code == 2 and "config error: diagnostics.window: ball of radius 1.2" in err
+        assert not out.exists()
+    else:
+        assert code == 0, err
+        assert (out / "graphs.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -196,3 +196,34 @@ def test_dump_field_csv_is_deterministic(tmp_path):
     head = b1.decode().splitlines()[:2]
     assert head[0] == "x,y,value"
     assert head[1] == "0,0,0"
+
+
+# 0.0, -0.0, a subnormal, +-1e300, values that need all 17 digits, negatives
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e300, -1e300, 0.1 + 0.2, -1.0 / 3.0, -2.5e-17)
+
+
+def field_csv_oracle(f):
+    """The field CSV written cell by cell through float_repr."""
+    g = f.grid
+    lines = ["x,y,value"]
+    for j, y in enumerate(g.ys.tolist()):
+        for i, x in enumerate(g.xs.tolist()):
+            lines.append(",".join(float_repr(v) for v in (x, y, f.values[j, i])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bounds, nx, ny, fn", [
+    ((0.0, 1.0, 0.0, 1.0), 3, 3, lambda X, Y: X + 10.0 * Y),
+    # nx != ny, with coordinates that need all 17 digits
+    ((-0.3, 0.7, 0.1, 0.6), 31, 16, lambda X, Y: np.sin(3.0 * X) * np.cos(5.0 * Y) - 0.1 * X),
+    ((-1.0, 1.0, -1.0, 1.0), 257, 257, lambda X, Y: 0.5 * X * np.abs(X)),
+])
+def test_dump_field_csv_matches_the_per_cell_writer(tmp_path, bounds, nx, ny, fn):
+    g = build_grid(*bounds, nx, ny)
+    v = np.asarray(fn(*g.meshgrid()), dtype=float)
+    v.ravel()[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    v[-1, -1] = -0.0
+    f = ScalarField(g, v)
+    path = tmp_path / "field.csv"
+    dump_field_csv(f, str(path))
+    assert path.read_bytes() == field_csv_oracle(f).encode()

@@ -175,9 +175,11 @@ def test_comparison_check_on_ordered_data():
     fn = lambda X, Y: 0.5 * X * np.abs(X)
     d1 = BoundaryMap.from_callable(g, fn)
     d2 = d1.perturbed(lambda X, Y: np.ones_like(X), 0.05)
-    u1, _ = solve(ProblemSpec(g, d1, 2.0, 2.0))
-    u2, _ = solve(ProblemSpec(g, d2, 2.0, 2.0))
-    result = comparison_check(u1, u2, d1, d2)
+    spec1 = ProblemSpec(g, d1, 2.0, 2.0)
+    spec2 = ProblemSpec(g, d2, 2.0, 2.0)
+    u1, _ = solve(spec1)
+    u2, _ = solve(spec2)
+    result = comparison_check(u1, spec1, u2, spec2)
     assert result.holds
     assert result.sup_boundary_diff == pytest.approx(0.05, abs=1e-14)
     assert result.sup_interior_diff <= 0.05 + 1e-9
@@ -185,7 +187,7 @@ def test_comparison_check_on_ordered_data():
 
 def test_comparison_check_identical_fields(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
-    result = comparison_check(u, u, spec.boundary, spec.boundary)
+    result = comparison_check(u, spec, u, spec)
     assert result.holds
     assert result.sup_interior_diff == 0.0
     assert result.sup_boundary_diff == 0.0
@@ -445,4 +447,4 @@ def test_solve_fuzz_postconditions_and_comparison(coef, lp, lm, n, rectangle, li
     u2, _ = solve(spec2)
     assert_postconditions(spec1, u1)
     assert_postconditions(spec2, u2)
-    assert comparison_check(u1, u2, d1, d2).holds
+    assert comparison_check(u1, spec1, u2, spec2).holds

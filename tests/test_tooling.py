@@ -24,6 +24,19 @@ def test_traced_targets_resolve_to_package_functions(monkeypatch):
         assert fn.__module__ == module.__name__, f"{name} is not defined in membranelab.{home}"
 
 
+def test_float_text_rule_lives_in_grid_only():
+    # every artifact writes floats in one text form, held by grid; another
+    # module spelling the format would let two artifacts drift apart
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "membranelab")
+    holders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                if ".17g" in fh.read():
+                    holders.append(name)
+    assert holders == ["grid.py"]
+
+
 NUMERICAL_MODULES = ("solver", "profiles", "monotonicity", "freeboundary")
 
 
