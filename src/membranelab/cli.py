@@ -53,84 +53,12 @@ class SweepHypothesisError(RuntimeError):
 
 _DIAGNOSTICS = ("phi_ladder", "psi_ladder", "classify", "graphs", "xi", "perimeter", "covering")
 _FAMILIES = ("constant", "linear", "sine")
-# Every key a known section may carry; anything else is a config error.
-_KEYS = {
-    "domain": ("x_min", "x_max", "y_min", "y_max", "n"),
-    "problem": ("lambda_plus", "lambda_minus"),
-    "boundary": ("kind", "offset", "beta1", "beta2", "tau", "theta", "cxx", "cxy", "cyy", "sign"),
-    "solver": ("tol_linear", "max_sweeps"),
-    "diagnostics": ("run", "point", "radii", "window", "eps", "xi_r", "xi_m", "xi_rotation"),
-    "sweep": ("family", "amplitudes", "k", "classify_budget", "window"),
-    "output": ("dir",),
-}
+_REQUIRED = object()    # the default of a key that must be given
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description.
-
-    ``boundary_kind`` is "profile" or "polynomial" with its parameters in
-    ``boundary_params``; ``diagnostics`` lists requested analyses and
-    ``diag_params`` their shared parameters; ``sweep`` is None or a dict
-    with family / amplitudes / k / classify_budget / window.
-    """
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    n: int
-    lambda_plus: float
-    lambda_minus: float
-    boundary_kind: str
-    boundary_params: dict
-    boundary_offset: float
-    tol_linear: float
-    max_sweeps: int
-    diagnostics: tuple
-    diag_params: dict
-    sweep: dict | None
-    output_dir: str
-
-    def grid(self) -> Grid2D:
-        return build_grid(self.x_min, self.x_max, self.y_min, self.y_max, self.n, self.n)
-
-    def boundary_object(self):
-        p = self.boundary_params
-        if self.boundary_kind == "profile":
-            return GlobalProfile(
-                p["beta1"], p["beta2"], p["tau"], p["theta"],
-                self.lambda_plus, self.lambda_minus,
-            )
-        return OnePhasePolynomial(p["cxx"], p["cxy"], p["cyy"], p["sign"])
-
-    def boundary_map(self, grid: Grid2D) -> BoundaryMap:
-        obj = self.boundary_object()
-        off = self.boundary_offset
-        return BoundaryMap.from_callable(grid, lambda X, Y: eval_many(obj, X, Y) + off)
-
-    def problem(self, grid: Grid2D) -> ProblemSpec:
-        return ProblemSpec(
-            grid, self.boundary_map(grid), self.lambda_plus, self.lambda_minus,
-            tol_linear=self.tol_linear, tol_pattern=self.max_sweeps,
-        )
-
-
-def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None, required: bool = False):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"{section}.{key}: required key missing")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from None
 
 
 def _finite(raw: str) -> float:
@@ -144,12 +72,124 @@ def _floats(raw: str) -> tuple:
     return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
 
 
-def _names(raw: str) -> tuple:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+def _checked(parse, ok, rule: str):
+    """``parse``, then ValueError(rule) unless ``ok`` holds for the value."""
+    def parse_checked(raw: str):
+        v = parse(raw)
+        if not ok(v):
+            raise ValueError(rule)
+        return v
+    return parse_checked
+
+
+def _one_of(noun: str, names):
+    """Parser of one name of ``names``, case-folded."""
+    def parse(raw: str) -> str:
+        v = raw.strip().lower()
+        if v not in names:
+            raise ValueError(f"unknown {noun} {v!r}")
+        return v
+    return parse
+
+
+def _list_of(parse):
+    """Parser of a comma list, each item by ``parse``."""
+    return lambda raw: tuple(parse(tok) for tok in raw.split(",") if tok.strip())
+
+
+_POSITIVE = _checked(_finite, lambda v: v > 0.0, "must be positive")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
+_POSITIVES = _checked(_floats, lambda v: all(x > 0.0 for x in v), "must be positive")
+_DECREASING = _checked(_POSITIVES, lambda v: all(b < a for a, b in zip(v, v[1:])),
+                       "must be strictly decreasing")
+
+# The keys each boundary kind adds to the [boundary] section.
+_KINDS = {
+    "profile": {"beta1": (_finite, 1.0), "beta2": (_finite, 0.0), "tau": (_finite, 0.0),
+                "theta": (_finite, 0.0)},
+    "polynomial": {"cxx": (_finite, _REQUIRED), "cxy": (_finite, 0.0), "cyy": (_finite, _REQUIRED),
+                   "sign": (int, 1)},
+}
+
+# section -> key -> (parser, default).  Each parser applies its key's own
+# range rule; load_config checks the rules that tie keys together or need
+# the grid.  An empty radii or eps list stands for the default ladder of
+# LADDER_STEPS grid steps.
+_TABLE = {
+    "domain": {
+        "x_min": (_finite, _REQUIRED), "x_max": (_finite, _REQUIRED),
+        "y_min": (_finite, _REQUIRED), "y_max": (_finite, _REQUIRED),
+        "n": (_checked(int, lambda v: v >= 3, "need at least 3 nodes per side"), _REQUIRED),
+    },
+    "problem": {"lambda_plus": (_POSITIVE, _REQUIRED), "lambda_minus": (_POSITIVE, _REQUIRED)},
+    "boundary": {"kind": (_one_of("kind", _KINDS), _REQUIRED), "offset": (_finite, 0.0)},
+    "solver": {"tol_linear": (_POSITIVE, 1e-10), "max_sweeps": (_AT_LEAST_1, 200)},
+    "diagnostics": {
+        "run": (_list_of(_one_of("diagnostic", _DIAGNOSTICS)), ()),
+        "point": (_checked(_floats, lambda v: len(v) == 2, "need exactly two coordinates"), (0.0, 0.0)),
+        "radii": (_DECREASING, ()),
+        "window": (_POSITIVE, 0.25),
+        "eps": (_POSITIVES, ()),
+        "xi_r": (_POSITIVE, 0.5),
+        "xi_m": (_checked(int, lambda v: v >= 4 and v % 2 == 0, "must be even and at least 4"), 256),
+        "xi_rotation": (_finite, 0.0),
+    },
+    "sweep": {
+        "family": (_one_of("family", _FAMILIES), _REQUIRED),
+        "amplitudes": (_checked(_DECREASING, len, "need at least one amplitude"), _REQUIRED),
+        "k": (_AT_LEAST_1, 1),
+        "classify_budget": (_AT_LEAST_1, 8),
+        "window": (_POSITIVE, 0.25),
+    },
+    "output": {"dir": (str, _REQUIRED)},
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated experiment: ``spec`` is the problem every verb solves.
+
+    ``diag_params`` and ``sweep`` (None without a [sweep] section) hold
+    their sections' keys, defaults filled in.
+    """
+
+    spec: ProblemSpec
+    diagnostics: tuple
+    diag_params: dict
+    sweep: dict | None
+    output_dir: str
+
+
+def _section(cp: configparser.ConfigParser, name: str, table: dict, kinds: dict | None = None) -> dict:
+    """The keys of one section, each parsed by ``table`` or set to its default.
+
+    An absent section reads as its defaults.  A missing required key, a
+    value its parser rejects and a key not in the table are ConfigErrors
+    that start with ``section.key``.  With ``kinds``, the section also
+    takes the keys of the sub-table its ``kind`` names.
+    """
+    given = dict(cp.items(name)) if cp.has_section(name) else {}
+    values = {}
+    for key, (parse, default) in table.items():
+        if key in given:
+            try:
+                values[key] = parse(given[key])
+            except ValueError as exc:
+                raise ConfigError(f"{name}.{key}: {exc}") from None
+        elif default is _REQUIRED:
+            raise ConfigError(f"{name}.{key}: required key missing")
+        else:
+            values[key] = default
+    if kinds is not None:
+        return _section(cp, name, {**table, **kinds[values["kind"]]})
+    for key in given:
+        if key not in table:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    return values
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an INI experiment config."""
+    """Parse and validate an INI experiment config and build its ProblemSpec."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = cp.read(path)
@@ -157,164 +197,79 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-
     for sec in ("domain", "problem", "boundary", "output"):
         if not cp.has_section(sec):
             raise ConfigError(f"{sec}: required section missing")
-    for sec, keys in _KEYS.items():
-        if cp.has_section(sec):
-            for key in cp.options(sec):
-                if key not in keys:
-                    raise ConfigError(f"{sec}.{key}: unknown key")
+    for sec in cp.sections():
+        if sec not in _TABLE:
+            raise ConfigError(f"{sec}: unknown section")
 
-    x_min = _get(cp, "domain", "x_min", _finite, required=True)
-    x_max = _get(cp, "domain", "x_max", _finite, required=True)
-    y_min = _get(cp, "domain", "y_min", _finite, required=True)
-    y_max = _get(cp, "domain", "y_max", _finite, required=True)
-    n = _get(cp, "domain", "n", int, required=True)
-    if not (x_max > x_min and y_max > y_min):
-        raise ConfigError("domain: x_max/y_max must exceed x_min/y_min")
-    if n < 3:
-        raise ConfigError("domain.n: need at least 3 nodes per side")
+    dom = _section(cp, "domain", _TABLE["domain"])
     try:
-        grid = build_grid(x_min, x_max, y_min, y_max, n, n)
+        grid = build_grid(dom["x_min"], dom["x_max"], dom["y_min"], dom["y_max"], dom["n"], dom["n"])
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from None
-    # the smallest window fit_two_graphs and eps covering_count accept on
-    # the configured grid
+    # the smallest window fit_two_graphs and eps covering_count accept, and
+    # the default ladder, on the configured grid
     min_window = MIN_WINDOW_STEPS * grid.h
     min_eps = MIN_EPS_STEPS * grid.h
+    ladder = tuple(k * grid.h for k in LADDER_STEPS)
 
-    lp = _get(cp, "problem", "lambda_plus", _finite, required=True)
-    lm = _get(cp, "problem", "lambda_minus", _finite, required=True)
-    if lp <= 0.0 or lm <= 0.0:
-        raise ConfigError("problem.lambda_plus/lambda_minus: must be positive")
+    problem = _section(cp, "problem", _TABLE["problem"])
+    lp, lm = problem["lambda_plus"], problem["lambda_minus"]
+    b = _section(cp, "boundary", _TABLE["boundary"], _KINDS)
+    try:
+        if b["kind"] == "profile":
+            shape = GlobalProfile(b["beta1"], b["beta2"], b["tau"], b["theta"], lp, lm)
+        else:
+            shape = OnePhasePolynomial(b["cxx"], b["cxy"], b["cyy"], b["sign"])
+        trace = BoundaryMap.from_callable(grid, lambda X, Y: eval_many(shape, X, Y) + b["offset"])
+    except ValueError as exc:
+        raise ConfigError(f"boundary: {exc}") from None
+    solver = _section(cp, "solver", _TABLE["solver"])
+    spec = ProblemSpec(grid, trace, lp, lm,
+                       tol_linear=solver["tol_linear"], tol_pattern=solver["max_sweeps"])
 
-    kind = _get(cp, "boundary", "kind", str, required=True).strip().lower()
-    offset = _get(cp, "boundary", "offset", _finite, default=0.0)
-    if kind == "profile":
-        params = {
-            "beta1": _get(cp, "boundary", "beta1", _finite, default=1.0),
-            "beta2": _get(cp, "boundary", "beta2", _finite, default=0.0),
-            "tau": _get(cp, "boundary", "tau", _finite, default=0.0),
-            "theta": _get(cp, "boundary", "theta", _finite, default=0.0),
-        }
-    elif kind == "polynomial":
-        params = {
-            "cxx": _get(cp, "boundary", "cxx", _finite, required=True),
-            "cxy": _get(cp, "boundary", "cxy", _finite, default=0.0),
-            "cyy": _get(cp, "boundary", "cyy", _finite, required=True),
-            "sign": _get(cp, "boundary", "sign", int, default=1),
-        }
-    else:
-        raise ConfigError(f"boundary.kind: unknown kind {kind!r}")
+    dp = _section(cp, "diagnostics", _TABLE["diagnostics"])
+    diagnostics = dp.pop("run")
+    dp["radii"] = dp["radii"] or ladder
+    dp["eps"] = dp["eps"] or ladder
+    point = dp["point"]
+    if "graphs" in diagnostics and dp["window"] < min_window:
+        raise ConfigError(f"diagnostics.window: must cover at least {MIN_WINDOW_STEPS:g} grid "
+                          f"steps ({min_window!r}) when graphs run")
+    if "covering" in diagnostics and any(e < min_eps for e in dp["eps"]):
+        raise ConfigError(f"diagnostics.eps: must be at least {MIN_EPS_STEPS:g} grid steps "
+                          f"({min_eps!r}) when covering runs")
+    # the balls the diagnostics integrate over, checked on the configured grid
+    balls = []
+    if set(diagnostics) & {"phi_ladder", "psi_ladder", "classify"}:
+        balls += [("radii", r) for r in dp["radii"]]
+    if "xi" in diagnostics:
+        balls.append(("xi_r", dp["xi_r"]))
+    if "graphs" in diagnostics:
+        # fit_two_graphs bins vertices out to the window's half-width
+        balls.append(("window", dp["window"]))
+    if balls and not grid.contains_ball(point, 0.0):
+        raise ConfigError(f"diagnostics.point: {point} lies outside the domain")
+    for key, r in balls:
+        try:
+            check_ball(grid, point, r)
+        except ValueError as exc:
+            raise ConfigError(f"diagnostics.{key}: {exc}") from None
 
-    tol_linear = _get(cp, "solver", "tol_linear", _finite, default=1e-10) if cp.has_section("solver") else 1e-10
-    max_sweeps = _get(cp, "solver", "max_sweeps", int, default=200) if cp.has_section("solver") else 200
-    if tol_linear <= 0.0:
-        raise ConfigError("solver.tol_linear: must be positive")
-    if max_sweeps < 1:
-        raise ConfigError("solver.max_sweeps: must be at least 1")
-
-    diagnostics: tuple = ()
-    diag_params: dict = {}
-    if cp.has_section("diagnostics"):
-        diagnostics = _get(cp, "diagnostics", "run", _names, default=())
-        for name in diagnostics:
-            if name not in _DIAGNOSTICS:
-                raise ConfigError(f"diagnostics.run: unknown diagnostic {name!r}")
-        point = _get(cp, "diagnostics", "point", _floats, default=(0.0, 0.0))
-        if len(point) != 2:
-            raise ConfigError("diagnostics.point: need exactly two coordinates")
-        radii = _get(cp, "diagnostics", "radii", _floats, default=()) or tuple(
-            k * grid.h for k in LADDER_STEPS)
-        if any(r <= 0.0 for r in radii):
-            raise ConfigError("diagnostics.radii: need positive radii")
-        if any(radii[k + 1] >= radii[k] for k in range(len(radii) - 1)):
-            raise ConfigError("diagnostics.radii: must be strictly decreasing")
-        diag_params = {
-            "point": point,
-            "radii": radii,
-            "window": _get(cp, "diagnostics", "window", _finite, default=0.25),
-            "eps": _get(cp, "diagnostics", "eps", _floats, default=()),
-            "xi_r": _get(cp, "diagnostics", "xi_r", _finite, default=0.5),
-            "xi_m": _get(cp, "diagnostics", "xi_m", int, default=256),
-            "xi_rotation": _get(cp, "diagnostics", "xi_rotation", _finite, default=0.0),
-        }
-        if diag_params["window"] <= 0.0:
-            raise ConfigError("diagnostics.window: must be positive")
-        if "graphs" in diagnostics and diag_params["window"] < min_window:
-            raise ConfigError(f"diagnostics.window: must cover at least {MIN_WINDOW_STEPS:g} grid "
-                              f"steps ({min_window!r}) when graphs run")
-        if any(e <= 0.0 for e in diag_params["eps"]):
-            raise ConfigError("diagnostics.eps: need positive radii")
-        if "covering" in diagnostics and any(e < min_eps for e in diag_params["eps"]):
-            raise ConfigError(f"diagnostics.eps: must be at least {MIN_EPS_STEPS:g} grid steps "
-                              f"({min_eps!r}) when covering runs")
-        if diag_params["xi_r"] <= 0.0:
-            raise ConfigError("diagnostics.xi_r: must be positive")
-        if diag_params["xi_m"] < 4 or diag_params["xi_m"] % 2 != 0:
-            raise ConfigError("diagnostics.xi_m: must be even and at least 4")
-        # the balls the diagnostics integrate over, checked on the configured grid
-        balls = []
-        if set(diagnostics) & {"phi_ladder", "psi_ladder", "classify"}:
-            balls += [("radii", r) for r in radii]
-        if "xi" in diagnostics:
-            balls.append(("xi_r", diag_params["xi_r"]))
-        if "graphs" in diagnostics:
-            # fit_two_graphs bins vertices out to the window's half-width
-            balls.append(("window", diag_params["window"]))
-        if balls and not grid.contains_ball(point, 0.0):
-            raise ConfigError(f"diagnostics.point: {point} lies outside the domain")
-        for key, r in balls:
-            try:
-                check_ball(grid, point, r)
-            except ValueError as exc:
-                raise ConfigError(f"diagnostics.{key}: {exc}") from None
-
-    sweep = None
-    if cp.has_section("sweep"):
-        family = _get(cp, "sweep", "family", str, required=True).strip().lower()
-        if family not in _FAMILIES:
-            raise ConfigError(f"sweep.family: unknown family {family!r}")
-        amplitudes = _get(cp, "sweep", "amplitudes", _floats, required=True)
-        if not amplitudes or any(a <= 0.0 for a in amplitudes):
-            raise ConfigError("sweep.amplitudes: need positive amplitudes")
-        if any(amplitudes[k + 1] >= amplitudes[k] for k in range(len(amplitudes) - 1)):
-            raise ConfigError("sweep.amplitudes: must be strictly decreasing")
-        sweep = {
-            "family": family,
-            "amplitudes": amplitudes,
-            "k": _get(cp, "sweep", "k", int, default=1),
-            "classify_budget": _get(cp, "sweep", "classify_budget", int, default=8),
-            "window": _get(cp, "sweep", "window", _finite, default=0.25),
-        }
-        for key in ("k", "classify_budget"):
-            if sweep[key] < 1:
-                raise ConfigError(f"sweep.{key}: must be at least 1")
-        if sweep["window"] <= 0.0:
-            raise ConfigError("sweep.window: must be positive")
+    sweep = _section(cp, "sweep", _TABLE["sweep"]) if cp.has_section("sweep") else None
+    if sweep is not None:
         if sweep["window"] < min_window:
             raise ConfigError(f"sweep.window: must cover at least {MIN_WINDOW_STEPS:g} grid steps ({min_window!r})")
         # the sweep classifies only vertices this far inside the grid
-        margin = _reference_margin(grid, LADDER_STEPS[0] * grid.h, sweep["window"])
-        if 2.0 * margin >= min(x_max - x_min, y_max - y_min):
+        margin = _reference_margin(grid, ladder[0], sweep["window"])
+        if 2.0 * margin >= min(grid.x_max - grid.x_min, grid.y_max - grid.y_min):
             raise ConfigError(f"sweep.window: reference points need a margin of max(32h, window) + 2h "
                               f"({margin!r}) inside the domain, which leaves no room for them")
 
-    out_dir = _get(cp, "output", "dir", str, required=True)
-
-    try:
-        cfg = ExperimentConfig(
-            x_min, x_max, y_min, y_max, n, lp, lm, kind, params, offset,
-            tol_linear, max_sweeps, diagnostics, diag_params, sweep, out_dir,
-        )
-        cfg.boundary_object()
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"boundary: {exc}") from None
-    return cfg
+    out_dir = _section(cp, "output", _TABLE["output"])["dir"]
+    return ExperimentConfig(spec, diagnostics, dp, sweep, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +542,8 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
         lengths = perimeter_estimate(fa, (g.x_min, g.x_max, g.y_min, g.y_max))
         write_json(lengths, os.path.join(out, "perimeter.json"))
     if "covering" in config.diagnostics:
-        eps_list = dp["eps"] or (32.0 * g.h, 16.0 * g.h, 8.0 * g.h)
         rows = []
-        for eps in eps_list:
+        for eps in dp["eps"]:
             n_eps = covering_count(fb, eps)
             rows.append({"eps": eps, "count": n_eps, "product": n_eps * eps})
         write_json(rows, os.path.join(out, "covering.json"))
@@ -599,12 +553,10 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
     """Execute one experiment; returns a process exit status."""
     os.makedirs(config.output_dir, exist_ok=True)
     try:
-        g = config.grid()
-        spec = config.problem(g)
-        u, report = solve(spec)
+        u, report = solve(config.spec)
         dump_field_csv(u, os.path.join(config.output_dir, "field.csv"))
         write_json(report, os.path.join(config.output_dir, "solve_report.json"))
-        fa = FieldAnalysis(u, spec)
+        fa = FieldAnalysis(u, config.spec)
         if mode == "diagnose":
             _run_diagnostics(config, fa)
         elif mode == "sweep":

@@ -142,13 +142,15 @@ def sample(grid: Grid2D, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
     return ScalarField(grid, np.asarray(fn(X, Y), dtype=float))
 
 
+def _neighbor_sum(full: np.ndarray) -> np.ndarray:
+    """Sum of the four neighbors of every interior node, shape (ny-2, nx-2)."""
+    return full[1:-1, :-2] + full[1:-1, 2:] + full[:-2, 1:-1] + full[2:, 1:-1]
+
+
 def laplacian_interior(f: ScalarField) -> np.ndarray:
     """Five-point Laplacian on the full interior block, shape (ny-2, nx-2)."""
     v = f.values
-    h2 = f.grid.h * f.grid.h
-    return (
-        v[1:-1, :-2] + v[1:-1, 2:] + v[:-2, 1:-1] + v[2:, 1:-1] - 4.0 * v[1:-1, 1:-1]
-    ) / h2
+    return (_neighbor_sum(v) - 4.0 * v[1:-1, 1:-1]) / (f.grid.h * f.grid.h)
 
 
 def gradient_fields(f: ScalarField) -> tuple[ScalarField, ScalarField]:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import BoundaryMap, Grid2D, ScalarField, build_grid, laplacian_interior
+from .grid import BoundaryMap, Grid2D, ScalarField, _neighbor_sum, build_grid, laplacian_interior
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,6 @@ def _pattern(interior: np.ndarray, tol_zero: float) -> np.ndarray:
 
 def _forcing(pattern: np.ndarray, lp: float, lm: float) -> np.ndarray:
     return 0.5 * lp * (pattern > 0) - 0.5 * lm * (pattern < 0)
-
-
-def _neighbor_sum(full: np.ndarray) -> np.ndarray:
-    return full[1:-1, :-2] + full[1:-1, 2:] + full[:-2, 1:-1] + full[2:, 1:-1]
 
 
 @dataclass

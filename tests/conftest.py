@@ -3,9 +3,12 @@
 Session scope keeps the expensive solves (65^2 .. 257^2) and the big
 sampled grids to one build per run.
 """
+import os
+
 import numpy as np
 import pytest
 
+import membranelab
 from membranelab import (
     BoundaryMap,
     GlobalProfile,
@@ -19,6 +22,12 @@ from membranelab import (
 
 LP = 2.0
 LM = 2.0
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src ahead of PYTHONPATH;
+    # name the tree actually under test
+    return f"membranelab: {os.path.dirname(membranelab.__file__)}"
 
 
 def profile_fn(lp=LP, lm=LM):

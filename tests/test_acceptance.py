@@ -73,9 +73,8 @@ def shift_sweep_report(tmp_path_factory):
         f"[output]\ndir = {out / 'artifacts'}\n"
     )
     cfg = load_config(str(ini))
-    spec = cfg.problem(cfg.grid())
-    u_ref, _ = solve(spec)
-    return cfg, stability_sweep(cfg, FieldAnalysis(u_ref, spec))
+    u_ref, _ = solve(cfg.spec)
+    return cfg, stability_sweep(cfg, FieldAnalysis(u_ref, cfg.spec))
 
 
 def sup_field_error(v, spec, u):
@@ -259,7 +258,7 @@ def test_criterion_09_two_graph_structure(timed_profile_solves, tau_solution):
 
 def test_criterion_10_shift_sweep_stability(shift_sweep_report, tmp_path):
     cfg, report = shift_sweep_report
-    h = cfg.grid().h
+    h = cfg.spec.grid.h
     deltas = [row.delta for row in report.rows]
     assert deltas == [0.1, 0.05, 0.025]
     for row in report.rows:
@@ -283,10 +282,9 @@ def test_criterion_10_shift_sweep_stability(shift_sweep_report, tmp_path):
         f"[output]\ndir = {tmp_path / 'abort_out'}\n"
     )
     cfg = load_config(str(ini))
-    spec = cfg.problem(cfg.grid())
-    u_ref, _ = solve(spec)
+    u_ref, _ = solve(cfg.spec)
     with pytest.raises(SweepHypothesisError):
-        stability_sweep(cfg, FieldAnalysis(u_ref, spec))
+        stability_sweep(cfg, FieldAnalysis(u_ref, cfg.spec))
     print(
         f"criterion 10: interior diffs {[f'{r.sup_interior_diff:.5f}' for r in report.rows]} <= deltas, "
         f"hausdorff {[f'{d:.3f}' for d in dists]} non-increasing, singular reference aborts"

@@ -12,11 +12,13 @@ import pytest
 from membranelab import (
     ConfigError,
     FieldAnalysis,
+    GlobalProfile,
     StabilityReport,
     SweepHypothesisError,
     SweepRow,
     hausdorff_distance,
     load_config,
+    profile_boundary_trace,
     run,
     solve,
     stability_sweep,
@@ -60,11 +62,13 @@ def write_ini(tmp_path, text, name="exp.ini"):
 
 def test_load_config_happy_path(tmp_path):
     cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "out")))
-    assert cfg.n == 65
-    assert cfg.boundary_kind == "profile"
-    assert cfg.tol_linear == 1e-10
+    g = cfg.spec.grid
+    assert g.nx == g.ny == 65
+    # the boundary data are the trace of the configured profile
+    profile = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
+    assert np.array_equal(cfg.spec.boundary.values, profile_boundary_trace(profile, g).values)
+    assert cfg.spec.tol_linear == 1e-10
     assert cfg.sweep is None
-    g = cfg.grid()
     assert g.h == pytest.approx(2.0 / 64.0)
 
 
@@ -85,7 +89,7 @@ amplitudes = 0.2, 0.1
 k = 2
 """
     cfg = load_config(write_ini(tmp_path, text))
-    assert cfg.tol_linear == 1e-9 and cfg.max_sweeps == 50
+    assert cfg.spec.tol_linear == 1e-9 and cfg.spec.tol_pattern == 50
     assert cfg.diagnostics == ("phi_ladder", "perimeter")
     assert cfg.sweep["family"] == "sine" and cfg.sweep["k"] == 2
 
@@ -94,6 +98,7 @@ k = 2
     ("[domain]\nx_min = -1", "required section missing"),
     ("replace:n = 65\nn = 2", "at least 3 nodes"),
     ("replace:y_max = 1.0\ny_max = 1.5", "domain: spacing mismatch"),
+    ("replace:x_max = 1.0\nx_max = -1.0", "domain: grid bounds must satisfy x_min < x_max"),
     ("replace:lambda_plus = 2.0\nlambda_plus = -1.0", "must be positive"),
     ("replace:kind = profile\nkind = cubic", "unknown kind"),
     ("append:[diagnostics]\nrun = swirl", "unknown diagnostic"),
@@ -124,6 +129,9 @@ k = 2
     ("append:[solver]\ntol_linear = nan", "solver.tol_linear: must be finite"),
     ("replace:lambda_plus = 2.0\nlambda_plus = inf", "problem.lambda_plus: must be finite"),
     ("append:[diagnostics]\npoint = nan 0", "diagnostics.point: must be finite"),
+    # a misspelt section, or a key of the other boundary kind, is not ignored
+    ("append:[solvr]\ntol_linear = 1e-9", "solvr: unknown section"),
+    ("replace:kind = profile\nkind = polynomial\ncxx = 0.25\ncyy = 0.25\ntau = -0.5", "boundary.tau: unknown key"),
     # radii must exceed 2 grid steps (0.0625) and their balls must stay in the grid
     ("append:[diagnostics]\nrun = phi_ladder\nradii = 0.5, 0.05", "diagnostics.radii: radius 0.05 under-resolved"),
     ("append:[diagnostics]\nrun = classify\nradii = 0.5, 0.0625", "diagnostics.radii: radius 0.0625 under-resolved"),
@@ -382,6 +390,10 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["diagnose", bad]) == 2
         assert f"config error: diagnostics.{name}:" in capsys.readouterr().err
         assert not (tmp_path / f"d_{name}").exists()
+    # diagnose without a [diagnostics] section runs none and writes the free boundary
+    plain = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "no_diag"), "plain.ini")
+    assert main(["diagnose", plain]) == 0
+    assert sorted(os.listdir(tmp_path / "no_diag")) == ["field.csv", "free_boundary.csv", "solve_report.json"]
     # without graphs to fit, the diagnostics window is not read
     assert load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "w_ok")
                                  + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\neps = 0.04\n", "ok.ini"))
@@ -429,9 +441,8 @@ dir = {out}
 
 def solved_sweep(ini):
     cfg = load_config(ini)
-    spec = cfg.problem(cfg.grid())
-    u_ref, _ = solve(spec)
-    return cfg, FieldAnalysis(u_ref, spec)
+    u_ref, _ = solve(cfg.spec)
+    return cfg, FieldAnalysis(u_ref, cfg.spec)
 
 
 def test_stability_sweep_end_to_end(tmp_path):

@@ -3,9 +3,13 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import sys
 
+from membranelab import cli
+
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_traced_targets_resolve_to_package_functions(monkeypatch):
@@ -105,3 +109,35 @@ def test_phase_coefficients_have_no_defaults():
                           if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                           and isinstance(stmt.target, ast.Name) and stmt.target.id in PHASE_COEFFICIENTS]
     assert not found, f"phase coefficients with a default: {found}"
+
+
+def readme_config_defaults():
+    """README's config table as {section.key: default cell}.
+
+    A row may name several keys, as in `domain.x_min`, `x_max`; a bare key
+    belongs to the section of the row's first key.
+    """
+    with open(README) as fh:
+        table = fh.read().split("| key | default | range |", 1)[1].split("\n\n", 1)[0]
+    defaults = {}
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            keys_cell, default_cell = (cell.strip() for cell in row.split("|")[1:3])
+            names = re.findall(r"`([^`]+)`", keys_cell)
+            section = names[0].split(".")[0]
+            for name in names:
+                defaults[name if "." in name else f"{section}.{name}"] = default_cell
+    return defaults
+
+
+def test_readme_config_table_matches_the_config_table():
+    # a key documented but not read, or read but not documented, or a
+    # default documented as required when it is not, is a stale README
+    table = {f"{sec}.{key}": default
+             for sec, keys in cli._TABLE.items() for key, (_, default) in keys.items()}
+    table.update({f"boundary.{key}": default
+                  for keys in cli._KINDS.values() for key, (_, default) in keys.items()})
+    readme = readme_config_defaults()
+    assert set(readme) == set(table)
+    wrong = [key for key, cell in readme.items() if (cell == "required") != (table[key] is cli._REQUIRED)]
+    assert not wrong, f"required marked wrongly for {wrong}"
