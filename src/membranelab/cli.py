@@ -141,7 +141,7 @@ _TABLE = {
         "classify_budget": (_AT_LEAST_1, 8),
         "window": (_POSITIVE, 0.25),
     },
-    "output": {"dir": (str, _REQUIRED)},
+    "output": {"dir": (_checked(str, len, "must not be empty"), _REQUIRED)},
 }
 
 
@@ -190,7 +190,8 @@ def _section(cp: configparser.ConfigParser, name: str, table: dict, kinds: dict 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an INI experiment config and build its ProblemSpec."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are literal: a % in a path is not an interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:

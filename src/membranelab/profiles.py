@@ -152,20 +152,21 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 #   scan(theta) = min over the quick chart grids of max over nodes |ramp - f|
 #
 # and hands the three smallest on to stage 2.  The scan is pruned, but
-# exactly.  A lower bound of scan(theta) comes first, for all angles in one
-# array pass: the same quantity over every _ORDER_STRIDE-th node only.  A
-# node's error is computed with the same floating-point operations wherever
-# it is computed, so a max over fewer nodes never exceeds the full one.
-# Angles are then taken in order of increasing bound, _SCAN_BATCH at a
-# time, until the next bound is strictly above the third smallest exact
-# value found so far.  A batch is filtered by the finer bound over every
-# _BOUND_STRIDE-th node, and only the angles whose finer bound is not above
-# that third value get an exact value.  Every angle skipped either way has
-# scan >= bound > the final third value, so it can be neither a leader nor
-# tied with one, and it keeps +inf.  Leaders are the three smallest values,
-# ties going to the lower angle index.  The rotation is taken per angle
-# with math.cos and math.sin as in ``_rotated_x1``, so an angle's value
-# does not depend on its batch.
+# exactly.  A node's error is computed with the same floating-point
+# operations wherever it is computed, so a max over fewer nodes never
+# exceeds the full one.  One table holds that max over every
+# _ORDER_STRIDE-th node for each pair of angle and quick-grid candidate;
+# its min over the candidates bounds scan(theta) from below.  Angles are
+# taken one at a time in order of increasing bound, until the next bound
+# is strictly above the third smallest exact value found so far.  Within
+# an angle, the candidate of least table entry is evaluated on all nodes
+# first, giving t, and then only the candidates whose entry is not above
+# t: a skipped candidate has a full max >= its entry > t, so the angle's
+# value is exact.  Every angle skipped has scan >= bound > the final third
+# value, so it can be neither a leader nor tied with one, and it keeps
+# +inf.  Leaders are the three smallest values, ties going to the lower
+# angle index.  The rotation is taken per angle with math.cos and math.sin
+# as in ``_rotated_x1``.
 #
 # Stages 2 and 3 solve for the linear coefficients exactly.  At a fixed
 # angle the ramp is linear in (beta1, beta2), and in beta1 alone at a fixed
@@ -220,11 +221,11 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # Search constants: the box bounds A, B, C of the charts below; the number
 # of angles of the theta scan and of chart A's starting taus; the step at
 # which step halving stops; the scan's angles and their rotations; the
-# node strides of the fine bound and of the angle order; the angles per
-# batch; the relative gap at which an exchange stops; the rounding of a
-# coefficient on a face, or of a zero gradient; the inverse of the largest
-# condition number of a usable reference, and the smallest usable pivot
-# relative to the largest; the most passes of an exchange.
+# node stride of the bound table; the relative gap at which an exchange
+# stops; the rounding of a coefficient on a face, or of a zero gradient;
+# the inverse of the largest condition number of a usable reference, and
+# the smallest usable pivot relative to the largest; the most passes of an
+# exchange.
 
 _A = 4.0
 _B = 4.0
@@ -236,9 +237,7 @@ _THETAS = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
 _COS = np.array([math.cos(t) for t in _THETAS.tolist()])
 _SIN = np.array([math.sin(t) for t in _THETAS.tolist()])
 _TAUS = np.linspace(-1.0, 0.0, _TAU_GRID).tolist()
-_BOUND_STRIDE = 16
 _ORDER_STRIDE = 64
-_SCAN_BATCH = 4
 _GAP = 1e-13
 _EPS = float(np.finfo(float).eps)
 _ROUND = 8.0 * _EPS * max(_A, _B)
@@ -272,26 +271,23 @@ _CHARTS = (
 _FACES = np.array([(-1.0, 0.0, 0.0), (1.0, 0.0, _A), (0.0, -1.0, 0.0), (0.0, 1.0, _B), (-1.0, -1.0, -_C)])
 
 
-def _chart_grid(chart: _Chart, n_beta1: int, n_s: int) -> tuple[np.ndarray, np.ndarray]:
-    (lo1, hi1), (lo2, hi2) = chart.box
-    return np.linspace(lo1, hi1, n_beta1), np.linspace(lo2, hi2, n_s)
+def _quick_rows() -> list:
+    """(beta1s, beta2, tau) for each s of each chart's stage-1 grid."""
+    rows = []
+    for chart in _CHARTS:
+        (lo1, hi1), (lo2, hi2) = chart.box
+        beta1s = np.linspace(lo1, hi1, chart.quick[0])
+        rows += [chart.params(beta1s, s) for s in np.linspace(lo2, hi2, chart.quick[1]).tolist()]
+    return rows
 
 
-def _chart_sups(x1, pos2, fvals, lm, chart: _Chart, beta1s, ss) -> np.ndarray:
-    """max |ramp - f| over the nodes (last axis) for each (s, beta1) of a chart grid.
-
-    The result has x1's leading axes, then (s, beta1), with +inf where
-    beta1 + beta2 < C.  Looping over s keeps each candidate block in cache.
-    """
-    sups = np.empty(x1.shape[:-1] + (len(ss), len(beta1s)))
-    for i, s in enumerate(ss.tolist()):
-        _, beta2, tau = chart.params(beta1s, s)
-        cand = beta1s[:, None] * (pos2 - _neg_part(x1, tau, lm))[..., None, :]
-        if beta2:
-            cand += beta2 * x1[..., None, :]
-        sup = np.max(np.abs(cand - fvals), axis=-1)
-        sups[..., i, :] = np.where(beta1s + beta2 >= _C, sup, math.inf)
-    return sups
+# The stage-1 candidates, row by row: (beta1, beta2, tau) per column of
+# _QUICK, the distinct taus and each candidate's index among them, and the
+# admissible candidates, beta1 + beta2 >= C.
+_QUICK_ROWS = _quick_rows()
+_QUICK = np.concatenate([np.broadcast_arrays(*row) for row in _QUICK_ROWS], axis=1)
+_QUICK_TAUS, _QUICK_TAU_AT = np.unique(_QUICK[2], return_inverse=True)
+_QUICK_OK = _QUICK[0] + _QUICK[1] >= _C
 
 
 def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,31 +452,55 @@ def _step_halving(fit, found: _Fit, point: list, steps: list, lo: list, hi: list
     return found
 
 
-def _quick_values(X, Y, fvals, lp, lm, rows: np.ndarray) -> np.ndarray:
-    """Stage-1 value of each angle index in ``rows`` over the given nodes.
+def _bound_table(X, Y, fvals, lp, lm) -> np.ndarray:
+    """max |ramp - f| over the given nodes per (candidate of _QUICK, angle).
 
-    min over the quick grids of every chart of max |ramp - f|.
+    +inf where beta1 + beta2 < C.  The nodes lie on the leading axis of
+    each row's block, so the max over them is an elementwise reduction.
     """
-    x1 = _COS[rows, None] * X - _SIN[rows, None] * Y
+    x1 = _COS * X[:, None] - _SIN * Y[:, None]
     pos2 = _pos_part(x1, lp)
-    sups = [_chart_sups(x1, pos2, fvals, lm, chart, *_chart_grid(chart, *chart.quick)) for chart in _CHARTS]
-    return np.min([s.min(axis=(1, 2)) for s in sups], axis=0)
+    table = np.empty((_QUICK.shape[1], _THETA_GRID))
+    start = 0
+    for beta1s, beta2, tau in _QUICK_ROWS:
+        cand = beta1s[:, None] * (pos2 - _neg_part(x1, tau, lm))[:, None, :]
+        if beta2:
+            cand += (beta2 * x1)[:, None, :]
+        cand -= fvals[:, None, None]
+        np.max(np.abs(cand, out=cand), axis=0, out=table[start:start + beta1s.size])
+        start += beta1s.size
+    table[~_QUICK_OK] = math.inf
+    return table
+
+
+def _quick_sups(x1, bases, fvals, cands) -> np.ndarray:
+    """max |ramp - f| over all nodes at one angle for the candidates ``cands`` of _QUICK.
+
+    ``bases`` holds pos - neg of the angle's x1 at each of _QUICK_TAUS.
+    """
+    beta1, beta2, _ = _QUICK[:, cands]
+    cand = beta1[:, None] * bases[_QUICK_TAU_AT[cands]]
+    lin = beta2 != 0.0
+    cand[lin] += beta2[lin, None] * x1
+    return np.max(np.abs(cand - fvals), axis=1)
 
 
 def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
     """Stage-1 value per angle of ``_THETAS``; pruned angles hold +inf."""
     coarse = slice(None, None, _ORDER_STRIDE)
-    bound = _quick_values(X[coarse], Y[coarse], fvals[coarse], lp, lm, np.arange(_THETA_GRID))
-    order = np.argsort(bound, kind="stable")
+    table = _bound_table(X[coarse], Y[coarse], fvals[coarse], lp, lm)
+    bound = table.min(axis=0)
     scan = np.full(_THETA_GRID, math.inf)
-    fine = slice(None, None, _BOUND_STRIDE)
-    for i in range(0, _THETA_GRID, _SCAN_BATCH):
-        rows = order[i:i + _SCAN_BATCH]
-        third = np.partition(scan, 2)[2]
-        if bound[rows[0]] > third:
+    for k in np.argsort(bound, kind="stable").tolist():
+        if bound[k] > np.partition(scan, 2)[2]:
             break
-        rows = rows[_quick_values(X[fine], Y[fine], fvals[fine], lp, lm, rows) <= third]
-        scan[rows] = _quick_values(X, Y, fvals, lp, lm, rows)
+        x1 = _COS[k] * X - _SIN[k] * Y
+        bases = _pos_part(x1, lp) - _neg_part(x1, _QUICK_TAUS[:, None], lm)
+        entries = table[:, k]
+        first = int(np.argmin(entries))
+        t = _quick_sups(x1, bases, fvals, [first])[0]
+        rest = np.flatnonzero(entries <= t)
+        scan[k] = np.min(_quick_sups(x1, bases, fvals, rest[rest != first]), initial=t)
     return scan
 
 

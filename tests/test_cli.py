@@ -138,6 +138,8 @@ k = 2
     ("append:[diagnostics]\nrun = psi_ladder\npoint = 0.75 0\nradii = 0.5", "diagnostics.radii: ball of radius 0.5"),
     # the default ladder is 32, 16 and 8 grid steps: 1.0, 0.5 and 0.25
     ("append:[diagnostics]\nrun = phi_ladder\npoint = 0.5 0", "diagnostics.radii: ball of radius 1.0"),
+    # an empty output directory: the configured path becomes a comment line
+    ("replace:dir = \ndir =\n# ", "output.dir: must not be empty"),
     ("append:[diagnostics]\nrun = xi\nxi_r = 1.5", "diagnostics.xi_r: ball of radius 1.5"),
     ("append:[diagnostics]\nrun = xi\nxi_r = 0.05", "diagnostics.xi_r: radius 0.05 under-resolved"),
     ("append:[diagnostics]\nrun = graphs\npoint = 0 0.9", "diagnostics.window: ball of radius 0.25"),
@@ -330,6 +332,15 @@ def test_solve_mode_writes_field_only(tmp_path):
     assert names == ["field.csv", "solve_report.json"]
 
 
+def test_config_values_are_literal(tmp_path):
+    # a % in a value is a character of the value, not an interpolation
+    out = tmp_path / "out%1"
+    cfg = load_config(write_ini(tmp_path, BASE_INI.replace("n = 65", "n = 33").format(out=out)))
+    assert cfg.output_dir == str(out)
+    assert run(cfg, mode="solve") == 0
+    assert sorted(os.listdir(out)) == ["field.csv", "solve_report.json"]
+
+
 def test_main_exit_codes(tmp_path, capsys):
     ini = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "m0"))
     assert main(["solve", ini]) == 0
@@ -346,6 +357,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["solve", uneven]) == 2
     assert "config error: domain: spacing mismatch" in capsys.readouterr().err
     assert not (tmp_path / "m4").exists()
+
+    # an empty output directory fails at load time, before any solve
+    empty = write_ini(tmp_path, BASE_INI.format(out="").replace("n = 65", "n = 33"), "empty.ini")
+    capsys.readouterr()
+    assert main(["solve", empty]) == 2
+    assert "config error: output.dir: must not be empty" in capsys.readouterr().err
 
     # sweep verb demands a [sweep] section
     assert main(["sweep", ini]) == 2

@@ -18,8 +18,11 @@ from membranelab import (
     eval_profile_many,
     profile_boundary_trace,
     sample,
+    solve,
 )
 from membranelab import profiles
+from membranelab.cli import load_config, stability_sweep
+from membranelab.freeboundary import FieldAnalysis
 from membranelab.grid import boundary_mask
 
 
@@ -259,28 +262,34 @@ class OracleObjective:
         cand = beta1 * (self._pos2 - self.neg_part(tau)) + beta2 * self._x1
         return float(np.max(np.abs(cand - self.fvals)))
 
-    def chart_a_batch(self, taus, beta1s):
-        best = (math.inf, 0.0, 0.0)
-        for tau in taus:
+    def chart_a_sups(self, taus, beta1s):
+        """sup error per (tau, beta1) of chart A."""
+        sups = np.empty((len(taus), len(beta1s)))
+        for i, tau in enumerate(taus):
             base = self._pos2 - self.neg_part(tau)
             cand = beta1s[:, None] * base[None, :]
-            sups = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
-            k = int(np.argmin(sups))
-            if sups[k] < best[0]:
-                best = (float(sups[k]), float(beta1s[k]), float(tau))
-        return best
+            sups[i] = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
+        return sups
+
+    def chart_b_sups(self, beta1s, beta2s):
+        """sup error per (beta2, beta1) of chart B, +inf where beta1 + beta2 < C."""
+        base = self._pos2 - self.neg_part(0.0)
+        sups = np.empty((len(beta2s), len(beta1s)))
+        for i, b2 in enumerate(beta2s):
+            cand = beta1s[:, None] * base[None, :] + b2 * self._x1[None, :]
+            sups[i] = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
+            sups[i, beta1s + b2 < profiles._C] = math.inf
+        return sups
+
+    def chart_a_batch(self, taus, beta1s):
+        sups = self.chart_a_sups(taus, beta1s)
+        i, k = np.unravel_index(np.argmin(sups), sups.shape)
+        return float(sups[i, k]), float(beta1s[k]), float(taus[i])
 
     def chart_b_batch(self, beta1s, beta2s):
-        base = self._pos2 - self.neg_part(0.0)
-        best = (math.inf, 0.0, 0.0)
-        for b2 in beta2s:
-            cand = beta1s[:, None] * base[None, :] + b2 * self._x1[None, :]
-            sups = np.max(np.abs(cand - self.fvals[None, :]), axis=1)
-            sups = np.where(beta1s + b2 >= profiles._C, sups, math.inf)
-            k = int(np.argmin(sups))
-            if sups[k] < best[0]:
-                best = (float(sups[k]), float(beta1s[k]), float(b2))
-        return best
+        sups = self.chart_b_sups(beta1s, beta2s)
+        i, k = np.unravel_index(np.argmin(sups), sups.shape)
+        return float(sups[i, k]), float(beta1s[k]), float(beta2s[i])
 
 
 def oracle_descend_chart_a(obj, beta1, tau, step_b, step_t):
@@ -351,20 +360,37 @@ def oracle_search_theta_local(obj, theta, beta1, beta2, tau):
     return oracle_descend_chart_b(obj, beta1, beta2, 0.05, 0.05)
 
 
+# stage 1's quick grids: chart A's taus and beta1s, chart B's beta1s and beta2s
+QUICK_TAUS = np.linspace(-1.0, 0.0, 9)
+QUICK_B1_A = np.linspace(profiles._C, profiles._A, 12)
+QUICK_B1_B = np.linspace(0.0, profiles._A, 9)
+QUICK_B2_B = np.linspace(0.0, profiles._B, 9)
+LOOP_THETAS = -math.pi + 2.0 * math.pi * np.arange(profiles._THETA_GRID) / profiles._THETA_GRID
+
+
+def loop_candidate_sups(X, Y, fvals, lp, lm):
+    """sup error per (quick candidate, angle), one angle at a time.
+
+    Candidates run over chart A by tau, then chart B by beta2, beta1
+    fastest in both.
+    """
+    obj = OracleObjective(X, Y, fvals, lp, lm)
+    table = []
+    for th in LOOP_THETAS:
+        obj.set_theta(float(th))
+        table.append(np.concatenate([obj.chart_a_sups(QUICK_TAUS, QUICK_B1_A).ravel(),
+                                     obj.chart_b_sups(QUICK_B1_B, QUICK_B2_B).ravel()]))
+    return np.array(table).T
+
+
 def loop_theta_scan(X, Y, fvals, lp, lm):
     """Brute-force stage 1 of dist_to_M: the quick search at every angle in turn."""
     obj = OracleObjective(X, Y, fvals, lp, lm)
-    thetas = -math.pi + 2.0 * math.pi * np.arange(profiles._THETA_GRID) / profiles._THETA_GRID
-    n_quick = 9
-    taus_q = np.linspace(-1.0, 0.0, n_quick)
-    b1_aq = np.linspace(profiles._C, profiles._A, n_quick + 3)
-    b1_bq = np.linspace(0.0, profiles._A, n_quick)
-    b2_bq = np.linspace(0.0, profiles._B, n_quick)
     scan = np.empty(profiles._THETA_GRID)
-    for k, th in enumerate(thetas):
+    for k, th in enumerate(LOOP_THETAS):
         obj.set_theta(float(th))
-        va, _, _ = obj.chart_a_batch(taus_q, b1_aq)
-        vb, _, _ = obj.chart_b_batch(b1_bq, b2_bq)
+        va, _, _ = obj.chart_a_batch(QUICK_TAUS, QUICK_B1_A)
+        vb, _, _ = obj.chart_b_batch(QUICK_B1_B, QUICK_B2_B)
         scan[k] = min(va, vb)
     return scan
 
@@ -459,6 +485,96 @@ def test_theta_scan_tie_goes_to_the_lower_angle():
     scan = profiles._theta_scan(X[::4], Y[::4], fvals[::4], 2.0, 2.0)
     assert scan[179] == scan[181] == scan.min()
     assert list(np.argsort(scan, kind="stable")[:3]) == [179, 181, 180]
+
+
+def scan_args(name):
+    """The stage-1 arguments dist_to_M passes for a SCAN_CASES field."""
+    n, fn, lp, lm, _ = SCAN_CASES[name]
+    X, Y, fvals = profiles._disk_nodes(sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn))
+    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
+    return X[sub], Y[sub], fvals[sub], lp, lm
+
+
+@pytest.mark.parametrize("name", ["noise", "asymmetric_lambdas"])
+def test_bound_table_matches_the_loop_per_candidate(name):
+    # the table's entries are the loop's sup errors over the ordering nodes,
+    # to the bit, so a table entry never exceeds the candidate's full value
+    X, Y, fvals, lp, lm = scan_args(name)
+    coarse = slice(None, None, profiles._ORDER_STRIDE)
+    args = (X[coarse], Y[coarse], fvals[coarse], lp, lm)
+    assert np.array_equal(profiles._bound_table(*args), loop_candidate_sups(*args))
+
+
+@pytest.mark.parametrize("name", [name for name, case in SCAN_CASES.items() if case[-1]])
+def test_scan_evaluates_few_candidates_near_a_ramp(name, monkeypatch):
+    # near a ramp the table leaves fewer than 1 in 10 of the visited
+    # angles' candidates to be evaluated on all nodes
+    evaluated = []
+    quick_sups = profiles._quick_sups
+
+    def counting(x1, bases, fvals, cands):
+        evaluated.append(len(cands))
+        return quick_sups(x1, bases, fvals, cands)
+
+    monkeypatch.setattr(profiles, "_quick_sups", counting)
+    scan = profiles._theta_scan(*scan_args(name))
+    pairs = np.isfinite(scan).sum() * profiles._QUICK_OK.sum()
+    assert 0 < sum(evaluated) < 0.1 * pairs
+
+
+SWEEP_INI = """
+[domain]
+x_min = -1.0
+x_max = 1.0
+y_min = -1.0
+y_max = 1.0
+n = 129
+
+[problem]
+lambda_plus = 2.0
+lambda_minus = 2.0
+
+[boundary]
+kind = profile
+beta1 = 1.0
+
+[sweep]
+family = constant
+amplitudes = 0.1
+classify_budget = 2
+
+[output]
+dir = {out}
+"""
+
+
+def test_theta_scan_matches_the_full_loop_on_sweep_blowups(tmp_path, monkeypatch):
+    # the stage-1 inputs of a constant-shift sweep on n = 129 profile data:
+    # the 8h blow-ups of the reference field that classify its points, and
+    # the window/2 blow-ups of the field solved with a shift of 0.1 that fit
+    # its graphs.  They carry the solver's rounding, which no analytic case
+    # of SCAN_CASES has
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(SWEEP_INI.format(out=tmp_path / "out"))
+    config = load_config(str(ini))
+    u_ref, _ = solve(config.spec)
+    seen = []
+    theta_scan = profiles._theta_scan
+
+    def recording(*args):
+        seen.append((args, theta_scan(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(profiles, "_theta_scan", recording)
+    report = stability_sweep(config, FieldAnalysis(u_ref, config.spec))
+    assert report.reference_labels == ("branch", "branch")
+    assert len(seen) == 4
+    for args, scan in seen:
+        full = loop_theta_scan(*args)
+        visited = np.isfinite(scan)
+        assert np.array_equal(scan[visited], full[visited])
+        assert np.all(full[~visited] > np.sort(full)[2])
+        assert np.array_equal(np.argsort(scan, kind="stable")[:3], np.argsort(full, kind="stable")[:3])
 
 
 # ---------------------------------------------------------------------------

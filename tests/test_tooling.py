@@ -141,3 +141,34 @@ def test_readme_config_table_matches_the_config_table():
     assert set(readme) == set(table)
     wrong = [key for key, cell in readme.items() if (cell == "required") != (table[key] is cli._REQUIRED)]
     assert not wrong, f"required marked wrongly for {wrong}"
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def test_every_module_constant_is_read():
+    # a constant whose code was deleted would otherwise linger, still
+    # documented as if it tuned something
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "membranelab")
+    defined, read = [], set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            for target in targets:
+                for node in ast.walk(target) if target is not None else ():
+                    if isinstance(node, ast.Name) and CONSTANT.fullmatch(node.id):
+                        defined.append((name, node.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    unread = [f"{name}: {const}" for name, const in defined if const not in read]
+    assert not unread, f"module constants never read: {unread}"
