@@ -20,10 +20,8 @@ blow-up classification.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -168,85 +166,116 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # angle index.  The rotation is taken per angle with math.cos and math.sin
 # as in ``_rotated_x1``.
 #
-# Stages 2 and 3 solve for the linear coefficients exactly.  At a fixed
-# angle the ramp is linear in (beta1, beta2), and in beta1 alone at a fixed
-# tau, so the sup error over the nodes is a linear Chebyshev problem: a
-# linear program in the coefficients and the level h, which the exchange
+# Stage 2 solves for the linear coefficients exactly.  At a fixed angle the
+# ramp is linear in (beta1, beta2), and in beta1 alone at a fixed tau, so
+# the sup error over the nodes is a linear Chebyshev problem: a linear
+# program in the coefficients and the level h, which the exchange
 # algorithm solves exactly (Stiefel 1959; Cheney, Introduction to
-# Approximation Theory, 1966, ch. 2).  Chart A's tau and both charts'
-# theta keep an outer search: the scan leaders and a tau grid, then step
-# halving.
+# Approximation Theory, 1966, ch. 2).  Stage 3 moves the angle and tau
+# too, by a sequence of such problems.
 #
 # An exchange keeps a reference of one element more than there are
-# coefficients.  A node element (k, s) is levelled at s (ramp_k - f_k) = h;
-# chart B's reference may also hold faces of its box, n . c = d.  The
-# reference's weights, which sum to 1 over its nodes, cancel the nodes'
-# signed gradients s a_k together with the face normals; while they are
-# >= 0, weak duality makes h a lower bound of the optimum.  Each pass lets
-# in the node of largest error (or, in chart B, else the face most
-# broken), and the element that leaves keeps the weights >= 0 and h
-# non-decreasing: in one dimension it is the line of the same slope sign,
-# in two the ratio test of the dual simplex method picks it.  An exchange
-# stops once no error exceeds h by more than the gap and 8 ulps of the
-# field, and every face holds to rounding; or when the element that would
-# enter is in the reference already (its error is h up to rounding), or
-# the largest error has no gradient, so that it bounds every fit from
-# below.  So its result is exact, and the final reference certifies it.
-# A singular reference, a cycle (only pivots that leave h where it was
-# can close one) and _MAX_EXCHANGES passes raise RampFitError; none is
-# skipped.
+# coefficients.  A node element (k, s) is levelled at s (a_k . c - f_k) = h,
+# where a_k is the node's gradient; the reference may also hold faces
+# n . c = d of the coefficients' box.  The reference's weights, which sum
+# to 1 over its nodes, cancel the nodes' signed gradients s a_k together
+# with the face normals; while they are >= 0, weak duality makes h a lower
+# bound of the optimum.  Each pass lets in the node of largest error (or
+# else the face most broken), and the element that leaves keeps the
+# weights >= 0 and h non-decreasing: in one dimension it is the line of
+# the same slope sign, otherwise the ratio test of the dual simplex method
+# picks it.  An exchange stops once no error exceeds h by more than the
+# gap and 8 ulps of the field, and every face holds to rounding; or when
+# the element that would enter is in the reference already (its error is h
+# up to rounding), or the largest error has no gradient, so that it bounds
+# every fit from below.  So its result is exact, and the final reference
+# certifies it.  A singular reference, a ratio test with no pivot and
+# _MAX_EXCHANGES passes raise RampFitError, and so does a cycle (only
+# pivots that leave h where it was can close one), as its subclass
+# _Degenerate; none is skipped.
 #
 # In one dimension (``_line_fit``) node k has the error lines
 # +-(t g_k - e_k); the reference keeps the rising line of one node and
 # the falling line of another, and a cold start takes both lines of the
-# node of largest |g|.  In two (``_plane_fit``) an element is a node
-# (k, s) or a face len(f) + i of _FACES.  Its cold start is the optimum at
-# beta2 = 0, held there by whichever face of beta2 has a weight >= 0.  A
-# fit may be warm started from a nearby fit's reference, which changes
-# its passes, not its result; a warm reference that is ill-conditioned or
-# has a negative weight gives way to the cold start.  The solution meets
+# node of largest |g|.  Otherwise (``_exchange``, m coefficients) an
+# element is a node (k, s) or a face len(f) + i, a row of the faces
+# matrix; rows 2i and 2i + 1 bound coefficient i from below and above.  A
+# cold start is the optimum of the first coefficient alone, each other
+# coefficient held by either of its faces, the first pick whose weights
+# are >= 0; or, if none is well conditioned (the largest error has no
+# gradient), a vertex of the box and the node whose error the box lowers
+# least, each coefficient held by the face its gradient pushes against:
+# that basis is never singular and its weights are 1 and |a_ki|.  A fit
+# may be warm started from a nearby fit's reference, which changes its
+# passes, not its result; a warm reference that is ill-conditioned or has
+# a negative weight gives way to the cold start.  Chart B's solution meets
 # the box to rounding: it is clamped into the box, beta1 raised by ulps
 # until beta1 + beta2 >= C, and its error recomputed if that moved it.
 #
-# Stage 2 fits both charts at each leader: chart B once, chart A at each
-# of _TAU_GRID taus, each warm started from the one before, then by step
-# halving on tau.  Stage 3 polishes the best fit of each chart, over
-# (theta, tau) in chart A and over theta in chart B; chart A wins ties.
-# Step halving is a pattern search: one step along each coordinate, and
-# for two along both diagonals, clamped to the bounds; every strict
-# improvement is kept, and all steps halve when none helps, down to
-# _REFINE_TOL.  Each move is warm started from the last fit in its own
-# direction, the nearest reference while the best point stays.
+# Stage 2 fits both charts at the best leader, and at each other leader
+# more than _BASIN scan steps from every better one: two leaders that
+# close lie in one basin, and stage 3 would polish them to the same point.
+# At each such angle chart B is fitted once and chart A at each of
+# _TAU_GRID taus in (-1, 0], each warm started from the one before.  The
+# grid leaves out tau = -1: every disk node has x1 >= -1, so there no
+# node's error depends on tau, and a linear model could not move tau off
+# it.  Stage 3 polishes the best fit of each chart by sequential linear
+# programming in a trust region (Madsen, J. Inst. Math. Appl. 16, 1975;
+# Osborne & Watson, Computer J. 12, 1969).  The sup error is a max of C^1
+# functions of the point p = (beta1, s, theta) of a chart, s being tau in
+# chart A and beta2 in chart B.  A step d minimises the linear model
+# max_k |err_k + grad_k . d| over |d_i| <= radius, intersected with the
+# chart's box and, in chart B, with beta1 + beta2 >= C: an exchange over
+# three coefficients, warm started from the last step's reference.  The
+# step is taken when the actual decrease is at least _ACCEPT of the
+# predicted one.  The radius becomes a quarter of the step when the ratio
+# is below 1/4, and at least twice the step when it is above 3/4.  The
+# polish stops when the predicted decrease is at most the gap times the
+# value plus 8 ulps of the field, when a step's exchange is degenerate,
+# or after _MAX_STEPS steps.  Its result is the exact fit at the last
+# angle and tau taken, warm started from the stage-2 reference, or the
+# stage-2 fit itself when no step was taken.  Chart A runs first; if it
+# ends at tau = 0, chart B's fit at that angle (chart A's edge beta2 = 0)
+# may start chart B.  Chart A wins ties.
 #
 # Search constants: the box bounds A, B, C of the charts below; the number
-# of angles of the theta scan and of chart A's starting taus; the step at
-# which step halving stops; the scan's angles and their rotations; the
-# node stride of the bound table; the relative gap at which an exchange
-# stops; the rounding of a coefficient on a face, or of a zero gradient;
-# the inverse of the largest condition number of a usable reference, and
-# the smallest usable pivot relative to the largest; the most passes of an
-# exchange.
+# of angles of the theta scan and of chart A's starting taus; the scan's
+# angles and their rotations; the node stride of the bound table; the
+# relative gap at which an exchange or a polish stops; the rounding of a
+# coefficient on a face, or of a zero gradient; the inverse of the largest
+# condition number of a usable reference, and the smallest usable pivot
+# relative to the largest; the most passes of an exchange; the scan steps
+# within which two leaders share a basin; the first trust radius (one
+# scan step); the least ratio of actual to predicted decrease that takes
+# a step; the most steps of a polish.
 
 _A = 4.0
 _B = 4.0
 _C = 0.05  # excludes the zero profile from the class
 _THETA_GRID = 360
 _TAU_GRID = 32
-_REFINE_TOL = 1e-7
 _THETAS = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
 _COS = np.array([math.cos(t) for t in _THETAS.tolist()])
 _SIN = np.array([math.sin(t) for t in _THETAS.tolist()])
-_TAUS = np.linspace(-1.0, 0.0, _TAU_GRID).tolist()
+_TAUS = np.linspace(-1.0, 0.0, _TAU_GRID + 1)[1:].tolist()
 _ORDER_STRIDE = 64
 _GAP = 1e-13
 _EPS = float(np.finfo(float).eps)
 _ROUND = 8.0 * _EPS * max(_A, _B)
 _COLLINEAR = 1e-10
 _MAX_EXCHANGES = 64
+_BASIN = 3
+_RADIUS = 2.0 * math.pi / _THETA_GRID
+_ACCEPT = 0.01
+_MAX_STEPS = 64
 
 
 class RampFitError(ValueError):
     """An exchange met a singular reference, cycled or did not converge."""
+
+
+class _Degenerate(RampFitError):
+    """An exchange's reference came back: a cycle of pivots that left h where it was."""
 
 
 # The admissible set splits into two charts once "beta2 != 0 forces tau = 0"
@@ -269,6 +298,13 @@ _CHARTS = (
     _Chart(lambda b1, s: (b1, s, 0.0), ((0.0, _A), (0.0, _B)), (9, 9)),
 )
 _FACES = np.array([(-1.0, 0.0, 0.0), (1.0, 0.0, _A), (0.0, -1.0, 0.0), (0.0, 1.0, _B), (-1.0, -1.0, -_C)])
+
+# Stage 3 moves (beta1, s, theta) in either chart, within the chart's box
+# (lo, hi) of _SLP_BOX.  The faces of a step d: below and above each
+# coordinate, then chart B's face beta1 + beta2 >= C.
+_SLP_BOX = tuple((np.array([b1[0], s[0], -math.inf]), np.array([b1[1], s[1], math.inf]))
+                 for b1, s in (chart.box for chart in _CHARTS))
+_STEP_NORMALS = np.vstack([np.kron(np.eye(3), [[-1.0], [1.0]]), [-1.0, -1.0, 0.0]])
 
 
 def _quick_rows() -> list:
@@ -320,31 +356,48 @@ def _line_fit(g: np.ndarray, e: np.ndarray, floor: float, ref=None) -> tuple[flo
     raise RampFitError(f"two-line exchange did not converge in {_MAX_EXCHANGES} passes")
 
 
-def _plane_fit(b: np.ndarray, x: np.ndarray, f: np.ndarray, floor: float, ref=None) -> tuple:
-    """min over chart B's box of max |beta1 b + beta2 x - f|: (min, (beta1, beta2), reference)."""
-    size = len(f)
+def _exchange(cols: tuple, f: np.ndarray, faces: np.ndarray, floor: float, ref=None) -> tuple:
+    """min of max_k |sum_i c_i cols[i][k] - f_k| over faces[:, :-1] @ c <= faces[:, -1]: (min, c, reference).
+
+    Rows 2i and 2i + 1 of ``faces`` bound c_i from below and from above.
+    """
+    size, m = len(f), len(cols)
 
     def column(k, s):
         # (basis column, right-hand side) of an element
         if k < size:
-            return (s * b[k], s * x[k], 1.0), s * f[k]
-        n1, n2, bound = _FACES[k - size].tolist()
-        return (n1, n2, 0.0), bound
+            return tuple(s * col[k] for col in cols) + (1.0,), s * f[k]
+        *normal, bound = faces[k - size].tolist()
+        return (*normal, 0.0), bound
 
     def solve(ref):
-        cols, rhs = zip(*(column(*elem) for elem in ref))
-        basis = np.array(cols).T
+        columns, rhs = zip(*(column(*elem) for elem in ref))
+        basis = np.array(columns).T
         if np.linalg.cond(basis) < 1.0 / _COLLINEAR:
             inv = np.linalg.inv(basis)
-            if inv[:, 2].min() >= -_GAP:
+            if inv[:, m].min() >= -_GAP:
                 return basis, np.array(rhs), inv
         return None
 
+    def cold_starts():
+        # the exact fit of the first coefficient alone, each other held by
+        # either of its faces
+        _, _, (u, d) = _line_fit(cols[0], f, floor)
+        lines = ((u, 1.0 if cols[0][u] > 0.0 else -1.0), (d, -1.0 if cols[0][d] > 0.0 else 1.0))
+        for pick in range(2 ** (m - 1)):
+            yield lines + tuple((size + 2 * i + (pick >> (i - 1) & 1), 1.0) for i in range(1, m))
+        # the node and sign whose least error over the box is largest, at
+        # the vertex where it is least
+        grads = np.column_stack(cols)
+        lo, hi = -faces[0:2 * m:2, m], faces[1:2 * m:2, m]
+        least = np.array([np.minimum(s * grads * lo, s * grads * hi).sum(axis=1) - s * f for s in (1.0, -1.0)])
+        row, k = np.unravel_index(int(np.argmax(least)), least.shape)
+        s = (1.0, -1.0)[row]
+        yield ((int(k), s),) + tuple((size + 2 * i + int(s * grads[k, i] < 0.0), 1.0) for i in range(m))
+
     solved = None if ref is None else solve(ref)
     if solved is None:
-        _, _, (u, d) = _line_fit(b, f, floor)
-        lines = ((u, 1.0 if b[u] > 0.0 else -1.0), (d, -1.0 if b[d] > 0.0 else 1.0))
-        for ref in (lines + ((size + 2, 1.0),), lines + ((size + 3, 1.0),)):
+        for ref in cold_starts():
             solved = solve(ref)
             if solved is not None:
                 break
@@ -354,29 +407,34 @@ def _plane_fit(b: np.ndarray, x: np.ndarray, f: np.ndarray, floor: float, ref=No
     seen = set()
     for _ in range(_MAX_EXCHANGES):
         if frozenset(ref) in seen:
-            raise RampFitError(f"exchange cycled at {ref}")
+            raise _Degenerate(f"exchange cycled at {ref}")
         seen.add(frozenset(ref))
         z = inv.T @ rhs
         z += inv.T @ (rhs - basis.T @ z)   # one refinement step
-        beta, h = z[:2], -z[2]
-        err = beta[0] * b + beta[1] * x - f
+        c, h = z[:m], -z[m]
+        err = c[0] * cols[0]
+        for ci, col in zip(c[1:], cols[1:]):
+            err += ci * col
+        err -= f
         j = int(np.argmax(np.abs(err)))
         top = abs(float(err[j]))
-        broken = _FACES[:, :2] @ beta - _FACES[:, 2]
+        broken = faces[:, :m] @ c - faces[:, m]
         enter = (j, 1.0 if err[j] > 0.0 else -1.0)
-        if top <= h + _GAP * top + floor or abs(b[j]) + abs(x[j]) <= _ROUND or enter in ref:
+        if top <= h + _GAP * top + floor or sum(abs(col[j]) for col in cols) <= _ROUND or enter in ref:
             if broken.max() <= _ROUND:
-                return top, tuple(beta.tolist()), ref
+                return top, tuple(c.tolist()), ref
             enter = (size + int(np.argmax(broken)), 1.0)
         col, r = column(*enter)
         mu = inv @ col
-        ratio = np.divide(np.maximum(inv[:, 2], 0.0), mu, out=np.full(3, math.inf),
+        ratio = np.divide(np.maximum(inv[:, m], 0.0), mu, out=np.full(m + 1, math.inf),
                           where=mu > _COLLINEAR * np.abs(mu).max())   # a pivot of rounding size is no pivot
         k = int(np.argmin(ratio))
-        inv -= np.outer(mu - np.eye(3)[k], inv[k] / mu[k])   # the basis inverse after the swap
+        if ratio[k] == math.inf:
+            raise RampFitError(f"no element of {ref} can leave for {enter}")
+        inv -= np.outer(mu - np.eye(m + 1)[k], inv[k] / mu[k])   # the basis inverse after the swap
         basis[:, k], rhs[k] = col, r
         ref = ref[:k] + (enter,) + ref[k + 1:]
-    raise RampFitError(f"three-element exchange did not converge in {_MAX_EXCHANGES} passes")
+    raise RampFitError(f"{m + 1}-element exchange did not converge in {_MAX_EXCHANGES} passes")
 
 
 class _Fit(NamedTuple):
@@ -386,6 +444,14 @@ class _Fit(NamedTuple):
     tau: float
     theta: float
     ref: tuple     # the exchange reference: a warm start for a nearby fit
+
+
+def _admissible_b(t1: float, t2: float) -> tuple[float, float]:
+    """The chart-B coefficients (t1, t2) clamped into the box, beta1 raised by ulps until beta1 + beta2 >= C."""
+    beta1, beta2 = min(max(t1, 0.0), _A), min(max(t2, 0.0), _B)
+    while beta1 + beta2 < _C:
+        beta1 = math.nextafter(max(beta1, _C - beta2), math.inf)
+    return beta1, beta2
 
 
 class _RampObjective:
@@ -425,31 +491,65 @@ class _RampObjective:
         """Chart B at theta: the exact (beta1, beta2) over its box."""
         self.set_theta(theta)
         b = self.base(0.0)
-        val, (t1, t2), ref = _plane_fit(b, self.x1, self.fvals, self.floor, ref)
-        beta1, beta2 = min(max(t1, 0.0), _A), min(max(t2, 0.0), _B)
-        while beta1 + beta2 < _C:
-            beta1 = math.nextafter(max(beta1, _C - beta2), math.inf)
+        val, (t1, t2), ref = _exchange((b, self.x1), self.fvals, _FACES, self.floor, ref)
+        beta1, beta2 = _admissible_b(t1, t2)
         if (beta1, beta2) != (t1, t2):
             val = float(np.max(np.abs(beta1 * b + beta2 * self.x1 - self.fvals)))
         return _Fit(val, beta1, beta2, 0.0, theta, ref)
 
+    def linearise(self, chart: int, point) -> tuple:
+        """Errors ramp - f at a point (beta1, s, theta) of a chart, and their gradients there."""
+        beta1, beta2, tau = _CHARTS[chart].params(point[0], point[1])
+        theta = point[2]
+        x1 = _rotated_x1(theta, self.X, self.Y)
+        b = _pos_part(x1, self.lp) - _neg_part(x1, tau, self.lm)
+        err = beta1 * b
+        if beta2:
+            err += beta2 * x1
+        err -= self.fvals
+        pos, neg = np.maximum(x1, 0.0), np.minimum(x1 - tau, 0.0)
+        along = (0.5 * self.lp * beta1) * pos - (0.5 * self.lm * beta1) * neg + beta2   # d err / d x1
+        turn = along * (-math.sin(theta) * self.X - math.cos(theta) * self.Y)       # d err / d theta
+        return err, (b, (0.5 * self.lm * beta1) * neg if chart == 0 else x1, turn)
 
-def _step_halving(fit, found: _Fit, point: list, steps: list, lo: list, hi: list) -> _Fit:
-    """Pattern search of ``fit(*point, ref=...)`` over one or two coordinates (see above)."""
-    moves = [m for m in itertools.product((1, -1, 0), repeat=len(point)) if any(m)]
-    last = {}
-    while max(steps) > _REFINE_TOL:
-        moved = False
-        for m in moves:
-            cand = [min(max(p + k * s, a), b) for p, k, s, a, b in zip(point, m, steps, lo, hi)]
-            if cand == point:
-                continue
-            got = last[m] = fit(*cand, ref=last[m].ref if m in last else found.ref)
-            if got.value < found.value:
-                found, point, moved = got, cand, True
-        if not moved:
-            steps = [0.5 * s for s in steps]
-    return found
+
+def _polish(obj: _RampObjective, chart: int, fit: _Fit) -> _Fit:
+    """The exact fit at the end of a trust-region SLP from ``fit`` in one chart (see above)."""
+    lo, hi = _SLP_BOX[chart]
+    point = np.array([fit.beta1, fit.tau if chart == 0 else fit.beta2, fit.theta])
+    err, grads = obj.linearise(chart, point)
+    value = float(np.max(np.abs(err)))
+    radius, ref, moved = _RADIUS, None, False
+    for _ in range(_MAX_STEPS):
+        bounds = np.minimum(radius, np.column_stack([point - lo, hi - point]).ravel())
+        if chart == 1:
+            bounds = np.append(bounds, point[0] + point[1] - _C)
+        faces = np.column_stack([_STEP_NORMALS[:len(bounds)], bounds])
+        try:
+            model, step, ref = _exchange(grads, -err, faces, obj.floor, ref)
+        except _Degenerate:
+            break
+        predicted = value - model
+        if predicted <= _GAP * value + obj.floor:
+            break
+        trial = np.clip(point + step, lo, hi)
+        if chart == 1:
+            trial[:2] = _admissible_b(*trial[:2].tolist())
+        trial_err, trial_grads = obj.linearise(chart, trial)
+        trial_value = float(np.max(np.abs(trial_err)))
+        ratio = (value - trial_value) / predicted
+        size = float(np.max(np.abs(trial - point)))
+        if ratio >= _ACCEPT:
+            point, err, grads, value, moved = trial, trial_err, trial_grads, trial_value, True
+        if ratio < 0.25:
+            radius = 0.25 * size
+        elif ratio > 0.75:
+            radius = max(radius, 2.0 * size)
+    if not moved:
+        return fit
+    if chart == 0:
+        return obj.fit_a(float(point[2]), float(point[1]), ref=fit.ref)
+    return obj.fit_b(float(point[2]), ref=fit.ref)
 
 
 def _bound_table(X, Y, fvals, lp, lm) -> np.ndarray:
@@ -507,11 +607,12 @@ def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
 def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tuple[float, GlobalProfile]:
     """Sup-norm distance on the unit disk to the rotated ramp class.
 
-    Returns (distance, best profile): a scan of 360 angles, an exact
-    inner solve for (beta1, beta2), and a local search of theta and tau
-    (see the notes above).  The distance is the sup error of the returned
-    profile, which is admissible, so it bounds the true infimum from
-    above; it is exact over (beta1, beta2) at the returned theta and tau.
+    Returns (distance, best profile): a scan of 360 angles, exact fits
+    of the linear coefficients at the leading angles of distinct basins,
+    and a trust-region SLP over each chart's coordinates (see the notes
+    above).  The distance is the sup error of the returned profile, which
+    is admissible, so it bounds the true infimum from above; it is exact
+    over (beta1, beta2) at the returned theta and tau.
     """
     X, Y, fvals = _disk_nodes(f)
 
@@ -519,29 +620,29 @@ def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tup
     sub = slice(None, None, 4) if X.size > 2000 else slice(None)
     scan = _theta_scan(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
 
-    # stage 2: exact fits at the leading angles, the best of each chart kept
+    # stage 2: exact fits at the leading angle of each basin, the best of each chart kept
     obj = _RampObjective(X, Y, fvals, lambda_plus, lambda_minus)
     best_a = best_b = None
-    for k in np.argsort(scan, kind="stable")[:3].tolist():
+    leaders = np.argsort(scan, kind="stable")[:3].tolist()
+    for i, k in enumerate(leaders):
+        if any(min(abs(k - j), _THETA_GRID - abs(k - j)) <= _BASIN for j in leaders[:i]):
+            continue
         theta = float(_THETAS[k])
         a = fit = obj.fit_a(theta, _TAUS[0])
         for tau in _TAUS[1:]:
             fit = obj.fit_a(theta, tau, ref=fit.ref)
             a = fit if fit.value < a.value else a
-        a = _step_halving(partial(obj.fit_a, theta), a, [a.tau], [1.0 / (_TAU_GRID - 1)], [-1.0], [0.0])
         b = obj.fit_b(theta)
         best_a = a if best_a is None or a.value < best_a.value else best_a
         best_b = b if best_b is None or b.value < best_b.value else best_b
 
     # stage 3: polish each chart's best fit
-    step = 2.0 * math.pi / _THETA_GRID
-    best_a = _step_halving(obj.fit_a, best_a, [best_a.theta, best_a.tau], [step, step],
-                           [-math.inf, -1.0], [math.inf, 0.0])
-    best_b = _step_halving(obj.fit_b, best_b, [best_b.theta], [step], [-math.inf], [math.inf])
-    finals = [best_a, best_b]
+    best_a = _polish(obj, 0, best_a)
     if best_a.tau == 0.0:
         # chart A at tau = 0 is chart B's edge beta2 = 0: chart B's fit at
         # that angle makes the result exact over both coefficients
-        finals.insert(1, obj.fit_b(best_a.theta))
-    best = min(finals, key=lambda fit: fit.value)
+        edge = obj.fit_b(best_a.theta)
+        best_b = edge if edge.value < best_b.value else best_b
+    best_b = _polish(obj, 1, best_b)
+    best = best_a if best_a.value <= best_b.value else best_b
     return best.value, GlobalProfile(best.beta1, best.beta2, best.tau, best.theta, lambda_plus, lambda_minus)

@@ -20,7 +20,7 @@ from membranelab import (
     sample,
     solve,
 )
-from membranelab import profiles
+from membranelab import freeboundary, profiles
 from membranelab.cli import load_config, stability_sweep
 from membranelab.freeboundary import FieldAnalysis
 from membranelab.grid import boundary_mask
@@ -155,16 +155,14 @@ def canonical_disk_nodes():
 
 
 def test_dist_to_mstar_member_is_zero():
+    # tau = -0.3 is off the tau grid; the SLP finds it
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(0.8, 0.0, -0.3, 0.0, 2.0, 2.0)
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY))
-    # beta1 is solved exactly, but tau comes from a grid and step halving
-    # that stops at a step of 1e-7, so an off-grid member lands near but
-    # not at zero; anything far below tol_dist = 0.1 is a match
     val, best = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
-    assert val < 1e-3
-    assert best.beta1 == pytest.approx(0.8, abs=5e-3)
-    assert best.tau == pytest.approx(-0.3, abs=5e-3)
+    assert val <= 1e-12
+    assert best.beta1 == pytest.approx(0.8, abs=1e-9)
+    assert best.tau == pytest.approx(-0.3, abs=1e-9)
 
 
 def test_dist_to_mstar_offset_member():
@@ -173,7 +171,7 @@ def test_dist_to_mstar_offset_member():
     v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY) + 0.05)
     val, _ = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
-    assert val == pytest.approx(0.05, abs=2e-3)
+    assert val == pytest.approx(0.05, abs=1e-12)
 
 
 def test_dist_to_mstar_zero_field_artifact():
@@ -211,8 +209,8 @@ def test_dist_to_m_recovers_rotation():
     v = GlobalProfile(1.0, 0.0, 0.0, 0.3, 2.0, 2.0)
     f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY))
     val, best = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
-    assert val < 1e-5
-    assert best.theta == pytest.approx(0.3, abs=2.0 * math.pi / 360.0)
+    assert val <= 1e-12
+    assert best.theta == pytest.approx(0.3, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +485,17 @@ def test_theta_scan_tie_goes_to_the_lower_angle():
     assert list(np.argsort(scan, kind="stable")[:3]) == [179, 181, 180]
 
 
+def stage1_args(f, lp, lm):
+    """The stage-1 arguments dist_to_M passes for a field."""
+    X, Y, fvals = profiles._disk_nodes(f)
+    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
+    return X[sub], Y[sub], fvals[sub], lp, lm
+
+
 def scan_args(name):
     """The stage-1 arguments dist_to_M passes for a SCAN_CASES field."""
     n, fn, lp, lm, _ = SCAN_CASES[name]
-    X, Y, fvals = profiles._disk_nodes(sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn))
-    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
-    return X[sub], Y[sub], fvals[sub], lp, lm
+    return stage1_args(sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn), lp, lm)
 
 
 @pytest.mark.parametrize("name", ["noise", "asymmetric_lambdas"])
@@ -548,28 +551,38 @@ dir = {out}
 """
 
 
-def test_theta_scan_matches_the_full_loop_on_sweep_blowups(tmp_path, monkeypatch):
-    # the stage-1 inputs of a constant-shift sweep on n = 129 profile data:
-    # the 8h blow-ups of the reference field that classify its points, and
-    # the window/2 blow-ups of the field solved with a shift of 0.1 that fit
-    # its graphs.  They carry the solver's rounding, which no analytic case
-    # of SCAN_CASES has
-    ini = tmp_path / "sweep.ini"
-    ini.write_text(SWEEP_INI.format(out=tmp_path / "out"))
+@pytest.fixture(scope="module")
+def sweep_blowups(tmp_path_factory):
+    """The dist_to_M inputs of a constant-shift sweep on n = 129 profile data.
+
+    The 8h blow-ups of the reference field that classify its points, and
+    the window/2 blow-ups of the field solved with a shift of 0.1 that fit
+    its graphs, each as (field, lambda_plus, lambda_minus).  They carry the
+    solver's rounding, which no analytic case of SCAN_CASES has.
+    """
+    tmp = tmp_path_factory.mktemp("sweep")
+    ini = tmp / "sweep.ini"
+    ini.write_text(SWEEP_INI.format(out=tmp / "out"))
     config = load_config(str(ini))
     u_ref, _ = solve(config.spec)
     seen = []
-    theta_scan = profiles._theta_scan
 
-    def recording(*args):
-        seen.append((args, theta_scan(*args)))
-        return seen[-1][1]
+    def recording(f, *, lambda_plus, lambda_minus):
+        seen.append((f, lambda_plus, lambda_minus))
+        return dist_to_M(f, lambda_plus=lambda_plus, lambda_minus=lambda_minus)
 
-    monkeypatch.setattr(profiles, "_theta_scan", recording)
-    report = stability_sweep(config, FieldAnalysis(u_ref, config.spec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freeboundary, "dist_to_M", recording)
+        report = stability_sweep(config, FieldAnalysis(u_ref, config.spec))
     assert report.reference_labels == ("branch", "branch")
     assert len(seen) == 4
-    for args, scan in seen:
+    return seen
+
+
+def test_theta_scan_matches_the_full_loop_on_sweep_blowups(sweep_blowups):
+    for f, lp, lm in sweep_blowups:
+        args = stage1_args(f, lp, lm)
+        scan = profiles._theta_scan(*args)
         full = loop_theta_scan(*args)
         visited = np.isfinite(scan)
         assert np.array_equal(scan[visited], full[visited])
@@ -645,6 +658,57 @@ def assert_optimal_coefficients(f, got):
     raise AssertionError(f"no optimality certificate for {prof} at distance {dist}")
 
 
+def step_decrease(f, prof, chart, radius=1e-3):
+    """(value, predicted decrease, rounding floor) of the SLP step LP at a profile.
+
+    The errors ramp - f are linearised at the profile in one chart's
+    coordinates, chart A (beta1, theta, tau) or chart B (beta1, beta2,
+    theta).  The step LP minimises max_k |err_k + grad_k . d| over |d_i| <=
+    radius, clipped to the chart's box and, in chart B, to beta1 + beta2 >= C.
+    """
+    X, Y, fvals = profiles._disk_nodes(f)
+    lp, lm, A, B, C = prof.lambda_plus, prof.lambda_minus, profiles._A, profiles._B, profiles._C
+    x1 = math.cos(prof.theta) * X - math.sin(prof.theta) * Y
+    turn = -math.sin(prof.theta) * X - math.cos(prof.theta) * Y    # d x1 / d theta
+    pos, neg = np.maximum(x1, 0.0), np.minimum(x1 - prof.tau, 0.0)
+    base = 0.25 * lp * pos**2 - 0.25 * lm * neg**2
+    slope = prof.beta1 * (0.5 * lp * pos - 0.5 * lm * neg) + prof.beta2   # d ramp / d x1
+    err = eval_profile_many(prof, X, Y) - fvals
+    if chart == "A":
+        grads = (base, slope * turn, 0.5 * lm * prof.beta1 * neg)
+        point, lo, hi = (prof.beta1, prof.theta, prof.tau), (C, -math.inf, -1.0), (A, math.inf, 0.0)
+    else:
+        grads = (base, x1, slope * turn)
+        point, lo, hi = (prof.beta1, prof.beta2, prof.theta), (0.0, 0.0, -math.inf), (A, B, math.inf)
+    faces = []
+    for i, (p, a, b) in enumerate(zip(point, lo, hi)):
+        unit = np.eye(3)[i]
+        faces += [(*-unit, min(radius, p - a)), (*unit, min(radius, b - p))]
+    if chart == "B":
+        faces.append((-1.0, -1.0, 0.0, point[0] + point[1] - C))
+    faces = np.array(faces)
+    floor = 8 * np.finfo(float).eps * float(np.max(np.abs(fvals)))
+    _, step, _ = profiles._exchange(grads, -err, faces, floor)
+    step = np.array(step)
+    assert np.all(faces[:, :3] @ step <= faces[:, 3] + 1e-15)
+    model = float(np.max(np.abs(err + sum(d * g for d, g in zip(step, grads)))))
+    value = float(np.max(np.abs(err)))
+    return value, value - model, floor
+
+
+def assert_stationary(f, got):
+    """No step of up to 1e-3 in the returned profile's chart is predicted to help.
+
+    tau < 0 is chart A, beta2 > 0 chart B; a profile with both at 0 lies
+    in both charts, and both step LPs are solved.
+    """
+    _, prof = got
+    charts = ("A",) * (prof.beta2 == 0.0) + ("B",) * (prof.tau == 0.0)
+    for chart in charts:
+        value, decrease, floor = step_decrease(f, prof, chart)
+        assert decrease <= 1e-12 * value + floor, (chart, prof, value, decrease)
+
+
 @pytest.mark.parametrize("name", list(BOX_FACE_CASES))
 def test_dist_to_M_never_exceeds_the_descent_oracle(name):
     n, fn, lp, lm, _ = BOX_FACE_CASES[name]
@@ -671,6 +735,7 @@ def test_dist_to_M_fuzz_never_exceeds_the_descent_oracle(beta1, tau, theta, nois
     assert got[0] <= oracle_dist_to_M(f)[0] + 1e-12
     assert_admissible(f, got)
     assert_optimal_coefficients(f, got)
+    assert_stationary(f, got)
 
 
 @pytest.mark.parametrize("name", list(BOX_FACE_CASES))
@@ -678,6 +743,42 @@ def test_returned_coefficients_carry_an_optimality_certificate(name):
     n, fn, lp, lm, _ = BOX_FACE_CASES[name]
     f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn)
     assert_optimal_coefficients(f, dist_to_M(f, lambda_plus=lp, lambda_minus=lm))
+
+
+@pytest.mark.parametrize("name", [name for name, case in BOX_FACE_CASES.items() if case[-1]])
+def test_returned_profile_is_stationary_near_a_ramp(name):
+    n, fn, lp, lm, _ = BOX_FACE_CASES[name]
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn)
+    assert_stationary(f, dist_to_M(f, lambda_plus=lp, lambda_minus=lm))
+
+
+def test_returned_profile_is_stationary_on_sweep_blowups(sweep_blowups):
+    # the graph-fit blow-ups of the shifted field have their optimum off
+    # every grid of angle and tau
+    for f, lp, lm in sweep_blowups:
+        assert_stationary(f, dist_to_M(f, lambda_plus=lp, lambda_minus=lm))
+
+
+def test_sweep_blowups_take_few_fits_and_steps(sweep_blowups, monkeypatch):
+    # the work of a call is counted, not timed: every exact fit and every
+    # step LP (an exchange over three coefficients)
+    work = []
+
+    def counting(call, counts):
+        def wrapped(*args, **kwargs):
+            if counts(*args):
+                work[-1] += 1
+            return call(*args, **kwargs)
+        return wrapped
+
+    for method in ("fit_a", "fit_b"):
+        monkeypatch.setattr(profiles._RampObjective, method,
+                            counting(getattr(profiles._RampObjective, method), lambda *args: True))
+    monkeypatch.setattr(profiles, "_exchange", counting(profiles._exchange, lambda cols, *args: len(cols) == 3))
+    for f, lp, lm in sweep_blowups:
+        work.append(0)
+        dist_to_M(f, lambda_plus=lp, lambda_minus=lm)
+    assert 0 < max(work) <= 100, work
 
 
 @pytest.mark.parametrize("n", [129, 257])
@@ -722,13 +823,61 @@ def test_every_evaluated_candidate_is_admissible(name, monkeypatch):
 
 def test_a_singular_reference_raises():
     # no node's error depends on the coefficients: no reference solves, and
-    # the error is typed rather than skipped
+    # the error is typed rather than skipped; a step LP (three coefficients,
+    # four-element references) given a singular warm reference too
     x = np.linspace(-1.0, 1.0, 9)
     f = np.cos(3.0 * x)
+    zero = np.zeros_like(x)
     with pytest.raises(profiles.RampFitError):
-        profiles._plane_fit(np.zeros_like(x), np.zeros_like(x), f, 0.0)
+        profiles._exchange((zero, zero), f, profiles._FACES, 0.0)
     with pytest.raises(profiles.RampFitError):
-        profiles._line_fit(np.zeros_like(x), f, 0.0)
+        profiles._line_fit(zero, f, 0.0)
+    step_faces = np.column_stack([profiles._STEP_NORMALS[:6], np.full(6, 1e-3)])
+    singular = ((0, 1.0), (1, -1.0), (2, 1.0), (len(x) + 5, 1.0))
+    with pytest.raises(profiles.RampFitError):
+        profiles._exchange((zero, zero, zero), f, step_faces, 0.0, singular)
+
+
+def test_a_start_on_nodes_without_gradient_falls_back_to_a_vertex():
+    # the two nodes of largest error have gradients of 1e-13 in beta1, so
+    # the one-coefficient start is ill-conditioned with either face of
+    # beta2; the vertex start (beta1, beta2) = (0, 0) solves.  The optimum
+    # is on the face beta1 + beta2 = C, at beta2 = 0: the first node's
+    # error 1 - C 1e-13 and the second's 1 + C 1e-13
+    grid = np.linspace(-1.0, 1.0, 7)
+    b = np.concatenate([[1e-13, -1e-13], grid * np.abs(grid)])
+    x = np.concatenate([[1e-6, -1e-6], grid])
+    f = np.concatenate([[1.0, 1.0], np.zeros(7)])
+    value, (beta1, beta2), _ = profiles._exchange((b, x), f, profiles._FACES, 0.0)
+    assert (beta1, beta2) == (profiles._C, 0.0)
+    assert value == pytest.approx(1.0 + profiles._C * 1e-13, rel=0.0, abs=1e-16)
+
+
+def test_a_degenerate_step_ends_the_polish(monkeypatch):
+    # on the zero field the step LP at the returned profile cycles: its
+    # reference comes back at no decrease.  In the polish such a step ends
+    # the SLP at its last exact fit; every other exchange failure raises
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65), lambda X, Y: np.zeros_like(X))
+    _, prof = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
+    with pytest.raises(profiles._Degenerate):
+        step_decrease(f, prof, "A")
+    X, Y, fvals = profiles._disk_nodes(f)
+    obj = profiles._RampObjective(X, Y, fvals, 2.0, 2.0)
+    start = obj.fit_a(0.3, -0.5)
+    exchange = profiles._exchange
+
+    def failing(error):
+        def wrapped(cols, *args, **kwargs):
+            if len(cols) == 3:
+                raise error("step LP")
+            return exchange(cols, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(profiles, "_exchange", failing(profiles._Degenerate))
+    assert profiles._polish(obj, 0, start) is start
+    monkeypatch.setattr(profiles, "_exchange", failing(profiles.RampFitError))
+    with pytest.raises(profiles.RampFitError):
+        profiles._polish(obj, 0, start)
 
 
 def test_a_singular_warm_reference_gives_way_to_the_cold_start():
@@ -742,5 +891,5 @@ def test_a_singular_warm_reference_gives_way_to_the_cold_start():
     b, x1 = obj.base(0.0), obj.x1
     naive = tuple((int(k), 1.0) for k in (np.argmax(x1), np.argmin(x1), np.argmax(np.abs(fvals))))
     assert np.linalg.matrix_rank(np.array([b[[k for k, _ in naive]], x1[[k for k, _ in naive]]])) == 1
-    cold = profiles._plane_fit(b, x1, fvals, obj.floor)
-    assert profiles._plane_fit(b, x1, fvals, obj.floor, naive) == cold
+    cold = profiles._exchange((b, x1), fvals, profiles._FACES, obj.floor)
+    assert profiles._exchange((b, x1), fvals, profiles._FACES, obj.floor, naive) == cold
