@@ -414,7 +414,11 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, window: f
     Vertices are kept only at least max(r_max, window) + 2h inside the grid,
     so every ladder ball of radius up to ``r_max`` and every graph-fit
     window of half-width ``window`` around a target stays inside it.  The
-    rest are strided evenly in lexicographic order for determinism.
+    rest are strided evenly in the order ``extract_free_boundary`` walks
+    its chains.  That order depends only on the field's sign pattern, so
+    rounding-level changes of the field move each target by rounding,
+    not by a stride.  Sorting on the coordinates would let rounding pick
+    the order wherever vertices share a coordinate up to it.
     """
     pts = fb.all_vertices()
     if pts.shape[0] == 0:
@@ -427,7 +431,6 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, window: f
     pts = pts[keep]
     if pts.shape[0] == 0:
         return []
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     idx = np.unique(np.linspace(0, len(pts) - 1, budget).round().astype(int))
     return [(float(x), float(y)) for x, y in pts[idx]]
 

@@ -15,6 +15,7 @@ from membranelab import (
     GlobalProfile,
     StabilityReport,
     SweepHypothesisError,
+    ScalarField,
     SweepRow,
     hausdorff_distance,
     load_config,
@@ -496,6 +497,25 @@ def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):
     cfg = load_config(write_ini(tmp_path, ini.format(out=tmp_path / "once")))
     assert run(cfg, mode="sweep") == 0
     assert len(calls) == 1 + len(cfg.sweep["amplitudes"])
+
+
+def test_sweep_reference_points_stay_put_under_rounding_noise(profile_solutions):
+    # every vertex of the profile's free boundary has x = +-5e-8 plus
+    # rounding; sorted on x first, 1e-12 of noise moved a target by 0.81
+    _, spec, u, _ = profile_solutions[129]
+    h = spec.grid.h
+
+    def targets(values):
+        fb = FieldAnalysis(ScalarField(spec.grid, values), spec).free_boundary
+        return np.array(cli._reference_points(fb, spec.grid, 32 * h, 0.25, 8))
+
+    want = targets(u.values)
+    assert want.shape == (8, 2)
+    for seed in range(5):
+        noise = 1e-12 * np.random.default_rng(seed).standard_normal(u.values.shape)
+        got = targets(u.values + noise)
+        assert got.shape == want.shape
+        assert float(np.max(np.hypot(*(got - want).T))) <= h, seed
 
 
 @pytest.mark.parametrize("window", [0.9, 1.2])
