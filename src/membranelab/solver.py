@@ -29,6 +29,19 @@ its states) from the bilinear prolongation of the level below, so a
 level needs only a few sweeps.  Each level runs at most tol_pattern
 sweeps.
 
+Sweeps are loose until the state pattern settles.  A sweep is a
+semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
+2002), and a Newton step needs only the accuracy of its next decision
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), so while
+the states move, CG stops at the release margin 100 tol_linear / h^2 of
+the multiplier test: at a pinned node the Laplacian errs by about the
+residual.  A coarse level only seeds the next one, so it meets only that
+loose target and returns at its first sweep that changes no state.  On
+the finest level such a sweep continues CG from its field down to
+tol_linear and tests the states again, and every later sweep is tight;
+the level returns only when a tight solve changes no state.  So only the
+finest level's field meets tol_linear.
+
 Each sweep's CG is preconditioned by one symmetric geometric V(1,1)
 cycle on the free set (Tatebe, 6th Copper Mountain Conf. on Multigrid
 Methods, 1993): pinned nodes are zero Dirichlet nodes on every level,
@@ -81,7 +94,9 @@ class SolveReport:
 
     `pattern_changes[k]` counts state moves after sweep k; `levels` holds
     one `{nx, ny, sweeps, cg_iterations}` record per ladder level,
-    coarsest first.
+    coarsest first.  `cg_iterations` counts the iterations of loose and
+    tight solves alike; `final_residual` is that of the level's last
+    solve, which on the finest level is tight.
     """
 
     iterations: int
@@ -304,7 +319,11 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     the harmonic extension of its data, and every finer level from the
     bilinear prolongation of the level below, which is both its warm start
     and its initial state configuration.  A grid with odd n - 1 is a
-    one-level ladder.  tol_pattern bounds the sweeps of every level.  The
+    one-level ladder.  Sweeps solve loosely, to the multiplier test's
+    release margin, until the states settle; coarse levels stop there,
+    and the finest level then re-solves down to tol_linear within the
+    same sweep (see the module docstring).  tol_pattern bounds the sweeps
+    of every level; a tight re-solve is not a sweep of its own.  The
     report describes the finest level; `report.levels` holds one record
     per level, coarsest first.
 
@@ -313,7 +332,7 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     interior node outside the zero band, and the recorded energies are
     non-increasing.  Raises SolverError, carrying the report of the level
     that failed, if a level's states do not settle within tol_pattern
-    sweeps or a sweep's CG stops above tol_linear.
+    sweeps or a tight solve's CG stops above tol_linear.
     """
     ladder = [spec]
     while (coarse := _coarsen(ladder[-1])) is not None:
@@ -321,22 +340,31 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     levels: list[dict] = []
     u = None
     for level in reversed(ladder):
-        u, report = _active_set(level, None if u is None else _prolong(u.values, level), levels)
+        start = None if u is None else _prolong(u.values, level)
+        u, report = _active_set(level, start, levels, finest=level is spec)
     return u, report
 
 
-def _active_set(spec: ProblemSpec, start: np.ndarray | None,
-                levels: list[dict]) -> tuple[ScalarField, SolveReport]:
+def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
+                finest: bool) -> tuple[ScalarField, SolveReport]:
     """Active-set loop on one grid from start, or from the harmonic extension.
 
-    Appends this level's record to levels, which the report shares.
+    A sweep's CG stops at the release margin tol_mult while the states
+    still move (a Newton step needs only the accuracy of its next
+    decision).  A coarse level returns at its first sweep that changes no
+    state.  On the finest level such a sweep continues CG from its field
+    down to tol_linear and tests the states again; that tight re-solve is
+    part of the sweep, and every later sweep is tight.  Appends this
+    level's record to levels, which the report shares.
     """
     g = spec.grid
     h2 = g.h * g.h
     tolz = spec.tol_zero
     lp, lm = spec.lambda_plus, spec.lambda_minus
     # release threshold above the CG noise floor: value errors of size
-    # tol_linear are amplified by 1/h^2 in the discrete Laplacian
+    # tol_linear are amplified by 1/h^2 in the discrete Laplacian; a pinned
+    # node's Laplacian errs by about the residual, so it is also the CG
+    # target of a loose sweep
     tol_mult = 100.0 * spec.tol_linear / h2
     max_cg = 60 * max(g.nx, g.ny)
     # inner margin keeps residuals recomputed in fresh arithmetic under
@@ -364,38 +392,44 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None,
     key_prev = state.tobytes()
     key_prev_prev = None
     forced_pins = 0
+    tight = False
 
     for sweep in range(1, spec.tol_pattern + 1):
         free = state != 0
         rhs = -_forcing(state, lp, lm) + nbr_b
-        warm = np.where(free, U[1:-1, 1:-1], 0.0)
-        w, res, its = _cg(g, rhs, warm, free, tol_cg, max_cg)
-        record["sweeps"] = sweep
-        record["cg_iterations"] += its
-        V = bvals.copy()
-        V[1:-1, 1:-1] = w
-        field_v = ScalarField(g, V)
+        w = np.where(free, U[1:-1, 1:-1], 0.0)
+        while True:
+            w, res, its = _cg(g, rhs, w, free, tol_cg if tight else tol_mult, max_cg)
+            record["cg_iterations"] += its
+            V = bvals.copy()
+            V[1:-1, 1:-1] = w
+            field_v = ScalarField(g, V)
+
+            # state update: sign violations route through the pinned state;
+            # pinned nodes release only when their multiplier leaves the box
+            lap = laplacian_interior(field_v)
+            new_state = state.copy()
+            new_state[(state > 0) & (w < -tolz)] = 0
+            new_state[(state < 0) & (w > tolz)] = 0
+            pinned = state == 0
+            new_state[pinned & (lap > 0.5 * lp + tol_mult)] = 1
+            new_state[pinned & (lap < -0.5 * lm - tol_mult)] = -1
+            changes = int(np.count_nonzero(new_state != state))
+            if changes or tight or not finest:
+                break
+            # the loose states are a fixed point: certify them with a tight solve
+            tight = True
+
         J_new = energy(spec, field_v)
-
-        # state update: sign violations route through the pinned state;
-        # pinned nodes release only when their multiplier leaves the box
-        lap = laplacian_interior(field_v)
-        new_state = state.copy()
-        new_state[(state > 0) & (w < -tolz)] = 0
-        new_state[(state < 0) & (w > tolz)] = 0
-        pinned = state == 0
-        new_state[pinned & (lap > 0.5 * lp + tol_mult)] = 1
-        new_state[pinned & (lap < -0.5 * lm - tol_mult)] = -1
-
-        changes = int(np.count_nonzero(new_state != state))
         J_best = min(J_best, J_new)
+        record["sweeps"] = sweep
         report.pattern_changes.append(changes)
         report.energy_history.append(J_best)
         report.iterations = sweep
         report.final_energy = J_new
         report.final_residual = res
 
-        if res > spec.tol_linear:
+        if tight and res > spec.tol_linear:
             report.converged = False
             raise SolverError("linear residual target not met", report)
         if changes == 0:

@@ -208,6 +208,19 @@ def test_sweep_budget_exhaustion_raises_with_report():
     assert report.iterations == 1
 
 
+@pytest.mark.parametrize("n", [65, 129])
+def test_profile_data_settles_within_one_sweep_per_level(n):
+    # the certifying tight solve belongs to the sweep whose loose solve
+    # changed no state; counted as a sweep of its own, this raised
+    spec = make_profile_problem(n)[1]
+    once = ProblemSpec(spec.grid, spec.boundary, LP, LM, tol_pattern=1)
+    u, report = solve(once)
+    assert report.converged
+    assert report.iterations == 1
+    assert all(level["sweeps"] == 1 for level in report.levels)
+    assert_postconditions(once, u)
+
+
 def test_stalled_cg_fails_fast():
     # 1e-15 is under the rounding floor of the five-point residual even on
     # the 17-node level; the loop without the stall exit ran all 60 * 17
@@ -365,6 +378,13 @@ def wavy_problem(nx, ny, lp, lm, y_half=1.0):
     return ProblemSpec(g, bc, lp, lm)
 
 
+def shifted_profile_problem(n, delta):
+    """Profile data lifted by the constant delta, as in a constant-shift sweep."""
+    spec = make_profile_problem(n)[1]
+    return ProblemSpec(spec.grid, spec.boundary.perturbed(lambda X, Y: np.ones_like(X), delta),
+                       LP, LM)
+
+
 # name: (problem builder, node counts per level, coarsest first)
 LADDER_CASES = {
     "profile_65": (lambda: make_profile_problem(65)[1], [17, 33, 65]),
@@ -378,6 +398,7 @@ LADDER_CASES = {
     "polynomial_129": (lambda: make_poly_problem(129)[1], [17, 33, 65, 129]),
     "rectangle_129x65": (lambda: wavy_problem(129, 65, 2.0, 2.0, y_half=0.5), [33, 65, 129]),
     "odd_100": (lambda: make_profile_problem(100)[1], [100]),
+    "shifted_profile_65": (lambda: shifted_profile_problem(65, 0.1), [17, 33, 65]),
 }
 
 
@@ -448,3 +469,16 @@ def test_solve_fuzz_postconditions_and_comparison(coef, lp, lm, n, rectangle, li
     assert_postconditions(spec1, u1)
     assert_postconditions(spec2, u2)
     assert comparison_check(u1, spec1, u2, spec2).holds
+
+
+def test_shifted_profile_solves_take_few_finest_cg_iterations(profile_solutions):
+    # with every sweep solved down to tol_linear the finest level took 58,
+    # 58 and 60 iterations over its 4 sweeps; loose sweeps take 38-42
+    _, spec, u, _ = profile_solutions[129]
+    for delta in (0.1, 0.05, 0.025):
+        spec_d = shifted_profile_problem(129, delta)
+        u_d, report = solve(spec_d)
+        assert report.iterations > 1
+        assert report.levels[-1]["cg_iterations"] <= 50, delta
+        assert_postconditions(spec_d, u_d)
+        assert comparison_check(u, spec, u_d, spec_d).holds
