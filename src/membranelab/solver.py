@@ -349,13 +349,9 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
                 finest: bool) -> tuple[ScalarField, SolveReport]:
     """Active-set loop on one grid from start, or from the harmonic extension.
 
-    A sweep's CG stops at the release margin tol_mult while the states
-    still move (a Newton step needs only the accuracy of its next
-    decision).  A coarse level returns at its first sweep that changes no
-    state.  On the finest level such a sweep continues CG from its field
-    down to tol_linear and tests the states again; that tight re-solve is
-    part of the sweep, and every later sweep is tight.  Appends this
-    level's record to levels, which the report shares.
+    Sweeps are loose until the states settle; only the finest level
+    certifies them with a tight solve (see the module docstring).
+    Appends this level's record to levels, which the report shares.
     """
     g = spec.grid
     h2 = g.h * g.h
