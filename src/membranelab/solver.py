@@ -16,8 +16,9 @@ oscillation mode of frozen-pattern iterations), and a pinned node is
 released only when its discrete Laplacian, the multiplier of the u = 0
 constraint, leaves the admissible interval [-lm/2, lp/2].  Energy is
 tracked every sweep and reported as a non-increasing best-so-far
-sequence; a repeated state configuration triggers forced pinning of the
-oscillating nodes before failure is declared.
+sequence.  A level fails in one of two ways, each a SolverError carrying
+the report: its states do not settle within tol_pattern sweeps, or a
+tight solve's CG stops above tol_linear.
 
 Pinned nodes are released one layer per sweep, so from a harmonic start
 the sweep count grows like n.  `solve` therefore runs the loop on a
@@ -109,10 +110,11 @@ class SolveReport:
 
 
 class SolverError(RuntimeError):
-    """Raised when the pattern iteration fails; carries the partial report."""
+    """Raised when the pattern iteration fails; carries the partial report, marked not converged."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
+        report.converged = False
         self.report = report
 
 
@@ -239,24 +241,22 @@ def _vcycle(ladder: list[_Level], r: np.ndarray, k: int = 0) -> np.ndarray:
     return level.smooth(z, q, (level.black, level.red))
 
 
-def _cg(grid: Grid2D, rhs: np.ndarray, w0: np.ndarray, free: np.ndarray,
-        tol: float, max_iter: int):
-    """PCG for (4w - sum of neighbors(w)) / h^2 = rhs on the free nodes.
+def _cg(ladder: list[_Level], rhs: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
+    """PCG for (4w - sum of neighbors(w)) / h^2 = rhs on the free nodes of ladder[0].
 
     Pinned nodes (free == False) are held at zero and excluded from the
     system; the ring is zero as well.  The preconditioner is one symmetric
-    V(1,1) cycle on the free set, its ladder built once per call.  CG stops on
-    the max-norm of the true residual: once the recursively updated
-    residual meets tol, b - A w is recomputed and, if it is still above
-    tol, the iteration restarts from it within the same max_iter.  A
-    restart whose true residual is no smaller than the previous one's
-    returns at once: the residual has reached its rounding floor.
+    V(1,1) cycle down the given ladder.  CG stops on the max-norm of the
+    true residual: once the recursively updated residual meets tol,
+    b - A w is recomputed and, if it is still above tol, the iteration
+    restarts from it within the same max_iter.  A restart whose true
+    residual is no smaller than the previous one's returns at once: the
+    residual has reached its rounding floor.
     Returns (solution, final max residual, iterations).
     """
-    ladder = _vcycle_ladder(grid.h, free)
     fine = ladder[0]
-    b = np.where(free, rhs, 0.0)
-    w = np.where(free, w0, 0.0)
+    b = np.where(fine.free, rhs, 0.0)
+    w = np.where(fine.free, w0, 0.0)
     it = 0
     res_prev = float("inf")
     while True:
@@ -375,9 +375,9 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
     U = start
     if U is None:
         # harmonic initialization: all nodes free, zero forcing
-        free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
-        w, _, record["cg_iterations"] = _cg(g, nbr_b, np.zeros_like(nbr_b), free,
-                                            tol_cg, max_cg)
+        all_free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
+        w, _, record["cg_iterations"] = _cg(_vcycle_ladder(g.h, all_free), nbr_b,
+                                            np.zeros_like(nbr_b), tol_cg, max_cg)
         U = bvals.copy()
         U[1:-1, 1:-1] = w
     state = _pattern(U[1:-1, 1:-1], tolz)
@@ -385,17 +385,15 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
 
     report = SolveReport(iterations=0, final_energy=J_best, final_residual=float("inf"),
                          levels=levels)
-    key_prev = state.tobytes()
-    key_prev_prev = None
-    forced_pins = 0
     tight = False
 
     for sweep in range(1, spec.tol_pattern + 1):
         free = state != 0
+        ladder = _vcycle_ladder(g.h, free)
         rhs = -_forcing(state, lp, lm) + nbr_b
         w = np.where(free, U[1:-1, 1:-1], 0.0)
         while True:
-            w, res, its = _cg(g, rhs, w, free, tol_cg if tight else tol_mult, max_cg)
+            w, res, its = _cg(ladder, rhs, w, tol_cg if tight else tol_mult, max_cg)
             record["cg_iterations"] += its
             V = bvals.copy()
             V[1:-1, 1:-1] = w
@@ -426,29 +424,12 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
         report.final_residual = res
 
         if tight and res > spec.tol_linear:
-            report.converged = False
             raise SolverError("linear residual target not met", report)
         if changes == 0:
-            report.converged = True
             return field_v, report
-
-        key = new_state.tobytes()
-        if key_prev_prev is not None and key == key_prev_prev:
-            # 2-cycle between state configurations: freeze the oscillating
-            # nodes at zero (the energy-cautious state at the kink) and let
-            # the multiplier test release them one layer at a time
-            forced_pins += 1
-            if forced_pins > 20:
-                report.converged = False
-                raise SolverError("state cycling persists after forced pinning", report)
-            new_state[new_state != state] = 0
-            key = new_state.tobytes()
-        key_prev_prev = key_prev
-        key_prev = key
         state = new_state
         U = V
 
-    report.converged = False
     raise SolverError(
         f"pattern iteration did not settle within {spec.tol_pattern} sweeps", report
     )

@@ -343,7 +343,6 @@ def single_level_solve(spec):
     U = bvals.copy()
     U[1:-1, 1:-1] = single_level_cg(g, nbr_b, np.zeros_like(nbr_b), free, tol_cg, max_cg)
     state = _pattern(U[1:-1, 1:-1], tolz)
-    key_prev, key_prev_prev, forced_pins = state.tobytes(), None, 0
     for _ in range(spec.tol_pattern):
         free = state != 0
         rhs = -_forcing(state, lp, lm) + nbr_b
@@ -359,13 +358,6 @@ def single_level_solve(spec):
         new_state[pinned & (lap < -0.5 * lm - tol_mult)] = -1
         if np.array_equal(new_state, state):
             return V
-        key = new_state.tobytes()
-        if key_prev_prev is not None and key == key_prev_prev:
-            forced_pins += 1
-            assert forced_pins <= 20, "oracle states keep cycling"
-            new_state[new_state != state] = 0
-            key = new_state.tobytes()
-        key_prev_prev, key_prev = key_prev, key
         state, U = new_state, V
     raise AssertionError("oracle states did not settle")
 
@@ -441,6 +433,21 @@ def test_postconditions_recomputed_from_the_field_at_257(tau, profile_solutions)
     else:
         spec = make_profile_problem(257, tau=tau)[1]
         u, _ = solve(spec)
+    assert_postconditions(spec, u)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="the states cycle with period 4 on this one-level grid")
+def test_one_level_shifted_profile_settles():
+    # found by a random search over one-level ladders (n - 1 odd): the
+    # pattern changes settle into the cycle 48, 44, 44, 40 and the loop
+    # runs out of sweeps; pinning the nodes that change on any repeated
+    # state did not settle it either
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 34, 34)
+    bc = BoundaryMap.from_callable(g, lambda X, Y: 0.5 * X * np.abs(X) + 0.018307936618106934)
+    spec = ProblemSpec(g, bc, 1.0906611685712475, 2.8378063622819885)
+    u, report = solve(spec)
+    assert report.converged
     assert_postconditions(spec, u)
 
 
