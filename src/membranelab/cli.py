@@ -367,23 +367,13 @@ class StabilityReport:
             raise ValueError("sweep rows must be ordered by decreasing delta")
 
 
-def hausdorff_distance(a, b) -> float:
-    """Symmetric Hausdorff distance between the vertex sets of two polyline collections."""
-    pa = _pool_vertices(a)
-    pb = _pool_vertices(b)
+def hausdorff_distance(a: FreeBoundarySet, b: FreeBoundarySet) -> float:
+    """Symmetric Hausdorff distance between the pooled vertices of two free boundaries."""
+    pa = a.all_vertices()
+    pb = b.all_vertices()
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise ValueError("hausdorff distance needs nonempty vertex sets")
     return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
-
-
-def _pool_vertices(chains) -> np.ndarray:
-    pooled = []
-    for chain in chains:
-        chain = np.asarray(chain, dtype=float)
-        if chain.ndim != 2 or chain.shape[1] != 2:
-            raise ValueError("polylines must be (k, 2) arrays")
-        pooled.append(chain)
-    return np.vstack(pooled) if pooled else np.zeros((0, 2))
 
 
 def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
@@ -451,7 +441,6 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     spec = fa_ref.spec
     g = spec.grid
     fb_ref = fa_ref.free_boundary
-    ref_chains = list(fb_ref.plus_boundary) + list(fb_ref.minus_boundary)
 
     h = g.h
     radii = tuple(k * h for k in LADDER_STEPS)
@@ -475,9 +464,7 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
         u_d, _ = solve(spec_d)
         cmp = comparison_check(u_ref, spec, u_d, spec_d)
         fa_d = FieldAnalysis(u_d, spec_d)
-        fb_d = fa_d.free_boundary
-        chains_d = list(fb_d.plus_boundary) + list(fb_d.minus_boundary)
-        dist = hausdorff_distance(ref_chains, chains_d)
+        dist = hausdorff_distance(fb_ref, fa_d.free_boundary)
         summaries = []
         for p in branch_points:
             fit = fit_two_graphs(fa_d, p, window)

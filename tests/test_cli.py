@@ -12,6 +12,7 @@ import pytest
 from membranelab import (
     ConfigError,
     FieldAnalysis,
+    FreeBoundarySet,
     GlobalProfile,
     StabilityReport,
     SweepHypothesisError,
@@ -27,6 +28,7 @@ from membranelab import (
 )
 from membranelab import cli
 from membranelab.cli import main, selftest
+from membranelab.grid import boundary_mask
 
 
 BASE_INI = """
@@ -254,26 +256,31 @@ def seg(a, b, k=2):
     return np.asarray(a) * (1 - t) + np.asarray(b) * t
 
 
+def plus_set(*chains):
+    """The polylines as the positive phase boundary of a FreeBoundarySet."""
+    return FreeBoundarySet(chains, (), 0.125)
+
+
 def test_hausdorff_identical_is_zero():
-    chains = [seg((0, 0), (1, 0), 5)]
+    chains = plus_set(seg((0, 0), (1, 0), 5))
     assert hausdorff_distance(chains, chains) == 0.0
 
 
 def test_hausdorff_translation():
-    a = [seg((0, 0), (1, 0), 9)]
-    b = [seg((0.3, 0.4), (1.3, 0.4), 9)]
+    a = plus_set(seg((0, 0), (1, 0), 9))
+    b = plus_set(seg((0.3, 0.4), (1.3, 0.4), 9))
     assert hausdorff_distance(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_hausdorff_parallel_lines():
-    a = [seg((0, 0), (2, 0), 2)]       # endpoints only
-    b = [seg((0, 0.25), (2, 0.25), 2)]
+    a = plus_set(seg((0, 0), (2, 0), 2))       # endpoints only
+    b = plus_set(seg((0, 0.25), (2, 0.25), 2))
     assert hausdorff_distance(a, b) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_hausdorff_empty_raises():
     with pytest.raises(ValueError):
-        hausdorff_distance([], [seg((0, 0), (1, 0))])
+        hausdorff_distance(plus_set(), plus_set(seg((0, 0), (1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +424,27 @@ def test_main_exit_codes(tmp_path, capsys):
                                  + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\neps = 0.04\n", "ok.ini"))
 
 
+def test_main_exits_1_when_the_solver_fails(tmp_path, capsys):
+    # tau = -0.4 data needs more than one sweep on its coarsest level
+    ini = BASE_INI.replace("beta1 = 1.0", "beta1 = 1.0\ntau = -0.4") + "\n[solver]\nmax_sweeps = 1\n"
+    assert main(["solve", write_ini(tmp_path, ini.format(out=tmp_path / "sf"))]) == 1
+    assert capsys.readouterr().err.startswith("solver failure: ")
+
+
+def test_main_exits_1_when_a_diagnostic_cannot_be_evaluated(tmp_path, capsys):
+    # one-phase polynomial data has no negative phase, so no graphs to fit
+    ini = BASE_INI.replace("kind = profile\nbeta1 = 1.0", "kind = polynomial\ncxx = 0.25\ncyy = 0.25")
+    ini += "\n[diagnostics]\nrun = graphs\n"
+    assert main(["diagnose", write_ini(tmp_path, ini.format(out=tmp_path / "ze"))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "phase boundary is absent" in err
+
+
+def test_main_selftest_exits_0(capsys):
+    assert main(["selftest"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_run_returns_2_on_config_error(tmp_path, capsys):
     cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "r2")))
     assert run(cfg, mode="sweep") == 2
@@ -474,6 +502,31 @@ def test_stability_sweep_end_to_end(tmp_path):
         assert row.sup_boundary_diff == pytest.approx(row.delta, rel=1e-6)
     assert report.hausdorff_monotone
     assert set(report.reference_labels) == {"branch"}
+
+
+@pytest.mark.parametrize("family, fn", [
+    ("linear", lambda X, Y: Y),
+    ("sine", lambda X, Y: np.sin(2.0 * np.pi * Y)),
+], ids=["linear", "sine"])
+def test_stability_sweep_families(tmp_path, family, fn):
+    ini = BASE_INI.replace("n = 65", "n = 129") + f"""
+[sweep]
+family = {family}
+k = 2
+amplitudes = 0.1, 0.05
+classify_budget = 2
+"""
+    cfg, fa_ref = solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / family)))
+    report = stability_sweep(cfg, fa_ref)
+    X, Y = cfg.spec.grid.meshgrid()
+    # every family peaks at 1 on this ring, so the rows alone cannot tell them apart
+    assert np.array_equal(cli._family_fn(family, cfg.sweep["k"])(X, Y), fn(X, Y))
+    peak = float(np.max(np.abs(fn(X, Y)[boundary_mask(cfg.spec.grid)])))
+    assert [row.delta for row in report.rows] == [0.1, 0.05]
+    for row in report.rows:
+        assert row.comparison_holds
+        # the data differ by delta * fn on the ring, up to one rounding
+        assert row.sup_boundary_diff == pytest.approx(row.delta * peak, rel=1e-12)
 
 
 def test_sweep_aborts_on_one_phase_reference(tmp_path, capsys):

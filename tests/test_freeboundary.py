@@ -84,6 +84,32 @@ def test_extraction_of_positive_field_is_empty():
     assert fb.all_vertices().shape == (0, 2)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [0.005, -0.005])
+def test_saddle_cells_follow_the_cell_centre_average(sign, offset):
+    # the centre cell of an even grid is a saddle of sign * x * y + offset:
+    # codes 5 (plus set of sign 1, minus set of sign -1) and 10 (the other
+    # two), with the offset setting the sign of the cell-centre average; the
+    # zero set is the hyperbola sign * x * y = -offset, one branch per
+    # quadrant where x * y has the sign of -sign * offset
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 8, 8)
+    u = sample(g, lambda X, Y: sign * X * Y + offset)
+    fb = extract_free_boundary(u, 0.0)
+    quadrant = -np.sign(sign * offset)
+    for chains in (fb.plus_boundary, fb.minus_boundary):
+        assert len(chains) == 2
+        corners = set()
+        for chain in chains:
+            sx, sy = np.sign(chain[:, 0]), np.sign(chain[:, 1])
+            # a wrong saddle split joins the two branches through the cell
+            assert np.all(sx == sx[0]) and np.all(sy == sy[0])
+            assert sx[0] * sy[0] == quadrant
+            # the field is linear along cell edges, so vertices are exact
+            assert float(np.max(np.abs(sign * chain[:, 0] * chain[:, 1] + offset))) <= 1e-15
+            corners.add((sx[0], sy[0]))
+        assert len(corners) == 2
+
+
 def test_extraction_recovers_the_pinned_slab(tau_solution):
     v, spec, u, _ = tau_solution
     fb = extract_free_boundary(u, spec.tol_zero)
@@ -190,6 +216,17 @@ def test_classify_degenerate_field_is_indeterminate():
     pc = classify_at_origin(u, g)
     assert pc.label == "indeterminate"
     assert pc.evidence["decided_by"] == "degenerate_rescale"
+
+
+def test_classify_saddle_of_a_harmonic_quadratic_is_indeterminate():
+    # x^2 - y^2 has no gradient at the origin, its psi does not decay and
+    # its blow-up is far from both the ramp class and the one-phase cone
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    u = sample(g, lambda X, Y: X * X - Y * Y)
+    pc = classify_at_origin(u, g)
+    assert pc.label == "indeterminate"
+    assert pc.evidence["decided_by"] == "exhausted"
+    assert pc.evidence["dist_to_m"] >= 0.1 and pc.evidence["dist_to_poly"] >= 0.1
 
 
 def test_classify_invariant_under_rotation():
