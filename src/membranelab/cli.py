@@ -37,7 +37,7 @@ from .freeboundary import (
 )
 from .grid import BoundaryMap, Grid2D, build_grid, dump_field_csv, float_repr, sample, write_csv
 from .monotonicity import (
-    RadiusLadder, acf_psi, check_ball, directional_psi, phi_ladder, s_norm, weiss_phi,
+    RadiusLadder, acf_psi, check_ball, phi_ladder, s_norm, weiss_phi,
 )
 from .profiles import GlobalProfile, OnePhasePolynomial, eval_many
 from .solver import ProblemSpec, SolverError, comparison_check, solve
@@ -516,8 +516,7 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
         prof = phi_ladder(u, fa.gradients, ladder, fa.spec.lambda_plus, fa.spec.lambda_minus)
         _write_ladder(prof, os.path.join(out, "phi_ladder.csv"))
     if "psi_ladder" in config.diagnostics:
-        (prof,) = directional_psi(fa.gradients, ladder, [(1.0, 0.0)])
-        _write_ladder(prof, os.path.join(out, "psi_ladder.csv"))
+        _write_ladder(fa.psi_profiles(ladder)["e1"], os.path.join(out, "psi_ladder.csv"))
     if "classify" in config.diagnostics:
         cls = classify_point(fa, ladder)
         record = {"point": point, "class": cls.label, "evidence": cls.evidence}

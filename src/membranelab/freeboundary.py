@@ -5,8 +5,9 @@ points on them through a gradient / functional-decay / blow-up decision
 chain, fits the boundaries as a pair of graphs in a rotated frame, traces
 normalized circle restrictions and their reflection antisymmetrization,
 and reports perimeter and covering-number estimates.  A ``FieldAnalysis``
-holds one solved field together with its gradient fields and its free
-boundary, built once and shared by every analysis of that field.
+holds one solved field together with its gradient fields, its free
+boundary and its directional psi ladders, each built once and shared by
+every analysis of that field.
 """
 
 from __future__ import annotations
@@ -198,7 +199,9 @@ class FieldAnalysis:
     of ``u``), ``free_boundary`` (its contours at the +-``tol_zero`` levels)
     and ``thresholds`` (the classification cuts) are computed on first use
     and kept, so every classification, graph fit and estimate on the field
-    shares them.  Nothing tied to a query point is kept.
+    shares them.  ``psi_profiles(ladder)`` is kept per ladder in the same
+    way, so a point's classification and its ``psi_ladder`` diagnostic
+    share one evaluation.  Nothing else tied to a query point is kept.
     """
 
     def __init__(self, u: ScalarField, spec: ProblemSpec):
@@ -206,6 +209,17 @@ class FieldAnalysis:
             raise ValueError("field grid differs from problem grid")
         self.u = u
         self.spec = spec
+        self._psi: dict = {}
+
+    def psi_profiles(self, ladder: RadiusLadder) -> dict:
+        """``directional_psi`` along each of ``_DIRECTIONS``, by direction name.
+
+        Evaluated the first time ``ladder`` asks for it, then kept.
+        """
+        if ladder not in self._psi:
+            profs = directional_psi(self.gradients, ladder, [e for _, e in _DIRECTIONS])
+            self._psi[ladder] = {name: prof for (name, _), prof in zip(_DIRECTIONS, profs)}
+        return self._psi[ladder]
 
     @cached_property
     def gradients(self) -> tuple[ScalarField, ScalarField]:
@@ -318,10 +332,10 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder) -> PointClass:
     """Classify the free boundary point at the ladder's center.
 
     Decision chain: a resolvable gradient means regular; decay of the
-    directional product functional at the smallest radius plus a blow-up
-    close to the ramp class means branch; a blow-up close to a
-    sign-definite quadratic means one_phase_singular; anything else is
-    indeterminate.  A degenerate rescale (field vanishing on the blow-up
+    directional product functional (``fa.psi_profiles``) at the smallest
+    radius plus a blow-up close to the ramp class means branch; a blow-up
+    close to a sign-definite quadratic means one_phase_singular; anything
+    else is indeterminate.  A degenerate rescale (field vanishing on the blow-up
     circle) is indeterminate as well.  The gradient at the center is the
     bilinear interpolant of the field's gradient fields, and the cuts are
     ``fa.thresholds``.
@@ -343,8 +357,7 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder) -> PointClass:
         evidence["decided_by"] = "gradient"
         return PointClass("regular", evidence)
 
-    profs = directional_psi(fa.gradients, ladder, [e for _, e in _DIRECTIONS])
-    psi = {name: prof.values for (name, _), prof in zip(_DIRECTIONS, profs)}
+    psi = {name: prof.values for name, prof in fa.psi_profiles(ladder).items()}
     evidence["psi"] = psi
 
     try:

@@ -205,13 +205,15 @@ def _locate(grid: Grid2D, x: np.ndarray, y: np.ndarray):
     """
     tx = (x - grid.x_min) / grid.h
     ty = (y - grid.y_min) / grid.h
-    bad = (tx < -_NODE_SNAP) | (tx > grid.nx - 1 + _NODE_SNAP) \
-        | (ty < -_NODE_SNAP) | (ty > grid.ny - 1 + _NODE_SNAP)
-    if np.any(bad):
-        n = int(np.count_nonzero(bad))
+    # written as the in-range test, so a NaN coordinate fails it
+    inside = (tx >= -_NODE_SNAP) & (tx <= grid.nx - 1 + _NODE_SNAP) \
+        & (ty >= -_NODE_SNAP) & (ty <= grid.ny - 1 + _NODE_SNAP)
+    if not np.all(inside):
+        n = int(np.count_nonzero(~inside))
         raise ValueError(f"{n} interpolation point(s) outside grid bounds")
-    i0 = np.clip(np.floor(tx).astype(int), 0, grid.nx - 2)
-    j0 = np.clip(np.floor(ty).astype(int), 0, grid.ny - 2)
+    # np.minimum(np.maximum(...)) is np.clip without its dispatch cost
+    i0 = np.minimum(np.maximum(np.floor(tx).astype(int), 0), grid.nx - 2)
+    j0 = np.minimum(np.maximum(np.floor(ty).astype(int), 0), grid.ny - 2)
     fx = tx - i0
     fy = ty - j0
     # snap: carry near-1 fractions onto the next node, zero out near-0 ones
@@ -233,7 +235,9 @@ def interpolate_many(f: ScalarField | FieldWindow, x: np.ndarray, y: np.ndarray)
 
     For a ``FieldWindow`` the points are located once and every field of
     the stack is interpolated from that one locate; the result has shape
-    (fields, points).  Every point's cell must lie inside the window.
+    (fields, points).  Every point's cell must lie inside the window.  A
+    point outside the grid, a NaN or infinite coordinate included, raises
+    ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -247,14 +251,25 @@ def interpolate_many(f: ScalarField | FieldWindow, x: np.ndarray, y: np.ndarray)
             or i0.max() > v.shape[-1] - 2 or j0.max() > v.shape[-2] - 2
         ):
             raise ValueError("interpolation point(s) outside the field window")
-    v00 = v[..., j0, i0]
-    v10 = v[..., j0, i0 + 1]
-    v01 = v[..., j0 + 1, i0]
-    v11 = v[..., j0 + 1, i0 + 1]
-    # symmetric weights keep fx, fy in {0, 1} bit-exact at the nodes
-    bottom = (1.0 - fx) * v00 + fx * v10
-    top = (1.0 - fx) * v01 + fx * v11
-    return (1.0 - fy) * bottom + fy * top
+    # gather the four corners from the (fields, cells) view by one flat index
+    nx = v.shape[-1]
+    flat = v.reshape(v.shape[:-2] + (-1,))
+    k = j0 * nx + i0
+    v00, v10, v01, v11 = (flat.take(k + d, axis=-1) for d in (0, 1, nx, nx + 1))
+    # symmetric weights keep fx, fy in {0, 1} bit-exact at the nodes:
+    # bottom = (1 - fx) v00 + fx v10, top likewise, then (1 - fy) bottom + fy top,
+    # each product and sum rounded as written, in place in the gathered arrays
+    gx = 1.0 - fx
+    v00 *= gx
+    v10 *= fx
+    v00 += v10
+    v01 *= gx
+    v11 *= fx
+    v01 += v11
+    v00 *= 1.0 - fy
+    v01 *= fy
+    v00 += v01
+    return v00
 
 
 def boundary_mask(grid: Grid2D) -> np.ndarray:

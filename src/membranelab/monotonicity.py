@@ -16,11 +16,16 @@ nq = min(256, max(32, ceil(4 r / h))) on a grid of step h: 4 cells per
 grid step of the radius, so radii of 64 steps or more get the full 256^2
 rule.  The integrands are bilinearly interpolated, and every disk integral
 goes through one kernel that interpolates all the fields it needs from a
-single locate per point.  Circle integrals (s_norm, the boundary term of
-weiss_phi, and with them every blow-up) always use the 256-node periodic
-trapezoid rule.  Gradients come from interpolated central difference
-fields.  All functions are pure; ladders may be evaluated in parallel by
-the caller.
+single locate per point.  The kernel passes the points to
+``interpolate_many`` in blocks sized to the stack, _BLOCK values per call,
+and sums each integrand row on its own, so the result of a row is the
+same in any stack.  ``directional_psi`` puts all its directions in one
+stack; ``freeboundary.FieldAnalysis`` evaluates it once per field and
+ladder, along the four classification directions, and keeps the result.
+Circle integrals (s_norm, the boundary term of weiss_phi, and with them
+every blow-up) always use the 256-node periodic trapezoid rule.  Gradients
+come from interpolated central difference fields.  All functions are pure;
+ladders may be evaluated in parallel by the caller.
 """
 
 from __future__ import annotations
@@ -48,9 +53,10 @@ _NQ = 256
 # _NQ_MIN; so r >= 64h gets the full _NQ.
 _NQ_MIN = 32
 
-# Points per interpolate_many call of the disk kernel: bounds the
-# (fields, points) temporaries of a 16-field stack to about 1 MB.
-_BLOCK = 1024
+# Values per interpolate_many call of the disk kernel: a stack of k fields
+# takes _BLOCK // k points per call, so the (fields, points) temporaries
+# stay at 128 KB each whatever the stack, about 1 MB in all.
+_BLOCK = 16384
 
 # Nodes a quadrature window keeps beyond its ball on each side.
 _MARGIN = 3
@@ -69,14 +75,20 @@ class RadiusLadder:
 
     def __post_init__(self) -> None:
         r = tuple(float(x) for x in self.radii)
+        c = (float(self.center[0]), float(self.center[1]))
         if len(r) == 0:
             raise ValueError("ladder needs at least one radius")
+        # NaN passes every comparison below, and a NaN ladder never equals itself
+        for name, vals in (("center", c), ("radius", r)):
+            for x in vals:
+                if not math.isfinite(x):
+                    raise ValueError(f"ladder {name} must be finite, got {x!r}")
         if any(x <= 0.0 for x in r):
             raise ValueError("ladder radii must be positive")
         if any(r[k] <= r[k + 1] for k in range(len(r) - 1)):
             raise ValueError("ladder radii must be strictly decreasing")
         object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "center", c)
 
 
 @dataclass(frozen=True)
@@ -153,13 +165,16 @@ def _disk_sums(win: FieldWindow, center, r: float, integrand) -> list[float]:
 
     ``integrand`` maps the (fields, points) values of the window's stack to
     (rows, points).  This is the one disk quadrature of the package: the
-    points pass through ``interpolate_many`` in blocks of _BLOCK, each one
-    located once for the whole stack, and each row is summed in one pass.
+    points pass through ``interpolate_many`` in blocks of _BLOCK values,
+    _BLOCK // fields points each, every point located once for the whole
+    stack.  Each row is summed in one pass over all points, so a row's
+    value does not depend on the block size or on the other rows.
     """
     xs, ys, w = _polar_disk(center, r, win.grid.h)
+    block = _BLOCK // win.values.shape[0]
     rows = None
-    for s in range(0, w.size, _BLOCK):
-        b = slice(s, s + _BLOCK)
+    for s in range(0, w.size, block):
+        b = slice(s, s + block)
         part = integrand(interpolate_many(win, xs[b], ys[b]))
         if rows is None:
             rows = np.empty((part.shape[0], w.size))

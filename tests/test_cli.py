@@ -26,8 +26,10 @@ from membranelab import (
     stability_sweep,
     write_json,
 )
-from membranelab import cli
+from membranelab import cli, freeboundary
 from membranelab.cli import main, selftest
+from membranelab.freeboundary import _DIRECTIONS
+from membranelab.monotonicity import RadiusLadder, directional_psi
 from membranelab.grid import boundary_mask
 
 
@@ -332,6 +334,59 @@ def test_diagnose_writes_deterministic_artifacts(tmp_path):
     assert mismatch == [] and errors == []
 
 
+def counting_directional_psi(mp, calls):
+    """Record the (ladder, directions) of every directional_psi call of the analysis.
+
+    FieldAnalysis calls it through the freeboundary binding; a cli binding,
+    were there one, is counted too.
+    """
+    def counting(grads, ladder, directions):
+        calls.append((ladder, list(directions)))
+        return directional_psi(grads, ladder, directions)
+    mp.setattr(freeboundary, "directional_psi", counting)
+    mp.setattr(cli, "directional_psi", counting, raising=False)
+
+
+@pytest.fixture(scope="module")
+def diagnosed(tmp_path_factory):
+    """A diagnose run of all seven diagnostics, and its directional_psi calls."""
+    tmp = tmp_path_factory.mktemp("diagnosed")
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        counting_directional_psi(mp, calls)
+        assert run(load_config(write_ini(tmp, DIAG_INI.format(out=tmp / "out")))) == 0
+    return tmp / "out", calls
+
+
+def test_diagnose_evaluates_directional_psi_once(diagnosed):
+    # classify and psi_ladder share one evaluation of the four directions
+    _, calls = diagnosed
+    assert len(calls) == 1
+    assert calls[0][1] == [e for _, e in _DIRECTIONS]
+
+
+def test_psi_ladder_csv_is_the_classified_e1_psi(diagnosed):
+    out, _ = diagnosed
+    values = [line.split(",")[1] for line in (out / "psi_ladder.csv").read_text().splitlines()[1:]]
+    record = json.loads((out / "classification.json").read_text(), parse_float=str, parse_int=str)
+    assert values == record[0]["evidence"]["psi"]["e1"]
+
+
+def test_psi_ladder_alone_writes_the_e1_ladder(tmp_path, monkeypatch):
+    ini = DIAG_INI.replace("run = phi_ladder, psi_ladder, classify, graphs, xi, perimeter, covering",
+                           "run = psi_ladder")
+    cfg = load_config(write_ini(tmp_path, ini.format(out=tmp_path / "out")))
+    calls = []
+    counting_directional_psi(monkeypatch, calls)
+    assert run(cfg) == 0
+    assert len(calls) == 1
+    u, _ = solve(cfg.spec)
+    ladder = RadiusLadder(cfg.diag_params["point"], cfg.diag_params["radii"])
+    (prof,) = directional_psi(FieldAnalysis(u, cfg.spec).gradients, ladder, [(1.0, 0.0)])
+    cli._write_ladder(prof, str(tmp_path / "want.csv"))
+    assert (tmp_path / "out" / "psi_ladder.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_solve_mode_writes_field_only(tmp_path):
     out = tmp_path / "solve_out"
     cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=out)))
@@ -550,6 +605,27 @@ def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):
     cfg = load_config(write_ini(tmp_path, ini.format(out=tmp_path / "once")))
     assert run(cfg, mode="sweep") == 0
     assert len(calls) == 1 + len(cfg.sweep["amplitudes"])
+
+
+def test_sweep_evaluates_directional_psi_once_per_reference_ladder(tmp_path, monkeypatch):
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        "\n[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = 3\n")
+    cfg, fa_ref = solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "psi")))
+    calls = []
+    counting_directional_psi(monkeypatch, calls)
+    report = stability_sweep(cfg, fa_ref)
+    radii = tuple(k * cfg.spec.grid.h for k in freeboundary.LADDER_STEPS)
+    ladders = [RadiusLadder(p, radii) for p in report.reference_points]
+    # every reference point reaches the psi test: none is decided by its gradient
+    assert report.reference_labels == ("branch",) * 3
+    assert [ladder for ladder, _ in calls] == ladders
+    # a second classification reads the kept psi; another FieldAnalysis of
+    # the same field keeps its own
+    freeboundary.classify_point(fa_ref, ladders[0])
+    assert len(calls) == 3
+    fa_other = FieldAnalysis(fa_ref.u, fa_ref.spec)
+    assert freeboundary.classify_point(fa_other, ladders[0]) == freeboundary.classify_point(fa_ref, ladders[0])
+    assert [ladder for ladder, _ in calls] == ladders + ladders[:1]
 
 
 def test_sweep_reference_points_stay_put_under_rounding_noise(profile_solutions):

@@ -134,6 +134,21 @@ def test_interpolation_rejects_outside_points():
     assert interpolate_many(f, np.array([1.0]), np.array([-1.0]))[0] == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_interpolation_rejects_non_finite_points(bad, axis):
+    # a NaN coordinate fails every comparison, so it must fail the in-range
+    # test rather than pass an out-of-range one
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    f = sample(g, lambda X, Y: X + Y)
+    win = FieldWindow(g, 0, 0, np.stack([f.values, -f.values]))
+    xs, ys = np.array([0.0, 0.25]), np.array([0.0, 0.5])
+    (xs if axis == "x" else ys)[1] = bad
+    for target in (f, win):
+        with pytest.raises(ValueError, match="1 interpolation point"):
+            interpolate_many(target, xs, ys)
+
+
 def test_window_shares_one_locate_across_its_fields():
     # three fields cropped to columns 3..11, rows 5..13 of a 17^2 grid
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 17, 17)

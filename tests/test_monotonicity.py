@@ -39,7 +39,8 @@ from membranelab import (
 )
 from membranelab.cli import _reference_points, _write_ladder
 from membranelab.freeboundary import _DIRECTIONS
-from membranelab.monotonicity import _circle, _polar_disk
+from membranelab import monotonicity
+from membranelab.monotonicity import _BLOCK, _circle, _polar_disk
 from conftest import profile_fn
 
 PI_8 = math.pi / 8.0
@@ -62,6 +63,20 @@ def test_radius_ladder_validation():
         RadiusLadder((0.0, 0.0), (0.5, 0.5))       # not strict
     with pytest.raises(ValueError):
         RadiusLadder((0.0, 0.0), (0.5, 0.0))       # non-positive
+
+
+@pytest.mark.parametrize("center, radii, needle", [
+    ((0.0, 0.0), (0.5, math.nan), "radius must be finite, got nan"),
+    ((0.0, 0.0), (math.nan,), "radius must be finite, got nan"),
+    ((0.0, 0.0), (math.inf, 0.5), "radius must be finite, got inf"),
+    ((math.nan, 0.0), (0.5, 0.25), "center must be finite, got nan"),
+    ((0.0, -math.inf), (0.5, 0.25), "center must be finite, got -inf"),
+])
+def test_radius_ladder_rejects_non_finite_values(center, radii, needle):
+    # NaN passes the positive and decreasing checks, and a ladder is a
+    # FieldAnalysis cache key that NaN would keep from ever matching
+    with pytest.raises(ValueError, match=needle):
+        RadiusLadder(center, radii)
 
 
 def test_monotonicity_profile_csv(tmp_path):
@@ -311,6 +326,47 @@ def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
         assert list(prof.values) == per_field_psi(hp, hm, p, radii, disk)
         assert acf_psi(hp, hm, p, radii[1]) == prof.values[1]
         assert weiss_phi(u, p, radii[2], 2.0, 2.0) == per_field_phi(u, p, radii[2], 2.0, 2.0, disk)
+
+
+# Radii of nq = 162 and nq = 38 cells: no block of a 3- or 16-layer stack
+# divides nq^2, so each ends in a partial block.
+PARTIAL_STEPS = (40.3, 9.3)
+
+
+def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution):
+    dirs = [e for _, e in _DIRECTIONS]
+    for u, p in ((profile_solutions[129][2], (0.0, 0.05)), (tau_solution[2], (-0.2, 0.1))):
+        h = u.grid.h
+        radii = tuple(k * h for k in PARTIAL_STEPS)
+        sizes = [_polar_disk(p, r, h)[2].size for r in radii]
+        assert sizes == [162**2, 38**2]
+        assert all(n % (_BLOCK // fields) for n in sizes for fields in (3, 16))
+        disk = package_disk(u.grid)
+        ladder = RadiusLadder(p, radii)
+        # phi interpolates a stack of 3 layers, the four directions one of 16
+        prof = phi_ladder(u, gradient_fields(u), ladder, 2.0, 2.0)
+        assert list(prof.values) == [per_field_phi(u, p, r, 2.0, 2.0, disk) for r in radii]
+        profs = directional_psi(gradient_fields(u), ladder, dirs)
+        for e, prof in zip(dirs, profs):
+            assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), (p, e)
+
+
+def test_directional_psi_interpolates_every_disk_point(profile_solutions, monkeypatch):
+    # the benchmark counts quadrature points through interpolate_many
+    u = profile_solutions[129][2]
+    h = u.grid.h
+    radii = (40.3 * h, 32 * h, 9.3 * h)
+    points = []
+
+    def counting(f, x, y):
+        points.append(np.size(x))
+        return interpolate_many(f, x, y)
+
+    monkeypatch.setattr(monotonicity, "interpolate_many", counting)
+    directional_psi(gradient_fields(u), RadiusLadder((0.0, 0.0), radii), [e for _, e in _DIRECTIONS])
+    nq = [math.ceil(4.0 * r / h) for r in radii]
+    assert nq == [162, 128, 38]
+    assert sum(points) == sum(n * n for n in nq)
 
 
 def full_polar_disk(center, r):
