@@ -18,8 +18,6 @@ from .profiles import (
     RampFitError,
     dist_to_M,
     eval_many,
-    eval_polynomial_many,
-    eval_profile_many,
     profile_boundary_trace,
 )
 from .solver import (
@@ -47,7 +45,6 @@ from .monotonicity import (
 )
 from .freeboundary import (
     CircleTrace,
-    ClassifyThresholds,
     FieldAnalysis,
     FreeBoundarySet,
     GraphFit,

@@ -7,7 +7,8 @@ normalized circle restrictions and their reflection antisymmetrization,
 and reports perimeter and covering-number estimates.  A ``FieldAnalysis``
 holds one solved field together with its gradient fields, its free
 boundary and its directional psi ladders, each built once and shared by
-every analysis of that field.
+every analysis of that field.  Classification reads three cuts, of
+which only the gradient cut depends on the field's problem.
 """
 
 from __future__ import annotations
@@ -195,13 +196,14 @@ class FieldAnalysis:
 
     ``spec`` is the ``ProblemSpec`` the field solves: its zero band
     ``tol_zero`` sets the contours and its phase coefficients set the ramp
-    class every blow-up is measured against.  ``gradients`` (``gradient_fields``
-    of ``u``), ``free_boundary`` (its contours at the +-``tol_zero`` levels)
-    and ``thresholds`` (the classification cuts) are computed on first use
-    and kept, so every classification, graph fit and estimate on the field
-    shares them.  ``psi_profiles(ladder)`` is kept per ladder in the same
-    way, so a point's classification and its ``psi_ladder`` diagnostic
-    share one evaluation.  Nothing else tied to a query point is kept.
+    class every blow-up is measured against and the gradient cut of
+    ``classify_point``.  ``gradients`` (``gradient_fields`` of ``u``) and
+    ``free_boundary`` (its contours at the +-``tol_zero`` levels) are
+    computed on first use and kept, so every classification, graph fit and
+    estimate on the field shares them.  ``psi_profiles(ladder)`` is kept
+    per ladder in the same way, so a point's classification and its
+    ``psi_ladder`` diagnostic share one evaluation.  Nothing else tied to a
+    query point is kept.
     """
 
     def __init__(self, u: ScalarField, spec: ProblemSpec):
@@ -229,27 +231,17 @@ class FieldAnalysis:
     def free_boundary(self) -> FreeBoundarySet:
         return extract_free_boundary(self.u, self.spec.tol_zero)
 
-    @cached_property
-    def thresholds(self) -> ClassifyThresholds:
-        """Grid-anchored classification cuts.
-
-        The gradient cut sits above discretization noise, the decay cut at
-        1% of the generic product scale pi^2/4, and the blow-up distance cut
-        at 0.1 on the normalized unit disk.
-        """
-        s = self.spec
-        return ClassifyThresholds(
-            tol_grad=10.0 * s.grid.h * (s.lambda_plus + s.lambda_minus),
-            tol_psi=1e-2 * _PSI_REF,
-            tol_dist=0.1,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Point classification
 # ---------------------------------------------------------------------------
 
+# The classification cuts that do not scale with the grid: psi decay below
+# 1% of the generic product scale pi^2/4, and a blow-up distance below 0.1
+# on the normalized unit disk.
 _PSI_REF = math.pi * math.pi / 4.0
+_TOL_PSI = 1e-2 * _PSI_REF
+_TOL_DIST = 0.1
 
 _DIRECTIONS = (
     ("e1", (1.0, 0.0)),
@@ -270,13 +262,6 @@ MIN_EPS_STEPS = 2.0
 
 # The default classification ladder, in grid steps, largest radius first.
 LADDER_STEPS = (32.0, 16.0, 8.0)
-
-
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    tol_grad: float
-    tol_psi: float
-    tol_dist: float
 
 
 @dataclass(frozen=True)
@@ -337,10 +322,13 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder) -> PointClass:
     close to a sign-definite quadratic means one_phase_singular; anything
     else is indeterminate.  A degenerate rescale (field vanishing on the blow-up
     circle) is indeterminate as well.  The gradient at the center is the
-    bilinear interpolant of the field's gradient fields, and the cuts are
-    ``fa.thresholds``.
+    bilinear interpolant of the field's gradient fields.  Three cuts decide:
+    the gradient norm against tol_grad = 10 h (lambda_plus + lambda_minus),
+    above discretization noise; every direction's psi at the smallest
+    radius against _TOL_PSI; and both blow-up distances against _TOL_DIST.
     """
-    th = fa.thresholds
+    s = fa.spec
+    tol_grad = 10.0 * s.grid.h * (s.lambda_plus + s.lambda_minus)
     p = ladder.center
     gx, gy = fa.gradients
     x, y = np.array([p[0]]), np.array([p[1]])
@@ -353,7 +341,7 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder) -> PointClass:
         "decided_by": None,
     }
 
-    if gn > th.tol_grad:
+    if gn > tol_grad:
         evidence["decided_by"] = "gradient"
         return PointClass("regular", evidence)
 
@@ -367,13 +355,13 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder) -> PointClass:
         return PointClass("indeterminate", evidence)
     evidence["dist_to_m"] = dist_m
     evidence["best_theta"] = best.theta
-    if all(vals[-1] < th.tol_psi for vals in psi.values()) and dist_m < th.tol_dist:
+    if all(vals[-1] < _TOL_PSI for vals in psi.values()) and dist_m < _TOL_DIST:
         evidence["decided_by"] = "psi_decay+dist_to_m"
         return PointClass("branch", evidence)
 
     dist_poly, _ = dist_to_polynomial_class(v0)
     evidence["dist_to_poly"] = dist_poly
-    if dist_poly < th.tol_dist:
+    if dist_poly < _TOL_DIST:
         evidence["decided_by"] = "dist_to_polynomial"
         return PointClass("one_phase_singular", evidence)
 

@@ -14,6 +14,7 @@ value, and ``dump_field_csv`` applies it in bulk to a grid row at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +56,13 @@ def write_csv(path: str, header: str, rows) -> None:
                 fh.write(row)
             else:
                 fh.write(",".join([float_repr(v) if isinstance(v, float) else str(v) for v in row]) + "\n")
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first keyword that is NaN (which passes every <=) or infinite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,8 @@ class Grid2D:
 def build_grid(
     x_min: float, x_max: float, y_min: float, y_max: float, nx: int, ny: int
 ) -> Grid2D:
-    """Construct a uniform grid; rejects non-square spacing and nx/ny < 3."""
+    """Construct a uniform grid; rejects non-finite bounds, non-square spacing and nx/ny < 3."""
+    _require_finite(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
     if not (x_max > x_min and y_max > y_min):
         raise ValueError("grid bounds must satisfy x_min < x_max and y_min < y_max")
     if nx < 3 or ny < 3:

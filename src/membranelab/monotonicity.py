@@ -14,18 +14,19 @@ Two functionals drive the blow-up analysis:
 Disk integrals use a polar midpoint rule of nq radial x nq angular cells,
 nq = min(256, max(32, ceil(4 r / h))) on a grid of step h: 4 cells per
 grid step of the radius, so radii of 64 steps or more get the full 256^2
-rule.  The integrands are bilinearly interpolated, and every disk integral
-goes through one kernel that interpolates all the fields it needs from a
-single locate per point.  The kernel passes the points to
-``interpolate_many`` in blocks sized to the stack, _BLOCK values per call,
-and sums each integrand row on its own, so the result of a row is the
-same in any stack.  ``directional_psi`` puts all its directions in one
-stack; ``freeboundary.FieldAnalysis`` evaluates it once per field and
-ladder, along the four classification directions, and keeps the result.
-Circle integrals (s_norm, the boundary term of weiss_phi, and with them
-every blow-up) always use the 256-node periodic trapezoid rule.  Gradients
-come from interpolated central difference fields.  All functions are pure;
-ladders may be evaluated in parallel by the caller.
+rule.  The integrands are bilinearly interpolated.  Every disk integral
+goes through one ladder evaluator, which crops the fields once to the
+nodes the ladder's largest ball reads, forms the layers it needs there
+(a psi pair's gradients and the directional parts equal the full fields'
+bit for bit on that window), and interpolates the whole stack from one
+locate per point, _BLOCK values per ``interpolate_many`` call.  Each
+integrand row is summed on its own, so its result is the same in any
+stack.  ``freeboundary.FieldAnalysis`` evaluates ``directional_psi`` once
+per field and ladder, along the four classification directions, and
+keeps the result.  Circle integrals (s_norm, the boundary term of
+weiss_phi, and with them every blow-up) always use the 256-node periodic
+trapezoid rule.  All functions are pure; ladders may be evaluated in
+parallel by the caller.
 """
 
 from __future__ import annotations
@@ -155,32 +156,35 @@ def _crop(grid: Grid2D, center, r: float) -> tuple[slice, slice]:
     return slice(j_lo, j_hi), slice(i_lo, i_hi)
 
 
-def _window(grid: Grid2D, center, r: float, arrays) -> FieldWindow:
-    rows, cols = _crop(grid, center, r)
-    return FieldWindow(grid, cols.start, rows.start, np.stack([a[rows, cols] for a in arrays]))
+def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[float]]:
+    """Polar-rule integrals over B_r(center) for each r of radii, one per row of integrand.
 
-
-def _disk_sums(win: FieldWindow, center, r: float, integrand) -> list[float]:
-    """Polar-rule integrals over B_r(center), one per row of integrand(values).
-
-    ``integrand`` maps the (fields, points) values of the window's stack to
-    (rows, points).  This is the one disk quadrature of the package: the
-    points pass through ``interpolate_many`` in blocks of _BLOCK values,
-    _BLOCK // fields points each, every point located once for the whole
-    stack.  Each row is summed in one pass over all points, so a row's
-    value does not depend on the block size or on the other rows.
+    Checks every ball and crops once, to the nodes the largest reads;
+    ``layers(rows, cols)`` builds the (fields, rows, cols) stack there, and
+    ``integrand`` maps its (fields, points) values to (rows, points).  The
+    points pass through ``interpolate_many`` in blocks of _BLOCK // fields,
+    each located once for the whole stack, and each row is summed in one
+    pass over all points, so its value does not depend on the block size
+    or on the other rows.
     """
-    xs, ys, w = _polar_disk(center, r, win.grid.h)
+    for r in radii:
+        check_ball(grid, center, r)
+    rows, cols = _crop(grid, center, radii[0])
+    win = FieldWindow(grid, cols.start, rows.start, layers(rows, cols))
     block = _BLOCK // win.values.shape[0]
-    rows = None
-    for s in range(0, w.size, block):
-        b = slice(s, s + block)
-        part = integrand(interpolate_many(win, xs[b], ys[b]))
-        if rows is None:
-            rows = np.empty((part.shape[0], w.size))
-        rows[:, b] = part
-    rows *= w
-    return [float(np.sum(row)) for row in rows]
+    out = []
+    for r in radii:
+        xs, ys, w = _polar_disk(center, r, grid.h)
+        vals = None
+        for s in range(0, w.size, block):
+            b = slice(s, s + block)
+            part = integrand(interpolate_many(win, xs[b], ys[b]))
+            if vals is None:
+                vals = np.empty((part.shape[0], w.size))
+            vals[:, b] = part
+        vals *= w
+        out.append([float(np.sum(row)) for row in vals])
+    return out
 
 
 def _gradient_squares(v: np.ndarray) -> np.ndarray:
@@ -195,21 +199,16 @@ def _products(sums: list[float], r: float) -> list[float]:
 
 
 def _phi_values(u: ScalarField, grads, x0, radii, lambda_plus: float, lambda_minus: float) -> list[float]:
-    for r in radii:
-        check_ball(u.grid, x0, r)
-    gx, gy = grads
-    win = _window(u.grid, x0, radii[0], (u.values, gx.values, gy.values))
+    def layers(rows, cols):
+        return np.stack([a.values[rows, cols] for a in (u, *grads)])
 
     def bulk(v):
         uv, gxv, gyv = v
         return (gxv * gxv + gyv * gyv
                 + lambda_plus * np.maximum(uv, 0.0) + lambda_minus * np.maximum(-uv, 0.0))[None]
 
-    out = []
-    for r in radii:
-        (disk,) = _disk_sums(win, x0, r, bulk)
-        out.append(disk / r**4 - 2.0 * _circle_sum(u, x0, r) / r**5)
-    return out
+    sums = _ladder_sums(u.grid, x0, radii, layers, bulk)
+    return [disk / r**4 - 2.0 * _circle_sum(u, x0, r) / r**5 for r, (disk,) in zip(radii, sums)]
 
 
 def weiss_phi(
@@ -229,13 +228,16 @@ _NEG_TOL = 1e-12
 def _psi_values(h1: ScalarField, h2: ScalarField, z, radii) -> list[float]:
     if h1.grid != h2.grid:
         raise ValueError("pair must share a grid")
-    for r in radii:
-        check_ball(h1.grid, z, r)
     if float(np.min(h1.values)) < -_NEG_TOL or float(np.min(h2.values)) < -_NEG_TOL:
         raise ValueError("pair members must be nonnegative (within 1e-12)")
-    (g1x, g1y), (g2x, g2y) = gradient_fields(h1), gradient_fields(h2)
-    win = _window(h1.grid, z, radii[0], (g1x.values, g1y.values, g2x.values, g2y.values))
-    return [_products(_disk_sums(win, z, r, _gradient_squares), r)[0] for r in radii]
+
+    def layers(rows, cols):
+        # d/dx, d/dy of h1, then of h2: gradient_fields bit for bit off the window's edge nodes
+        pair = np.stack([h1.values[rows, cols], h2.values[rows, cols]])
+        return np.stack(_gradient_arrays(pair, h1.grid.h), axis=1).reshape(4, *pair.shape[1:])
+
+    sums = _ladder_sums(h1.grid, z, radii, layers, _gradient_squares)
+    return [_products(disk, r)[0] for r, disk in zip(radii, sums)]
 
 
 def acf_psi(h1: ScalarField, h2: ScalarField, z: tuple[float, float], r: float) -> float:
@@ -352,17 +354,17 @@ def directional_psi(
     dirs = [_unit(e) for e in directions]
     gx, gy = grads
     g = gx.grid
-    z = ladder.center
-    for r in ladder.radii:
-        check_ball(g, z, r)
-    rows, cols = _crop(g, z, ladder.radii[0])
-    wgx, wgy = gx.values[rows, cols], gy.values[rows, cols]
-    # layers per direction: d/dx, d/dy of the positive part, then of the negative part
-    stack = np.empty((len(dirs), 2, 2) + wgx.shape)
-    for k, (ex, ey) in enumerate(dirs):
-        de = ex * wgx + ey * wgy
-        parts = np.stack([np.maximum(de, 0.0), np.maximum(-de, 0.0)])
-        stack[k, :, 0], stack[k, :, 1] = _gradient_arrays(parts, g.h)
-    win = FieldWindow(g, cols.start, rows.start, stack.reshape(-1, *wgx.shape))
-    per_radius = [_products(_disk_sums(win, z, r, _gradient_squares), r) for r in ladder.radii]
+
+    def layers(rows, cols):
+        wgx, wgy = gx.values[rows, cols], gy.values[rows, cols]
+        # per direction: d/dx, d/dy of the positive part, then of the negative part
+        stack = np.empty((len(dirs), 2, 2) + wgx.shape)
+        for k, (ex, ey) in enumerate(dirs):
+            de = ex * wgx + ey * wgy
+            parts = np.stack([np.maximum(de, 0.0), np.maximum(-de, 0.0)])
+            stack[k, :, 0], stack[k, :, 1] = _gradient_arrays(parts, g.h)
+        return stack.reshape(-1, *wgx.shape)
+
+    sums = _ladder_sums(g, ladder.center, ladder.radii, layers, _gradient_squares)
+    per_radius = [_products(disk, r) for r, disk in zip(ladder.radii, sums)]
     return tuple(_profile(ladder, np.array(vals)) for vals in zip(*per_radius))

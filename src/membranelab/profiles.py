@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import BoundaryMap, Grid2D, ScalarField
+from .grid import BoundaryMap, Grid2D, ScalarField, _require_finite
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class GlobalProfile:
     lambda_minus: float
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         if self.lambda_plus <= 0.0 or self.lambda_minus <= 0.0:
             raise ValueError("lambda_plus and lambda_minus must be positive")
         if self.beta1 < 0.0 or self.beta2 < 0.0:
@@ -80,6 +81,7 @@ class OnePhasePolynomial:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        _require_finite(cxx=self.cxx, cxy=self.cxy, cyy=self.cyy)
         s = self.sign
         if s * self.cxx < -_DEFINITE_TOL or s * self.cyy < -_DEFINITE_TOL:
             raise ValueError("diagonal coefficients must match the declared sign")
@@ -111,28 +113,16 @@ def _neg_part(x1: np.ndarray, tau: float, lm: float) -> np.ndarray:
     return 0.25 * lm * n * n
 
 
-def _ramp(x1: np.ndarray, beta1: float, beta2: float, tau: float,
-          lp: float, lm: float) -> np.ndarray:
-    return beta1 * (_pos_part(x1, lp) - _neg_part(x1, tau, lm)) + beta2 * x1
-
-
-def eval_profile_many(v: GlobalProfile, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    x1 = _rotated_x1(v.theta, np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
-    return _ramp(x1, v.beta1, v.beta2, v.tau, v.lambda_plus, v.lambda_minus)
-
-
-def eval_polynomial_many(q: OnePhasePolynomial, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return q.cxx * X * X + q.cxy * X * Y + q.cyy * Y * Y
-
-
 def eval_many(obj, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Evaluate either profile family on coordinate arrays."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     if isinstance(obj, GlobalProfile):
-        return eval_profile_many(obj, X, Y)
+        x1 = _rotated_x1(obj.theta, X, Y)
+        return (obj.beta1 * (_pos_part(x1, obj.lambda_plus) - _neg_part(x1, obj.tau, obj.lambda_minus))
+                + obj.beta2 * x1)
     if isinstance(obj, OnePhasePolynomial):
-        return eval_polynomial_many(obj, X, Y)
+        return obj.cxx * X * X + obj.cxy * X * Y + obj.cyy * Y * Y
     raise TypeError(f"cannot evaluate object of type {type(obj).__name__}")
 
 

@@ -14,11 +14,11 @@ states: a free node whose sign crossed is routed through the pinned
 state rather than flipped outright (flipping wholesale is the classic
 oscillation mode of frozen-pattern iterations), and a pinned node is
 released only when its discrete Laplacian, the multiplier of the u = 0
-constraint, leaves the admissible interval [-lm/2, lp/2].  Energy is
-tracked every sweep and reported as a non-increasing best-so-far
-sequence.  A level fails in one of two ways, each a SolverError carrying
-the report: its states do not settle within tol_pattern sweeps, or a
-tight solve's CG stops above tol_linear.
+constraint, leaves the admissible interval [-lm/2, lp/2].  The energy of
+every sweep's field is recorded as it is, not as a best so far, so its
+decrease is a checkable postcondition.  A level fails in one of two
+ways, each a SolverError carrying the report: its states do not settle
+within tol_pattern sweeps, or a tight solve's CG stops above tol_linear.
 
 Pinned nodes are released one layer per sweep, so from a harmonic start
 the sweep count grows like n.  `solve` therefore runs the loop on a
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import BoundaryMap, Grid2D, ScalarField, _neighbor_sum, build_grid, laplacian_interior
+from .grid import BoundaryMap, Grid2D, ScalarField, _neighbor_sum, _require_finite, build_grid, laplacian_interior
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,16 @@ class ProblemSpec:
     tol_pattern: int = 200
 
     def __post_init__(self) -> None:
+        _require_finite(lambda_plus=self.lambda_plus, lambda_minus=self.lambda_minus,
+                        tol_linear=self.tol_linear)
         if self.lambda_plus <= 0.0 or self.lambda_minus <= 0.0:
             raise ValueError("lambda_plus and lambda_minus must be positive")
         if self.boundary.grid != self.grid:
             raise ValueError("boundary map grid differs from problem grid")
-        if self.tol_linear <= 0.0 or self.tol_pattern < 1:
-            raise ValueError("bad solver tolerances")
+        if self.tol_linear <= 0.0:
+            raise ValueError(f"tol_linear must be positive, got {self.tol_linear!r}")
+        if not isinstance(self.tol_pattern, (int, np.integer)) or self.tol_pattern < 1:
+            raise ValueError(f"tol_pattern must be an int of at least 1, got {self.tol_pattern!r}")
 
     @property
     def tol_zero(self) -> float:
@@ -93,7 +97,8 @@ class ProblemSpec:
 class SolveReport:
     """Per-solve diagnostics of the finest level solved so far.
 
-    `pattern_changes[k]` counts state moves after sweep k; `levels` holds
+    `pattern_changes[k]` counts state moves after sweep k, and
+    `energy_history[k]` is the energy of sweep k's field; `levels` holds
     one `{nx, ny, sweeps, cg_iterations}` record per ladder level,
     coarsest first.  `cg_iterations` counts the iterations of loose and
     tight solves alike; `final_residual` is that of the level's last
@@ -329,10 +334,11 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
 
     Postconditions: the returned field matches the boundary data exactly on
     boundary nodes, the five-point residual is at most tol_linear at every
-    interior node outside the zero band, and the recorded energies are
-    non-increasing.  Raises SolverError, carrying the report of the level
-    that failed, if a level's states do not settle within tol_pattern
-    sweeps or a tight solve's CG stops above tol_linear.
+    interior node outside the zero band, and the raw per-sweep energies of
+    the finest level do not rise beyond rounding.  Raises SolverError,
+    carrying the report of the level that failed, if a level's states do
+    not settle within tol_pattern sweeps or a tight solve's CG stops above
+    tol_linear.
     """
     ladder = [spec]
     while (coarse := _coarsen(ladder[-1])) is not None:
@@ -381,9 +387,8 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
         U = bvals.copy()
         U[1:-1, 1:-1] = w
     state = _pattern(U[1:-1, 1:-1], tolz)
-    J_best = energy(spec, ScalarField(g, U))
 
-    report = SolveReport(iterations=0, final_energy=J_best, final_residual=float("inf"),
+    report = SolveReport(iterations=0, final_energy=float("inf"), final_residual=float("inf"),
                          levels=levels)
     tight = False
 
@@ -414,13 +419,11 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
             # the loose states are a fixed point: certify them with a tight solve
             tight = True
 
-        J_new = energy(spec, field_v)
-        J_best = min(J_best, J_new)
         record["sweeps"] = sweep
         report.pattern_changes.append(changes)
-        report.energy_history.append(J_best)
+        report.final_energy = energy(spec, field_v)
+        report.energy_history.append(report.final_energy)
         report.iterations = sweep
-        report.final_energy = J_new
         report.final_residual = res
 
         if tight and res > spec.tol_linear:

@@ -23,7 +23,6 @@ from membranelab import (
     covering_count,
     dist_to_M,
     eval_many,
-    eval_profile_many,
     extract_free_boundary,
     fit_two_graphs,
     interpolate_many,
@@ -190,7 +189,7 @@ def test_criterion_06_classification_stable_under_halving(
     for n in (257, 513):
         g = build_grid(-1.0, 1.0, -1.0, 1.0, n, n)
         tilt = GlobalProfile(0.5, 0.5, 0.0, 0.0, 2.0, 2.0)
-        u = sample(g, lambda X, Y: eval_profile_many(tilt, X, Y))
+        u = sample(g, lambda X, Y: eval_many(tilt, X, Y))
         reg_labels.append(classify(u, spec_of(u)))
     assert set(reg_labels) == {"regular"}, reg_labels
 
@@ -215,7 +214,7 @@ def test_criterion_08_reflection_trace_of_rotated_profile():
     gamma = -0.3
     g = build_grid(-1.25, 1.25, -1.25, 1.25, 4097, 4097)
     rot = GlobalProfile(1.0, 0.0, 0.0, gamma, 2.0, 2.0)
-    u = sample(g, lambda X, Y: eval_profile_many(rot, X, Y))
+    u = sample(g, lambda X, Y: eval_many(rot, X, Y))
     xi = reflection_xi(circle_trace(u, (0.0, 0.0), 0.0, 1.0, 2048))
 
     assert xi.values[0] == 0.0 and xi.values[-1] == 0.0  # exactly zero ends

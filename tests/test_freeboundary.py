@@ -20,8 +20,7 @@ from membranelab import (
     classify_point,
     covering_count,
     dist_to_polynomial_class,
-    eval_polynomial_many,
-    eval_profile_many,
+    eval_many,
     extract_free_boundary,
     fit_two_graphs,
     interpolate_many,
@@ -148,11 +147,11 @@ def test_free_boundary_csv(tmp_path, profile_solutions):
 def test_polynomial_cone_distance_on_members():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
     q = OnePhasePolynomial(0.25, 0.0, 0.25, 1)
-    d, best = dist_to_polynomial_class(sample(g, lambda X, Y: eval_polynomial_many(q, X, Y)))
+    d, best = dist_to_polynomial_class(sample(g, lambda X, Y: eval_many(q, X, Y)))
     assert d <= 1e-12
     assert best.sign == 1
     qn = OnePhasePolynomial(-0.4, 0.1, -0.2, -1)
-    d, best = dist_to_polynomial_class(sample(g, lambda X, Y: eval_polynomial_many(qn, X, Y)))
+    d, best = dist_to_polynomial_class(sample(g, lambda X, Y: eval_many(qn, X, Y)))
     assert d <= 1e-12
     assert best.sign == -1
 
@@ -192,7 +191,7 @@ def test_classify_branch_point():
 def test_classify_one_phase_singular_point():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
     q = OnePhasePolynomial(0.25, 0.0, 0.25, 1)
-    u = sample(g, lambda X, Y: eval_polynomial_many(q, X, Y))
+    u = sample(g, lambda X, Y: eval_many(q, X, Y))
     pc = classify_at_origin(u, g)
     assert pc.label == "one_phase_singular"
     assert pc.evidence["decided_by"] == "dist_to_polynomial"
@@ -203,11 +202,26 @@ def test_classify_one_phase_singular_point():
 def test_classify_regular_point():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
     v = GlobalProfile(0.5, 0.5, 0.0, 0.0, 2.0, 2.0)
-    u = sample(g, lambda X, Y: eval_profile_many(v, X, Y))
+    u = sample(g, lambda X, Y: eval_many(v, X, Y))
     pc = classify_at_origin(u, g)
     assert pc.label == "regular"
     assert pc.evidence["decided_by"] == "gradient"
     assert pc.evidence["gradient_norm"] == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("scale, regular", [(1.01, True), (0.99, False)])
+def test_classify_gradient_cut_is_ten_h_times_the_lambda_sum(scale, regular):
+    # a linear field's difference gradient is exact up to rounding, so its
+    # norm sits 1% to either side of the cut 10 h (lp + lm)
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
+    lp, lm = 1.5, 0.5
+    cut = 10.0 * g.h * (lp + lm)
+    a = scale * cut
+    u = sample(g, lambda X, Y: a * (0.6 * X + 0.8 * Y))
+    pc = classify_at_origin(u, g, lp=lp, lm=lm)
+    assert pc.evidence["gradient_norm"] == pytest.approx(a, rel=1e-12)
+    assert (pc.evidence["decided_by"] == "gradient") == regular
+    assert (pc.label == "regular") == regular
 
 
 def test_classify_degenerate_field_is_indeterminate():
@@ -232,7 +246,7 @@ def test_classify_saddle_of_a_harmonic_quadratic_is_indeterminate():
 def test_classify_invariant_under_rotation():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
     v = GlobalProfile(1.0, 0.0, 0.0, 0.5 * math.pi, 2.0, 2.0)
-    u = sample(g, lambda X, Y: eval_profile_many(v, X, Y))
+    u = sample(g, lambda X, Y: eval_many(v, X, Y))
     pc = classify_at_origin(u, g)
     assert pc.label == "branch"
 

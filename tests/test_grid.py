@@ -43,6 +43,17 @@ def test_build_grid_rejects_bad_inputs():
         build_grid(-1.0, 1.0, -1.0, 1.0, 5, 9)
 
 
+@pytest.mark.parametrize("bounds, needle", [
+    ((-1.0, math.inf, -1.0, math.inf), "x_max must be finite, got inf"),
+    ((-math.inf, 1.0, -1.0, 1.0), "x_min must be finite, got -inf"),
+    ((-1.0, 1.0, math.nan, 1.0), "y_min must be finite, got nan"),
+])
+def test_build_grid_rejects_non_finite_bounds(bounds, needle):
+    # an infinite span passes the ordering and spacing checks with h = inf
+    with pytest.raises(ValueError, match=needle):
+        build_grid(*bounds, 3, 3)
+
+
 def test_contains_ball():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
     assert g.contains_ball((0.0, 0.0), 1.0)

@@ -369,6 +369,43 @@ def test_directional_psi_interpolates_every_disk_point(profile_solutions, monkey
     assert sum(points) == sum(n * n for n in nq)
 
 
+def counting_calls(monkeypatch, name):
+    """Wrap monotonicity's binding of ``name``; returns the list its calls append to."""
+    calls = []
+    original = getattr(monotonicity, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(monotonicity, name, counting)
+    return calls
+
+
+def test_pair_psi_forms_gradients_on_the_window(halfplane_parts_641, monkeypatch):
+    # a pair's gradients are taken on the cropped window, not as full fields
+    g, hp, hm = halfplane_parts_641
+    calls = counting_calls(monkeypatch, "gradient_fields")
+    acf_psi(hp, hm, (0.0, 0.0), 0.5)
+    psi_ladder(hp, hm, RadiusLadder((0.0, 0.0), (0.5, 0.25)))
+    assert calls == []
+
+
+def test_each_ladder_crops_once(profile_solutions, monkeypatch):
+    u = profile_solutions[129][2]
+    h = u.grid.h
+    ladder = RadiusLadder((0.0, 0.05), (32 * h, 16 * h, 8 * h))
+    grads = gradient_fields(u)
+    hp, hm = directional_parts(u, (1.0, 0.0))
+    calls = counting_calls(monkeypatch, "_crop")
+    phi_ladder(u, grads, ladder, 2.0, 2.0)
+    assert len(calls) == 1
+    psi_ladder(hp, hm, ladder)
+    assert len(calls) == 2
+    directional_psi(grads, ladder, [e for _, e in _DIRECTIONS])
+    assert len(calls) == 3
+
+
 def full_polar_disk(center, r):
     """The 256 x 256 polar midpoint rule at every r/h, as before the sized rule."""
     nq = 256

@@ -14,8 +14,6 @@ from membranelab import (
     build_grid,
     dist_to_M,
     eval_many,
-    eval_polynomial_many,
-    eval_profile_many,
     profile_boundary_trace,
     sample,
     solve,
@@ -34,7 +32,7 @@ from membranelab.grid import boundary_mask
 def test_profile_matches_closed_form():
     v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
     # beta1 = 1, lambda = 2: u = x^2/2 on x > 0, -x^2/2 on x < 0
-    vals = eval_profile_many(v, np.array([0.5, -0.5, 0.0]), np.array([0.3, -0.8, 1.0]))
+    vals = eval_many(v, np.array([0.5, -0.5, 0.0]), np.array([0.3, -0.8, 1.0]))
     assert vals[0] == pytest.approx(0.125, abs=1e-15)
     assert vals[1] == pytest.approx(-0.125, abs=1e-15)
     assert vals[2] == 0.0
@@ -44,7 +42,7 @@ def test_profile_tau_pins_a_slab():
     v = GlobalProfile(1.0, 0.0, -0.4, 0.0, 2.0, 2.0)
     X = np.array([-0.2, -0.4, 0.1, -0.6])
     Y = np.zeros(4)
-    vals = eval_profile_many(v, X, Y)
+    vals = eval_many(v, X, Y)
     assert vals[0] == 0.0 and vals[1] == 0.0          # inside [tau, 0]
     assert vals[2] == pytest.approx(0.005, abs=1e-15)  # 0.1^2/2
     assert vals[3] == pytest.approx(-0.02, abs=1e-15)  # -(0.6-0.4)^2/2
@@ -53,7 +51,7 @@ def test_profile_tau_pins_a_slab():
 def test_profile_linear_term():
     v = GlobalProfile(0.0, 0.7, 0.0, 0.0, 2.0, 2.0)
     X = np.array([0.3, -0.3])
-    vals = eval_profile_many(v, X, np.zeros(2))
+    vals = eval_many(v, X, np.zeros(2))
     assert np.allclose(vals, [0.21, -0.21], atol=1e-15)
 
 
@@ -68,14 +66,14 @@ def test_profile_rotation_equivariance(theta):
     # rotating the frame equals evaluating the axis-aligned profile at the
     # rotated first coordinate; the ramp only sees x1
     Xr = math.cos(theta) * X - math.sin(theta) * Y
-    assert np.allclose(eval_profile_many(vr, X, Y), eval_profile_many(v0, Xr, np.zeros_like(Y)), atol=1e-12)
+    assert np.allclose(eval_many(vr, X, Y), eval_many(v0, Xr, np.zeros_like(Y)), atol=1e-12)
 
 
 def test_polynomial_matches_closed_form():
     q = OnePhasePolynomial(0.25, 0.0, 0.25, 1)
     X = np.array([0.5, -1.0])
     Y = np.array([0.5, 0.0])
-    assert np.allclose(eval_polynomial_many(q, X, Y), [0.125, 0.25], atol=1e-15)
+    assert np.allclose(eval_many(q, X, Y), [0.125, 0.25], atol=1e-15)
     assert q.lam == 2.0
     qn = OnePhasePolynomial(-0.5, 0.0, -0.25, -1)
     assert qn.lam == 3.0
@@ -86,8 +84,9 @@ def test_eval_many_dispatches_on_type():
     X, Y = g.meshgrid()
     v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
     q = OnePhasePolynomial(0.25, 0.0, 0.25, 1)
-    assert np.array_equal(eval_many(v, X, Y), eval_profile_many(v, X, Y))
-    assert np.array_equal(eval_many(q, X, Y), eval_polynomial_many(q, X, Y))
+    # beta1 = 1, lambda = 2: x|x|/2; and (x^2 + y^2)/4
+    assert np.allclose(eval_many(v, X, Y), 0.5 * X * np.abs(X), rtol=0.0, atol=1e-15)
+    assert np.allclose(eval_many(q, X, Y), 0.25 * (X * X + Y * Y), rtol=0.0, atol=1e-15)
     with pytest.raises(TypeError):
         eval_many(object(), X, Y)
 
@@ -123,6 +122,28 @@ def test_polynomial_validation():
         OnePhasePolynomial(0.25, 0.0, 0.25, 2)    # bad sign flag
 
 
+PROFILE_ARGS = dict(beta1=1.0, beta2=0.0, tau=0.0, theta=0.0, lambda_plus=2.0, lambda_minus=2.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("beta1", math.nan), ("beta1", math.inf), ("theta", math.nan), ("lambda_plus", math.nan),
+])
+def test_profile_rejects_non_finite_values(name, value):
+    # NaN passes every range check of the type
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+        GlobalProfile(**{**PROFILE_ARGS, name: value})
+
+
+@pytest.mark.parametrize("coefs, needle", [
+    ((math.nan, 0.0, 0.25), "cxx must be finite, got nan"),
+    ((math.inf, 0.0, 0.25), "cxx must be finite, got inf"),
+    ((0.25, math.nan, 0.25), "cxy must be finite, got nan"),
+])
+def test_polynomial_rejects_non_finite_values(coefs, needle):
+    with pytest.raises(ValueError, match=needle):
+        OnePhasePolynomial(*coefs, 1)
+
+
 # ---------------------------------------------------------------------------
 # Boundary traces
 # ---------------------------------------------------------------------------
@@ -133,7 +154,7 @@ def test_boundary_trace_matches_eval_on_ring():
     v = GlobalProfile(1.0, 0.0, 0.0, 0.3, 2.0, 2.0)
     bc = profile_boundary_trace(v, g)
     X, Y = g.meshgrid()
-    want = eval_profile_many(v, X, Y)
+    want = eval_many(v, X, Y)
     m = boundary_mask(g)
     assert np.allclose(bc.values[m], want[m], atol=0.0)
 
@@ -158,7 +179,7 @@ def test_dist_to_mstar_member_is_zero():
     # tau = -0.3 is off the tau grid; the SLP finds it
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(0.8, 0.0, -0.3, 0.0, 2.0, 2.0)
-    f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY))
+    f = sample(g, lambda XX, YY: eval_many(v, XX, YY))
     val, best = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert val <= 1e-12
     assert best.beta1 == pytest.approx(0.8, abs=1e-9)
@@ -169,7 +190,7 @@ def test_dist_to_mstar_offset_member():
     # adding a constant displaces the field by exactly that sup distance
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
-    f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY) + 0.05)
+    f = sample(g, lambda XX, YY: eval_many(v, XX, YY) + 0.05)
     val, _ = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert val == pytest.approx(0.05, abs=1e-12)
 
@@ -188,7 +209,7 @@ def test_dist_to_mstar_beats_brute_force_scan():
     # find a profile meaningfully closer than the search result
     g, X, Y, inside = canonical_disk_nodes()
     target = GlobalProfile(0.6, 0.0, -0.2, 0.0, 2.0, 2.0)
-    fvals = eval_profile_many(target, X, Y) + 0.01 * Y  # not a member
+    fvals = eval_many(target, X, Y) + 0.01 * Y  # not a member
     f = sample(g, lambda XX, YY: fvals)
     val, _ = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
 
@@ -207,7 +228,7 @@ def test_dist_to_mstar_beats_brute_force_scan():
 def test_dist_to_m_recovers_rotation():
     g, X, Y, inside = canonical_disk_nodes()
     v = GlobalProfile(1.0, 0.0, 0.0, 0.3, 2.0, 2.0)
-    f = sample(g, lambda XX, YY: eval_profile_many(v, XX, YY))
+    f = sample(g, lambda XX, YY: eval_many(v, XX, YY))
     val, best = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
     assert val <= 1e-12
     assert best.theta == pytest.approx(0.3, abs=1e-9)
@@ -421,7 +442,7 @@ def oracle_dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0):
 
 def ramp_fn(beta1=1.0, tau=0.0, theta=0.0, lp=2.0, lm=2.0, offset=0.0):
     v = GlobalProfile(beta1, 0.0, tau, theta, lp, lm)
-    return lambda X, Y: eval_profile_many(v, X, Y) + offset
+    return lambda X, Y: eval_many(v, X, Y) + offset
 
 
 def noise_fn(X, Y):
@@ -608,10 +629,10 @@ BOX_FACE_CASES = {
 def node_errors(f, prof):
     """Signed errors ramp - f of a profile on the disk nodes, and their gradients in (beta1, beta2)."""
     X, Y, fvals = profiles._disk_nodes(f)
-    err = eval_profile_many(prof, X, Y) - fvals
+    err = eval_many(prof, X, Y) - fvals
     unit = GlobalProfile(1.0, 0.0, prof.tau, prof.theta, prof.lambda_plus, prof.lambda_minus)
     x1 = math.cos(prof.theta) * X - math.sin(prof.theta) * Y
-    return err, np.column_stack([eval_profile_many(unit, X, Y), x1]), fvals
+    return err, np.column_stack([eval_many(unit, X, Y), x1]), fvals
 
 
 def assert_admissible(f, got):
@@ -673,7 +694,7 @@ def step_decrease(f, prof, chart, radius=1e-3):
     pos, neg = np.maximum(x1, 0.0), np.minimum(x1 - prof.tau, 0.0)
     base = 0.25 * lp * pos**2 - 0.25 * lm * neg**2
     slope = prof.beta1 * (0.5 * lp * pos - 0.5 * lm * neg) + prof.beta2   # d ramp / d x1
-    err = eval_profile_many(prof, X, Y) - fvals
+    err = eval_many(prof, X, Y) - fvals
     if chart == "A":
         grads = (base, slope * turn, 0.5 * lm * prof.beta1 * neg)
         point, lo, hi = (prof.beta1, prof.theta, prof.tau), (C, -math.inf, -1.0), (A, math.inf, 0.0)
@@ -817,7 +838,7 @@ def test_every_evaluated_candidate_is_admissible(name, monkeypatch):
         prof = GlobalProfile(fit.beta1, fit.beta2, fit.tau, fit.theta, lp, lm)   # raises outside the class
         assert fit.beta1 + fit.beta2 >= profiles._C
         assert fit.beta1 <= profiles._A and fit.beta2 <= profiles._B
-        ramp = eval_profile_many(prof, obj.X, obj.Y)
+        ramp = eval_many(prof, obj.X, obj.Y)
         assert float(np.max(np.abs(ramp - obj.fvals))) == pytest.approx(fit.value, rel=0.0, abs=1e-14)
 
 

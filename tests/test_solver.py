@@ -1,5 +1,6 @@
 """Active-set solver: exactness, convergence, comparison, failure paths."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from membranelab import (
     comparison_check,
     energy,
     eval_many,
-    eval_profile_many,
     interpolate_many,
     laplacian_interior,
     residual_field,
@@ -47,6 +47,23 @@ def test_problem_spec_defaults_and_validation():
         ProblemSpec(g2, bc, 2.0, 2.0)  # boundary grid mismatch
 
 
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"lambda_plus": math.nan}, "lambda_plus must be finite, got nan"),
+    ({"lambda_plus": math.inf}, "lambda_plus must be finite, got inf"),
+    ({"lambda_minus": math.nan}, "lambda_minus must be finite, got nan"),
+    ({"tol_linear": math.nan}, "tol_linear must be finite, got nan"),
+    ({"tol_linear": math.inf}, "tol_linear must be finite, got inf"),
+    ({"tol_pattern": 2.5}, "tol_pattern must be an int of at least 1, got 2.5"),
+])
+def test_problem_spec_rejects_non_finite_or_fractional_values(kwargs, needle):
+    # NaN passes every <= check; a solve would then fail far from the cause
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    bc = BoundaryMap.from_callable(g, lambda X, Y: X)
+    args = {"lambda_plus": 2.0, "lambda_minus": 2.0, **kwargs}
+    with pytest.raises(ValueError, match=needle):
+        ProblemSpec(g, bc, **args)
+
+
 # ---------------------------------------------------------------------------
 # Exact data
 # ---------------------------------------------------------------------------
@@ -70,7 +87,7 @@ def test_profile_data_reproduced_as_a_field(profile_solutions):
     yc = 0.5 * (g.ys[:-1] + g.ys[1:])
     XC, YC = np.meshgrid(xc, yc)
     got = interpolate_many(u, XC.ravel(), YC.ravel())
-    want = eval_profile_many(v, XC, YC).ravel()
+    want = eval_many(v, XC, YC).ravel()
     assert float(np.max(np.abs(got - want))) <= 1.05 * g.h**2 / 8.0
     assert report.converged
 
@@ -471,11 +488,15 @@ def test_solve_fuzz_postconditions_and_comparison(coef, lp, lm, n, rectangle, li
     d2 = d1.perturbed(lambda X, Y: np.ones_like(X), lift)
     spec1 = ProblemSpec(g, d1, lp, lm)
     spec2 = ProblemSpec(g, d2, lp, lm)
-    u1, _ = solve(spec1)
-    u2, _ = solve(spec2)
+    u1, r1 = solve(spec1)
+    u2, r2 = solve(spec2)
     assert_postconditions(spec1, u1)
     assert_postconditions(spec2, u2)
     assert comparison_check(u1, spec1, u2, spec2).holds
+    for report in (r1, r2):
+        # the raw energy of each sweep, so the decrease is not by construction
+        e = np.asarray(report.energy_history)
+        assert np.all(np.diff(e) <= 1e-12 * np.abs(e[:-1]))
 
 
 def test_shifted_profile_solves_take_few_finest_cg_iterations(profile_solutions):
