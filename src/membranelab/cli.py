@@ -540,12 +540,22 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
 
 
 def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
-    """Execute one experiment; returns a process exit status."""
+    """Execute one experiment; returns a process exit status.
+
+    A failed solve of ``config.spec`` still writes its report, marked not converged.
+    """
     os.makedirs(config.output_dir, exist_ok=True)
+    report_path = os.path.join(config.output_dir, "solve_report.json")
     try:
-        u, report = solve(config.spec)
+        try:
+            u, report = solve(config.spec)
+        except SolverError as exc:
+            # the report of the failed level; a perturbed solve's failure
+            # in the sweep leaves the reference report in place
+            write_json(exc.report, report_path)
+            raise
         dump_field_csv(u, os.path.join(config.output_dir, "field.csv"))
-        write_json(report, os.path.join(config.output_dir, "solve_report.json"))
+        write_json(report, report_path)
         fa = FieldAnalysis(u, config.spec)
         if mode == "diagnose":
             _run_diagnostics(config, fa)

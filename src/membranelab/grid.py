@@ -209,8 +209,8 @@ class FieldWindow:
 def _locate(grid: Grid2D, x: np.ndarray, y: np.ndarray):
     """Cell indices and local coordinates for bilinear interpolation.
 
-    Local coordinates are snapped to {0, 1} when within _NODE_SNAP of a node
-    so grid nodes reproduce their stored values exactly.
+    A coordinate within _NODE_SNAP cells of a node becomes that node, so
+    grid nodes reproduce their stored values exactly.
     """
     tx = (x - grid.x_min) / grid.h
     ty = (y - grid.y_min) / grid.h
@@ -220,23 +220,13 @@ def _locate(grid: Grid2D, x: np.ndarray, y: np.ndarray):
     if not np.all(inside):
         n = int(np.count_nonzero(~inside))
         raise ValueError(f"{n} interpolation point(s) outside grid bounds")
-    # np.minimum(np.maximum(...)) is np.clip without its dispatch cost
-    i0 = np.minimum(np.maximum(np.floor(tx).astype(int), 0), grid.nx - 2)
-    j0 = np.minimum(np.maximum(np.floor(ty).astype(int), 0), grid.ny - 2)
-    fx = tx - i0
-    fy = ty - j0
-    # snap: carry near-1 fractions onto the next node, zero out near-0 ones
-    up_x = fx > 1.0 - _NODE_SNAP
-    up_y = fy > 1.0 - _NODE_SNAP
-    i0 = np.where(up_x & (i0 < grid.nx - 2), i0 + 1, i0)
-    j0 = np.where(up_y & (j0 < grid.ny - 2), j0 + 1, j0)
-    fx = tx - i0
-    fy = ty - j0
-    fx = np.where(np.abs(fx) < _NODE_SNAP, 0.0, fx)
-    fy = np.where(np.abs(fy) < _NODE_SNAP, 0.0, fy)
-    fx = np.where(fx > 1.0 - _NODE_SNAP, 1.0, fx)
-    fy = np.where(fy > 1.0 - _NODE_SNAP, 1.0, fy)
-    return i0, j0, fx, fy
+    # + 0.0 turns the -0.0 that np.round gives just below 0 into 0.0
+    rx, ry = np.round(tx) + 0.0, np.round(ty) + 0.0
+    tx = np.where(np.abs(tx - rx) < _NODE_SNAP, rx, tx)
+    ty = np.where(np.abs(ty - ry) < _NODE_SNAP, ry, ty)
+    i0 = np.minimum(tx.astype(int), grid.nx - 2)
+    j0 = np.minimum(ty.astype(int), grid.ny - 2)
+    return i0, j0, tx - i0, ty - j0
 
 
 def interpolate_many(f: ScalarField | FieldWindow, x: np.ndarray, y: np.ndarray) -> np.ndarray:

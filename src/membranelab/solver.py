@@ -27,8 +27,7 @@ ladder of nested grids (Brandt & Cryer, SIAM J. Sci. Stat. Comput. 4,
 coarse grid keeps at least 17 nodes per axis, solves the coarsest level
 from the harmonic extension, and starts each finer level (its values and
 its states) from the bilinear prolongation of the level below, so a
-level needs only a few sweeps.  Each level runs at most tol_pattern
-sweeps.
+level needs only a few sweeps, at most tol_pattern of them.
 
 Sweeps are loose until the state pattern settles.  A sweep is a
 semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
@@ -48,11 +47,13 @@ cycle on the free set (Tatebe, 6th Copper Mountain Conf. on Multigrid
 Methods, 1993): pinned nodes are zero Dirichlet nodes on every level,
 red-black Gauss-Seidel smooths before and, in mirrored colour order,
 after the coarse-grid correction, and the restriction is the transpose
-of the bilinear prolongation over 4.  The iteration count per sweep then
-stays near 10 whatever n.  CG stops on its true residual: when the
-recursively updated residual meets the target, b - A w is recomputed and
-the iteration restarts from it if the drift left it above, unless it did
-not shrink since the last restart, which marks the rounding floor.
+of the bilinear prolongation over 4 on any grid: an even interior length
+halves as if its far ring node were pinned.  The iteration count per
+sweep then stays near 10 whatever n.  CG stops on its true residual:
+when the recursively updated residual meets the target, b - A w is
+recomputed and the iteration restarts from it if the drift left it
+above, unless it did not shrink since the last restart, which marks the
+rounding floor.
 """
 
 from __future__ import annotations
@@ -186,32 +187,31 @@ class _Level:
         return z
 
 
-def _restrict(r: np.ndarray) -> np.ndarray:
-    """Full weighting: the transpose of interior bilinear interpolation, over 4."""
-    r = r[:, 1::2] + 0.5 * (r[:, :-1:2] + r[:, 2::2])
-    return 0.25 * (r[1::2, :] + 0.5 * (r[:-1:2, :] + r[2::2, :]))
+def _restrict(full: np.ndarray) -> np.ndarray:
+    """Full weighting over 4 of a zero-ringed array: the transpose of cropped `_interpolate`.
+
+    An interior length m has m // 2 coarse nodes; for even m the last one reads the far ring.
+    """
+    r = full[:, 2:-1:2] + 0.5 * (full[:, 1:-2:2] + full[:, 3::2])
+    return 0.25 * (r[2:-1:2, :] + 0.5 * (r[1:-2:2, :] + r[3::2, :]))
 
 
 def _vcycle_ladder(h: float, free: np.ndarray) -> list[_Level]:
     """Levels of the V-cycle, finest first, with the coarsest inverse if small.
 
-    Interior arrays halve while m - 1 is even on both axes and both exceed
-    7 nodes; a coarse node is free iff its collocated fine node is free.
-    The coarsest level carries the dense inverse of its free block when it
-    has at most 256 nodes; otherwise smoothing alone is its cycle.
+    Interior lengths m halve to m // 2 while both exceed 7, with no parity
+    rule (see `_restrict`); a coarse node is free iff its collocated fine
+    node is free.  The coarsest level carries the dense inverse of its free
+    block when it has at most 256 nodes; otherwise smoothing alone is its cycle.
     """
     ladder = [_Level.on(h, free)]
-    while True:
-        my, mx = free.shape
-        if (my - 1) % 2 or (mx - 1) % 2 or min(my, mx) <= 7:
-            break
+    while min(free.shape) > 7:
         h, free = 2.0 * h, free[1::2, 1::2]
         ladder.append(_Level.on(h, free))
     last = ladder[-1]
     if last.free.size <= 256:
-        my, mx = last.free.shape
-        ids = np.arange(my * mx).reshape(my, mx)
-        a = 4.0 * np.eye(my * mx)
+        ids = np.arange(last.free.size).reshape(last.free.shape)
+        a = 4.0 * np.eye(last.free.size)
         for i, j in ((ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])):
             a[i, j] = a[j, i] = -1.0
         keep = last.free.ravel()
@@ -238,11 +238,12 @@ def _vcycle(ladder: list[_Level], r: np.ndarray, k: int = 0) -> np.ndarray:
     z = level.smooth(np.where(level.red, q, 0.0), q, (level.black,))
     if k + 1 < len(ladder):
         coarse = ladder[k + 1]
-        rc = _restrict(r - level.apply(z))
+        np.subtract(r, level.apply(z), out=level.full[1:-1, 1:-1])
+        rc = _restrict(level.full)
         rc[~coarse.free] = 0.0
         ec = np.zeros(coarse.full.shape)
         ec[1:-1, 1:-1] = _vcycle(ladder, rc, k + 1)
-        z += np.where(level.free, _interpolate(ec)[1:-1, 1:-1], 0.0)
+        z += np.where(level.free, _interpolate(ec)[1:r.shape[0] + 1, 1:r.shape[1] + 1], 0.0)
     return level.smooth(z, q, (level.black, level.red))
 
 
@@ -324,13 +325,13 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     the harmonic extension of its data, and every finer level from the
     bilinear prolongation of the level below, which is both its warm start
     and its initial state configuration.  A grid with odd n - 1 is a
-    one-level ladder.  Sweeps solve loosely, to the multiplier test's
-    release margin, until the states settle; coarse levels stop there,
-    and the finest level then re-solves down to tol_linear within the
-    same sweep (see the module docstring).  tol_pattern bounds the sweeps
-    of every level; a tight re-solve is not a sweep of its own.  The
-    report describes the finest level; `report.levels` holds one record
-    per level, coarsest first.
+    one-level ladder, though its CG runs the full V-cycle.  Sweeps solve
+    loosely, to the multiplier test's release margin, until the states
+    settle; coarse levels stop there, and the finest level then re-solves
+    down to tol_linear within the same sweep (see the module docstring).
+    tol_pattern bounds the sweeps of every level; a tight re-solve is not
+    a sweep of its own.  The report describes the finest level;
+    `report.levels` holds one record per level, coarsest first.
 
     Postconditions: the returned field matches the boundary data exactly on
     boundary nodes, the five-point residual is at most tol_linear at every

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +244,16 @@ def test_write_json_golden_bytes_of_a_dataclass(tmp_path):
     )
 
 
+def test_write_json_empty_containers_and_unserialisable_values(tmp_path):
+    path = tmp_path / "e.json"
+    write_json({}, str(path))
+    assert path.read_text() == "{}\n"
+    write_json({"a": {}, "b": []}, str(path))
+    assert path.read_text() == '{\n  "a": {},\n  "b": []\n}\n'
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        write_json({"a": {1, 2}}, str(path))
+
+
 def test_write_json_uses_17_digit_floats(tmp_path):
     path = tmp_path / "f.json"
     write_json({"pi": math.pi}, str(path))
@@ -430,6 +442,17 @@ def test_main_exit_codes(tmp_path, capsys):
     # sweep verb demands a [sweep] section
     assert main(["sweep", ini]) == 2
 
+    # a missing required key, and a key given twice, fail at load time
+    for name, text, needle in (
+        ("no_n", BASE_INI.replace("n = 65\n", ""), "config error: domain.n: required key missing"),
+        ("twice", BASE_INI.replace("n = 65", "n = 65\nn = 33"), "option 'n' in section 'domain' already exists"),
+    ):
+        bad = write_ini(tmp_path, text.format(out=tmp_path / name), f"{name}.ini")
+        capsys.readouterr()
+        assert main(["solve", bad]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+
     # a non-finite float fails at load time, before the output directory exists
     for name, text in (("nan", BASE_INI + "\n[solver]\ntol_linear = nan\n"),
                        ("inf", BASE_INI.replace("lambda_plus = 2.0", "lambda_plus = inf"))):
@@ -474,6 +497,12 @@ def test_main_exit_codes(tmp_path, capsys):
     plain = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "no_diag"), "plain.ini")
     assert main(["diagnose", plain]) == 0
     assert sorted(os.listdir(tmp_path / "no_diag")) == ["field.csv", "free_boundary.csv", "solve_report.json"]
+    # every verb checks the [diagnostics] section, though only diagnose runs it
+    graphs = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "s_graphs")
+                       + "\n[diagnostics]\nrun = graphs\nwindow = 0.05\n", "graphs.ini")
+    assert main(["solve", graphs]) == 2
+    assert "config error: diagnostics.window: must cover at least 8 grid steps" in capsys.readouterr().err
+    assert not (tmp_path / "s_graphs").exists()
     # without graphs to fit, the diagnostics window is not read
     assert load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "w_ok")
                                  + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\neps = 0.04\n", "ok.ini"))
@@ -484,6 +513,27 @@ def test_main_exits_1_when_the_solver_fails(tmp_path, capsys):
     ini = BASE_INI.replace("beta1 = 1.0", "beta1 = 1.0\ntau = -0.4") + "\n[solver]\nmax_sweeps = 1\n"
     assert main(["solve", write_ini(tmp_path, ini.format(out=tmp_path / "sf"))]) == 1
     assert capsys.readouterr().err.startswith("solver failure: ")
+    # the failed level's report explains the exit; there is no field
+    assert os.listdir(tmp_path / "sf") == ["solve_report.json"]
+    report = json.loads((tmp_path / "sf" / "solve_report.json").read_text())
+    assert report["converged"] is False
+    assert report["iterations"] == 1 and report["pattern_changes"][0] > 0
+    assert [(level["nx"], level["sweeps"]) for level in report["levels"]] == [(17, 1)]
+
+
+def test_a_failed_sweep_solve_keeps_the_reference_report(tmp_path, capsys):
+    # profile data settles in one sweep per level; the delta = 0.1 lift
+    # needs several on its finest level
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        "\n[solver]\nmax_sweeps = 1\n"
+        "\n[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = 1\n")
+    out = tmp_path / "sweep_fail"
+    assert main(["sweep", write_ini(tmp_path, ini.format(out=out))]) == 1
+    assert capsys.readouterr().err.startswith("solver failure: ")
+    assert sorted(os.listdir(out)) == ["field.csv", "solve_report.json"]
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["converged"] is True
+    assert [level["nx"] for level in report["levels"]] == [17, 33, 65, 129]
 
 
 def test_main_exits_1_when_a_diagnostic_cannot_be_evaluated(tmp_path, capsys):
@@ -688,6 +738,16 @@ def test_graph_window_must_fit_its_square_in_the_grid(tmp_path, capsys, window):
 # ---------------------------------------------------------------------------
 # Selftest
 # ---------------------------------------------------------------------------
+
+
+def test_module_entry_point_runs_the_selftest():
+    # python -m membranelab, as installed, in a process of its own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "membranelab", "selftest"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("ok - ") >= 5 and "FAIL" not in proc.stdout
 
 
 def test_selftest_passes(capsys):

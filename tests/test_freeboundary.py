@@ -81,6 +81,14 @@ def test_extraction_of_positive_field_is_empty():
     fb = extract_free_boundary(u, spec_of(u).tol_zero)
     assert fb.plus_boundary == () and fb.minus_boundary == ()
     assert fb.all_vertices().shape == (0, 2)
+    # an empty set needs no ball
+    assert covering_count(fb, 2.0 * g.h) == 0
+
+
+def test_extraction_rejects_a_negative_level():
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    with pytest.raises(ValueError, match="tol_zero must be nonnegative"):
+        extract_free_boundary(sample(g, lambda X, Y: X), -1.0)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -337,6 +345,18 @@ def test_fit_two_graphs_error_paths():
             fit_two_graphs(FieldAnalysis(circ, spec_of(circ)), (0.0, 0.0), window)
     with pytest.raises(ValueError):
         fit_two_graphs(FieldAnalysis(circ, spec_of(circ)), (0.0, 0.0), 4.0 * g.h)  # window under 8h
+
+    # a slab whose phases swap sides above y = 0.3: the blow-up of radius
+    # 0.25 at the origin sets the frame, and above the swap every minus
+    # vertex lies 0.2 past every plus vertex along the frame's normal
+    def swapped(X, Y):
+        below = 0.5 * np.maximum(X, 0.0) ** 2 - 0.5 * np.minimum(X + 0.2, 0.0) ** 2
+        above = 0.5 * np.minimum(X, 0.0) ** 2 - 0.5 * np.maximum(X - 0.2, 0.0) ** 2
+        return np.where(Y < 0.3, below, above)
+
+    slab = sample(g, swapped)
+    with pytest.raises(NotVerticallySimpleError, match="out of order"):
+        fit_two_graphs(FieldAnalysis(slab, spec_of(slab)), (0.0, 0.0), 0.5)
 
 
 # ---------------------------------------------------------------------------

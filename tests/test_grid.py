@@ -17,7 +17,7 @@ from membranelab import (
     laplacian_interior,
     sample,
 )
-from membranelab.grid import FieldWindow, boundary_mask
+from membranelab.grid import _NODE_SNAP, FieldWindow, _locate, boundary_mask
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,23 @@ def test_scalar_field_shape_checked():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 5, 5)
     with pytest.raises(ValueError):
         ScalarField(g, np.zeros((4, 5)))
+
+
+def test_fields_and_boundary_maps_reject_bad_values():
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    bad = np.zeros(g.shape)
+    bad[2, 2] = math.nan
+    with pytest.raises(ValueError, match="field values must be finite"):
+        ScalarField(g, bad)
+    with pytest.raises(ValueError, match="boundary map shape mismatch"):
+        BoundaryMap(g, np.zeros((4, 5)))
+    ring = np.zeros(g.shape)
+    ring[0, 1] = math.nan
+    with pytest.raises(ValueError, match="boundary values must be finite"):
+        BoundaryMap(g, ring)
+    other = build_grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    with pytest.raises(ValueError, match="boundary maps live on different grids"):
+        BoundaryMap(g, np.zeros(g.shape)).sup_diff(BoundaryMap(other, np.zeros(other.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +206,52 @@ def test_window_shares_one_locate_across_its_fields():
         interpolate_many(win, np.array([g.x(1)]), np.array([g.y(8)]))
     with pytest.raises(ValueError, match="outside the field window"):
         interpolate_many(win, np.array([g.x(11)]), np.array([g.y(8)]))
+
+
+def three_pass_locate(grid, x, y):
+    """The locate that carried near-1 fractions, then zeroed and clamped them, as an oracle."""
+    tx = (x - grid.x_min) / grid.h
+    ty = (y - grid.y_min) / grid.h
+    i0 = np.minimum(np.maximum(np.floor(tx).astype(int), 0), grid.nx - 2)
+    j0 = np.minimum(np.maximum(np.floor(ty).astype(int), 0), grid.ny - 2)
+    fx = tx - i0
+    fy = ty - j0
+    i0 = np.where((fx > 1.0 - _NODE_SNAP) & (i0 < grid.nx - 2), i0 + 1, i0)
+    j0 = np.where((fy > 1.0 - _NODE_SNAP) & (j0 < grid.ny - 2), j0 + 1, j0)
+    fx = tx - i0
+    fy = ty - j0
+    fx = np.where(np.abs(fx) < _NODE_SNAP, 0.0, fx)
+    fy = np.where(np.abs(fy) < _NODE_SNAP, 0.0, fy)
+    fx = np.where(fx > 1.0 - _NODE_SNAP, 1.0, fx)
+    fy = np.where(fy > 1.0 - _NODE_SNAP, 1.0, fy)
+    return i0, j0, fx, fy
+
+
+def test_locate_matches_the_three_pass_snap():
+    g = build_grid(-1.25, 1.25, -1.25, 1.25, 321, 321)
+    rng = np.random.default_rng(5)
+    X, Y = g.meshgrid()
+    nodes = (X.ravel(), Y.ravel())
+    # nodes moved by up to 3e-12 cells, on both sides of the snap radius;
+    # the ring's outward moves are kept within the in-range slack
+    moved = tuple(
+        np.clip(v + g.h * rng.uniform(-3e-12, 3e-12, v.size), lo - 0.9 * _NODE_SNAP * g.h,
+                hi + 0.9 * _NODE_SNAP * g.h)
+        for v, lo, hi in ((nodes[0], g.x_min, g.x_max), (nodes[1], g.y_min, g.y_max))
+    )
+    uniform = tuple(rng.uniform(-1.25, 1.25, 200_000) for _ in range(2))
+    # edges and corners, exactly and just inside the slack on either side
+    eps = 0.5 * _NODE_SNAP * g.h
+    edge = np.array([g.x_min, g.x_max, g.x_min + eps, g.x_max - eps, g.x_min - eps, g.x_max + eps])
+    t = rng.uniform(-1.25, 1.25, edge.size)
+    edges = (np.concatenate([edge, t, np.repeat(edge, edge.size)]),
+             np.concatenate([t, edge, np.tile(edge, edge.size)]))
+    for x, y in (nodes, moved, uniform, edges):
+        got, want = _locate(g, x, y), three_pass_locate(g, x, y)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # ---------------------------------------------------------------------------

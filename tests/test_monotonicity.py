@@ -63,6 +63,8 @@ def test_radius_ladder_validation():
         RadiusLadder((0.0, 0.0), (0.5, 0.5))       # not strict
     with pytest.raises(ValueError):
         RadiusLadder((0.0, 0.0), (0.5, 0.0))       # non-positive
+    with pytest.raises(ValueError, match="ladder needs at least one radius"):
+        RadiusLadder((0.0, 0.0), ())
 
 
 @pytest.mark.parametrize("center, radii, needle", [
@@ -138,6 +140,14 @@ def test_acf_psi_rejects_signed_pairs(halfplane_parts_641):
     signed = sample(g, lambda X, Y: X)
     with pytest.raises(ValueError):
         acf_psi(signed, hm, (0.0, 0.0), 0.5)
+
+
+def test_acf_psi_rejects_a_pair_on_two_grids(halfplane_parts_641):
+    _, hp, _ = halfplane_parts_641
+    g = build_grid(-1.25, 1.25, -1.25, 1.25, 321, 321)
+    hm = sample(g, lambda X, Y: np.maximum(-X, 0.0))
+    with pytest.raises(ValueError, match="pair must share a grid"):
+        acf_psi(hp, hm, (0.0, 0.0), 0.5)
 
 
 def test_s_norm_oracle(sampled_profile_641):

@@ -175,6 +175,13 @@ def canonical_disk_nodes():
     return g, X, Y, inside
 
 
+def test_distances_need_a_grid_covering_the_unit_disk():
+    g = build_grid(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    f = sample(g, lambda X, Y: X)
+    with pytest.raises(ValueError, match="field grid must cover the closed unit disk"):
+        dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
+
+
 def test_dist_to_mstar_member_is_zero():
     # tau = -0.3 is off the tau grid; the SLP finds it
     g, X, Y, inside = canonical_disk_nodes()

@@ -215,6 +215,15 @@ def test_comparison_check_identical_fields(profile_solutions):
 # ---------------------------------------------------------------------------
 
 
+def test_residual_and_comparison_reject_fields_of_another_grid(profile_solutions):
+    _, spec65, u65, _ = profile_solutions[65]
+    _, spec129, u129, _ = profile_solutions[129]
+    with pytest.raises(ValueError, match="field grid differs from problem grid"):
+        residual_field(spec65, u129)
+    with pytest.raises(ValueError, match="comparison requires a shared grid"):
+        comparison_check(u65, spec65, u129, spec129)
+
+
 def test_sweep_budget_exhaustion_raises_with_report():
     v, spec = make_profile_problem(65, tau=-0.4)
     tight = ProblemSpec(spec.grid, spec.boundary, LP, LM, tol_pattern=1)
@@ -270,22 +279,29 @@ def all_free(shape):
     return np.ones(shape, dtype=bool)
 
 
-# name: (interior shape, free set builder)
+# name: (interior shape, free set builder, levels of its V-cycle); an
+# interior length m halves to m // 2 while both lengths exceed 7
 VCYCLE_CASES = {
-    "pinned_band_65": ((63, 63), band_free),
-    "scattered_pins_65": ((63, 63), scattered_free),
-    "rectangle_129x65": ((63, 127), all_free),
-    "odd_100": ((98, 98), all_free),
-    "nodes_17": ((15, 15), band_free),
+    "pinned_band_65": ((63, 63), band_free, 4),
+    "scattered_pins_65": ((63, 63), scattered_free, 4),
+    "rectangle_129x65": ((63, 127), all_free, 4),
+    "odd_100": ((98, 98), all_free, 5),
+    "nodes_17": ((15, 15), band_free, 2),
+    "even_66x34_band": ((32, 64), band_free, 4),
+    "even_128_scattered": ((126, 126), scattered_free, 5),
+    "mixed_66x65_scattered": ((63, 64), scattered_free, 4),
 }
 
 
 @pytest.mark.parametrize("name", list(VCYCLE_CASES))
 def test_vcycle_is_symmetric_positive_definite(name):
-    shape, build = VCYCLE_CASES[name]
+    # an even interior length halves as if its far ring node were one more
+    # pinned node, so the transfers stay transposes on every shape
+    shape, build, levels = VCYCLE_CASES[name]
     free = build(shape)
     h = 2.0 / (shape[1] + 1)
     ladder = _vcycle_ladder(h, free)
+    assert len(ladder) == levels
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = (np.where(free, rng.standard_normal(shape), 0.0) for _ in range(2))
@@ -306,6 +322,32 @@ def test_vcycle_keeps_cg_iterations_per_sweep_flat(n, tau, profile_solutions):
         _, report = solve(make_profile_problem(n, tau=tau)[1])
     finest = report.levels[-1]
     assert finest["cg_iterations"] <= 30 * finest["sweeps"]
+
+
+# name: problem on a grid with odd n - 1, which the nested solve leaves on one level
+ONE_LEVEL_CASES = {
+    "profile_100": lambda: make_profile_problem(100)[1],
+    "shifted_profile_100": lambda: shifted_profile_problem(100, 0.1),
+    "profile_128": lambda: make_profile_problem(128)[1],
+    "shifted_profile_128": lambda: shifted_profile_problem(128, 0.1),
+    "profile_130": lambda: make_profile_problem(130)[1],
+    "shifted_profile_130": lambda: shifted_profile_problem(130, 0.1),
+    "profile_256": lambda: make_profile_problem(256)[1],
+    "wavy_66x34": lambda: wavy_problem(66, 34, 2.0, 2.0, y_half=33 / 65),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_LEVEL_CASES))
+def test_one_level_grids_take_few_cg_iterations_per_sweep(name):
+    # with Gauss-Seidel alone as the preconditioner these took 257 to
+    # 2,450 iterations; the V-cycle halves even interior lengths too
+    spec = ONE_LEVEL_CASES[name]()
+    u, report = solve(spec)
+    assert len(report.levels) == 1
+    finest = report.levels[-1]
+    # one more solve than sweeps: the tight re-solve of the settled states
+    assert finest["cg_iterations"] <= 30 * (finest["sweeps"] + 1)
+    assert_postconditions(spec, u)
 
 
 # ---------------------------------------------------------------------------
