@@ -433,7 +433,10 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     reference free boundary is classified first; any one-phase singular
     point aborts the sweep.  Each row re-solves with perturbed data,
     checks the comparison principle, measures the free boundary
-    displacement, and refits graphs at the reference branch points.
+    displacement, and refits graphs at the reference branch points.  A
+    perturbed solve that fails re-raises its SolverError, with its report,
+    under a message that names the amplitude and the failing level's
+    nx x ny.
     """
     if config.sweep is None:
         raise ConfigError("sweep: section required for stability_sweep")
@@ -461,7 +464,12 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     rows = []
     for delta in config.sweep["amplitudes"]:
         spec_d = dataclasses.replace(spec, boundary=spec.boundary.perturbed(fam, delta))
-        u_d, _ = solve(spec_d)
+        try:
+            u_d, _ = solve(spec_d)
+        except SolverError as exc:
+            level = exc.report.levels[-1]
+            raise SolverError(f"perturbed solve at amplitude {float_repr(delta)} failed on its "
+                              f"{level['nx']} x {level['ny']} level: {exc}", exc.report) from exc
         cmp = comparison_check(u_ref, spec, u_d, spec_d)
         fa_d = FieldAnalysis(u_d, spec_d)
         dist = hausdorff_distance(fb_ref, fa_d.free_boundary)

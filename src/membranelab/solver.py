@@ -27,7 +27,14 @@ ladder of nested grids (Brandt & Cryer, SIAM J. Sci. Stat. Comput. 4,
 coarse grid keeps at least 17 nodes per axis, solves the coarsest level
 from the harmonic extension, and starts each finer level (its values and
 its states) from the bilinear prolongation of the level below, so a
-level needs only a few sweeps, at most tol_pattern of them.
+level needs only a few sweeps, at most tol_pattern of them.  Before the
+states are read, two red-black passes of nonlinear Gauss-Seidel on J_h
+move each interior node of the prolonged field to its exact coordinate
+minimiser (projected relaxation after interpolation, as Brandt & Cryer
+do); that removes the interface error of about one cell that
+interpolation leaves, which would otherwise cost a sweep or more, and
+J_h does not rise.  The harmonic start only seeds the states, so it
+meets the loose target of the sweeps below.
 
 Sweeps are loose until the state pattern settles.  A sweep is a
 semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
@@ -49,7 +56,17 @@ red-black Gauss-Seidel smooths before and, in mirrored colour order,
 after the coarse-grid correction, and the restriction is the transpose
 of the bilinear prolongation over 4 on any grid: an even interior length
 halves as if its far ring node were pinned.  The iteration count per
-sweep then stays near 10 whatever n.  CG stops on its true residual:
+sweep then stays near 10 whatever n.  Each level stores its vectors in
+one flat, zero-ringed array whose rows have odd width W (mx + 2, or
+mx + 3 when the interior width mx is even), so the red and black nodes
+are the even and odd flat indices: a colour half-sweep reads its
+neighbours as stride-2 slices at -1, +1, -W and +W, the five-point
+operator runs over the contiguous interior rows, restriction writes
+straight into the coarse level's input, and every work array is
+allocated once per ladder.  Each node keeps the expression and operand
+order of the masked 2-D kernel it replaced, and each dot product sums a
+contiguous product of interior views, so the results are the same to
+the bit.  CG stops on its true residual:
 when the recursively updated residual meets the target, b - A w is
 recomputed and the iteration restarts from it if the drift left it
 above, unless it did not shrink since the last restart, which marks the
@@ -147,53 +164,110 @@ def _forcing(pattern: np.ndarray, lp: float, lm: float) -> np.ndarray:
     return 0.5 * lp * (pattern > 0) - 0.5 * lm * (pattern < 0)
 
 
-@dataclass
-class _Level:
-    """One grid of the V-cycle: the five-point operator on a free set.
+class _Layout:
+    """Flat, ringed storage of an my x mx interior in rows of odd width.
 
-    Arrays are interior arrays; pinned nodes and the ring are zero
-    Dirichlet nodes.  `red` and `black` are the free nodes of each colour
-    of the checkerboard; `full` is the zero-ringed scratch array that
-    neighbor sums read.
+    The row width W is mx + 2, or mx + 3 when mx is even (one padding
+    column), so interior node (i, j) sits at flat index (i + 1) W + j + 1,
+    whose parity is that of i + j: the red nodes (i + j even) are the even
+    indices and the black ones the odd indices.  A colour's nodes in the
+    interior rows are one stride-2 slice, and their neighbours at -1, +1,
+    -W and +W are stride-2 slices of the other colour.
     """
 
-    h2: float
-    free: np.ndarray
-    red: np.ndarray
-    black: np.ndarray
-    full: np.ndarray
-    inverse: np.ndarray | None = None
+    def __init__(self, my: int, mx: int):
+        self.shape = (my, mx)
+        self.width = mx + 3 - mx % 2
+        self.size = (my + 2) * self.width
+        # the interior rows, ring and padding columns included, and each colour in them
+        self.rows = slice(self.width, (my + 1) * self.width)
+        self.colours = (slice(self.width + 1, self.rows.stop, 2), slice(self.width, self.rows.stop, 2))
 
-    @classmethod
-    def on(cls, h: float, free: np.ndarray) -> "_Level":
-        my, mx = free.shape
-        red = (np.arange(my)[:, None] + np.arange(mx)) % 2 == 0
-        return cls(h * h, free, red & free, ~red & free, np.zeros((my + 2, mx + 2)))
+    def inner(self, v: np.ndarray) -> np.ndarray:
+        """The interior of flat array v, as a 2-D view."""
+        return v.reshape(-1, self.width)[1:-1, 1:self.shape[1] + 1]
 
-    def neighbors(self, w: np.ndarray) -> np.ndarray:
-        self.full[1:-1, 1:-1] = w
-        return _neighbor_sum(self.full)
+    def embed(self, interior: np.ndarray) -> np.ndarray:
+        """A new zero-ringed flat array holding interior."""
+        v = np.zeros(self.size)
+        self.inner(v)[...] = interior
+        return v
+
+    def neighbors(self, v: np.ndarray, c: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Sum of the left, right, upper and lower neighbours of colour c's nodes (0 red, 1 black)."""
+        a, b, w = self.colours[c].start, self.rows.stop, self.width
+        out = np.add(v[a - 1:b - 1:2], v[a + 1:b + 1:2], out=out)
+        np.add(out, v[a - w:b - w:2], out=out)
+        return np.add(out, v[a + w:b + w:2], out=out)
+
+
+class _Level(_Layout):
+    """One grid of the V-cycle: the five-point operator on a free set.
+
+    Vectors are flat arrays of the layout; pinned nodes, the ring and the
+    padding are zero Dirichlet nodes, held there by index lists of the
+    interior rows (`fixed`) and of each colour slice (`fixed_colours`).
+    The work arrays are allocated once: `rhs` is a coarse level's input,
+    `z` its cycle's result, `q` = h^2 r / 4, `out` the operator's result
+    and `work` scratch.
+    """
+
+    def __init__(self, h: float, free: np.ndarray):
+        super().__init__(*free.shape)
+        self.h2 = h * h
+        self.free = free
+        held = self.embed(free) == 0.0
+        self.fixed = np.flatnonzero(held[self.rows])
+        self.fixed_colours = tuple(np.flatnonzero(held[sl]) for sl in self.colours)
+        self.rhs, self.z, self.q, self.out = (np.zeros(self.size) for _ in range(4))
+        # large enough for the prolongation of the coarse level, (2 (my // 2) + 3) rows
+        self.work = np.empty((self.shape[0] + 3) * self.width)
+        self.inverse: np.ndarray | None = None
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        """(4w - sum of neighbors(w)) / h^2 on the free nodes, zero elsewhere."""
-        out = (4.0 * w - self.neighbors(w)) / self.h2
-        out[~self.free] = 0.0
-        return out
+        """(4w - sum of neighbours(w)) / h^2 on the free nodes, zero elsewhere.
 
-    def smooth(self, z: np.ndarray, q: np.ndarray, colors) -> np.ndarray:
-        """One Gauss-Seidel half-sweep per colour mask, in order; q = h^2 r / 4."""
-        for color in colors:
-            z = np.where(color, q + 0.25 * self.neighbors(z), z)
-        return z
+        Returns `out`, which the next call overwrites.
+        """
+        a, b, s = self.rows.start, self.rows.stop, self.width
+        nbr, out = self.work[:b - a], self.out[a:b]
+        np.add(w[a - 1:b - 1], w[a + 1:b + 1], out=nbr)
+        np.add(nbr, w[a - s:b - s], out=nbr)
+        np.add(nbr, w[a + s:b + s], out=nbr)
+        np.multiply(4.0, w[a:b], out=out)
+        np.subtract(out, nbr, out=out)
+        np.divide(out, self.h2, out=out)
+        out[self.fixed] = 0.0
+        return self.out
+
+    def smooth(self, z: np.ndarray, colours) -> None:
+        """One Gauss-Seidel half-sweep of z per colour, in order: q + neighbours / 4."""
+        for c in colours:
+            sl = self.colours[c]
+            new = z[sl]
+            nbr = self.neighbors(z, c, out=self.work[:new.size])
+            np.multiply(0.25, nbr, out=nbr)
+            np.add(self.q[sl], nbr, out=new)
+            new[self.fixed_colours[c]] = 0.0
 
 
-def _restrict(full: np.ndarray) -> np.ndarray:
-    """Full weighting over 4 of a zero-ringed array: the transpose of cropped `_interpolate`.
+def _restrict(fine: _Level, coarse: _Level) -> None:
+    """Full weighting over 4 of fine.out into coarse.rhs: the transpose of cropped `_interpolate`.
 
     An interior length m has m // 2 coarse nodes; for even m the last one reads the far ring.
     """
-    r = full[:, 2:-1:2] + 0.5 * (full[:, 1:-2:2] + full[:, 3::2])
-    return 0.25 * (r[2:-1:2, :] + 0.5 * (r[1:-2:2, :] + r[3::2, :]))
+    my, mx = fine.shape
+    full = fine.out.reshape(-1, fine.width)
+    r = fine.work[:(my + 2) * coarse.shape[1]].reshape(my + 2, -1)
+    np.add(full[:, 1:mx:2], full[:, 3:mx + 2:2], out=r)
+    np.multiply(0.5, r, out=r)
+    np.add(full[:, 2:mx + 1:2], r, out=r)
+    out = coarse.inner(coarse.rhs)
+    np.add(r[1:my:2], r[3:my + 2:2], out=out)
+    np.multiply(0.5, out, out=out)
+    np.add(r[2:my + 1:2], out, out=out)
+    np.multiply(0.25, out, out=out)
+    coarse.rhs[coarse.rows][coarse.fixed] = 0.0
 
 
 def _vcycle_ladder(h: float, free: np.ndarray) -> list[_Level]:
@@ -204,10 +278,10 @@ def _vcycle_ladder(h: float, free: np.ndarray) -> list[_Level]:
     node is free.  The coarsest level carries the dense inverse of its free
     block when it has at most 256 nodes; otherwise smoothing alone is its cycle.
     """
-    ladder = [_Level.on(h, free)]
+    ladder = [_Level(h, free)]
     while min(free.shape) > 7:
         h, free = 2.0 * h, free[1::2, 1::2]
-        ladder.append(_Level.on(h, free))
+        ladder.append(_Level(h, free))
     last = ladder[-1]
     if last.free.size <= 256:
         ids = np.arange(last.free.size).reshape(last.free.shape)
@@ -222,29 +296,39 @@ def _vcycle_ladder(h: float, free: np.ndarray) -> list[_Level]:
 
 
 def _vcycle(ladder: list[_Level], r: np.ndarray, k: int = 0) -> np.ndarray:
-    """One symmetric V(1,1) cycle for level k applied to r (zero off the free set).
+    """One symmetric V(1,1) cycle for level k applied to flat r (zero off the free set).
 
     Red-black Gauss-Seidel from zero, red then black; the coarse-grid
     correction restricts the residual by full weighting and prolongs the
     coarse cycle's result bilinearly, masked to the free set; then black
     then red, the mirror of the pre-smoother, which keeps the cycle a
-    symmetric positive definite operator.
+    symmetric positive definite operator.  Returns the level's `z`, which
+    the next cycle on that level overwrites.
     """
     level = ladder[k]
+    z = level.z
     if level.inverse is not None:
-        return (level.inverse @ r.ravel()).reshape(r.shape)
-    q = (0.25 * level.h2) * r
+        level.inner(z)[...] = (level.inverse @ level.inner(r).ravel()).reshape(level.shape)
+        return z
+    np.multiply(0.25 * level.h2, r, out=level.q)
     # the red half-sweep from zero leaves q on the red nodes
-    z = level.smooth(np.where(level.red, q, 0.0), q, (level.black,))
+    red = z[level.colours[0]]
+    red[...] = level.q[level.colours[0]]
+    red[level.fixed_colours[0]] = 0.0
+    level.smooth(z, (1,))
     if k + 1 < len(ladder):
         coarse = ladder[k + 1]
-        np.subtract(r, level.apply(z), out=level.full[1:-1, 1:-1])
-        rc = _restrict(level.full)
-        rc[~coarse.free] = 0.0
-        ec = np.zeros(coarse.full.shape)
-        ec[1:-1, 1:-1] = _vcycle(ladder, rc, k + 1)
-        z += np.where(level.free, _interpolate(ec)[1:r.shape[0] + 1, 1:r.shape[1] + 1], 0.0)
-    return level.smooth(z, q, (level.black, level.red))
+        np.subtract(r, level.apply(z), out=level.out)
+        _restrict(level, coarse)
+        ec = _vcycle(ladder, coarse.rhs, k + 1).reshape(-1, coarse.width)[:, :coarse.shape[1] + 2]
+        # the prolongation's 2 (mx // 2) + 3 columns are exactly this level's row width
+        rows_e = 2 * ec.shape[0] - 1
+        e = _interpolate(ec, level.work[:rows_e * level.width].reshape(rows_e, -1)).ravel()
+        rows = z[level.rows]
+        np.add(rows, e[level.rows], out=rows)
+        rows[level.fixed] = 0.0
+    level.smooth(z, (1, 0))
+    return z
 
 
 def _cg(ladder: list[_Level], rhs: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
@@ -257,34 +341,47 @@ def _cg(ladder: list[_Level], rhs: np.ndarray, w0: np.ndarray, tol: float, max_i
     b - A w is recomputed and, if it is still above tol, the iteration
     restarts from it within the same max_iter.  A restart whose true
     residual is no smaller than the previous one's returns at once: the
-    residual has reached its rounding floor.
+    residual has reached its rounding floor.  rhs, w0 and the solution are
+    interior arrays; the iteration runs on flat arrays of the level's
+    layout, and each dot product sums a product of interior views.
     Returns (solution, final max residual, iterations).
     """
     fine = ladder[0]
-    b = np.where(fine.free, rhs, 0.0)
-    w = np.where(fine.free, w0, 0.0)
+    inner = fine.inner
+    b = fine.embed(np.where(fine.free, rhs, 0.0))
+    w = fine.embed(np.where(fine.free, w0, 0.0))
+    r, p, tmp = np.empty(fine.size), np.empty(fine.size), np.empty(fine.size)
+    prod = np.empty(fine.shape)
+
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.sum(np.multiply(inner(x), inner(y), out=prod)))
+
+    def max_abs(x: np.ndarray) -> float:
+        return float(np.max(np.abs(x, out=tmp)))
+
     it = 0
     res_prev = float("inf")
     while True:
-        r = b - fine.apply(w)
-        res = float(np.max(np.abs(r)))
+        np.subtract(b, fine.apply(w), out=r)
+        res = max_abs(r)
         if res <= tol or it == max_iter or res >= res_prev:
-            return w, res, it
+            return inner(w).copy(), res, it
         res_prev = res
         z = _vcycle(ladder, r)
-        p = z.copy()
-        rz = float(np.sum(r * z))
+        p[...] = z
+        rz = dot(r, z)
         while it < max_iter:
             it += 1
             ap = fine.apply(p)
-            alpha = rz / float(np.sum(p * ap))
-            w += alpha * p
-            r -= alpha * ap
-            if float(np.max(np.abs(r))) <= tol:
+            alpha = rz / dot(p, ap)
+            w += np.multiply(alpha, p, out=tmp)
+            r -= np.multiply(alpha, ap, out=tmp)
+            if max_abs(r) <= tol:
                 break
             z = _vcycle(ladder, r)
-            rz_new = float(np.sum(r * z))
-            p = z + (rz_new / rz) * p
+            rz_new = dot(r, z)
+            np.multiply(rz_new / rz, p, out=p)
+            np.add(z, p, out=p)
             rz = rz_new
 
 
@@ -299,21 +396,53 @@ def _coarsen(spec: ProblemSpec) -> ProblemSpec | None:
     )
 
 
-def _interpolate(coarse: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a full grid array onto the twice finer grid."""
+def _interpolate(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a full grid array onto the twice finer grid.
+
+    Writes the first 2 nx - 1 columns of fine, which has 2 ny - 1 rows, and returns it.
+    """
     ny, nx = coarse.shape
-    fine = np.empty((2 * ny - 1, 2 * nx - 1))
-    fine[::2, ::2] = coarse
-    fine[::2, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
-    fine[1::2, :] = 0.5 * (fine[:-2:2, :] + fine[2::2, :])
+    m = 2 * nx - 1
+    fine[::2, :m:2] = coarse
+    half = fine[::2, 1:m:2]
+    np.add(coarse[:, :-1], coarse[:, 1:], out=half)
+    np.multiply(0.5, half, out=half)
+    odd = fine[1::2, :m]
+    np.add(fine[:-2:2, :m], fine[2::2, :m], out=odd)
+    np.multiply(0.5, odd, out=odd)
     return fine
 
 
 def _prolong(coarse: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Bilinear interpolation onto the twice finer grid of spec, its ring restored."""
     out = spec.boundary.values.copy()
-    out[1:-1, 1:-1] = _interpolate(coarse)[1:-1, 1:-1]
+    ny, nx = coarse.shape
+    out[1:-1, 1:-1] = _interpolate(coarse, np.empty((2 * ny - 1, 2 * nx - 1)))[1:-1, 1:-1]
     return out
+
+
+def _relax(spec: ProblemSpec, full: np.ndarray) -> np.ndarray:
+    """Two red-black nonlinear Gauss-Seidel passes on J_h from full; returns a new array.
+
+    Each interior node takes its exact minimiser of J_h with its neighbours
+    held: (S - h^2 lp / 2) / 4 if that is positive, (S + h^2 lm / 2) / 4 if
+    that is negative, else 0, where S is its neighbour sum.  Nodes of one
+    colour are not neighbours, so each colour updates at once through the
+    stride-2 slices of the odd-width layout, and J_h does not rise.
+    """
+    g = spec.grid
+    layout = _Layout(g.ny - 2, g.nx - 2)
+    v = np.zeros(layout.size)
+    v.reshape(-1, layout.width)[:, :g.nx] = full
+    ring = layout.embed(np.ones(layout.shape)) == 0.0
+    h2 = g.h * g.h
+    lp, lm = 0.5 * h2 * spec.lambda_plus, 0.5 * h2 * spec.lambda_minus
+    for c in (0, 1, 0, 1):
+        sl = layout.colours[c]
+        s = layout.neighbors(v, c)
+        new = np.maximum(0.25 * (s - lp), 0.0) + np.minimum(0.25 * (s + lm), 0.0)
+        v[sl] = np.where(ring[sl], v[sl], new)
+    return v.reshape(-1, layout.width)[:, :g.nx].copy()
 
 
 def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
@@ -322,13 +451,15 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     The ladder halves the grid while nx - 1 and ny - 1 are both even and
     the coarse grid keeps at least 17 nodes per axis; a coarse level takes
     every other boundary node of the data.  The coarsest level starts from
-    the harmonic extension of its data, and every finer level from the
-    bilinear prolongation of the level below, which is both its warm start
-    and its initial state configuration.  A grid with odd n - 1 is a
-    one-level ladder, though its CG runs the full V-cycle.  Sweeps solve
-    loosely, to the multiplier test's release margin, until the states
-    settle; coarse levels stop there, and the finest level then re-solves
-    down to tol_linear within the same sweep (see the module docstring).
+    the harmonic extension of its data, solved to the loose target, and
+    every finer level from the bilinear prolongation of the level below,
+    relaxed by two nonlinear Gauss-Seidel passes (`_relax`), which is both
+    its warm start and its initial state configuration.  A grid with odd
+    n - 1 is a one-level ladder, though its CG runs the full V-cycle, and
+    its one level is never relaxed.  Sweeps solve loosely, to the
+    multiplier test's release margin, until the states settle; coarse
+    levels stop there, and the finest level then re-solves down to
+    tol_linear within the same sweep (see the module docstring).
     tol_pattern bounds the sweeps of every level; a tight re-solve is not
     a sweep of its own.  The report describes the finest level;
     `report.levels` holds one record per level, coarsest first.
@@ -347,7 +478,7 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     levels: list[dict] = []
     u = None
     for level in reversed(ladder):
-        start = None if u is None else _prolong(u.values, level)
+        start = None if u is None else _relax(level, _prolong(u.values, level))
         u, report = _active_set(level, start, levels, finest=level is spec)
     return u, report
 
@@ -381,10 +512,11 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
 
     U = start
     if U is None:
-        # harmonic initialization: all nodes free, zero forcing
+        # harmonic initialization: all nodes free, zero forcing; it only
+        # seeds the states, so it meets the loose target
         all_free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
         w, _, record["cg_iterations"] = _cg(_vcycle_ladder(g.h, all_free), nbr_b,
-                                            np.zeros_like(nbr_b), tol_cg, max_cg)
+                                            np.zeros_like(nbr_b), tol_mult, max_cg)
         U = bvals.copy()
         U[1:-1, 1:-1] = w
     state = _pattern(U[1:-1, 1:-1], tolz)

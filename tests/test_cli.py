@@ -20,6 +20,7 @@ from membranelab import (
     SweepHypothesisError,
     ScalarField,
     SweepRow,
+    float_repr,
     hausdorff_distance,
     load_config,
     profile_boundary_trace,
@@ -529,7 +530,11 @@ def test_a_failed_sweep_solve_keeps_the_reference_report(tmp_path, capsys):
         "\n[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = 1\n")
     out = tmp_path / "sweep_fail"
     assert main(["sweep", write_ini(tmp_path, ini.format(out=out))]) == 1
-    assert capsys.readouterr().err.startswith("solver failure: ")
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ")
+    # the failed solve names its amplitude and the level it failed on
+    assert f"amplitude {float_repr(0.1)} " in err
+    assert " 17 x 17 level" in err
     assert sorted(os.listdir(out)) == ["field.csv", "solve_report.json"]
     report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"] is True
