@@ -403,7 +403,9 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, window: f
 
     Vertices are kept only at least max(r_max, window) + 2h inside the grid,
     so every ladder ball of radius up to ``r_max`` and every graph-fit
-    window of half-width ``window`` around a target stays inside it.  The
+    window of half-width ``window`` around a target stays inside it.
+    ``stability_sweep`` passes r_max = 32h although it classifies at 8h,
+    so the default ``diagnose`` ladder fits at every target.  The
     rest are strided evenly in the order ``extract_free_boundary`` walks
     its chains.  That order depends only on the field's sign pattern, so
     rounding-level changes of the field move each target by rounding,
@@ -430,7 +432,10 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
 
     ``fa_ref`` holds the solved field of ``config``'s own problem; each
     perturbed problem is its ``spec`` with new boundary data.  The
-    reference free boundary is classified first; any one-phase singular
+    reference free boundary is classified first, with the one-radius
+    ladder (8h): ``classify_point``'s label reads only the smallest
+    radius, and each radius is summed on its own, so what the label reads
+    is what the default ladder gives, bit for bit.  Any one-phase singular
     point aborts the sweep.  Each row re-solves with perturbed data,
     checks the comparison principle, measures the free boundary
     displacement, and refits graphs at the reference branch points.  A
@@ -446,9 +451,10 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     fb_ref = fa_ref.free_boundary
 
     h = g.h
-    radii = tuple(k * h for k in LADDER_STEPS)
     window = config.sweep["window"]
-    points = _reference_points(fb_ref, g, radii[0], window, config.sweep["classify_budget"])
+    points = _reference_points(fb_ref, g, LADDER_STEPS[0] * h, window, config.sweep["classify_budget"])
+    # the label reads only the ladder's smallest radius
+    radii = (LADDER_STEPS[-1] * h,)
     labels = []
     for p in points:
         cls = classify_point(fa_ref, RadiusLadder(p, radii))

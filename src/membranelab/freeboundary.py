@@ -326,6 +326,9 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder) -> PointClass:
     the gradient norm against tol_grad = 10 h (lambda_plus + lambda_minus),
     above discretization noise; every direction's psi at the smallest
     radius against _TOL_PSI; and both blow-up distances against _TOL_DIST.
+    The label reads only ``ladder.radii[-1]``: the psi of each direction
+    and the blow-up there.  The larger radii are evidence only, so a
+    one-radius ladder at the smallest radius gives the same label.
     """
     s = fa.spec
     tol_grad = 10.0 * s.grid.h * (s.lambda_plus + s.lambda_minus)

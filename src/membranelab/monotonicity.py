@@ -118,12 +118,12 @@ def _polar_disk(center, r, h):
     nq = min(_NQ, max(_NQ_MIN, math.ceil(4.0 * r / h)))
     dr = r / nq
     dth = 2.0 * math.pi / nq
+    # one row per angle, one column per radius
     rk = (np.arange(nq) + 0.5) * dr
-    th = (np.arange(nq) + 0.5) * dth
-    R, T = np.meshgrid(rk, th)
-    xs = center[0] + R * np.cos(T)
-    ys = center[1] + R * np.sin(T)
-    w = R * dr * dth
+    th = ((np.arange(nq) + 0.5) * dth)[:, None]
+    xs = center[0] + rk * np.cos(th)
+    ys = center[1] + rk * np.sin(th)
+    w = np.broadcast_to(rk * dr * dth, xs.shape)
     return xs.ravel(), ys.ravel(), w.ravel()
 
 

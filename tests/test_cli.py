@@ -29,7 +29,7 @@ from membranelab import (
     stability_sweep,
     write_json,
 )
-from membranelab import cli, freeboundary
+from membranelab import cli, freeboundary, monotonicity
 from membranelab.cli import main, selftest
 from membranelab.freeboundary import _DIRECTIONS
 from membranelab.monotonicity import RadiusLadder, directional_psi
@@ -668,12 +668,22 @@ def test_sweep_evaluates_directional_psi_once_per_reference_ladder(tmp_path, mon
     cfg, fa_ref = solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "psi")))
     calls = []
     counting_directional_psi(monkeypatch, calls)
+    disk_radii = []
+    polar_disk = monotonicity._polar_disk
+
+    def recording_polar_disk(center, r, h):
+        disk_radii.append(r)
+        return polar_disk(center, r, h)
+
+    monkeypatch.setattr(monotonicity, "_polar_disk", recording_polar_disk)
     report = stability_sweep(cfg, fa_ref)
-    radii = tuple(k * cfg.spec.grid.h for k in freeboundary.LADDER_STEPS)
-    ladders = [RadiusLadder(p, radii) for p in report.reference_points]
+    # the label reads only the smallest radius, so the sweep's ladders hold only it
+    r_label = freeboundary.LADDER_STEPS[-1] * cfg.spec.grid.h
+    ladders = [RadiusLadder(p, (r_label,)) for p in report.reference_points]
     # every reference point reaches the psi test: none is decided by its gradient
     assert report.reference_labels == ("branch",) * 3
     assert [ladder for ladder, _ in calls] == ladders
+    assert disk_radii and max(disk_radii) <= r_label
     # a second classification reads the kept psi; another FieldAnalysis of
     # the same field keeps its own
     freeboundary.classify_point(fa_ref, ladders[0])

@@ -19,6 +19,7 @@ from membranelab import (
     BoundaryMap,
     DegenerateRescaleError,
     FieldAnalysis,
+    GlobalProfile,
     MonotonicityProfile,
     ProblemSpec,
     RadiusLadder,
@@ -28,6 +29,7 @@ from membranelab import (
     classify_point,
     directional_parts,
     directional_psi,
+    eval_many,
     gradient_fields,
     interpolate_many,
     phi_ladder,
@@ -41,7 +43,7 @@ from membranelab.cli import _reference_points, _write_ladder
 from membranelab.freeboundary import _DIRECTIONS
 from membranelab import monotonicity
 from membranelab.monotonicity import _BLOCK, _circle, _polar_disk
-from conftest import profile_fn
+from conftest import profile_fn, spec_of
 
 PI_8 = math.pi / 8.0
 PI_16 = math.pi / 16.0
@@ -316,6 +318,32 @@ def test_directional_psi_matches_the_per_field_path(kernel_cases):
             assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), (p, e)
 
 
+def test_one_radius_ladder_classifies_as_the_default_ladder(kernel_cases):
+    # classify_point reads only the smallest radius, and each radius of a
+    # ladder is summed on its own, so the sweep's one-radius ladder decides
+    # on the same numbers as the default ladder, bit for bit.  The kernel
+    # cases read branch, indeterminate (the slab's (-0.4, 0.25)) and
+    # one_phase_singular; a profile whose linear part clears the
+    # gradient cut adds regular.
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    v = GlobalProfile(1.0, 1.0, 0.0, 0.0, 2.0, 2.0)
+    u_lin = sample(g, lambda X, Y: eval_many(v, X, Y))
+    labels = set()
+    for u, p, radii in kernel_cases + [(u_lin, (0.0, 0.0), (32 * g.h, 16 * g.h, 8 * g.h))]:
+        fa = FieldAnalysis(u, spec_of(u))
+        full = classify_point(fa, RadiusLadder(p, radii))
+        small = classify_point(fa, RadiusLadder(p, radii[-1:]))
+        assert small.label == full.label, p
+        labels.add(full.label)
+        ev, ev_small = full.evidence, small.evidence
+        for key in ("gradient_norm", "decided_by", "dist_to_m", "best_theta", "dist_to_poly"):
+            assert ev_small.get(key) == ev.get(key), (p, key)
+        if ev["psi"] is not None:
+            assert {name: vals[-1] for name, vals in ev["psi"].items()} == {
+                name: vals[0] for name, vals in ev_small["psi"].items()}, p
+    assert labels == {"regular", "branch", "one_phase_singular", "indeterminate"}
+
+
 def test_classification_psi_is_the_per_field_psi(profile_solutions):
     v, spec, u, _ = profile_solutions[129]
     h = spec.grid.h
@@ -416,9 +444,8 @@ def test_each_ladder_crops_once(profile_solutions, monkeypatch):
     assert len(calls) == 3
 
 
-def full_polar_disk(center, r):
-    """The 256 x 256 polar midpoint rule at every r/h, as before the sized rule."""
-    nq = 256
+def meshgrid_polar_disk(center, r, nq):
+    """The nq x nq polar midpoint rule, cos and sin taken on the whole meshgrid."""
     dr = r / nq
     dth = 2.0 * math.pi / nq
     rk = (np.arange(nq) + 0.5) * dr
@@ -428,6 +455,31 @@ def full_polar_disk(center, r):
     ys = center[1] + R * np.sin(T)
     w = R * dr * dth
     return xs.ravel(), ys.ravel(), w.ravel()
+
+
+def full_polar_disk(center, r):
+    """The 256 x 256 polar midpoint rule at every r/h, as before the sized rule."""
+    return meshgrid_polar_disk(center, r, 256)
+
+
+def test_polar_disk_matches_the_meshgrid_rule_bit_for_bit():
+    # cos and sin of the nq angles, broadcast against the radii, give the
+    # nodes and weights the nq^2 meshgrid gave, byte for byte
+    rng = np.random.default_rng(2024)
+    cases = [((0.1, -0.2), 3.0 / 128, 1.0 / 128),      # nq clamped up to 32
+             ((-0.3, 0.05), 100.0 / 128, 1.0 / 128)]   # nq clamped down to 256
+    for _ in range(300):
+        h = 2.0 / int(rng.integers(16, 1025))
+        cases.append((tuple(rng.uniform(-1.0, 1.0, 2)), h * rng.uniform(2.0, 100.0), h))
+    nqs = set()
+    for center, r, h in cases:
+        nq = min(256, max(32, math.ceil(4.0 * r / h)))
+        nqs.add(nq)
+        got = _polar_disk(center, r, h)
+        want = meshgrid_polar_disk(center, r, nq)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (center, r, h)
+    assert {32, 256} <= nqs and len(nqs) > 100
 
 
 @pytest.mark.parametrize("steps", [8, 16, 32, 64, 128, 256])
