@@ -52,7 +52,12 @@ class SweepHypothesisError(RuntimeError):
 
 
 _DIAGNOSTICS = ("phi_ladder", "psi_ladder", "classify", "graphs", "xi", "perimeter", "covering")
-_FAMILIES = ("constant", "linear", "sine")
+# The sweep's perturbation families: each maps the sweep's k to fn(X, Y).
+_FAMILIES = {
+    "constant": lambda k: lambda X, Y: np.ones_like(X),
+    "linear": lambda k: lambda X, Y: Y,
+    "sine": lambda k: lambda X, Y: np.sin(k * math.pi * Y),
+}
 _REQUIRED = object()    # the default of a key that must be given
 
 
@@ -264,7 +269,7 @@ def load_config(path: str) -> ExperimentConfig:
         if sweep["window"] < min_window:
             raise ConfigError(f"sweep.window: must cover at least {MIN_WINDOW_STEPS:g} grid steps ({min_window!r})")
         # the sweep classifies only vertices this far inside the grid
-        margin = _reference_margin(grid, ladder[0], sweep["window"])
+        margin = _reference_margin(grid, sweep["window"])
         if 2.0 * margin >= min(grid.x_max - grid.x_min, grid.y_max - grid.y_min):
             raise ConfigError(f"sweep.window: reference points need a margin of max(32h, window) + 2h "
                               f"({margin!r}) inside the domain, which leaves no room for them")
@@ -385,37 +390,37 @@ def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
     return math.sqrt(worst)
 
 
-def _family_fn(family: str, k: int):
-    if family == "constant":
-        return lambda X, Y: np.ones_like(X)
-    if family == "linear":
-        return lambda X, Y: Y
-    return lambda X, Y: np.sin(k * math.pi * Y)
+def _reference_margin(grid: Grid2D, window: float) -> float:
+    """How far inside the grid a sweep reference point must lie: max(32h, window) + 2h.
+
+    The sweep reads no ball wider than max(8h, window), but the 32h keeps
+    two things in reach: the default ``diagnose`` ladder, whose largest
+    radius is 32h, fits at every target, and the graph windows of the
+    perturbed fields stay where the shifted boundary is still a graph.  At
+    max(8h, window) + 2h the first target of the n = 129 constant-shift
+    sweep moves to (5.12e-8, -0.71875), and ``fit_two_graphs`` on the
+    first perturbed field there finds a transverse bin with no boundary
+    vertex.
+    """
+    return max(LADDER_STEPS[0] * grid.h, window) + 2.0 * grid.h
 
 
-def _reference_margin(grid: Grid2D, r_max: float, window: float) -> float:
-    """How far inside the grid a sweep reference point must lie."""
-    return max(r_max, window) + 2.0 * grid.h
-
-
-def _reference_points(fb: FreeBoundarySet, grid: Grid2D, r_max: float, window: float, budget: int) -> list:
+def _reference_points(fb: FreeBoundarySet, grid: Grid2D, window: float, budget: int) -> list:
     """Pick up to ``budget`` classification targets on the reference curve.
 
-    Vertices are kept only at least max(r_max, window) + 2h inside the grid,
-    so every ladder ball of radius up to ``r_max`` and every graph-fit
-    window of half-width ``window`` around a target stays inside it.
-    ``stability_sweep`` passes r_max = 32h although it classifies at 8h,
-    so the default ``diagnose`` ladder fits at every target.  The
-    rest are strided evenly in the order ``extract_free_boundary`` walks
-    its chains.  That order depends only on the field's sign pattern, so
-    rounding-level changes of the field move each target by rounding,
-    not by a stride.  Sorting on the coordinates would let rounding pick
-    the order wherever vertices share a coordinate up to it.
+    Vertices are kept only at least ``_reference_margin`` inside the grid,
+    so every ladder ball of radius up to 32h and every graph-fit window of
+    half-width ``window`` around a target stays inside it.  The rest are
+    strided evenly in the order ``extract_free_boundary`` walks its
+    chains.  That order depends only on the field's sign pattern, so
+    rounding-level changes of the field move each target by rounding, not
+    by a stride.  Sorting on the coordinates would let rounding pick the
+    order wherever vertices share a coordinate up to it.
     """
     pts = fb.all_vertices()
     if pts.shape[0] == 0:
         return []
-    margin = _reference_margin(grid, r_max, window)
+    margin = _reference_margin(grid, window)
     keep = (
         (pts[:, 0] >= grid.x_min + margin) & (pts[:, 0] <= grid.x_max - margin)
         & (pts[:, 1] >= grid.y_min + margin) & (pts[:, 1] <= grid.y_max - margin)
@@ -452,7 +457,7 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
 
     h = g.h
     window = config.sweep["window"]
-    points = _reference_points(fb_ref, g, LADDER_STEPS[0] * h, window, config.sweep["classify_budget"])
+    points = _reference_points(fb_ref, g, window, config.sweep["classify_budget"])
     # the label reads only the ladder's smallest radius
     radii = (LADDER_STEPS[-1] * h,)
     labels = []
@@ -466,7 +471,7 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
             )
     branch_points = [p for p, lab in zip(points, labels) if lab == "branch"][:3]
 
-    fam = _family_fn(config.sweep["family"], config.sweep["k"])
+    fam = _FAMILIES[config.sweep["family"]](config.sweep["k"])
     rows = []
     for delta in config.sweep["amplitudes"]:
         spec_d = dataclasses.replace(spec, boundary=spec.boundary.perturbed(fam, delta))

@@ -49,6 +49,8 @@ class NotVerticallySimpleError(ValueError):
 # t = a / (a - b).  Extracted vertices live on cell edges, so stitching
 # chains is pure bookkeeping: edges are nodes of a graph of degree <= 2.
 
+# The segments of each cell code, as pairs of sides; a saddle (code 5 or
+# 10) is keyed by its code and whether its cell-centre average is positive.
 _SEGMENTS = {
     1: (("L", "B"),),
     2: (("B", "R"),),
@@ -62,19 +64,15 @@ _SEGMENTS = {
     12: (("L", "R"),),
     13: (("B", "R"),),
     14: (("L", "B"),),
+    (5, True): (("B", "R"), ("T", "L")),
+    (5, False): (("L", "B"), ("R", "T")),
+    (10, True): (("L", "B"), ("R", "T")),
+    (10, False): (("B", "R"), ("T", "L")),
 }
 
-
-def _edge_key(side: str, i: int, j: int) -> tuple:
-    # edges are keyed by their lower-left node; 'h' runs to (i+1, j),
-    # 'v' to (i, j+1)
-    if side == "B":
-        return ("h", i, j)
-    if side == "T":
-        return ("h", i, j + 1)
-    if side == "L":
-        return ("v", i, j)
-    return ("v", i + 1, j)
+# Each side's edge as (kind, di, dj): edges are keyed by their lower-left
+# node (i + di, j + dj); 'h' runs to the node on its right, 'v' to the one above.
+_SIDES = {"B": ("h", 0, 0), "T": ("h", 0, 1), "L": ("v", 0, 0), "R": ("v", 1, 0)}
 
 
 def _edge_point(grid: Grid2D, s: np.ndarray, key: tuple) -> tuple[float, float]:
@@ -101,17 +99,9 @@ def _contour_chains(grid: Grid2D, s: np.ndarray) -> list[np.ndarray]:
     for j, i in zip(js.tolist(), is_.tolist()):
         c = int(code[j, i])
         if c in (5, 10):
-            # saddle: disambiguate with the cell-center average
-            center = 0.25 * (s[j, i] + s[j, i + 1] + s[j + 1, i + 1] + s[j + 1, i])
-            if c == 5:
-                segs = (("B", "R"), ("T", "L")) if center > 0.0 else (("L", "B"), ("R", "T"))
-            else:
-                segs = (("L", "B"), ("R", "T")) if center > 0.0 else (("B", "R"), ("T", "L"))
-        else:
-            segs = _SEGMENTS[c]
-        for ea, eb in segs:
-            ka = _edge_key(ea, i, j)
-            kb = _edge_key(eb, i, j)
+            c = (c, bool(0.25 * (s[j, i] + s[j, i + 1] + s[j + 1, i + 1] + s[j + 1, i]) > 0.0))
+        for sides in _SEGMENTS[c]:
+            ka, kb = ((kind, i + di, j + dj) for kind, di, dj in (_SIDES[side] for side in sides))
             links.setdefault(ka, []).append(kb)
             links.setdefault(kb, []).append(ka)
 
@@ -420,12 +410,25 @@ def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> 
     fb = fa.free_boundary
     origin = np.array([p[0], p[1]])
     coords = []
+    osc = 0.0
     for chains in (fb.plus_boundary, fb.minus_boundary):
         pts = np.vstack(chains) - origin if chains else np.zeros((0, 2))
         qd = pts @ d
         qt = pts @ t
         keep = (np.abs(qd) <= window) & (np.abs(qt) <= window)
         coords.append((qd[keep], qt[keep]))
+        # normal oscillation: largest turn between adjacent polyline segments
+        # whose endpoints all lie in the window
+        for chain, inside in zip(chains, np.split(keep, np.cumsum([len(c) for c in chains])[:-1])):
+            if len(chain) < 3:
+                continue
+            seg = np.diff(chain, axis=0)
+            ok = inside[:-1] & inside[1:]
+            ang = np.arctan2(seg[:, 1], seg[:, 0])
+            both = ok[:-1] & ok[1:]
+            if np.any(both):
+                turns = np.abs(_wrap_angle(np.diff(ang)))[both]
+                osc = max(osc, float(np.max(turns)))
     (qd_p, qt_p), (qd_m, qt_m) = coords
     if qd_p.size == 0 or qd_m.size == 0:
         raise ZeroSetEmptyError("a phase boundary is absent from the window")
@@ -448,23 +451,6 @@ def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> 
     lip = 0.0
     for garr in (gplus, gminus):
         lip = max(lip, float(np.max(np.abs(np.diff(garr)) / dt)))
-
-    # normal oscillation: largest turn between adjacent polyline segments
-    # whose endpoints all lie in the window
-    osc = 0.0
-    for chains in (fb.plus_boundary, fb.minus_boundary):
-        for chain in chains:
-            if len(chain) < 3:
-                continue
-            rel = chain - origin
-            inside = (np.abs(rel @ d) <= window) & (np.abs(rel @ t) <= window)
-            seg = np.diff(chain, axis=0)
-            ok = inside[:-1] & inside[1:]
-            ang = np.arctan2(seg[:, 1], seg[:, 0])
-            both = ok[:-1] & ok[1:]
-            if np.any(both):
-                turns = np.abs(_wrap_angle(np.diff(ang)))[both]
-                osc = max(osc, float(np.max(turns)))
 
     return GraphFit(
         direction=(float(d[0]), float(d[1])),
@@ -596,7 +582,9 @@ def covering_count(fb: FreeBoundarySet, eps: float) -> int:
     L / (2 eps) <= N(eps) <= L / eps + 1: N(eps) * eps lies between half
     the length and about the length, and is no upper bound.  On the solved
     n = 257 profile field, whose phase boundaries have length 2.0, it reads
-    2.0, 1.875 and 1.8125 at eps = 32h, 16h and 8h.
+    2.0, 1.875 and 1.6875 at eps = 32h, 16h and 8h; the count at 8h moves
+    with rounding of the field, because the vertices are visited in
+    lexicographic order and vertex gaps sit on multiples of h.
     """
     if eps < MIN_EPS_STEPS * fb.spacing:
         raise ValueError(

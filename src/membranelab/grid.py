@@ -310,11 +310,7 @@ class BoundaryMap:
 
     def perturbed(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray], amplitude: float) -> "BoundaryMap":
         """New map with amplitude * fn(x, y) added on the boundary ring."""
-        X, Y = self.grid.meshgrid()
-        out = self.values.copy()
-        m = boundary_mask(self.grid)
-        out[m] += amplitude * np.asarray(fn(X, Y), dtype=float)[m]
-        return BoundaryMap(self.grid, out)
+        return BoundaryMap(self.grid, self.values + amplitude * self.from_callable(self.grid, fn).values)
 
     def sup_diff(self, other: "BoundaryMap") -> float:
         if other.grid != self.grid:

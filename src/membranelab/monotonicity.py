@@ -187,6 +187,16 @@ def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[fl
     return out
 
 
+def _pair_gradients(pair: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Layers d/dx, d/dy of the first field of a (2, rows, cols) pair, then of the second.
+
+    Each layer is its field's ``gradient_fields`` bit for bit, except on a
+    window edge that is not a grid edge.  With ``out``, a (2, 2, rows,
+    cols) array, the layers are written there.
+    """
+    return np.stack(_gradient_arrays(pair, h), axis=1, out=out).reshape(4, *pair.shape[1:])
+
+
 def _gradient_squares(v: np.ndarray) -> np.ndarray:
     # layers come in (d/dx, d/dy) pairs; one |grad|^2 row per pair
     g = v.reshape(-1, 2, v.shape[-1])
@@ -232,9 +242,7 @@ def _psi_values(h1: ScalarField, h2: ScalarField, z, radii) -> list[float]:
         raise ValueError("pair members must be nonnegative (within 1e-12)")
 
     def layers(rows, cols):
-        # d/dx, d/dy of h1, then of h2: gradient_fields bit for bit off the window's edge nodes
-        pair = np.stack([h1.values[rows, cols], h2.values[rows, cols]])
-        return np.stack(_gradient_arrays(pair, h1.grid.h), axis=1).reshape(4, *pair.shape[1:])
+        return _pair_gradients(np.stack([h1.values[rows, cols], h2.values[rows, cols]]), h1.grid.h)
 
     sums = _ladder_sums(h1.grid, z, radii, layers, _gradient_squares)
     return [_products(disk, r)[0] for r, disk in zip(radii, sums)]
@@ -300,22 +308,13 @@ def blowup_rescale(
     return ScalarField(target, vals.reshape(target.shape))
 
 
-def _default_tol(values: np.ndarray) -> float:
-    return 1e-2 * float(np.max(np.abs(values))) + 1e-8
-
-
-def _violations(radii, values, tol):
-    out = []
-    for k in range(len(radii) - 1):
-        # radii decrease with k; flag when the smaller radius wins by > tol
-        if values[k + 1] > values[k] + tol:
-            out.append((radii[k + 1], radii[k]))
-    return tuple(out)
-
-
 def _profile(ladder: RadiusLadder, vals: np.ndarray) -> MonotonicityProfile:
-    tol = _default_tol(vals)
-    return MonotonicityProfile(ladder, tuple(vals), _violations(ladder.radii, vals, tol), tol)
+    """The profile of vals along ladder, flagged at tolerance 1e-2 max |vals| + 1e-8."""
+    tol = 1e-2 * float(np.max(np.abs(vals))) + 1e-8
+    r = ladder.radii
+    # radii decrease with k; flag when the smaller radius wins by > tol
+    flags = tuple((r[k + 1], r[k]) for k in range(len(r) - 1) if vals[k + 1] > vals[k] + tol)
+    return MonotonicityProfile(ladder, tuple(vals), flags, tol)
 
 
 def phi_ladder(
@@ -359,10 +358,9 @@ def directional_psi(
         wgx, wgy = gx.values[rows, cols], gy.values[rows, cols]
         # per direction: d/dx, d/dy of the positive part, then of the negative part
         stack = np.empty((len(dirs), 2, 2) + wgx.shape)
-        for k, (ex, ey) in enumerate(dirs):
+        for (ex, ey), out in zip(dirs, stack):
             de = ex * wgx + ey * wgy
-            parts = np.stack([np.maximum(de, 0.0), np.maximum(-de, 0.0)])
-            stack[k, :, 0], stack[k, :, 1] = _gradient_arrays(parts, g.h)
+            _pair_gradients(np.stack([np.maximum(de, 0.0), np.maximum(-de, 0.0)]), g.h, out)
         return stack.reshape(-1, *wgx.shape)
 
     sums = _ladder_sums(g, ladder.center, ladder.radii, layers, _gradient_squares)

@@ -491,8 +491,8 @@ class _RampObjective:
         """Errors ramp - f at a point (beta1, s, theta) of a chart, and their gradients there."""
         beta1, beta2, tau = _CHARTS[chart].params(point[0], point[1])
         theta = point[2]
-        x1 = _rotated_x1(theta, self.X, self.Y)
-        b = _pos_part(x1, self.lp) - _neg_part(x1, tau, self.lm)
+        self.set_theta(theta)
+        x1, b = self.x1, self.base(tau)
         err = beta1 * b
         if beta2:
             err += beta2 * x1
@@ -610,29 +610,26 @@ def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tup
     sub = slice(None, None, 4) if X.size > 2000 else slice(None)
     scan = _theta_scan(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
 
-    # stage 2: exact fits at the leading angle of each basin, the best of each chart kept
+    # stage 2: exact fits at the leading angle of each basin; every pick
+    # below is a min, which keeps the earliest of tied fits
     obj = _RampObjective(X, Y, fvals, lambda_plus, lambda_minus)
-    best_a = best_b = None
+    fits_a, fits_b = [], []
     leaders = np.argsort(scan, kind="stable")[:3].tolist()
     for i, k in enumerate(leaders):
         if any(min(abs(k - j), _THETA_GRID - abs(k - j)) <= _BASIN for j in leaders[:i]):
             continue
         theta = float(_THETAS[k])
-        a = fit = obj.fit_a(theta, _TAUS[0])
+        fits_a.append(obj.fit_a(theta, _TAUS[0]))
         for tau in _TAUS[1:]:
-            fit = obj.fit_a(theta, tau, ref=fit.ref)
-            a = fit if fit.value < a.value else a
-        b = obj.fit_b(theta)
-        best_a = a if best_a is None or a.value < best_a.value else best_a
-        best_b = b if best_b is None or b.value < best_b.value else best_b
+            fits_a.append(obj.fit_a(theta, tau, ref=fits_a[-1].ref))
+        fits_b.append(obj.fit_b(theta))
 
     # stage 3: polish each chart's best fit
-    best_a = _polish(obj, 0, best_a)
+    best_a = _polish(obj, 0, min(fits_a, key=lambda fit: fit.value))
     if best_a.tau == 0.0:
         # chart A at tau = 0 is chart B's edge beta2 = 0: chart B's fit at
         # that angle makes the result exact over both coefficients
-        edge = obj.fit_b(best_a.theta)
-        best_b = edge if edge.value < best_b.value else best_b
-    best_b = _polish(obj, 1, best_b)
-    best = best_a if best_a.value <= best_b.value else best_b
+        fits_b.append(obj.fit_b(best_a.theta))
+    best_b = _polish(obj, 1, min(fits_b, key=lambda fit: fit.value))
+    best = min((best_a, best_b), key=lambda fit: fit.value)
     return best.value, GlobalProfile(best.beta1, best.beta2, best.tau, best.theta, lambda_plus, lambda_minus)

@@ -63,14 +63,17 @@ are the even and odd flat indices: a colour half-sweep reads its
 neighbours as stride-2 slices at -1, +1, -W and +W, the five-point
 operator runs over the contiguous interior rows, restriction writes
 straight into the coarse level's input, and every work array is
-allocated once per ladder.  Each node keeps the expression and operand
-order of the masked 2-D kernel it replaced, and each dot product sums a
-contiguous product of interior views, so the results are the same to
-the bit.  CG stops on its true residual:
-when the recursively updated residual meets the target, b - A w is
-recomputed and the iteration restarts from it if the drift left it
-above, unless it did not shrink since the last restart, which marks the
-rounding floor.
+allocated once per ladder.  Each node must be computed by the same
+expression, in the same operand order, as on interior 2-D arrays with
+boolean colour masks (the neighbour sum left + right + lower + upper, as
+`grid._neighbor_sum` adds it), and each dot product must sum a contiguous
+product of interior views; then the V-cycle and CG give that masked 2-D
+form's results to the bit, which
+`test_flat_vcycle_and_cg_match_the_masked_kernel_bit_for_bit` checks.
+CG stops on its true residual: when the recursively updated residual
+meets the target, b - A w is recomputed and the iteration restarts from
+it if the drift left it above, unless it did not shrink since the last
+restart, which marks the rounding floor.
 """
 
 from __future__ import annotations
@@ -193,12 +196,15 @@ class _Layout:
         self.inner(v)[...] = interior
         return v
 
-    def neighbors(self, v: np.ndarray, c: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum of the left, right, upper and lower neighbours of colour c's nodes (0 red, 1 black)."""
-        a, b, w = self.colours[c].start, self.rows.stop, self.width
-        out = np.add(v[a - 1:b - 1:2], v[a + 1:b + 1:2], out=out)
-        np.add(out, v[a - w:b - w:2], out=out)
-        return np.add(out, v[a + w:b + w:2], out=out)
+    def neighbors(self, v: np.ndarray, sl: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Sum of the left, right, lower and upper neighbours of the nodes v[sl], in that order.
+
+        sl is `rows` or one of `colours`: a slice of the interior rows.
+        """
+        a, b, k, w = sl.start, sl.stop, sl.step, self.width
+        out = np.add(v[a - 1:b - 1:k], v[a + 1:b + 1:k], out=out)
+        np.add(out, v[a - w:b - w:k], out=out)
+        return np.add(out, v[a + w:b + w:k], out=out)
 
 
 class _Level(_Layout):
@@ -229,12 +235,9 @@ class _Level(_Layout):
 
         Returns `out`, which the next call overwrites.
         """
-        a, b, s = self.rows.start, self.rows.stop, self.width
-        nbr, out = self.work[:b - a], self.out[a:b]
-        np.add(w[a - 1:b - 1], w[a + 1:b + 1], out=nbr)
-        np.add(nbr, w[a - s:b - s], out=nbr)
-        np.add(nbr, w[a + s:b + s], out=nbr)
-        np.multiply(4.0, w[a:b], out=out)
+        out = self.out[self.rows]
+        nbr = self.neighbors(w, self.rows, out=self.work[:out.size])
+        np.multiply(4.0, w[self.rows], out=out)
         np.subtract(out, nbr, out=out)
         np.divide(out, self.h2, out=out)
         out[self.fixed] = 0.0
@@ -245,7 +248,7 @@ class _Level(_Layout):
         for c in colours:
             sl = self.colours[c]
             new = z[sl]
-            nbr = self.neighbors(z, c, out=self.work[:new.size])
+            nbr = self.neighbors(z, sl, out=self.work[:new.size])
             np.multiply(0.25, nbr, out=nbr)
             np.add(self.q[sl], nbr, out=new)
             new[self.fixed_colours[c]] = 0.0
@@ -437,9 +440,8 @@ def _relax(spec: ProblemSpec, full: np.ndarray) -> np.ndarray:
     ring = layout.embed(np.ones(layout.shape)) == 0.0
     h2 = g.h * g.h
     lp, lm = 0.5 * h2 * spec.lambda_plus, 0.5 * h2 * spec.lambda_minus
-    for c in (0, 1, 0, 1):
-        sl = layout.colours[c]
-        s = layout.neighbors(v, c)
+    for sl in 2 * layout.colours:
+        s = layout.neighbors(v, sl)
         new = np.maximum(0.25 * (s - lp), 0.0) + np.minimum(0.25 * (s + lm), 0.0)
         v[sl] = np.where(ring[sl], v[sl], new)
     return v.reshape(-1, layout.width)[:, :g.nx].copy()

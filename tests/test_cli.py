@@ -630,7 +630,7 @@ classify_budget = 2
     report = stability_sweep(cfg, fa_ref)
     X, Y = cfg.spec.grid.meshgrid()
     # every family peaks at 1 on this ring, so the rows alone cannot tell them apart
-    assert np.array_equal(cli._family_fn(family, cfg.sweep["k"])(X, Y), fn(X, Y))
+    assert np.array_equal(cli._FAMILIES[family](cfg.sweep["k"])(X, Y), fn(X, Y))
     peak = float(np.max(np.abs(fn(X, Y)[boundary_mask(cfg.spec.grid)])))
     assert [row.delta for row in report.rows] == [0.1, 0.05]
     for row in report.rows:
@@ -701,7 +701,7 @@ def test_sweep_reference_points_stay_put_under_rounding_noise(profile_solutions)
 
     def targets(values):
         fb = FieldAnalysis(ScalarField(spec.grid, values), spec).free_boundary
-        return np.array(cli._reference_points(fb, spec.grid, 32 * h, 0.25, 8))
+        return np.array(cli._reference_points(fb, spec.grid, 0.25, 8))
 
     want = targets(u.values)
     assert want.shape == (8, 2)

@@ -30,7 +30,7 @@ from membranelab import (
     sample,
     solve,
 )
-from membranelab import GlobalProfile, OnePhasePolynomial
+from membranelab import GlobalProfile, OnePhasePolynomial, freeboundary
 from membranelab.cli import _write_free_boundary
 from conftest import profile_fn, spec_of
 
@@ -115,6 +115,93 @@ def test_saddle_cells_follow_the_cell_centre_average(sign, offset):
             assert float(np.max(np.abs(sign * chain[:, 0] * chain[:, 1] + offset))) <= 1e-15
             corners.add((sx[0], sy[0]))
         assert len(corners) == 2
+
+
+# The branch-coded marching squares that the lookup tables replaced: the
+# reference the table-driven extraction must reproduce exactly.
+_BRANCH_SEGMENTS = {
+    1: (("L", "B"),), 2: (("B", "R"),), 3: (("L", "R"),), 4: (("R", "T"),),
+    6: (("B", "T"),), 7: (("L", "T"),), 8: (("L", "T"),), 9: (("B", "T"),),
+    11: (("R", "T"),), 12: (("L", "R"),), 13: (("B", "R"),), 14: (("L", "B"),),
+}
+
+
+def _branch_edge_key(side, i, j):
+    if side == "B":
+        return ("h", i, j)
+    if side == "T":
+        return ("h", i, j + 1)
+    if side == "L":
+        return ("v", i, j)
+    return ("v", i + 1, j)
+
+
+def branch_contour_chains(grid, s):
+    ins = s > 0.0
+    code = ins[:-1, :-1].astype(np.int8) + 2 * ins[:-1, 1:] + 4 * ins[1:, 1:] + 8 * ins[1:, :-1]
+    js, is_ = np.nonzero((code != 0) & (code != 15))
+    links = {}
+    for j, i in zip(js.tolist(), is_.tolist()):
+        c = int(code[j, i])
+        if c in (5, 10):
+            center = 0.25 * (s[j, i] + s[j, i + 1] + s[j + 1, i + 1] + s[j + 1, i])
+            if c == 5:
+                segs = (("B", "R"), ("T", "L")) if center > 0.0 else (("L", "B"), ("R", "T"))
+            else:
+                segs = (("L", "B"), ("R", "T")) if center > 0.0 else (("B", "R"), ("T", "L"))
+        else:
+            segs = _BRANCH_SEGMENTS[c]
+        for ea, eb in segs:
+            ka, kb = _branch_edge_key(ea, i, j), _branch_edge_key(eb, i, j)
+            links.setdefault(ka, []).append(kb)
+            links.setdefault(kb, []).append(ka)
+    visited, paths = set(), []
+
+    def walk(start):
+        path = [start]
+        visited.add(start)
+        while True:
+            nxt = next((c for c in links[path[-1]] if c not in visited), None)
+            if nxt is None:
+                return path
+            visited.add(nxt)
+            path.append(nxt)
+
+    for start in sorted(k for k, v in links.items() if len(v) == 1):
+        if start not in visited:
+            paths.append((walk(start), False))
+    for start in sorted(k for k in links if k not in visited):
+        if start not in visited:
+            paths.append((walk(start), True))
+    out = []
+    for path, closed in paths:
+        pts = np.array([freeboundary._edge_point(grid, s, k) for k in path], dtype=float)
+        if len(pts) > 1:
+            keep = np.ones(len(pts), dtype=bool)
+            keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
+            pts = pts[keep]
+        if closed and len(pts) > 2:
+            pts = np.vstack([pts, pts[:1]])
+        out.append(pts)
+    return out
+
+
+def test_table_extraction_matches_the_branch_coded_one():
+    # integer-valued random fields: every cell code, saddles of either
+    # centre sign and centres of average exactly 0, crossings on nodes
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 25, 25)
+    seen = set()
+    for seed in range(20):
+        s = np.random.default_rng(seed).integers(-2, 3, g.shape).astype(float)
+        ins = s > 0.0
+        code = ins[:-1, :-1] + 2 * ins[:-1, 1:] + 4 * ins[1:, 1:] + 8 * ins[1:, :-1]
+        centre = s[:-1, :-1] + s[:-1, 1:] + s[1:, 1:] + s[1:, :-1] > 0.0
+        seen |= {(int(c), bool(p) if c in (5, 10) else None) for c, p in zip(code.ravel(), centre.ravel())}
+        got, want = freeboundary._contour_chains(g, s), branch_contour_chains(g, s)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert seen == {(c, None) for c in range(16) if c not in (5, 10)} | {
+        (c, p) for c in (5, 10) for p in (True, False)}
 
 
 def test_extraction_recovers_the_pinned_slab(tau_solution):

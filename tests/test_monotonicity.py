@@ -99,10 +99,10 @@ def test_violation_flagging_logic():
     lad = RadiusLadder((0.0, 0.0), (0.4, 0.3, 0.2, 0.1))
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
     del g  # ladder maths only; field not needed here
-    from membranelab.monotonicity import _violations
-    v = _violations(lad.radii, np.array([1.0, 1.0, 1.5, 1.0]), 0.1)
+    from membranelab.monotonicity import _profile
+    v = _profile(lad, np.array([1.0, 1.0, 1.5, 1.0])).violations
     assert v == ((0.2, 0.3),)
-    assert _violations(lad.radii, np.array([4.0, 3.0, 2.0, 1.0]), 0.1) == ()
+    assert _profile(lad, np.array([4.0, 3.0, 2.0, 1.0])).violations == ()
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def kernel_cases(profile_solutions, tau_solution, poly_solutions):
     h = spec.grid.h
     radii = (32 * h, 16 * h, 8 * h)
     fb = FieldAnalysis(u, spec).free_boundary
-    points = _reference_points(fb, spec.grid, radii[0], 0.25, 8)
+    points = _reference_points(fb, spec.grid, 0.25, 8)
     assert len(points) == 8
     cases += [(u, p, radii) for p in points]
     u_tau = tau_solution[2]

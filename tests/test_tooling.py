@@ -2,9 +2,12 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import sys
+
+import pytest
 
 from membranelab import cli
 
@@ -172,3 +175,37 @@ def test_every_module_constant_is_read():
     assert defined
     unread = [f"{name}: {const}" for name, const in defined if const not in read]
     assert not unread, f"module constants never read: {unread}"
+
+
+def readme_block(lang: str) -> str:
+    """The one fenced block of README in ``lang``."""
+    with open(README) as fh:
+        block, = re.findall(rf"```{lang}\n(.*?)```", fh.read(), re.S)
+    return block
+
+
+def test_readme_solve_report_is_the_report_of_its_config(tmp_path):
+    # README shows the solve_report.json of its minimal config; a solver
+    # change that moves a count would otherwise leave the example stale
+    out = tmp_path / "out"
+    path = tmp_path / "exp.ini"
+    path.write_text(readme_block("ini").replace("dir = out/exp1", f"dir = {out}"))
+    assert cli.main(["solve", str(path)]) == 0
+    got = json.loads((out / "solve_report.json").read_text())
+    want = json.loads(readme_block("json"))
+    assert set(got) == set(want)
+    for key in ("iterations", "pattern_changes", "converged", "levels"):
+        assert got[key] == want[key], key
+    assert got["final_energy"] == pytest.approx(want["final_energy"], rel=1e-12, abs=0.0)
+    assert got["energy_history"] == pytest.approx(want["energy_history"], rel=1e-12, abs=0.0)
+    # the residual moves with rounding; README's value only illustrates it
+    assert got["final_residual"] <= cli.load_config(str(path)).spec.tol_linear
+
+
+def test_readme_library_example_runs():
+    # the Library block is the public surface in one screen; a changed
+    # signature or export would break it without failing any other test
+    namespace: dict = {}
+    exec(compile(readme_block("python"), README, "exec"), namespace)
+    assert namespace["report"].converged
+    assert namespace["label"] == "branch"
