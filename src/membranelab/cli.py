@@ -27,6 +27,8 @@ from .freeboundary import (
     MIN_WINDOW_STEPS,
     FieldAnalysis,
     FreeBoundarySet,
+    NotVerticallySimpleError,
+    ZeroSetEmptyError,
     classify_point,
     covering_count,
     circle_trace,
@@ -446,7 +448,8 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     displacement, and refits graphs at the reference branch points.  A
     perturbed solve that fails re-raises its SolverError, with its report,
     under a message that names the amplitude and the failing level's
-    nx x ny.
+    nx x ny; a perturbed fit that fails re-raises its error type under a
+    message that names the amplitude and the reference point.
     """
     if config.sweep is None:
         raise ConfigError("sweep: section required for stability_sweep")
@@ -486,7 +489,11 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
         dist = hausdorff_distance(fb_ref, fa_d.free_boundary)
         summaries = []
         for p in branch_points:
-            fit = fit_two_graphs(fa_d, p, window)
+            try:
+                fit = fit_two_graphs(fa_d, p, window)
+            except (ZeroSetEmptyError, NotVerticallySimpleError) as exc:
+                raise type(exc)(f"perturbed fit at amplitude {float_repr(delta)} near reference point "
+                                f"({float_repr(p[0])}, {float_repr(p[1])}) failed: {exc}") from exc
             summaries.append({
                 "point": [p[0], p[1]],
                 "theta": fit.theta,

@@ -375,6 +375,14 @@ class GraphFit:
     ramp fit), ``transverse`` the axis the graphs are sampled over.
     gplus is the sup of the graph coordinate over plus-boundary vertices
     per transverse bin, gminus the inf over minus-boundary ones.
+
+    Both readouts come from chords of these binned graphs, each spanning
+    ``nb // 4`` of the ``nb`` bins of about 2h, that is window / 2:
+    ``lipschitz_estimate`` is the largest |chord slope| over both graphs,
+    and ``max_normal_oscillation`` the largest, over the two graphs, of
+    max - min of arctan(chord slope).  At that scale they read the curve,
+    not the grid: the contours of a rotated straight interface are a
+    staircase whose adjacent segments turn by pi/4 at every h.
     """
 
     direction: tuple[float, float]
@@ -387,17 +395,16 @@ class GraphFit:
     max_normal_oscillation: float
 
 
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> GraphFit:
     """Fit both phase boundaries as graphs near a degenerate point.
 
     The frame comes from the rotation of the best ramp fit to the blow-up
     at p with radius ``window / 2``; vertices are collected in a square
-    window of half-width ``window`` in the rotated frame and binned at
-    roughly two grid steps along the transverse axis.
+    window of half-width ``window`` in the rotated frame and binned into
+    nb = max(4, round(window / h)) transverse bins of about two grid
+    steps.  Slopes and normals are read from chords of ``nb // 4`` bins,
+    window / 2 or a quarter of the fitted width 2 window (see
+    ``GraphFit``).  Each error names the point, the window and the phase.
     """
     g = fa.u.grid
     if window < MIN_WINDOW_STEPS * g.h:
@@ -406,51 +413,43 @@ def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> 
     theta = best.theta
     d = np.array([math.cos(theta), -math.sin(theta)])
     t = np.array([math.sin(theta), math.cos(theta)])
+    where = f"in the fit at ({p[0]}, {p[1]}) with window {window}"
 
     fb = fa.free_boundary
-    origin = np.array([p[0], p[1]])
     coords = []
-    osc = 0.0
-    for chains in (fb.plus_boundary, fb.minus_boundary):
-        pts = np.vstack(chains) - origin if chains else np.zeros((0, 2))
-        qd = pts @ d
-        qt = pts @ t
+    for phase, chains, pick in (("plus", fb.plus_boundary, np.fmax),
+                                ("minus", fb.minus_boundary, np.fmin)):
+        pts = (np.vstack(chains) if chains else np.zeros((0, 2))) - np.array(p)
+        qd, qt = pts @ d, pts @ t
         keep = (np.abs(qd) <= window) & (np.abs(qt) <= window)
-        coords.append((qd[keep], qt[keep]))
-        # normal oscillation: largest turn between adjacent polyline segments
-        # whose endpoints all lie in the window
-        for chain, inside in zip(chains, np.split(keep, np.cumsum([len(c) for c in chains])[:-1])):
-            if len(chain) < 3:
-                continue
-            seg = np.diff(chain, axis=0)
-            ok = inside[:-1] & inside[1:]
-            ang = np.arctan2(seg[:, 1], seg[:, 0])
-            both = ok[:-1] & ok[1:]
-            if np.any(both):
-                turns = np.abs(_wrap_angle(np.diff(ang)))[both]
-                osc = max(osc, float(np.max(turns)))
-    (qd_p, qt_p), (qd_m, qt_m) = coords
-    if qd_p.size == 0 or qd_m.size == 0:
-        raise ZeroSetEmptyError("a phase boundary is absent from the window")
+        if not np.any(keep):
+            raise ZeroSetEmptyError(f"the {phase} phase boundary is absent {where}")
+        coords.append((phase, pick, qd[keep], qt[keep]))
 
     nb = max(4, int(round(window / g.h)))
     edges = np.linspace(-window, window, nb + 1)
     t_samples = 0.5 * (edges[:-1] + edges[1:])
-    gplus = np.full(nb, -np.inf)
-    gminus = np.full(nb, np.inf)
-    kp = np.clip(np.searchsorted(edges, qt_p, side="right") - 1, 0, nb - 1)
-    np.maximum.at(gplus, kp, qd_p)
-    km = np.clip(np.searchsorted(edges, qt_m, side="right") - 1, 0, nb - 1)
-    np.minimum.at(gminus, km, qd_m)
-    if not (np.all(np.isfinite(gplus)) and np.all(np.isfinite(gminus))):
-        raise NotVerticallySimpleError("a transverse bin has no boundary vertex")
-    if np.any(gminus > gplus + 2.0 * g.h):
-        raise NotVerticallySimpleError("phase boundaries are out of order in the window")
 
-    dt = np.diff(t_samples)
-    lip = 0.0
-    for garr in (gplus, gminus):
-        lip = max(lip, float(np.max(np.abs(np.diff(garr)) / dt)))
+    def first_bin(mask):
+        b = int(np.argmax(mask))
+        return f"[{edges[b]}, {edges[b + 1]}]"
+
+    graphs = []
+    for phase, pick, qd, qt in coords:
+        garr = np.full(nb, np.nan)
+        pick.at(garr, np.clip(np.searchsorted(edges, qt, side="right") - 1, 0, nb - 1), qd)
+        if np.isnan(garr).any():
+            raise NotVerticallySimpleError(
+                f"the transverse bin {first_bin(np.isnan(garr))} has no {phase} boundary vertex {where}")
+        graphs.append(garr)
+    gplus, gminus = graphs
+    crossed = gminus > gplus + 2.0 * g.h
+    if crossed.any():
+        raise NotVerticallySimpleError(f"phase boundaries are out of order {where}: the minus boundary "
+                                       f"first lies past the plus one in the transverse bin {first_bin(crossed)}")
+
+    k = nb // 4
+    slopes = [(garr[k:] - garr[:-k]) / (t_samples[k:] - t_samples[:-k]) for garr in graphs]
 
     return GraphFit(
         direction=(float(d[0]), float(d[1])),
@@ -459,8 +458,8 @@ def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> 
         t_samples=t_samples,
         gplus=gplus,
         gminus=gminus,
-        lipschitz_estimate=lip,
-        max_normal_oscillation=osc,
+        lipschitz_estimate=max(float(np.max(np.abs(s))) for s in slopes),
+        max_normal_oscillation=max(float(np.ptp(np.arctan(s))) for s in slopes),
     )
 
 

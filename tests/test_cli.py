@@ -16,10 +16,12 @@ from membranelab import (
     FieldAnalysis,
     FreeBoundarySet,
     GlobalProfile,
+    NotVerticallySimpleError,
     StabilityReport,
     SweepHypothesisError,
     ScalarField,
     SweepRow,
+    ZeroSetEmptyError,
     float_repr,
     hausdorff_distance,
     load_config,
@@ -539,6 +541,26 @@ def test_a_failed_sweep_solve_keeps_the_reference_report(tmp_path, capsys):
     report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"] is True
     assert [level["nx"] for level in report["levels"]] == [17, 33, 65, 129]
+
+
+@pytest.mark.parametrize("error", [ZeroSetEmptyError, NotVerticallySimpleError])
+def test_a_failed_sweep_fit_names_its_amplitude_and_point(tmp_path, capsys, monkeypatch, error):
+    seen = []
+
+    def failing_fit(fa, p, window):
+        seen.append(p)
+        raise error("stub fit failure")
+
+    monkeypatch.setattr(cli, "fit_two_graphs", failing_fit)
+    ini = write_ini(tmp_path, SWEEP_INI.format(out=tmp_path / "ff"))
+    with pytest.raises(error) as info:
+        stability_sweep(*solved_sweep(ini))
+    p = seen[0]
+    assert str(info.value) == (f"perturbed fit at amplitude {float_repr(0.1)} near reference point "
+                               f"({float_repr(p[0])}, {float_repr(p[1])}) failed: stub fit failure")
+    assert type(info.value.__cause__) is error
+    assert main(["sweep", ini]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_main_exits_1_when_a_diagnostic_cannot_be_evaluated(tmp_path, capsys):

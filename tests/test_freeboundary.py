@@ -32,7 +32,7 @@ from membranelab import (
 )
 from membranelab import GlobalProfile, OnePhasePolynomial, freeboundary
 from membranelab.cli import _write_free_boundary
-from conftest import profile_fn, spec_of
+from conftest import make_profile_problem, profile_fn, spec_of
 
 S_1 = math.sqrt(3.0 * math.pi / 16.0)
 
@@ -424,12 +424,21 @@ def test_fit_two_graphs_error_paths():
     pos = sample(g, lambda X, Y: np.ones_like(X))
     with pytest.raises(ZeroSetEmptyError):
         fit_two_graphs(FieldAnalysis(pos, spec_of(pos)), (0.0, 0.0), 0.25)
+    # every error names the point, the window and the phase: a one-phase
+    # field has a plus boundary and no minus one
+    one = sample(g, lambda X, Y: np.maximum(X, 0.0) ** 2)
+    with pytest.raises(ZeroSetEmptyError) as info:
+        fit_two_graphs(FieldAnalysis(one, spec_of(one)), (0.0, 0.0), 0.25)
+    assert str(info.value) == "the minus phase boundary is absent in the fit at (0.0, 0.0) with window 0.25"
     # a closed circle is never vertically simple over a square window:
     # center bins lose the far arcs, outer bins are past the radius
     circ = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
     for window in (0.45, 0.55):
-        with pytest.raises(NotVerticallySimpleError):
+        with pytest.raises(NotVerticallySimpleError) as info:
             fit_two_graphs(FieldAnalysis(circ, spec_of(circ)), (0.0, 0.0), window)
+        assert str(info.value).endswith(f"has no plus boundary vertex in the fit at (0.0, 0.0) with window {window}")
+    edges = np.linspace(-0.55, 0.55, round(0.55 / g.h) + 1)
+    assert str(info.value).startswith(f"the transverse bin [{edges[0]}, {edges[1]}] ")
     with pytest.raises(ValueError):
         fit_two_graphs(FieldAnalysis(circ, spec_of(circ)), (0.0, 0.0), 4.0 * g.h)  # window under 8h
 
@@ -442,8 +451,39 @@ def test_fit_two_graphs_error_paths():
         return np.where(Y < 0.3, below, above)
 
     slab = sample(g, swapped)
-    with pytest.raises(NotVerticallySimpleError, match="out of order"):
+    with pytest.raises(NotVerticallySimpleError, match="out of order") as info:
         fit_two_graphs(FieldAnalysis(slab, spec_of(slab)), (0.0, 0.0), 0.5)
+    assert str(info.value) == ("phase boundaries are out of order in the fit at (0.0, 0.0) with window 0.5: the minus "
+                               "boundary first lies past the plus one in the transverse bin [0.3125, 0.34375]")
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.7])
+def test_fit_two_graphs_on_rotated_interfaces(theta):
+    # the discrete zero set of a rotated line is a staircase of 0 and 45
+    # degree steps, whose adjacent segments turn by pi/4 at every h; the
+    # chords of window / 2 read the line within criterion 9's bounds
+    for n in (129, 257, 513):
+        _, spec = make_profile_problem(n, theta=theta)
+        u, _ = solve(spec)
+        fit = fit_two_graphs(FieldAnalysis(u, spec), (0.0, 0.0), 0.25)
+        assert fit.lipschitz_estimate <= 0.1, (n, fit.lipschitz_estimate)
+        assert fit.max_normal_oscillation <= 0.2, (n, fit.max_normal_oscillation)
+
+
+def test_fit_two_graphs_at_an_isolated_branch_point():
+    # profile data scaled by (1 + y / 2): a zero strip opens between the
+    # phases below y = 0 and closes at a branch point at the origin, where
+    # the two graphs are curves, not lines
+    v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
+    for n in (129, 257):
+        g = build_grid(-1.0, 1.0, -1.0, 1.0, n, n)
+        bc = BoundaryMap.from_callable(g, lambda X, Y: (1.0 + 0.5 * Y) * eval_many(v, X, Y))
+        spec = ProblemSpec(g, bc, 2.0, 2.0)
+        u, _ = solve(spec)
+        fa = FieldAnalysis(u, spec)
+        for window in (0.125, 0.25, 0.5):
+            fit = fit_two_graphs(fa, (0.0, 0.0), window)
+            assert fit.max_normal_oscillation <= 0.3, (n, window, fit.max_normal_oscillation)
 
 
 # ---------------------------------------------------------------------------
