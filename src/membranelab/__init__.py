@@ -2,7 +2,6 @@
 
 from .grid import (
     BoundaryMap,
-    Grid2D,
     ScalarField,
     build_grid,
     dump_field_csv,
@@ -17,13 +16,12 @@ from .profiles import (
     OnePhasePolynomial,
     RampFitError,
     dist_to_M,
+    dist_to_polynomial_class,
     eval_many,
     profile_boundary_trace,
 )
 from .solver import (
-    ComparisonResult,
     ProblemSpec,
-    SolveReport,
     SolverError,
     comparison_check,
     energy,
@@ -47,16 +45,12 @@ from .freeboundary import (
     CircleTrace,
     FieldAnalysis,
     FreeBoundarySet,
-    GraphFit,
     NotVerticallySimpleError,
-    PhaseLengths,
     PointClass,
-    XiTrace,
     ZeroSetEmptyError,
     circle_trace,
     classify_point,
     covering_count,
-    dist_to_polynomial_class,
     extract_free_boundary,
     fit_two_graphs,
     perimeter_estimate,

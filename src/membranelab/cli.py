@@ -41,7 +41,7 @@ from .grid import BoundaryMap, Grid2D, build_grid, dump_field_csv, float_repr, s
 from .monotonicity import (
     RadiusLadder, acf_psi, check_ball, phi_ladder, s_norm, weiss_phi,
 )
-from .profiles import GlobalProfile, OnePhasePolynomial, eval_many
+from .profiles import GlobalProfile, OnePhasePolynomial, eval_many, profile_boundary_trace
 from .solver import ProblemSpec, SolverError, comparison_check, solve
 
 
@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 
 
 class SweepHypothesisError(RuntimeError):
-    """Reference free boundary carries a one-phase singular point."""
+    """The reference free boundary is empty or carries a one-phase singular point."""
 
 
 _DIAGNOSTICS = ("phi_ladder", "psi_ladder", "classify", "graphs", "xi", "perimeter", "covering")
@@ -417,11 +417,10 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, window: float, budget: 
     chains.  That order depends only on the field's sign pattern, so
     rounding-level changes of the field move each target by rounding, not
     by a stride.  Sorting on the coordinates would let rounding pick the
-    order wherever vertices share a coordinate up to it.
+    order wherever vertices share a coordinate up to it.  With no vertex
+    that far inside there is no target.
     """
     pts = fb.all_vertices()
-    if pts.shape[0] == 0:
-        return []
     margin = _reference_margin(grid, window)
     keep = (
         (pts[:, 0] >= grid.x_min + margin) & (pts[:, 0] <= grid.x_max - margin)
@@ -438,7 +437,9 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     """Boundary perturbation sweep against a classified reference solve.
 
     ``fa_ref`` holds the solved field of ``config``'s own problem; each
-    perturbed problem is its ``spec`` with new boundary data.  The
+    perturbed problem is its ``spec`` with new boundary data.  An empty
+    reference free boundary raises SweepHypothesisError before any
+    perturbed solve: it has no target and no Hausdorff distance.  The
     reference free boundary is classified first, with the one-radius
     ladder (8h): ``classify_point``'s label reads only the smallest
     radius, and each radius is summed on its own, so what the label reads
@@ -449,7 +450,9 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     perturbed solve that fails re-raises its SolverError, with its report,
     under a message that names the amplitude and the failing level's
     nx x ny; a perturbed fit that fails re-raises its error type under a
-    message that names the amplitude and the reference point.
+    message that names the amplitude and the reference point, and a
+    perturbed free boundary that vanishes re-raises the ValueError of
+    ``hausdorff_distance`` under a message that names the amplitude.
     """
     if config.sweep is None:
         raise ConfigError("sweep: section required for stability_sweep")
@@ -457,6 +460,9 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     spec = fa_ref.spec
     g = spec.grid
     fb_ref = fa_ref.free_boundary
+    if not (fb_ref.plus_boundary or fb_ref.minus_boundary):
+        raise SweepHypothesisError("the reference field has no free boundary: "
+                                   "both of its +-tol_zero contours are empty")
 
     h = g.h
     window = config.sweep["window"]
@@ -486,7 +492,10 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
                               f"{level['nx']} x {level['ny']} level: {exc}", exc.report) from exc
         cmp = comparison_check(u_ref, spec, u_d, spec_d)
         fa_d = FieldAnalysis(u_d, spec_d)
-        dist = hausdorff_distance(fb_ref, fa_d.free_boundary)
+        try:
+            dist = hausdorff_distance(fb_ref, fa_d.free_boundary)
+        except ValueError as exc:
+            raise ValueError(f"perturbed free boundary at amplitude {float_repr(delta)}: {exc}") from exc
         summaries = []
         for p in branch_points:
             try:
@@ -629,8 +638,7 @@ def selftest() -> int:
 
     gs = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
     poly = OnePhasePolynomial(0.25, 0.0, 0.25, 1)
-    bc = BoundaryMap.from_callable(gs, lambda X, Y: eval_many(poly, X, Y))
-    spec = ProblemSpec(gs, bc, 2.0, 2.0)
+    spec = ProblemSpec(gs, profile_boundary_trace(poly, gs), 2.0, 2.0)
     u_p, _ = solve(spec)
     exact = sample(gs, lambda X, Y: eval_many(poly, X, Y))
     err = float(np.max(np.abs(u_p.values - exact.values)))

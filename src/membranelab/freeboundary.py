@@ -27,7 +27,7 @@ from .monotonicity import (
     blowup_rescale,
     directional_psi,
 )
-from .profiles import OnePhasePolynomial, _disk_nodes, dist_to_M
+from .profiles import dist_to_M, dist_to_polynomial_class
 from .solver import ProblemSpec
 
 
@@ -124,27 +124,28 @@ def _contour_chains(grid: Grid2D, s: np.ndarray) -> list[np.ndarray]:
             path.append(nxt)
             cur = nxt
 
-    # open chains start at degree-1 edges, sorted for determinism; whatever
-    # remains afterwards belongs to closed loops
-    for start in sorted(k for k, v in links.items() if len(v) == 1):
+    # open chains start at degree-1 edges, which sort first; whatever is
+    # unvisited by then has degree 2 and belongs to a closed loop
+    for start in sorted(links, key=lambda k: (len(links[k]) != 1, k)):
         if start not in visited:
-            paths.append((_walk(start), False))
-    for start in sorted(k for k in links if k not in visited):
-        if start not in visited:  # the sort snapshot predates the walks
-            paths.append((_walk(start), True))
+            paths.append((_walk(start), len(links[start]) == 2))
 
     out = []
     for path, closed in paths:
         pts = np.array([_edge_point(grid, s, k) for k in path], dtype=float)
-        if len(pts) > 1:
-            # drop exact duplicates from crossings that land on a shared node
-            keep = np.ones(len(pts), dtype=bool)
-            keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
-            pts = pts[keep]
+        # drop exact duplicates from crossings that land on a shared node
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
+        pts = pts[keep]
         if closed and len(pts) > 2:
             pts = np.vstack([pts, pts[:1]])
         out.append(pts)
     return out
+
+
+def _pooled(chains) -> np.ndarray:
+    """The vertices of a sequence of chains as one (k, 2) array, (0, 2) if none."""
+    return np.vstack(chains) if chains else np.zeros((0, 2))
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,7 @@ class FreeBoundarySet:
     spacing: float
 
     def all_vertices(self) -> np.ndarray:
-        chains = list(self.plus_boundary) + list(self.minus_boundary)
-        if not chains:
-            return np.zeros((0, 2))
-        return np.vstack(chains)
+        return _pooled(self.plus_boundary + self.minus_boundary)
 
 
 def extract_free_boundary(u: ScalarField, tol_zero: float) -> FreeBoundarySet:
@@ -264,36 +262,6 @@ class PointClass:
     def __post_init__(self) -> None:
         if self.label not in _LABELS:
             raise ValueError(f"unknown label {self.label!r}")
-
-
-def dist_to_polynomial_class(f: ScalarField) -> tuple[float, OnePhasePolynomial | None]:
-    """Sup distance on the unit disk to the sign-definite quadratics.
-
-    A least-squares fit of (x^2, xy, y^2) coefficients is projected onto
-    each sign cone by eigenvalue clipping; the better projection wins.
-    Returns inf when both projections collapse to the degenerate origin.
-    """
-    X, Y, fvals = _disk_nodes(f)
-    design = np.column_stack([X * X, X * Y, Y * Y])
-    coef, *_ = np.linalg.lstsq(design, fvals, rcond=None)
-    a, b, c = (float(v) for v in coef)
-    A = np.array([[a, 0.5 * b], [0.5 * b, c]])
-    w, V = np.linalg.eigh(A)
-
-    best_d = math.inf
-    best_poly = None
-    for sign in (1, -1):
-        wc = np.maximum(w, 0.0) if sign == 1 else np.minimum(w, 0.0)
-        P = V @ np.diag(wc) @ V.T
-        ca, cb, cc = float(P[0, 0]), float(2.0 * P[0, 1]), float(P[1, 1])
-        if ca == 0.0 and cc == 0.0:
-            continue
-        vals = ca * X * X + cb * X * Y + cc * Y * Y
-        d = float(np.max(np.abs(vals - fvals)))
-        if d < best_d:
-            best_d = d
-            best_poly = OnePhasePolynomial(ca, cb, cc, sign)
-    return best_d, best_poly
 
 
 def _blowup_fit(fa: FieldAnalysis, p, r: float):
@@ -419,7 +387,7 @@ def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> 
     coords = []
     for phase, chains, pick in (("plus", fb.plus_boundary, np.fmax),
                                 ("minus", fb.minus_boundary, np.fmin)):
-        pts = (np.vstack(chains) if chains else np.zeros((0, 2))) - np.array(p)
+        pts = _pooled(chains) - np.array(p)
         qd, qt = pts @ d, pts @ t
         keep = (np.abs(qd) <= window) & (np.abs(qt) <= window)
         if not np.any(keep):
@@ -538,8 +506,6 @@ def _clipped_length(chains, box) -> float:
     x0, x1, y0, y1 = box
     total = 0.0
     for chain in chains:
-        if len(chain) < 2:
-            continue
         start = chain[:-1]
         d = np.diff(chain, axis=0)
         t0 = np.zeros(len(d))
@@ -590,8 +556,6 @@ def covering_count(fb: FreeBoundarySet, eps: float) -> int:
             f"eps = {eps} under-resolved; need at least two grid steps = {MIN_EPS_STEPS * fb.spacing}"
         )
     pts = fb.all_vertices()
-    if pts.shape[0] == 0:
-        return 0
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     covered = np.zeros(len(pts), dtype=bool)
     count = 0

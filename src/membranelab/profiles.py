@@ -14,8 +14,10 @@ Two families are implemented:
   equation in a single phase.
 
 ``dist_to_M`` measures sup-norm distance on the unit disk between a
-sampled field and the admissible parameter box of these ramps; it drives
-blow-up classification.
+sampled field and the admissible parameter box of these ramps, and
+``dist_to_polynomial_class`` the distance to the sign-definite quadratics.
+Both read the field on the same unit-disk nodes; they drive blow-up
+classification.
 """
 
 from __future__ import annotations
@@ -633,3 +635,38 @@ def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tup
     best_b = _polish(obj, 1, min(fits_b, key=lambda fit: fit.value))
     best = min((best_a, best_b), key=lambda fit: fit.value)
     return best.value, GlobalProfile(best.beta1, best.beta2, best.tau, best.theta, lambda_plus, lambda_minus)
+
+
+# ---------------------------------------------------------------------------
+# Distance to the one-phase quadratics
+# ---------------------------------------------------------------------------
+
+
+def dist_to_polynomial_class(f: ScalarField) -> tuple[float, OnePhasePolynomial | None]:
+    """Sup distance on the unit disk to the sign-definite quadratics.
+
+    A least-squares fit of (x^2, xy, y^2) coefficients is projected onto
+    each sign cone by eigenvalue clipping; the better projection wins.
+    Returns inf when both projections collapse to the degenerate origin.
+    """
+    X, Y, fvals = _disk_nodes(f)
+    design = np.column_stack([X * X, X * Y, Y * Y])
+    coef, *_ = np.linalg.lstsq(design, fvals, rcond=None)
+    a, b, c = (float(v) for v in coef)
+    A = np.array([[a, 0.5 * b], [0.5 * b, c]])
+    w, V = np.linalg.eigh(A)
+
+    best_d = math.inf
+    best_poly = None
+    for sign in (1, -1):
+        wc = np.maximum(w, 0.0) if sign == 1 else np.minimum(w, 0.0)
+        P = V @ np.diag(wc) @ V.T
+        ca, cb, cc = float(P[0, 0]), float(2.0 * P[0, 1]), float(P[1, 1])
+        if ca == 0.0 and cc == 0.0:
+            continue
+        vals = ca * X * X + cb * X * Y + cc * Y * Y
+        d = float(np.max(np.abs(vals - fvals)))
+        if d < best_d:
+            best_d = d
+            best_poly = OnePhasePolynomial(ca, cb, cc, sign)
+    return best_d, best_poly

@@ -531,7 +531,7 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
         free = state != 0
         ladder = _vcycle_ladder(g.h, free)
         rhs = -_forcing(state, lp, lm) + nbr_b
-        w = np.where(free, U[1:-1, 1:-1], 0.0)
+        w = U[1:-1, 1:-1]  # _cg holds the pinned nodes of its start at zero
         while True:
             w, res, its = _cg(ladder, rhs, w, tol_cg if tight else tol_mult, max_cg)
             record["cg_iterations"] += its

@@ -22,6 +22,7 @@ from membranelab import (
     ScalarField,
     SweepRow,
     ZeroSetEmptyError,
+    build_grid,
     float_repr,
     hausdorff_distance,
     load_config,
@@ -667,6 +668,69 @@ def test_sweep_aborts_on_one_phase_reference(tmp_path, capsys):
         stability_sweep(*solved_sweep(ini))
     assert main(["sweep", ini]) == 1
     assert "one_phase_singular" in capsys.readouterr().err
+
+
+OFFSET_SWEEP_INI = BASE_INI.replace("n = 65", "n = 129").replace(
+    "beta1 = 1.0", "beta1 = 1.0\noffset = {offset}") + """
+[sweep]
+family = constant
+amplitudes = {amplitudes}
+"""
+
+
+def test_sweep_needs_a_reference_free_boundary(tmp_path, capsys, monkeypatch):
+    # lifted by 0.81, the profile data stay at least 0.31 and the solved
+    # field above 0.29: the reference field has no free boundary, so there
+    # is nothing to classify or measure
+    ini = write_ini(tmp_path, OFFSET_SWEEP_INI.format(offset=0.81, amplitudes="0.1, 0.05", out=tmp_path / "nf"))
+    cfg, fa_ref = solved_sweep(ini)
+    assert float(np.min(fa_ref.u.values)) > 0.29
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda spec: calls.append(spec) or solve(spec))
+    monkeypatch.setattr(cli, "classify_point", lambda *args: calls.append(args))
+    with pytest.raises(SweepHypothesisError, match="reference field has no free boundary"):
+        stability_sweep(cfg, fa_ref)
+    assert calls == []
+    assert main(["sweep", ini]) == 1
+    assert capsys.readouterr().err == (
+        "sweep hypothesis violation: the reference field has no free boundary: "
+        "both of its +-tol_zero contours are empty\n")
+    # the reference solve is the only one
+    assert len(calls) == 1
+    assert sorted(os.listdir(tmp_path / "nf")) == ["field.csv", "solve_report.json"]
+
+
+def test_a_vanished_perturbed_boundary_names_its_amplitude(tmp_path, capsys):
+    # lifted by 0.4 + 0.2, the data stay positive: the perturbed field has
+    # no free boundary to measure the reference's against
+    ini = write_ini(tmp_path, OFFSET_SWEEP_INI.format(offset=0.4, amplitudes="0.2, 0.1", out=tmp_path / "vp"))
+    with pytest.raises(ValueError) as info:
+        stability_sweep(*solved_sweep(ini))
+    assert str(info.value) == (f"perturbed free boundary at amplitude {float_repr(0.2)}: "
+                               "hausdorff distance needs nonempty vertex sets")
+    assert type(info.value.__cause__) is ValueError
+    assert main(["sweep", ini]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_a_sweep_without_targets_measures_its_rows(tmp_path, capsys):
+    # lifted by 0.4, the free boundary lies near x = -0.89, outside the
+    # reference-point margin: nothing is classified or fitted, and the
+    # rows still measure the boundary's displacement
+    out = tmp_path / "nt"
+    ini = write_ini(tmp_path, OFFSET_SWEEP_INI.format(offset=0.4, amplitudes="0.1, 0.05", out=out))
+    assert main(["sweep", ini]) == 0, capsys.readouterr().err
+    report = json.loads((out / "stability.json").read_text())
+    assert report["reference_points"] == [] and report["reference_labels"] == []
+    assert [row["delta"] for row in report["rows"]] == [0.1, 0.05]
+    for row in report["rows"]:
+        assert row["graph_summaries"] == []
+        assert row["comparison_holds"] and row["hausdorff_to_reference"] > 0.0
+
+
+def test_reference_points_of_an_empty_free_boundary():
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    assert cli._reference_points(FreeBoundarySet((), (), g.h), g, 0.25, 8) == []
 
 
 def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):

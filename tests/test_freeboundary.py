@@ -591,6 +591,16 @@ def test_covering_count_on_circle():
     assert 0.45 * L <= prod <= 0.5 * math.pi * L + eps
 
 
+def test_a_one_vertex_chain_has_no_length():
+    # a chain whose crossings all land on one node keeps one vertex; no
+    # early exit skips it, the clip of its empty segment list adds 0
+    box = (-1.0, 1.0, -1.0, 1.0)
+    dot = np.array([[0.25, 0.5]])
+    assert freeboundary._clipped_length([dot], box) == 0.0
+    line = np.array([[0.0, 0.0], [0.0, 0.5]])
+    assert freeboundary._clipped_length([dot, line, dot], box) == freeboundary._clipped_length([line], box) == 0.5
+
+
 def test_covering_count_rejects_under_resolved_radii(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
     fb = extract_free_boundary(u, spec.tol_zero)

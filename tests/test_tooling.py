@@ -84,6 +84,26 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
                 assert top in allowed, f"{name} imports {top} (line {node.lineno})"
 
 
+def test_only_profiles_reads_its_private_names():
+    # profiles owns both blow-up distances and the disk nodes they share;
+    # another module importing a private helper would own half a rule
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "membranelab")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "profiles.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
+                    ("profiles", 1), ("membranelab.profiles", 0)):
+                found += [f"{name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"private names of profiles imported elsewhere: {found}"
+    from membranelab import dist_to_M, dist_to_polynomial_class
+    assert dist_to_M.__module__ == dist_to_polynomial_class.__module__ == "membranelab.profiles"
+
+
 PHASE_COEFFICIENTS = {"lambda_plus", "lambda_minus"}
 
 
