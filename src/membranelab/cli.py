@@ -443,7 +443,10 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     reference free boundary is classified first, with the one-radius
     ladder (8h): ``classify_point``'s label reads only the smallest
     radius, and each radius is summed on its own, so what the label reads
-    is what the default ladder gives, bit for bit.  Any one-phase singular
+    is what the default ladder gives, bit for bit.  Only the labels are
+    written, so the classification is label-only (``evidence=False``): it
+    gives the full call's label and skips the ramp distance, or stops its
+    search, wherever the label does not need its value.  Any one-phase singular
     point aborts the sweep.  Each row re-solves with perturbed data,
     checks the comparison principle, measures the free boundary
     displacement, and refits graphs at the reference branch points.  A
@@ -471,7 +474,7 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     radii = (LADDER_STEPS[-1] * h,)
     labels = []
     for p in points:
-        cls = classify_point(fa_ref, RadiusLadder(p, radii))
+        cls = classify_point(fa_ref, RadiusLadder(p, radii), evidence=False)
         labels.append(cls.label)
         if cls.label == "one_phase_singular":
             raise SweepHypothesisError(

@@ -14,7 +14,8 @@ Two families are implemented:
   equation in a single phase.
 
 ``dist_to_M`` measures sup-norm distance on the unit disk between a
-sampled field and the admissible parameter box of these ramps, and
+sampled field and the admissible parameter box of these ramps
+(``dist_to_M_below`` only whether it is below a cut), and
 ``dist_to_polynomial_class`` the distance to the sign-definite quadratics.
 Both read the field on the same unit-disk nodes; they drive blow-up
 classification.
@@ -596,6 +597,49 @@ def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
     return scan
 
 
+def _ramp_search(f: ScalarField, lp: float, lm: float, cut: float) -> _Fit | None:
+    """The fit ``dist_to_M`` returns, or None once a stage-2 chart-A fit shows that its value is below cut.
+
+    Stage 3 only lowers chart A's best stage-2 fit, up to its refit's
+    stopping gap, and the result is at most the polished chart-A fit; so a
+    stage-2 chart-A fit of value v with v + floor < (1 - _GAP) cut bounds
+    the result below cut.  Such a fit ends the search at once; cut = 0
+    never ends it.
+    """
+    X, Y, fvals = _disk_nodes(f)
+
+    # stage 1: theta scan with a light inner search on a node subsample
+    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
+    scan = _theta_scan(X[sub], Y[sub], fvals[sub], lp, lm)
+
+    # stage 2: exact fits at the leading angle of each basin; every pick
+    # below is a min, which keeps the earliest of tied fits
+    obj = _RampObjective(X, Y, fvals, lp, lm)
+    below = cut - _GAP * cut - obj.floor
+    fits_a, fits_b = [], []
+    leaders = np.argsort(scan, kind="stable")[:3].tolist()
+    for i, k in enumerate(leaders):
+        if any(min(abs(k - j), _THETA_GRID - abs(k - j)) <= _BASIN for j in leaders[:i]):
+            continue
+        theta = float(_THETAS[k])
+        ref = None
+        for tau in _TAUS:
+            fits_a.append(obj.fit_a(theta, tau, ref=ref))
+            if fits_a[-1].value < below:
+                return None
+            ref = fits_a[-1].ref
+        fits_b.append(obj.fit_b(theta))
+
+    # stage 3: polish each chart's best fit
+    best_a = _polish(obj, 0, min(fits_a, key=lambda fit: fit.value))
+    if best_a.tau == 0.0:
+        # chart A at tau = 0 is chart B's edge beta2 = 0: chart B's fit at
+        # that angle makes the result exact over both coefficients
+        fits_b.append(obj.fit_b(best_a.theta))
+    best_b = _polish(obj, 1, min(fits_b, key=lambda fit: fit.value))
+    return min((best_a, best_b), key=lambda fit: fit.value)
+
+
 def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tuple[float, GlobalProfile]:
     """Sup-norm distance on the unit disk to the rotated ramp class.
 
@@ -606,35 +650,21 @@ def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tup
     is admissible, so it bounds the true infimum from above; it is exact
     over (beta1, beta2) at the returned theta and tau.
     """
-    X, Y, fvals = _disk_nodes(f)
-
-    # stage 1: theta scan with a light inner search on a node subsample
-    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
-    scan = _theta_scan(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
-
-    # stage 2: exact fits at the leading angle of each basin; every pick
-    # below is a min, which keeps the earliest of tied fits
-    obj = _RampObjective(X, Y, fvals, lambda_plus, lambda_minus)
-    fits_a, fits_b = [], []
-    leaders = np.argsort(scan, kind="stable")[:3].tolist()
-    for i, k in enumerate(leaders):
-        if any(min(abs(k - j), _THETA_GRID - abs(k - j)) <= _BASIN for j in leaders[:i]):
-            continue
-        theta = float(_THETAS[k])
-        fits_a.append(obj.fit_a(theta, _TAUS[0]))
-        for tau in _TAUS[1:]:
-            fits_a.append(obj.fit_a(theta, tau, ref=fits_a[-1].ref))
-        fits_b.append(obj.fit_b(theta))
-
-    # stage 3: polish each chart's best fit
-    best_a = _polish(obj, 0, min(fits_a, key=lambda fit: fit.value))
-    if best_a.tau == 0.0:
-        # chart A at tau = 0 is chart B's edge beta2 = 0: chart B's fit at
-        # that angle makes the result exact over both coefficients
-        fits_b.append(obj.fit_b(best_a.theta))
-    best_b = _polish(obj, 1, min(fits_b, key=lambda fit: fit.value))
-    best = min((best_a, best_b), key=lambda fit: fit.value)
+    best = _ramp_search(f, lambda_plus, lambda_minus, 0.0)
     return best.value, GlobalProfile(best.beta1, best.beta2, best.tau, best.theta, lambda_plus, lambda_minus)
+
+
+def dist_to_M_below(f: ScalarField, cut: float, *, lambda_plus: float, lambda_minus: float) -> bool:
+    """Whether ``dist_to_M`` of f is below cut, searching only as far as the answer needs.
+
+    The search is ``dist_to_M``'s, in the same order and with the same warm
+    starts; it stops at the first stage-2 chart-A fit that lies below cut
+    by more than its exchange's stopping gap, which bounds the distance
+    below cut, and otherwise runs to its end.  So wherever ``dist_to_M``
+    returns, the answer is ``dist_to_M(f)[0] < cut``.
+    """
+    best = _ramp_search(f, lambda_plus, lambda_minus, cut)
+    return best is None or best.value < cut
 
 
 # ---------------------------------------------------------------------------

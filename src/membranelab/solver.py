@@ -24,17 +24,19 @@ Pinned nodes are released one layer per sweep, so from a harmonic start
 the sweep count grows like n.  `solve` therefore runs the loop on a
 ladder of nested grids (Brandt & Cryer, SIAM J. Sci. Stat. Comput. 4,
 1983): it halves the grid while n - 1 stays even on both axes and the
-coarse grid keeps at least 17 nodes per axis, solves the coarsest level
-from the harmonic extension, and starts each finer level (its values and
-its states) from the bilinear prolongation of the level below, so a
-level needs only a few sweeps, at most tol_pattern of them.  Before the
-states are read, two red-black passes of nonlinear Gauss-Seidel on J_h
-move each interior node of the prolonged field to its exact coordinate
-minimiser (projected relaxation after interpolation, as Brandt & Cryer
-do); that removes the interface error of about one cell that
-interpolation leaves, which would otherwise cost a sweep or more, and
-J_h does not rise.  The harmonic start only seeds the states, so it
-meets the loose target of the sweeps below.
+coarse grid keeps at least 17 nodes per axis, starts the coarsest level
+from the harmonic extension, and each finer level (its values and its
+states) from the bilinear prolongation of the level below, so a level
+needs only a few sweeps, at most tol_pattern of them.  Before the states
+are read, six red-black passes of nonlinear Gauss-Seidel on J_h move
+each interior node of the start, harmonic or prolonged, to its exact
+coordinate minimiser (projected relaxation after interpolation, which
+Brandt & Cryer run until it fixes the states; six passes is where the
+sweep counts stop falling); that removes the interface error of about
+one cell that interpolation leaves, which would otherwise cost a sweep
+or more, and J_h does not rise.  The harmonic
+start only seeds the states, so it meets the loose target of the sweeps
+below.
 
 Sweeps are loose until the state pattern settles.  A sweep is a
 semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
@@ -42,8 +44,10 @@ semismooth Newton step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), so while
 the states move, CG stops at the release margin 100 tol_linear / h^2 of
 the multiplier test: at a pinned node the Laplacian errs by about the
-residual.  A coarse level only seeds the next one, so it meets only that
-loose target and returns at its first sweep that changes no state.  On
+residual.  One solve has one such target, with h the finest grid step:
+a coarse level only seeds the next one, so it needs no tighter target
+than the finest level's loose sweeps, and returns at its first sweep
+that changes no state.  On
 the finest level such a sweep continues CG from its field down to
 tol_linear and tests the states again, and every later sweep is tight;
 the level returns only when a tight solve changes no state.  So only the
@@ -424,8 +428,13 @@ def _prolong(coarse: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return out
 
 
+# red-black passes of `_relax` on every start: four leave the finest level of
+# the shifted profile solves at 3 sweeps, eight gain nothing over six
+_RELAX_PASSES = 6
+
+
 def _relax(spec: ProblemSpec, full: np.ndarray) -> np.ndarray:
-    """Two red-black nonlinear Gauss-Seidel passes on J_h from full; returns a new array.
+    """_RELAX_PASSES red-black nonlinear Gauss-Seidel passes on J_h from full; returns a new array.
 
     Each interior node takes its exact minimiser of J_h with its neighbours
     held: (S - h^2 lp / 2) / 4 if that is positive, (S + h^2 lm / 2) / 4 if
@@ -440,7 +449,7 @@ def _relax(spec: ProblemSpec, full: np.ndarray) -> np.ndarray:
     ring = layout.embed(np.ones(layout.shape)) == 0.0
     h2 = g.h * g.h
     lp, lm = 0.5 * h2 * spec.lambda_plus, 0.5 * h2 * spec.lambda_minus
-    for sl in 2 * layout.colours:
+    for sl in _RELAX_PASSES * layout.colours:
         s = layout.neighbors(v, sl)
         new = np.maximum(0.25 * (s - lp), 0.0) + np.minimum(0.25 * (s + lm), 0.0)
         v[sl] = np.where(ring[sl], v[sl], new)
@@ -454,14 +463,16 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     the coarse grid keeps at least 17 nodes per axis; a coarse level takes
     every other boundary node of the data.  The coarsest level starts from
     the harmonic extension of its data, solved to the loose target, and
-    every finer level from the bilinear prolongation of the level below,
-    relaxed by two nonlinear Gauss-Seidel passes (`_relax`), which is both
-    its warm start and its initial state configuration.  A grid with odd
-    n - 1 is a one-level ladder, though its CG runs the full V-cycle, and
-    its one level is never relaxed.  Sweeps solve loosely, to the
-    multiplier test's release margin, until the states settle; coarse
-    levels stop there, and the finest level then re-solves down to
-    tol_linear within the same sweep (see the module docstring).
+    every finer level from the bilinear prolongation of the level below;
+    each start is relaxed by six nonlinear Gauss-Seidel passes (`_relax`),
+    which gives the level both its warm start and its initial state
+    configuration.  A grid with odd n - 1 is a one-level ladder, though its
+    CG runs the full V-cycle, and its one level starts from its relaxed
+    harmonic extension.  Sweeps solve loosely, to the multiplier test's
+    release margin 100 tol_linear / h^2 of the finest grid step h on every
+    level, until the states settle; coarse levels stop there, and the
+    finest level then re-solves down to tol_linear within the same sweep
+    (see the module docstring).
     tol_pattern bounds the sweeps of every level; a tight re-solve is not
     a sweep of its own.  The report describes the finest level;
     `report.levels` holds one record per level, coarsest first.
@@ -477,31 +488,35 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     ladder = [spec]
     while (coarse := _coarsen(ladder[-1])) is not None:
         ladder.append(coarse)
+    # release threshold above the CG noise floor: value errors of size
+    # tol_linear are amplified by 1/h^2 in the discrete Laplacian; a pinned
+    # node's Laplacian errs by about the residual, so it is also the CG
+    # target of a loose sweep.  Coarse levels only seed the finest one, so
+    # every level takes the finest level's margin.
+    loose = 100.0 * spec.tol_linear / (spec.grid.h * spec.grid.h)
     levels: list[dict] = []
     u = None
     for level in reversed(ladder):
-        start = None if u is None else _relax(level, _prolong(u.values, level))
-        u, report = _active_set(level, start, levels, finest=level is spec)
+        # the prolonged start is not bound here, so `_active_set` can drop it once relaxed
+        u, report = _active_set(level, None if u is None else _prolong(u.values, level), loose, levels,
+                                finest=level is spec)
     return u, report
 
 
-def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
+def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, levels: list[dict],
                 finest: bool) -> tuple[ScalarField, SolveReport]:
-    """Active-set loop on one grid from start, or from the harmonic extension.
+    """Active-set loop on one grid from start, or from the harmonic extension, relaxed by `_relax`.
 
-    Sweeps are loose until the states settle; only the finest level
-    certifies them with a tight solve (see the module docstring).
-    Appends this level's record to levels, which the report shares.
+    tol_mult is the loose CG target and the release margin of the
+    multiplier test.  Sweeps are loose until the states settle; only the
+    finest level certifies them with a tight solve (see the module
+    docstring).  Appends this level's record to levels, which the report
+    shares.
     """
     g = spec.grid
     h2 = g.h * g.h
     tolz = spec.tol_zero
     lp, lm = spec.lambda_plus, spec.lambda_minus
-    # release threshold above the CG noise floor: value errors of size
-    # tol_linear are amplified by 1/h^2 in the discrete Laplacian; a pinned
-    # node's Laplacian errs by about the residual, so it is also the CG
-    # target of a loose sweep
-    tol_mult = 100.0 * spec.tol_linear / h2
     max_cg = 60 * max(g.nx, g.ny)
     # inner margin keeps residuals recomputed in fresh arithmetic under
     # tol_linear despite 1/h^2-amplified rounding
@@ -512,15 +527,17 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, levels: list[dict],
     record = {"nx": g.nx, "ny": g.ny, "sweeps": 0, "cg_iterations": 0}
     levels.append(record)
 
-    U = start
-    if U is None:
+    if start is None:
         # harmonic initialization: all nodes free, zero forcing; it only
         # seeds the states, so it meets the loose target
         all_free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
         w, _, record["cg_iterations"] = _cg(_vcycle_ladder(g.h, all_free), nbr_b,
                                             np.zeros_like(nbr_b), tol_mult, max_cg)
-        U = bvals.copy()
-        U[1:-1, 1:-1] = w
+        start = bvals.copy()
+        start[1:-1, 1:-1] = w
+    # drop the unrelaxed start: kept through the sweeps, it would be one
+    # more full grid at the solve's memory peak
+    U, start = _relax(spec, start), None
     state = _pattern(U[1:-1, 1:-1], tolz)
 
     report = SolveReport(iterations=0, final_energy=float("inf"), final_residual=float("inf"),

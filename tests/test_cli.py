@@ -662,6 +662,35 @@ classify_budget = 2
         assert row.sup_boundary_diff == pytest.approx(row.delta * peak, rel=1e-12)
 
 
+# the amplitudes of the shift-sweep benchmark configs of seeds 1 and 7919
+# (perfbench/workloads.py); the rest of their configs is SWEEP_INI's
+BENCH_SWEEP_AMPLITUDES = {
+    1: "0.10047286498801027, 0.05023643249400513, 0.025118216247002566",
+    7919: "0.1048703101408249, 0.05243515507041245, 0.026217577535206225",
+}
+
+
+@pytest.mark.parametrize("seed", list(BENCH_SWEEP_AMPLITUDES))
+def test_sweep_labels_are_the_full_classification_labels(tmp_path, monkeypatch, seed):
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        f"\n[sweep]\nfamily = constant\namplitudes = {BENCH_SWEEP_AMPLITUDES[seed]}\n")
+    cfg, fa_ref = solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "lab")))
+    classify_point = cli.classify_point
+    checked = []
+
+    def checking(fa, ladder, evidence=True):
+        assert evidence is False
+        fast, full = classify_point(fa, ladder, evidence=False), classify_point(fa, ladder)
+        assert (fast.label, fast.evidence["decided_by"]) == (full.label, full.evidence["decided_by"])
+        checked.append(ladder.center)
+        return fast
+
+    monkeypatch.setattr(cli, "classify_point", checking)
+    report = stability_sweep(cfg, fa_ref)
+    assert checked == list(report.reference_points)
+    assert report.reference_labels == ("branch",) * 8
+
+
 def test_sweep_aborts_on_one_phase_reference(tmp_path, capsys):
     ini = write_ini(tmp_path, POLY_SWEEP_INI.format(out=tmp_path / "ps"))
     with pytest.raises(SweepHypothesisError):

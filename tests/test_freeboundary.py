@@ -14,11 +14,13 @@ from membranelab import (
     NotVerticallySimpleError,
     ProblemSpec,
     RadiusLadder,
+    ScalarField,
     ZeroSetEmptyError,
     build_grid,
     circle_trace,
     classify_point,
     covering_count,
+    dist_to_M,
     dist_to_polynomial_class,
     eval_many,
     extract_free_boundary,
@@ -30,8 +32,8 @@ from membranelab import (
     sample,
     solve,
 )
-from membranelab import GlobalProfile, OnePhasePolynomial, freeboundary
-from membranelab.cli import _write_free_boundary
+from membranelab import GlobalProfile, OnePhasePolynomial, freeboundary, profiles
+from membranelab.cli import _reference_points, _write_free_boundary
 from conftest import make_profile_problem, profile_fn, spec_of
 
 S_1 = math.sqrt(3.0 * math.pi / 16.0)
@@ -368,6 +370,85 @@ def test_analysis_at_asymmetric_lambdas(lp, lm):
         assert pc.label == "branch", (p, pc.evidence)
         assert pc.evidence["dist_to_m"] < 0.01
         assert fit_two_graphs(fa, p, 0.25).theta == pytest.approx(0.3, abs=1e-3)
+
+
+def near_cut_blowup(seed, target):
+    """A ramp plus a random smooth wave on the blow-up grid, scaled by bisection until dist_to_M is within 2.5e-4 of target."""
+    g = freeboundary._BLOWUP_GRID
+    rng = np.random.default_rng(seed)
+    v = GlobalProfile(rng.uniform(0.5, 2.0), 0.0, rng.uniform(-0.5, 0.0), rng.uniform(-math.pi, math.pi), 2.0, 2.0)
+    k, phase, amp = rng.normal(size=(3, 2)) * 3.0, rng.uniform(0.0, 2.0 * math.pi, 3), rng.normal(size=3)
+    X, Y = g.meshgrid()
+    wave = sum(a * np.sin(kx * X + ky * Y + ph) for a, (kx, ky), ph in zip(amp, k, phase))
+    wave /= np.max(np.abs(wave))
+    ramp = eval_many(v, X, Y)
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        c = 0.5 * (lo + hi)
+        f = ScalarField(g, ramp + c * wave)
+        d = dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)[0]
+        if abs(d - target) <= 2.5e-4:
+            return f
+        lo, hi = (c, hi) if d < target else (lo, c)
+    raise AssertionError(f"no scale of seed {seed} reaches {target}")
+
+
+def test_label_only_classification_near_the_distance_cut(profile_solutions, monkeypatch):
+    # the blow-up of a branch point of the solved profile is replaced by
+    # fields whose dist_to_M lies within 1e-3 of the cut, on both sides:
+    # there no stage-2 fit may be surely below the cut, and the label path
+    # then runs its search to the end
+    _, spec, u, _ = profile_solutions[129]
+    fa = FieldAnalysis(u, spec)
+    ladder = RadiusLadder((0.0, 0.0), (8 * spec.grid.h,))
+    cut = freeboundary._TOL_DIST
+    polished, labels, fallbacks = [], [], 0
+    real_polish = profiles._polish
+
+    def counting_polish(*args):
+        polished.append(args[1])
+        return real_polish(*args)
+
+    monkeypatch.setattr(profiles, "_polish", counting_polish)
+    for seed in range(6):
+        f = near_cut_blowup(seed, cut + (5e-4 if seed % 2 else -5e-4))
+        monkeypatch.setattr(freeboundary, "blowup_rescale", lambda *args: f)
+        full = classify_point(fa, ladder)
+        assert abs(full.evidence["dist_to_m"] - cut) <= 1e-3
+        polished.clear()
+        fast = classify_point(fa, ladder, evidence=False)
+        assert (fast.label, fast.evidence["decided_by"]) == (full.label, full.evidence["decided_by"]), seed
+        assert fast.evidence["dist_to_m"] is None
+        labels.append(full.label)
+        fallbacks += full.label == "branch" and bool(polished)
+    assert "branch" in labels and "indeterminate" in labels
+    # a field below the cut that no stage-2 fit decided
+    assert fallbacks >= 1
+
+
+def test_label_only_classification_of_sweep_targets_skips_the_polish(profile_solutions, monkeypatch):
+    # at a branch target a chart-A fit of the first leader is far below the
+    # cut, so the search ends there: one scan, no polish, no dist_to_M
+    _, spec, u, _ = profile_solutions[129]
+    fa = FieldAnalysis(u, spec)
+    h = spec.grid.h
+    calls = {"scan": 0, "polish": 0, "dist_to_M": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(profiles, "_theta_scan", counting("scan", profiles._theta_scan))
+    monkeypatch.setattr(profiles, "_polish", counting("polish", profiles._polish))
+    monkeypatch.setattr(freeboundary, "dist_to_M", counting("dist_to_M", freeboundary.dist_to_M))
+    points = _reference_points(fa.free_boundary, spec.grid, 0.25, 8)
+    assert len(points) == 8
+    for p in points:
+        pc = classify_point(fa, RadiusLadder(p, (8 * h,)), evidence=False)
+        assert pc.label == "branch"
+    assert calls == {"scan": 8, "polish": 0, "dist_to_M": 0}
 
 
 def test_field_analysis_rejects_a_field_off_its_problem_grid():

@@ -344,6 +344,20 @@ def test_one_radius_ladder_classifies_as_the_default_ladder(kernel_cases):
     assert labels == {"regular", "branch", "one_phase_singular", "indeterminate"}
 
 
+def test_label_only_classification_gives_the_full_label(kernel_cases):
+    # the sweep's call: the ramp distance is skipped or cut short wherever
+    # the label does not read its value, and the label and deciding test
+    # stay the full call's
+    labels = set()
+    for u, p, radii in kernel_cases:
+        fa = FieldAnalysis(u, spec_of(u))
+        ladder = RadiusLadder(p, radii)
+        full, fast = classify_point(fa, ladder), classify_point(fa, ladder, evidence=False)
+        assert (fast.label, fast.evidence["decided_by"]) == (full.label, full.evidence["decided_by"]), p
+        labels.add(full.label)
+    assert labels == {"branch", "one_phase_singular", "indeterminate"}
+
+
 def test_classification_psi_is_the_per_field_psi(profile_solutions):
     v, spec, u, _ = profile_solutions[129]
     h = spec.grid.h

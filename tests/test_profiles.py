@@ -581,29 +581,36 @@ dir = {out}
 
 @pytest.fixture(scope="module")
 def sweep_blowups(tmp_path_factory):
-    """The dist_to_M inputs of a constant-shift sweep on n = 129 profile data.
+    """The ramp-distance inputs of a constant-shift sweep on n = 129 profile data.
 
     The 8h blow-ups of the reference field that classify its points, and
     the window/2 blow-ups of the field solved with a shift of 0.1 that fit
-    its graphs, each as (field, lambda_plus, lambda_minus).  They carry the
-    solver's rounding, which no analytic case of SCAN_CASES has.
+    its graphs, each as (field, lambda_plus, lambda_minus), recorded where
+    the sweep builds them: its label-only classification asks
+    ``dist_to_M_below``, not ``dist_to_M``.  They carry the solver's
+    rounding, which no analytic case of SCAN_CASES has.
     """
     tmp = tmp_path_factory.mktemp("sweep")
     ini = tmp / "sweep.ini"
     ini.write_text(SWEEP_INI.format(out=tmp / "out"))
     config = load_config(str(ini))
     u_ref, _ = solve(config.spec)
-    seen = []
+    spec = config.spec
+    seen, radii = [], []
 
-    def recording(f, *, lambda_plus, lambda_minus):
-        seen.append((f, lambda_plus, lambda_minus))
-        return dist_to_M(f, lambda_plus=lambda_plus, lambda_minus=lambda_minus)
+    def recording(u, p, r, grid):
+        radii.append(r)
+        f = blowup_rescale(u, p, r, grid)
+        seen.append((f, spec.lambda_plus, spec.lambda_minus))
+        return f
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(freeboundary, "dist_to_M", recording)
-        report = stability_sweep(config, FieldAnalysis(u_ref, config.spec))
+        mp.setattr(freeboundary, "blowup_rescale", recording)
+        report = stability_sweep(config, FieldAnalysis(u_ref, spec))
     assert report.reference_labels == ("branch", "branch")
-    assert len(seen) == 4
+    # two classifications, then one graph fit per branch point
+    h, window = spec.grid.h, config.sweep["window"]
+    assert radii == [8 * h, 8 * h, 0.5 * window, 0.5 * window]
     return seen
 
 

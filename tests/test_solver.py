@@ -674,18 +674,23 @@ def test_shifted_profile_solves_take_few_finest_cg_iterations(profile_solutions)
 
 # name: per-level (nx, sweeps, cg_iterations), coarsest first, of
 # shifted_profile_problem(129, delta); without the smoothed prolonged start
-# the finest level took 4 sweeps on each
+# the finest level took 4 sweeps on each.  With two relaxation passes on the
+# prolonged starts only, and each level's loose target from its own h, they
+# were
+#   0.1: (17, 4, 34), (33, 2, 11), (65, 2, 13), (129, 3, 30)
+#   0.05: (17, 5, 35), (33, 2, 14), (65, 3, 19), (129, 3, 32)
+#   0.025: (17, 3, 26), (33, 3, 17), (65, 2, 15), (129, 3, 32)
 SHIFTED_129_COUNTS = {
-    0.1: [(17, 4, 34), (33, 2, 11), (65, 2, 13), (129, 3, 30)],
-    0.05: [(17, 5, 35), (33, 2, 14), (65, 3, 19), (129, 3, 32)],
-    0.025: [(17, 3, 26), (33, 3, 17), (65, 2, 15), (129, 3, 32)],
+    0.1: [(17, 4, 25), (33, 2, 7), (65, 3, 15), (129, 2, 24)],
+    0.05: [(17, 4, 21), (33, 2, 10), (65, 1, 6), (129, 3, 32)],
+    0.025: [(17, 3, 20), (33, 3, 13), (65, 2, 13), (129, 3, 32)],
 }
 
 
 @pytest.mark.parametrize("delta", list(SHIFTED_129_COUNTS))
 def test_shifted_profile_sweeps_and_cg_iterations_are_pinned(delta):
-    # the counts are deterministic; a change that loses the smoothed start
-    # or the loose harmonic start moves them
+    # the counts are deterministic; a change that loses the smoothed starts,
+    # the relaxed harmonic start or the one loose target moves them
     _, report = solve(shifted_profile_problem(129, delta))
     got = [(level["nx"], level["sweeps"], level["cg_iterations"]) for level in report.levels]
     assert got == SHIFTED_129_COUNTS[delta]
@@ -707,12 +712,12 @@ def random_spec(nx, ny, lp, lm, seed):
 
 
 def relax_node_by_node(spec, v):
-    """Two red-black passes, one node at a time; each update is checked as a coordinate minimiser."""
+    """The solver's red-black passes, one node at a time; each update is checked as a coordinate minimiser."""
     v = v.copy()
     h2 = spec.grid.h ** 2
     hp, hm = 0.5 * h2 * spec.lambda_plus, 0.5 * h2 * spec.lambda_minus
     ny, nx = v.shape
-    for colour in (0, 1, 0, 1):
+    for colour in (0, 1) * solver_module._RELAX_PASSES:
         for i in range(1, ny - 1):
             for j in range(1, nx - 1):
                 if (i + j) % 2 != colour:
@@ -772,23 +777,31 @@ def test_antisymmetric_profile_data_settles_in_one_finest_sweep(n):
 
 
 def test_harmonic_start_meets_the_loose_target(monkeypatch, profile_solutions):
-    calls = []
+    calls, relaxed = [], []
 
     def recording_cg(ladder, rhs, w0, tol, max_iter):
         out = _cg(ladder, rhs, w0, tol, max_iter)
         calls.append((rhs.shape, tol, out[2]))
         return out
 
+    def recording_relax(spec, full):
+        relaxed.append(spec.grid.nx)
+        return _relax(spec, full)
+
     monkeypatch.setattr(solver_module, "_cg", recording_cg)
+    monkeypatch.setattr(solver_module, "_relax", recording_relax)
     _, spec, _, _ = profile_solutions[129]
     _, report = solve(spec)
     coarsest = report.levels[0]
     assert (coarsest["nx"], coarsest["ny"]) == (17, 17)
     shape, tol, _ = calls[0]
     assert shape == (15, 15)
-    assert tol == 100.0 * spec.tol_linear / (2.0 / 16) ** 2
-    # 16 when the harmonic start met 0.9 tol_linear
-    assert coarsest["cg_iterations"] < 16
+    # the finest level's loose target, not the 64 times tighter one of h = 2 / 16
+    assert tol == 100.0 * spec.tol_linear / (2.0 / 128) ** 2
+    # every start is relaxed, the coarsest level's harmonic start too
+    assert relaxed == [17, 33, 65, 129]
+    # 16 when the harmonic start met 0.9 tol_linear, 13 at its own level's loose target
+    assert coarsest["cg_iterations"] < 13
     # the finest level still ends on its tight solve
     assert calls[-1][:2] == ((127, 127), 0.9 * spec.tol_linear)
     assert report.final_residual <= spec.tol_linear
