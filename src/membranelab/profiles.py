@@ -145,19 +145,22 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 # and hands the three smallest on to stage 2.  The scan is pruned, but
 # exactly.  A node's error is computed with the same floating-point
 # operations wherever it is computed, so a max over fewer nodes never
-# exceeds the full one.  One table holds that max over every
-# _ORDER_STRIDE-th node for each pair of angle and quick-grid candidate;
-# its min over the candidates bounds scan(theta) from below.  Angles are
-# taken one at a time in order of increasing bound, until the next bound
-# is strictly above the third smallest exact value found so far.  Within
-# an angle, the candidate of least table entry is evaluated on all nodes
-# first, giving t, and then only the candidates whose entry is not above
-# t: a skipped candidate has a full max >= its entry > t, so the angle's
-# value is exact.  Every angle skipped has scan >= bound > the final third
-# value, so it can be neither a leader nor tied with one, and it keeps
-# +inf.  Leaders are the three smallest values, ties going to the lower
-# angle index.  The rotation is taken per angle with math.cos and math.sin
-# as in ``_rotated_x1``.
+# exceeds the full one.  One table holds that max over the rim nodes for
+# each pair of angle and quick-grid candidate; its min over the candidates
+# bounds scan(theta) from below.  The rim nodes are the scan's own nodes
+# farthest out along each of _RIM_DIRECTIONS evenly spaced directions.  Near
+# the centre every ramp fits well, and a ramp's error grows like rho^2 away
+# from it, so the rim nodes bound tighter, and prune more angles, than nodes
+# spread over the disk.  Angles are taken one at a time in order of
+# increasing bound, until the next bound is strictly above the third
+# smallest exact value found so far.  Within an angle, the candidate of
+# least table entry is evaluated on all nodes first, giving t, and then only
+# the candidates whose entry is not above t: a skipped candidate has a full
+# max >= its entry > t, so the angle's value is exact.  Every angle skipped
+# has scan >= bound > the final third value, so it can be neither a leader
+# nor tied with one, and it keeps +inf.  Leaders are the three smallest
+# values, ties going to the lower angle index.  The rotation is taken per
+# angle with math.cos and math.sin as in ``_rotated_x1``.
 #
 # Stage 2 solves for the linear coefficients exactly.  At a fixed angle the
 # ramp is linear in (beta1, beta2), and in beta1 alone at a fixed tau, so
@@ -233,14 +236,15 @@ def profile_boundary_trace(obj, grid: Grid2D) -> BoundaryMap:
 #
 # Search constants: the box bounds A, B, C of the charts below; the number
 # of angles of the theta scan and of chart A's starting taus; the scan's
-# angles and their rotations; the node stride of the bound table; the
-# relative gap at which an exchange or a polish stops; the rounding of a
-# coefficient on a face, or of a zero gradient; the inverse of the largest
-# condition number of a usable reference, and the smallest usable pivot
-# relative to the largest; the most passes of an exchange; the scan steps
-# within which two leaders share a basin; the first trust radius (one
-# scan step); the least ratio of actual to predicted decrease that takes
-# a step; the most steps of a polish.
+# angles and their rotations; the directions whose rim nodes make the
+# bound table (four bound too loosely, eight or more cost more than they
+# prune); the relative gap at which an exchange or a polish stops; the
+# rounding of a coefficient on a face, or of a zero gradient; the inverse
+# of the largest condition number of a usable reference, and the smallest
+# usable pivot relative to the largest; the most passes of an exchange;
+# the scan steps within which two leaders share a basin; the first trust
+# radius (one scan step); the least ratio of actual to predicted decrease
+# that takes a step; the most steps of a polish.
 
 _A = 4.0
 _B = 4.0
@@ -251,7 +255,7 @@ _THETAS = -math.pi + 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
 _COS = np.array([math.cos(t) for t in _THETAS.tolist()])
 _SIN = np.array([math.sin(t) for t in _THETAS.tolist()])
 _TAUS = np.linspace(-1.0, 0.0, _TAU_GRID + 1)[1:].tolist()
-_ORDER_STRIDE = 64
+_RIM_DIRECTIONS = 6
 _GAP = 1e-13
 _EPS = float(np.finfo(float).eps)
 _ROUND = 8.0 * _EPS * max(_A, _B)
@@ -578,10 +582,21 @@ def _quick_sups(x1, bases, fvals, cands) -> np.ndarray:
     return np.max(np.abs(cand - fvals), axis=1)
 
 
+def _rim_nodes(X, Y) -> np.ndarray:
+    """Sorted indices of the nodes farthest out along each of _RIM_DIRECTIONS evenly spaced directions.
+
+    Each is the first argmax of X cos phi + Y sin phi, and a node that
+    leads along two directions is listed once.
+    """
+    phi = 2.0 * math.pi * np.arange(_RIM_DIRECTIONS) / _RIM_DIRECTIONS
+    lead = np.argmax(X[:, None] * np.cos(phi) + Y[:, None] * np.sin(phi), axis=0)
+    return np.array(sorted(set(lead.tolist())))   # np.unique would import numpy.ma, about 1 MB
+
+
 def _theta_scan(X, Y, fvals, lp, lm) -> np.ndarray:
     """Stage-1 value per angle of ``_THETAS``; pruned angles hold +inf."""
-    coarse = slice(None, None, _ORDER_STRIDE)
-    table = _bound_table(X[coarse], Y[coarse], fvals[coarse], lp, lm)
+    rim = _rim_nodes(X, Y)
+    table = _bound_table(X[rim], Y[rim], fvals[rim], lp, lm)
     bound = table.min(axis=0)
     scan = np.full(_THETA_GRID, math.inf)
     for k in np.argsort(bound, kind="stable").tolist():

@@ -421,11 +421,17 @@ def loop_theta_scan(X, Y, fvals, lp, lm):
     return scan
 
 
+def stage1_args(f, lp, lm):
+    """The stage-1 arguments dist_to_M passes for a field."""
+    X, Y, fvals = profiles._disk_nodes(f)
+    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
+    return X[sub], Y[sub], fvals[sub], lp, lm
+
+
 def oracle_dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0):
     """dist_to_M with every candidate evaluated in full."""
     X, Y, fvals = profiles._disk_nodes(f)
-    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
-    scan = loop_theta_scan(X[sub], Y[sub], fvals[sub], lambda_plus, lambda_minus)
+    scan = loop_theta_scan(*stage1_args(f, lambda_plus, lambda_minus))
     obj = OracleObjective(X, Y, fvals, lambda_plus, lambda_minus)
     best = None
     for k in np.argsort(scan, kind="stable")[:3]:
@@ -471,9 +477,35 @@ SCAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(SCAN_CASES))
+def noisy_ramp_case(seed, n):
+    """A SCAN_CASES entry: a seeded noisy ramp of random angle, slab offset and lambdas in [0.2, 5]."""
+    rng = np.random.default_rng(seed)
+    beta1, theta, tau, lp, lm, noise = (rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 0.0),
+                                        rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), 10.0 ** rng.uniform(-3.0, -1.5))
+    ramp = ramp_fn(beta1=beta1, tau=tau, theta=theta, lp=lp, lm=lm)
+
+    def fn(X, Y):
+        return ramp(X, Y) + noise * np.random.default_rng(seed).standard_normal(X.shape)
+    return n, fn, lp, lm, True
+
+
+def cubic_fn(X, Y):
+    # a seeded cubic, far from every ramp
+    a, b, c, d = np.random.default_rng(11).standard_normal(4)
+    return a * X**3 + b * X**2 * Y + c * X * Y**2 + d * Y**3
+
+
+# seeded random fields, on which the bound prunes other angles than on the
+# analytic cases
+RANDOM_SCAN_CASES = {
+    **{f"noisy_ramp_{n}_seed{seed}": noisy_ramp_case(seed, n) for n in (33, 65) for seed in (1, 2, 3)},
+    "cubic": (65, cubic_fn, 1.3, 0.7, False),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_CASES) + list(RANDOM_SCAN_CASES))
 def test_pruned_theta_scan_matches_the_full_loop(name, monkeypatch):
-    n, fn, lp, lm, near_ramp = SCAN_CASES[name]
+    n, fn, lp, lm, near_ramp = {**SCAN_CASES, **RANDOM_SCAN_CASES}[name]
     f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn)
     seen = {}
     pruned_scan = profiles._theta_scan
@@ -513,13 +545,6 @@ def test_theta_scan_tie_goes_to_the_lower_angle():
     assert list(np.argsort(scan, kind="stable")[:3]) == [179, 181, 180]
 
 
-def stage1_args(f, lp, lm):
-    """The stage-1 arguments dist_to_M passes for a field."""
-    X, Y, fvals = profiles._disk_nodes(f)
-    sub = slice(None, None, 4) if X.size > 2000 else slice(None)
-    return X[sub], Y[sub], fvals[sub], lp, lm
-
-
 def scan_args(name):
     """The stage-1 arguments dist_to_M passes for a SCAN_CASES field."""
     n, fn, lp, lm, _ = SCAN_CASES[name]
@@ -528,12 +553,28 @@ def scan_args(name):
 
 @pytest.mark.parametrize("name", ["noise", "asymmetric_lambdas"])
 def test_bound_table_matches_the_loop_per_candidate(name):
-    # the table's entries are the loop's sup errors over the ordering nodes,
-    # to the bit, so a table entry never exceeds the candidate's full value
+    # the table's entries are the loop's sup errors over the rim nodes, to
+    # the bit, so a table entry never exceeds the candidate's full value
     X, Y, fvals, lp, lm = scan_args(name)
-    coarse = slice(None, None, profiles._ORDER_STRIDE)
-    args = (X[coarse], Y[coarse], fvals[coarse], lp, lm)
+    rim = profiles._rim_nodes(X, Y)
+    args = (X[rim], Y[rim], fvals[rim], lp, lm)
     assert np.array_equal(profiles._bound_table(*args), loop_candidate_sups(*args))
+
+
+@pytest.mark.parametrize("name", ["ramp_33_no_subsample", "ramp"])
+def test_rim_nodes_lead_along_their_directions(name):
+    # the bound table is exact only over nodes of the scan's own arrays:
+    # distinct indices into them, each the farthest out along a direction
+    X, Y, _, _, _ = scan_args(name)
+    rim = profiles._rim_nodes(X, Y)
+    assert rim.dtype.kind == "i"
+    assert np.array_equal(rim, np.unique(rim))
+    assert 0 <= rim.min() and rim.max() < X.size
+    phi = 2.0 * np.pi * np.arange(profiles._RIM_DIRECTIONS) / profiles._RIM_DIRECTIONS
+    leaders = {int(np.argmax(X * c + Y * s)) for c, s in zip(np.cos(phi), np.sin(phi))}
+    assert set(rim.tolist()) == leaders
+    # they lie on the disk's rim
+    assert np.all(np.hypot(X[rim], Y[rim]) > 0.9)
 
 
 @pytest.mark.parametrize("name", [name for name, case in SCAN_CASES.items() if case[-1]])
@@ -623,6 +664,13 @@ def test_theta_scan_matches_the_full_loop_on_sweep_blowups(sweep_blowups):
         assert np.array_equal(scan[visited], full[visited])
         assert np.all(full[~visited] > np.sort(full)[2])
         assert np.array_equal(np.argsort(scan, kind="stable")[:3], np.argsort(full, kind="stable")[:3])
+
+
+def test_sweep_blowups_visit_few_angles(sweep_blowups):
+    # over the four blow-ups the rim nodes' table leaves 42 angles to
+    # evaluate exactly; a table over every 64th node leaves 59
+    visited = [np.isfinite(profiles._theta_scan(*stage1_args(f, lp, lm))).sum() for f, lp, lm in sweep_blowups]
+    assert sum(visited) < 50, visited
 
 
 # ---------------------------------------------------------------------------
