@@ -429,7 +429,8 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, window: float, budget: 
     pts = pts[keep]
     if pts.shape[0] == 0:
         return []
-    idx = np.unique(np.linspace(0, len(pts) - 1, budget).round().astype(int))
+    # a sorted set, not np.unique: its first call imports numpy.ma, about 1 MB
+    idx = sorted(set(np.linspace(0, len(pts) - 1, budget).round().astype(int).tolist()))
     return [(float(x), float(y)) for x, y in pts[idx]]
 
 

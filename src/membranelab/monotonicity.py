@@ -19,7 +19,9 @@ goes through one ladder evaluator, which crops the fields once to the
 nodes the ladder's largest ball reads, forms the layers it needs there
 (a psi pair's gradients and the directional parts equal the full fields'
 bit for bit on that window), and interpolates the whole stack from one
-locate per point, _BLOCK values per ``interpolate_many`` call.  Each
+locate per point, at most _BLOCK values per ``interpolate_many`` call;
+it builds each call's points, whole angle rows of the rule, only then,
+so no radius's points are held all at once.  Each
 integrand row is summed on its own, so its result is the same in any
 stack.  ``freeboundary.FieldAnalysis`` evaluates ``directional_psi`` once
 per field and ladder, along the four classification directions, and
@@ -55,8 +57,9 @@ _NQ = 256
 _NQ_MIN = 32
 
 # Values per interpolate_many call of the disk kernel: a stack of k fields
-# takes _BLOCK // k points per call, so the (fields, points) temporaries
-# stay at 128 KB each whatever the stack, about 1 MB in all.
+# takes the whole angle rows of _BLOCK // k points per call, so the
+# (fields, points) temporaries stay at 128 KB each whatever the stack,
+# about 1 MB in all.
 _BLOCK = 16384
 
 # Nodes a quadrature window keeps beyond its ball on each side.
@@ -115,16 +118,25 @@ def check_ball(grid: Grid2D, center: tuple[float, float], r: float) -> None:
 
 
 def _polar_disk(center, r, h):
+    """The disk rule on B_r(center), by angle rows: (points, weights).
+
+    ``points(rows)`` returns the raveled x and y of the angle rows
+    ``rows``, a slice: row i holds the nq points at angle (i + 1/2) dth,
+    one per radius (k + 1/2) dr, and a point comes out the same in any
+    slice.  ``weights`` holds each radius's weight rk dr dth, the same on
+    every row; its size is nq.
+    """
     nq = min(_NQ, max(_NQ_MIN, math.ceil(4.0 * r / h)))
     dr = r / nq
     dth = 2.0 * math.pi / nq
-    # one row per angle, one column per radius
     rk = (np.arange(nq) + 0.5) * dr
     th = ((np.arange(nq) + 0.5) * dth)[:, None]
-    xs = center[0] + rk * np.cos(th)
-    ys = center[1] + rk * np.sin(th)
-    w = np.broadcast_to(rk * dr * dth, xs.shape)
-    return xs.ravel(), ys.ravel(), w.ravel()
+    cos, sin = np.cos(th), np.sin(th)
+
+    def points(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        return (center[0] + rk * cos[rows]).ravel(), (center[1] + rk * sin[rows]).ravel()
+
+    return points, rk * dr * dth
 
 
 def _circle(center, r):
@@ -162,27 +174,31 @@ def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[fl
     Checks every ball and crops once, to the nodes the largest reads;
     ``layers(rows, cols)`` builds the (fields, rows, cols) stack there, and
     ``integrand`` maps its (fields, points) values to (rows, points).  The
-    points pass through ``interpolate_many`` in blocks of _BLOCK // fields,
-    each located once for the whole stack, and each row is summed in one
-    pass over all points, so its value does not depend on the block size
-    or on the other rows.
+    points pass through ``interpolate_many`` in blocks of whole angle
+    rows, at most _BLOCK // fields points when a row fits; each block's
+    points are built from the rule's radii and angles when it is
+    interpolated, and located once for the whole stack.  Each row of
+    integrand values is weighted and summed in one pass over all points,
+    so its value does not depend on the block size or on the other rows.
     """
     for r in radii:
         check_ball(grid, center, r)
     rows, cols = _crop(grid, center, radii[0])
     win = FieldWindow(grid, cols.start, rows.start, layers(rows, cols))
-    block = _BLOCK // win.values.shape[0]
     out = []
     for r in radii:
-        xs, ys, w = _polar_disk(center, r, grid.h)
+        points, weights = _polar_disk(center, r, grid.h)
+        nq = weights.size
+        step = max(1, _BLOCK // win.values.shape[0] // nq)
         vals = None
-        for s in range(0, w.size, block):
-            b = slice(s, s + block)
-            part = integrand(interpolate_many(win, xs[b], ys[b]))
+        for a in range(0, nq, step):
+            part = integrand(interpolate_many(win, *points(slice(a, a + step))))
             if vals is None:
-                vals = np.empty((part.shape[0], w.size))
-            vals[:, b] = part
-        vals *= w
+                vals = np.empty((part.shape[0], nq * nq))
+            vals[:, a * nq:a * nq + part.shape[1]] = part
+        # each value times the weight of its radius, the last index of a row;
+        # no view outlives the call, so vals is freed before the next radius's
+        np.multiply(vals.reshape(-1, nq, nq), weights, out=vals.reshape(-1, nq, nq))
         out.append([float(np.sum(row)) for row in vals])
     return out
 

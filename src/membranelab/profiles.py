@@ -329,6 +329,8 @@ def _disk_nodes(f: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("field grid must cover the closed unit disk")
     X, Y = g.meshgrid()
     mask = X * X + Y * Y <= 1.0 + 1e-12
+    if not mask.any():
+        raise ValueError("field grid has no node in the closed unit disk")
     return X[mask], Y[mask], f.values[mask]
 
 

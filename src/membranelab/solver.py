@@ -78,6 +78,14 @@ CG stops on its true residual: when the recursively updated residual
 meets the target, b - A w is recomputed and the iteration restarts from
 it if the drift left it above, unless it did not shrink since the last
 restart, which marks the rounding floor.
+
+A solve holds at most 14 arrays of the finest grid's size at once (13.2
+at n = 129, 11.8 at n = 257, by tracemalloc); the finest level's CG sets
+that peak.  CG shares the level's scratch array, rebuilds b - A w from the
+caller's right-hand side instead of holding b, and returns a view of its
+iterate; a sweep rebuilds its right-hand side from the data, takes the
+Laplacian only at pinned nodes, and drops its ladder before the next one
+is built.
 """
 
 from __future__ import annotations
@@ -217,19 +225,21 @@ class _Level(_Layout):
     Vectors are flat arrays of the layout; pinned nodes, the ring and the
     padding are zero Dirichlet nodes, held there by index lists of the
     interior rows (`fixed`) and of each colour slice (`fixed_colours`).
-    The work arrays are allocated once: `rhs` is a coarse level's input,
-    `z` its cycle's result, `q` = h^2 r / 4, `out` the operator's result
-    and `work` scratch.
+    The work arrays are allocated once: `rhs` is a coarse level's input
+    (the finest level has none: its input is CG's residual), `z` its
+    cycle's result, `q` = h^2 r / 4, `out` the operator's result and `work`
+    scratch, which `_cg` shares on the finest level.
     """
 
-    def __init__(self, h: float, free: np.ndarray):
+    def __init__(self, h: float, free: np.ndarray, coarse: bool):
         super().__init__(*free.shape)
         self.h2 = h * h
         self.free = free
         held = self.embed(free) == 0.0
         self.fixed = np.flatnonzero(held[self.rows])
         self.fixed_colours = tuple(np.flatnonzero(held[sl]) for sl in self.colours)
-        self.rhs, self.z, self.q, self.out = (np.zeros(self.size) for _ in range(4))
+        self.rhs = np.zeros(self.size) if coarse else None
+        self.z, self.q, self.out = (np.zeros(self.size) for _ in range(3))
         # large enough for the prolongation of the coarse level, (2 (my // 2) + 3) rows
         self.work = np.empty((self.shape[0] + 3) * self.width)
         self.inverse: np.ndarray | None = None
@@ -285,10 +295,10 @@ def _vcycle_ladder(h: float, free: np.ndarray) -> list[_Level]:
     node is free.  The coarsest level carries the dense inverse of its free
     block when it has at most 256 nodes; otherwise smoothing alone is its cycle.
     """
-    ladder = [_Level(h, free)]
+    ladder = [_Level(h, free, coarse=False)]
     while min(free.shape) > 7:
         h, free = 2.0 * h, free[1::2, 1::2]
-        ladder.append(_Level(h, free))
+        ladder.append(_Level(h, free, coarse=True))
     last = ladder[-1]
     if last.free.size <= 256:
         ids = np.arange(last.free.size).reshape(last.free.shape)
@@ -350,15 +360,21 @@ def _cg(ladder: list[_Level], rhs: np.ndarray, w0: np.ndarray, tol: float, max_i
     residual is no smaller than the previous one's returns at once: the
     residual has reached its rounding floor.  rhs, w0 and the solution are
     interior arrays; the iteration runs on flat arrays of the level's
-    layout, and each dot product sums a product of interior views.
-    Returns (solution, final max residual, iterations).
+    layout, and each dot product sums a product of interior views.  The
+    right-hand side is not held as a flat array: each restart embeds rhs
+    into r.  The level's `work` array is scratch here too, as `tmp` and as
+    the dot products' `prod`; every use of it ends before `apply` or
+    `_vcycle` next writes it.
+    Returns (solution, final max residual, iterations); the solution is an
+    interior view.
     """
     fine = ladder[0]
     inner = fine.inner
-    b = fine.embed(np.where(fine.free, rhs, 0.0))
-    w = fine.embed(np.where(fine.free, w0, 0.0))
-    r, p, tmp = np.empty(fine.size), np.empty(fine.size), np.empty(fine.size)
-    prod = np.empty(fine.shape)
+    w = fine.embed(w0)
+    w[fine.rows][fine.fixed] = 0.0
+    r, p = np.zeros(fine.size), np.empty(fine.size)
+    my, mx = fine.shape
+    tmp, prod = fine.work[:fine.size], fine.work[:my * mx].reshape(my, mx)
 
     def dot(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum(np.multiply(inner(x), inner(y), out=prod)))
@@ -369,10 +385,13 @@ def _cg(ladder: list[_Level], rhs: np.ndarray, w0: np.ndarray, tol: float, max_i
     it = 0
     res_prev = float("inf")
     while True:
-        np.subtract(b, fine.apply(w), out=r)
+        # b - A w, where b is rhs held at zero on the pinned nodes
+        inner(r)[...] = rhs
+        r[fine.rows][fine.fixed] = 0.0
+        np.subtract(r, fine.apply(w), out=r)
         res = max_abs(r)
         if res <= tol or it == max_iter or res >= res_prev:
-            return inner(w).copy(), res, it
+            return inner(w), res, it
         res_prev = res
         z = _vcycle(ladder, r)
         p[...] = z
@@ -496,8 +515,10 @@ def solve(spec: ProblemSpec) -> tuple[ScalarField, SolveReport]:
     loose = 100.0 * spec.tol_linear / (spec.grid.h * spec.grid.h)
     levels: list[dict] = []
     u = None
-    for level in reversed(ladder):
+    while ladder:
+        # popped, a coarse level's data is dropped once the next level starts;
         # the prolonged start is not bound here, so `_active_set` can drop it once relaxed
+        level = ladder.pop()
         u, report = _active_set(level, None if u is None else _prolong(u.values, level), loose, levels,
                                 finest=level is spec)
     return u, report
@@ -523,7 +544,6 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, le
     tol_cg = 0.9 * spec.tol_linear
 
     bvals = spec.boundary.values
-    nbr_b = _neighbor_sum(bvals) / h2
     record = {"nx": g.nx, "ny": g.ny, "sweeps": 0, "cg_iterations": 0}
     levels.append(record)
 
@@ -531,10 +551,9 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, le
         # harmonic initialization: all nodes free, zero forcing; it only
         # seeds the states, so it meets the loose target
         all_free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
-        w, _, record["cg_iterations"] = _cg(_vcycle_ladder(g.h, all_free), nbr_b,
-                                            np.zeros_like(nbr_b), tol_mult, max_cg)
         start = bvals.copy()
-        start[1:-1, 1:-1] = w
+        start[1:-1, 1:-1], _, record["cg_iterations"] = _cg(
+            _vcycle_ladder(g.h, all_free), _neighbor_sum(bvals) / h2, np.zeros(all_free.shape), tol_mult, max_cg)
     # drop the unrelaxed start: kept through the sweeps, it would be one
     # more full grid at the solve's memory peak
     U, start = _relax(spec, start), None
@@ -547,33 +566,44 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, le
     for sweep in range(1, spec.tol_pattern + 1):
         free = state != 0
         ladder = _vcycle_ladder(g.h, free)
-        rhs = -_forcing(state, lp, lm) + nbr_b
-        w = U[1:-1, 1:-1]  # _cg holds the pinned nodes of its start at zero
+        # the data's neighbour sum over h^2, less the forcing: lp / 2 on the
+        # positive nodes, -lm / 2 on the negative ones; rebuilt each sweep, not held
+        rhs = _neighbor_sum(bvals) / h2
+        np.subtract(rhs, 0.5 * lp, out=rhs, where=state > 0)
+        np.add(rhs, 0.5 * lm, out=rhs, where=state < 0)
         while True:
-            w, res, its = _cg(ladder, rhs, w, tol_cg if tight else tol_mult, max_cg)
+            # _cg holds the pinned nodes of its start at zero
+            w, res, its = _cg(ladder, rhs, U[1:-1, 1:-1], tol_cg if tight else tol_mult, max_cg)
             record["cg_iterations"] += its
-            V = bvals.copy()
-            V[1:-1, 1:-1] = w
-            field_v = ScalarField(g, V)
+            U = bvals.copy()
+            U[1:-1, 1:-1] = w
+            w = U[1:-1, 1:-1]  # drops CG's flat array
 
             # state update: sign violations route through the pinned state;
-            # pinned nodes release only when their multiplier leaves the box
-            lap = laplacian_interior(field_v)
+            # pinned nodes release only when their multiplier leaves the box:
+            # the five-point Laplacian, taken at the pinned nodes alone in
+            # `laplacian_interior`'s operand order
+            i, j = np.nonzero(state == 0)
+            lap = (U[1:-1, :-2][i, j] + U[1:-1, 2:][i, j] + U[:-2, 1:-1][i, j] + U[2:, 1:-1][i, j]
+                   - 4.0 * w[i, j]) / h2
             new_state = state.copy()
             new_state[(state > 0) & (w < -tolz)] = 0
             new_state[(state < 0) & (w > tolz)] = 0
-            pinned = state == 0
-            new_state[pinned & (lap > 0.5 * lp + tol_mult)] = 1
-            new_state[pinned & (lap < -0.5 * lm - tol_mult)] = -1
+            rise, fall = lap > 0.5 * lp + tol_mult, lap < -0.5 * lm - tol_mult
+            new_state[i[rise], j[rise]] = 1
+            new_state[i[fall], j[fall]] = -1
             changes = int(np.count_nonzero(new_state != state))
             if changes or tight or not finest:
                 break
             # the loose states are a fixed point: certify them with a tight solve
             tight = True
+        # not read again: dropped, neither is alive while energy runs or the
+        # next sweep's ladder is built
+        del ladder, rhs
 
         record["sweeps"] = sweep
         report.pattern_changes.append(changes)
-        report.final_energy = energy(spec, field_v)
+        report.final_energy = energy(spec, ScalarField(g, U))
         report.energy_history.append(report.final_energy)
         report.iterations = sweep
         report.final_residual = res
@@ -581,9 +611,8 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, le
         if tight and res > spec.tol_linear:
             raise SolverError("linear residual target not met", report)
         if changes == 0:
-            return field_v, report
+            return ScalarField(g, U), report
         state = new_state
-        U = V
 
     raise SolverError(
         f"pattern iteration did not settle within {spec.tol_pattern} sweeps", report

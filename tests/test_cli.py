@@ -808,6 +808,22 @@ def test_sweep_evaluates_directional_psi_once_per_reference_ladder(tmp_path, mon
     assert [ladder for ladder, _ in calls] == ladders + ladders[:1]
 
 
+def test_a_sweep_does_not_import_numpy_ma(tmp_path):
+    # np.unique's first call in a process imports numpy.ma: about 12 ms and
+    # 1 MB of the first sweep; the reference points are picked without it
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        "\n[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = 2\n")
+    cfg = write_ini(tmp_path, ini.format(out=tmp_path / "ma"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys\nfrom membranelab.cli import main\n"
+            f"assert main(['sweep', {cfg!r}]) == 0\nprint('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_sweep_reference_points_stay_put_under_rounding_noise(profile_solutions):
     # every vertex of the profile's free boundary has x = +-5e-8 plus
     # rounding; sorted on x first, 1e-12 of noise moved a target by 0.81

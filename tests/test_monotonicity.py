@@ -243,9 +243,16 @@ def test_phi_ladder_tolerance_scales_with_values(r_top):
 # ---------------------------------------------------------------------------
 
 
+def whole_polar_disk(center, r, h):
+    """The package's disk rule as whole raveled arrays: every angle row's points, then their weights."""
+    points, weights = _polar_disk(center, r, h)
+    xs, ys = points(slice(None))
+    return xs, ys, np.tile(weights, weights.size)
+
+
 def package_disk(grid):
     """The package's disk rule for fields on ``grid``."""
-    return lambda center, r: _polar_disk(center, r, grid.h)
+    return lambda center, r: whole_polar_disk(center, r, grid.h)
 
 
 def per_field_psi(h1, h2, z, radii, disk):
@@ -380,8 +387,9 @@ def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
         assert weiss_phi(u, p, radii[2], 2.0, 2.0) == per_field_phi(u, p, radii[2], 2.0, 2.0, disk)
 
 
-# Radii of nq = 162 and nq = 38 cells: no block of a 3- or 16-layer stack
-# divides nq^2, so each ends in a partial block.
+# Radii of nq = 162 and nq = 38 cells: a block is the whole angle rows of at
+# most _BLOCK // fields points, and for a 3-layer stack (162 rows in blocks of
+# 33) or a 16-layer one (38 rows in blocks of 26) the last block is short.
 PARTIAL_STEPS = (40.3, 9.3)
 
 
@@ -390,9 +398,9 @@ def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution
     for u, p in ((profile_solutions[129][2], (0.0, 0.05)), (tau_solution[2], (-0.2, 0.1))):
         h = u.grid.h
         radii = tuple(k * h for k in PARTIAL_STEPS)
-        sizes = [_polar_disk(p, r, h)[2].size for r in radii]
-        assert sizes == [162**2, 38**2]
-        assert all(n % (_BLOCK // fields) for n in sizes for fields in (3, 16))
+        nqs = [_polar_disk(p, r, h)[1].size for r in radii]
+        assert nqs == [162, 38]
+        assert all(any(nq % (_BLOCK // fields // nq) for fields in (3, 16)) for nq in nqs)
         disk = package_disk(u.grid)
         ladder = RadiusLadder(p, radii)
         # phi interpolates a stack of 3 layers, the four directions one of 16
@@ -489,10 +497,15 @@ def test_polar_disk_matches_the_meshgrid_rule_bit_for_bit():
     for center, r, h in cases:
         nq = min(256, max(32, math.ceil(4.0 * r / h)))
         nqs.add(nq)
-        got = _polar_disk(center, r, h)
+        got = whole_polar_disk(center, r, h)
         want = meshgrid_polar_disk(center, r, nq)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (center, r, h)
+        # blocks of angle rows, as the ladder evaluator builds them, give the same points
+        points = _polar_disk(center, r, h)[0]
+        cuts = [0, *sorted(rng.integers(1, nq, 2).tolist()), nq]
+        for k, xy in enumerate(zip(*(points(slice(a, b)) for a, b in zip(cuts, cuts[1:])))):
+            assert np.concatenate(xy).tobytes() == got[k].tobytes(), (center, r, h, cuts)
     assert {32, 256} <= nqs and len(nqs) > 100
 
 

@@ -182,6 +182,17 @@ def test_distances_need_a_grid_covering_the_unit_disk():
         dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
 
 
+def test_distances_need_a_node_in_the_unit_disk():
+    # the grid covers [-1, 1]^2, but its nodes -1, 2, 5 on each axis all lie
+    # outside the disk; numpy used to fail on the empty node set instead
+    g = build_grid(-1.0, 5.0, -1.0, 5.0, 3, 3)
+    f = sample(g, lambda X, Y: X)
+    with pytest.raises(ValueError, match="field grid has no node in the closed unit disk"):
+        dist_to_M(f, lambda_plus=2.0, lambda_minus=2.0)
+    with pytest.raises(ValueError, match="field grid has no node in the closed unit disk"):
+        profiles.dist_to_polynomial_class(f)
+
+
 def test_dist_to_mstar_member_is_zero():
     # tau = -0.3 is off the tau grid; the SLP finds it
     g, X, Y, inside = canonical_disk_nodes()

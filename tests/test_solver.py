@@ -1,6 +1,7 @@
 """Active-set solver: exactness, convergence, comparison, failure paths."""
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -670,6 +671,26 @@ def test_shifted_profile_solves_take_few_finest_cg_iterations(profile_solutions)
         assert report.levels[-1]["cg_iterations"] <= 50, delta
         assert_postconditions(spec_d, u_d)
         assert comparison_check(u, spec, u_d, spec_d).holds
+
+
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_solve_holds_at_most_14_full_grids(n, delta):
+    # the finest level's CG sets the peak: 13.2 grids at n = 129 and 11.8 at
+    # 257, where holding every array the sweeps built read 21.5 and 20.8
+    spec = make_profile_problem(n)[1] if delta == 0.0 else shifted_profile_problem(n, delta)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        solve(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 14 * n * n * 8, peak / (n * n * 8)
 
 
 # name: per-level (nx, sweeps, cg_iterations), coarsest first, of
