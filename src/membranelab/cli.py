@@ -543,7 +543,6 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
 
 def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
     u = fa.u
-    g = u.grid
     dp = config.diag_params
     out = config.output_dir
     point = dp["point"]
@@ -568,7 +567,7 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
         xi = reflection_xi(phi)
         write_csv(os.path.join(out, "xi.csv"), "theta,xi", zip(xi.thetas.tolist(), xi.values.tolist()))
     if "perimeter" in config.diagnostics:
-        lengths = perimeter_estimate(fa, (g.x_min, g.x_max, g.y_min, g.y_max))
+        lengths = perimeter_estimate(fa)
         write_json(lengths, os.path.join(out, "perimeter.json"))
     if "covering" in config.diagnostics:
         rows = []
@@ -582,10 +581,12 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
     """Execute one experiment; returns a process exit status.
 
     A failed solve of ``config.spec`` still writes its report, marked not converged.
+    An ``OSError`` while the output directory is made or an artifact written
+    is reported in one line.
     """
-    os.makedirs(config.output_dir, exist_ok=True)
     report_path = os.path.join(config.output_dir, "solve_report.json")
     try:
+        os.makedirs(config.output_dir, exist_ok=True)
         try:
             u, report = solve(config.spec)
         except SolverError as exc:
@@ -612,6 +613,9 @@ def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write artifacts in {config.output_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -4,11 +4,12 @@ Contours the two phase boundaries of a thresholded field, classifies
 points on them through a gradient / functional-decay / blow-up decision
 chain, fits the boundaries as a pair of graphs in a rotated frame, traces
 normalized circle restrictions and their reflection antisymmetrization,
-and reports perimeter and covering-number estimates.  A ``FieldAnalysis``
-holds one solved field together with its gradient fields, its free
-boundary and its directional psi ladders, each built once and shared by
-every analysis of that field.  Classification reads three cuts, of
-which only the gradient cut depends on the field's problem.
+and reports covering numbers and the polyline length of each whole phase
+boundary.  A ``FieldAnalysis`` holds one solved field together with its
+gradient fields, its free boundary and its directional psi ladders, each
+built once and shared by every analysis of that field.  Classification
+reads three cuts, of which only the gradient cut depends on the field's
+problem.
 """
 
 from __future__ import annotations
@@ -508,41 +509,23 @@ class PhaseLengths:
     minus: float
 
 
-def _clipped_length(chains, box) -> float:
-    # Liang-Barsky parametric clip of each segment against the window
-    x0, x1, y0, y1 = box
+def _polyline_length(chains) -> float:
+    # one np.sum per chain, added in chain order: perimeter.json's bits follow that order
     total = 0.0
     for chain in chains:
-        start = chain[:-1]
         d = np.diff(chain, axis=0)
-        t0 = np.zeros(len(d))
-        t1 = np.ones(len(d))
-        ok = np.ones(len(d), dtype=bool)
-        for k, lo, hi in ((0, x0, x1), (1, y0, y1)):
-            dk = d[:, k]
-            w = start[:, k]
-            para = dk == 0.0
-            ok &= ~(para & ((w < lo) | (w > hi)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ta = (lo - w) / dk
-                tb = (hi - w) / dk
-            lo_t = np.where(ta < tb, ta, tb)
-            hi_t = np.where(ta < tb, tb, ta)
-            t0 = np.where(para, t0, np.maximum(t0, lo_t))
-            t1 = np.where(para, t1, np.minimum(t1, hi_t))
-        ok &= t0 <= t1
-        seg_len = np.hypot(d[:, 0], d[:, 1])
-        total += float(np.sum((t1 - t0) * seg_len, where=ok))
+        total += float(np.sum(np.hypot(d[:, 0], d[:, 1])))
     return total
 
 
-def perimeter_estimate(fa: FieldAnalysis, window) -> PhaseLengths:
-    """Per-phase polyline length of the extracted boundaries in a window."""
+def perimeter_estimate(fa: FieldAnalysis) -> PhaseLengths:
+    """Per-phase polyline length of the whole extracted free boundary.
+
+    Each phase's length is the sum of the segment lengths of every chain
+    of ``fa.free_boundary``; a one-vertex chain adds 0.
+    """
     fb = fa.free_boundary
-    return PhaseLengths(
-        plus=_clipped_length(fb.plus_boundary, window),
-        minus=_clipped_length(fb.minus_boundary, window),
-    )
+    return PhaseLengths(plus=_polyline_length(fb.plus_boundary), minus=_polyline_length(fb.minus_boundary))
 
 
 def covering_count(fb: FreeBoundarySet, eps: float) -> int:

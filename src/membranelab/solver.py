@@ -117,7 +117,8 @@ class ProblemSpec:
             raise ValueError("boundary map grid differs from problem grid")
         if self.tol_linear <= 0.0:
             raise ValueError(f"tol_linear must be positive, got {self.tol_linear!r}")
-        if not isinstance(self.tol_pattern, (int, np.integer)) or self.tol_pattern < 1:
+        if (isinstance(self.tol_pattern, bool) or not isinstance(self.tol_pattern, (int, np.integer))
+                or self.tol_pattern < 1):
             raise ValueError(f"tol_pattern must be an int of at least 1, got {self.tol_pattern!r}")
 
     @property

@@ -298,7 +298,7 @@ def test_criterion_11_measure_estimates(
     for n in (65, 129, 257):
         v, spec, u, report, secs = timed_profile_solves[n]
         g = spec.grid
-        per = perimeter_estimate(FieldAnalysis(u, spec), (g.x_min, g.x_max, g.y_min, g.y_max))
+        per = perimeter_estimate(FieldAnalysis(u, spec))
         assert abs(per.plus - 2.0) <= 2 * g.h, f"n={n}: plus {per.plus}"
         assert abs(per.minus - 2.0) <= 2 * g.h, f"n={n}: minus {per.minus}"
 

@@ -403,6 +403,24 @@ def test_psi_ladder_alone_writes_the_e1_ladder(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "psi_ladder.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_perimeter_json_sums_the_free_boundary_csv(tmp_path):
+    # each phase's perimeter is the summed segment length of its chains in
+    # free_boundary.csv, read back from the 17-digit text of both files
+    ini = BASE_INI.replace("beta1 = 1.0", "beta1 = 1.0\ntheta = 0.3") + "\n[diagnostics]\nrun = perimeter\n"
+    out = tmp_path / "out"
+    assert run(load_config(write_ini(tmp_path, ini.format(out=out)))) == 0
+    chains = {}
+    for line in (out / "free_boundary.csv").read_text().splitlines()[1:]:
+        phase, cid, x, y = line.split(",")
+        chains.setdefault((phase, int(cid)), []).append((float(x), float(y)))
+    lengths = {"plus": 0.0, "minus": 0.0}
+    for (phase, _), points in chains.items():
+        d = np.diff(np.array(points), axis=0)
+        lengths[phase] += float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+    assert lengths["plus"] > 1.0 and lengths["minus"] > 1.0
+    assert json.loads((out / "perimeter.json").read_text()) == lengths
+
+
 def test_solve_mode_writes_field_only(tmp_path):
     out = tmp_path / "solve_out"
     cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=out)))
@@ -510,6 +528,12 @@ def test_main_exit_codes(tmp_path, capsys):
     # without graphs to fit, the diagnostics window is not read
     assert load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "w_ok")
                                  + "\n[diagnostics]\nrun = perimeter\nwindow = 0.2\neps = 0.04\n", "ok.ini"))
+    # an output directory that names an existing file is a one-line runtime error
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    assert main(["solve", write_ini(tmp_path, BASE_INI.format(out=taken), "taken.ini")]) == 1
+    assert capsys.readouterr().err == f"error: cannot write artifacts in {taken}: File exists\n"
 
 
 def test_main_exits_1_when_the_solver_fails(tmp_path, capsys):

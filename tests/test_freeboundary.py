@@ -626,18 +626,15 @@ def test_reflection_xi_kills_even_symmetry_exactly(half):
 def test_perimeter_of_straight_interface(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
     g = spec.grid
-    per = perimeter_estimate(FieldAnalysis(u, spec), (g.x_min, g.x_max, g.y_min, g.y_max))
+    per = perimeter_estimate(FieldAnalysis(u, spec))
     assert per.plus == pytest.approx(2.0, abs=2.0 * g.h)
     assert per.minus == pytest.approx(2.0, abs=2.0 * g.h)
-    # clipping to the upper half keeps exactly half the length
-    upper = perimeter_estimate(FieldAnalysis(u, spec), (g.x_min, g.x_max, 0.0, g.y_max))
-    assert upper.plus == pytest.approx(1.0, abs=2.0 * g.h)
 
 
 def test_perimeter_of_circle():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
     u = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
-    per = perimeter_estimate(FieldAnalysis(u, spec_of(u)), (-1.0, 1.0, -1.0, 1.0))
+    per = perimeter_estimate(FieldAnalysis(u, spec_of(u)))
     assert per.plus == pytest.approx(math.pi, rel=2e-2)
     assert per.minus == pytest.approx(math.pi, rel=2e-2)
 
@@ -645,7 +642,7 @@ def test_perimeter_of_circle():
 def test_perimeter_of_empty_zero_set():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 33, 33)
     u = sample(g, lambda X, Y: np.ones_like(X))
-    per = perimeter_estimate(FieldAnalysis(u, spec_of(u)), (-1.0, 1.0, -1.0, 1.0))
+    per = perimeter_estimate(FieldAnalysis(u, spec_of(u)))
     assert per.plus == 0.0 and per.minus == 0.0
 
 
@@ -674,12 +671,11 @@ def test_covering_count_on_circle():
 
 def test_a_one_vertex_chain_has_no_length():
     # a chain whose crossings all land on one node keeps one vertex; no
-    # early exit skips it, the clip of its empty segment list adds 0
-    box = (-1.0, 1.0, -1.0, 1.0)
+    # early exit skips it, the sum of its empty segment list adds 0
     dot = np.array([[0.25, 0.5]])
-    assert freeboundary._clipped_length([dot], box) == 0.0
+    assert freeboundary._polyline_length([dot]) == 0.0
     line = np.array([[0.0, 0.0], [0.0, 0.5]])
-    assert freeboundary._clipped_length([dot, line, dot], box) == freeboundary._clipped_length([line], box) == 0.5
+    assert freeboundary._polyline_length([dot, line, dot]) == freeboundary._polyline_length([line]) == 0.5
 
 
 def test_covering_count_rejects_under_resolved_radii(profile_solutions):

@@ -57,6 +57,7 @@ def test_problem_spec_defaults_and_validation():
     ({"tol_linear": math.nan}, "tol_linear must be finite, got nan"),
     ({"tol_linear": math.inf}, "tol_linear must be finite, got inf"),
     ({"tol_pattern": 2.5}, "tol_pattern must be an int of at least 1, got 2.5"),
+    ({"tol_pattern": True}, "tol_pattern must be an int of at least 1, got True"),
 ])
 def test_problem_spec_rejects_non_finite_or_fractional_values(kwargs, needle):
     # NaN passes every <= check; a solve would then fail far from the cause
