@@ -23,12 +23,12 @@ import numpy as np
 
 from .freeboundary import (
     LADDER_STEPS,
-    MIN_EPS_STEPS,
-    MIN_WINDOW_STEPS,
     FieldAnalysis,
     FreeBoundarySet,
     NotVerticallySimpleError,
     ZeroSetEmptyError,
+    check_eps,
+    check_window,
     classify_point,
     covering_count,
     circle_trace,
@@ -37,7 +37,7 @@ from .freeboundary import (
     perimeter_estimate,
     reflection_xi,
 )
-from .grid import BoundaryMap, Grid2D, build_grid, dump_field_csv, float_repr, sample, write_csv
+from .grid import Grid2D, build_grid, dump_field_csv, float_repr, sample, write_csv
 from .monotonicity import (
     RadiusLadder, acf_psi, check_ball, phi_ladder, s_norm, weiss_phi,
 )
@@ -130,7 +130,8 @@ _TABLE = {
     },
     "problem": {"lambda_plus": (_POSITIVE, _REQUIRED), "lambda_minus": (_POSITIVE, _REQUIRED)},
     "boundary": {"kind": (_one_of("kind", _KINDS), _REQUIRED), "offset": (_finite, 0.0)},
-    "solver": {"tol_linear": (_POSITIVE, 1e-10), "max_sweeps": (_AT_LEAST_1, 200)},
+    "solver": {"tol_linear": (_POSITIVE, ProblemSpec.tol_linear),
+               "max_sweeps": (_AT_LEAST_1, ProblemSpec.tol_pattern)},
     "diagnostics": {
         "run": (_list_of(_one_of("diagnostic", _DIAGNOSTICS)), ()),
         "point": (_checked(_floats, lambda v: len(v) == 2, "need exactly two coordinates"), (0.0, 0.0)),
@@ -167,6 +168,14 @@ class ExperimentConfig:
     output_dir: str
 
 
+def _rule(key: str, fn, *args):
+    """``fn(*args)``, its ValueError re-raised as a ConfigError that starts with ``key``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _section(cp: configparser.ConfigParser, name: str, table: dict, kinds: dict | None = None) -> dict:
     """The keys of one section, each parsed by ``table`` or set to its default.
 
@@ -179,10 +188,7 @@ def _section(cp: configparser.ConfigParser, name: str, table: dict, kinds: dict 
     values = {}
     for key, (parse, default) in table.items():
         if key in given:
-            try:
-                values[key] = parse(given[key])
-            except ValueError as exc:
-                raise ConfigError(f"{name}.{key}: {exc}") from None
+            values[key] = _rule(f"{name}.{key}", parse, given[key])
         elif default is _REQUIRED:
             raise ConfigError(f"{name}.{key}: required key missing")
         else:
@@ -196,13 +202,25 @@ def _section(cp: configparser.ConfigParser, name: str, table: dict, kinds: dict 
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an INI experiment config and build its ProblemSpec."""
-    # values are literal: a % in a path is not an interpolation
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    """Parse and validate a UTF-8 INI experiment config and build its ProblemSpec.
+
+    Every rule is checked before any solve.  A rule that a numerical
+    module owns, such as the smallest window ``check_window`` accepts, is
+    checked by calling it on the configured grid.  The boundary data are
+    the trace of the configured shape, perturbed by the sweep's constant
+    family at amplitude ``offset``.  ``[DEFAULT]`` is an ordinary, and so
+    unknown, section.
+    """
+    # values are literal: a % in a path is not an interpolation; no section
+    # header can name the default section "", so no key is shared
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None,
+                                   default_section="")
     try:
-        read = cp.read(path)
+        read = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for sec in ("domain", "problem", "boundary", "output"):
@@ -213,27 +231,22 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{sec}: unknown section")
 
     dom = _section(cp, "domain", _TABLE["domain"])
-    try:
-        grid = build_grid(dom["x_min"], dom["x_max"], dom["y_min"], dom["y_max"], dom["n"], dom["n"])
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from None
-    # the smallest window fit_two_graphs and eps covering_count accept, and
-    # the default ladder, on the configured grid
-    min_window = MIN_WINDOW_STEPS * grid.h
-    min_eps = MIN_EPS_STEPS * grid.h
+    grid = _rule("domain", build_grid,
+                 dom["x_min"], dom["x_max"], dom["y_min"], dom["y_max"], dom["n"], dom["n"])
     ladder = tuple(k * grid.h for k in LADDER_STEPS)
 
     problem = _section(cp, "problem", _TABLE["problem"])
     lp, lm = problem["lambda_plus"], problem["lambda_minus"]
     b = _section(cp, "boundary", _TABLE["boundary"], _KINDS)
-    try:
+
+    def boundary_trace():
         if b["kind"] == "profile":
             shape = GlobalProfile(b["beta1"], b["beta2"], b["tau"], b["theta"], lp, lm)
         else:
             shape = OnePhasePolynomial(b["cxx"], b["cxy"], b["cyy"], b["sign"])
-        trace = BoundaryMap.from_callable(grid, lambda X, Y: eval_many(shape, X, Y) + b["offset"])
-    except ValueError as exc:
-        raise ConfigError(f"boundary: {exc}") from None
+        return profile_boundary_trace(shape, grid).perturbed(_FAMILIES["constant"](1), b["offset"])
+
+    trace = _rule("boundary", boundary_trace)
     solver = _section(cp, "solver", _TABLE["solver"])
     spec = ProblemSpec(grid, trace, lp, lm,
                        tol_linear=solver["tol_linear"], tol_pattern=solver["max_sweeps"])
@@ -243,12 +256,11 @@ def load_config(path: str) -> ExperimentConfig:
     dp["radii"] = dp["radii"] or ladder
     dp["eps"] = dp["eps"] or ladder
     point = dp["point"]
-    if "graphs" in diagnostics and dp["window"] < min_window:
-        raise ConfigError(f"diagnostics.window: must cover at least {MIN_WINDOW_STEPS:g} grid "
-                          f"steps ({min_window!r}) when graphs run")
-    if "covering" in diagnostics and any(e < min_eps for e in dp["eps"]):
-        raise ConfigError(f"diagnostics.eps: must be at least {MIN_EPS_STEPS:g} grid steps "
-                          f"({min_eps!r}) when covering runs")
+    if "graphs" in diagnostics:
+        _rule("diagnostics.window", check_window, grid, dp["window"])
+    if "covering" in diagnostics:
+        for eps in dp["eps"]:
+            _rule("diagnostics.eps", check_eps, grid, eps)
     # the balls the diagnostics integrate over, checked on the configured grid
     balls = []
     if set(diagnostics) & {"phi_ladder", "psi_ladder", "classify"}:
@@ -261,15 +273,11 @@ def load_config(path: str) -> ExperimentConfig:
     if balls and not grid.contains_ball(point, 0.0):
         raise ConfigError(f"diagnostics.point: {point} lies outside the domain")
     for key, r in balls:
-        try:
-            check_ball(grid, point, r)
-        except ValueError as exc:
-            raise ConfigError(f"diagnostics.{key}: {exc}") from None
+        _rule(f"diagnostics.{key}", check_ball, grid, point, r)
 
     sweep = _section(cp, "sweep", _TABLE["sweep"]) if cp.has_section("sweep") else None
     if sweep is not None:
-        if sweep["window"] < min_window:
-            raise ConfigError(f"sweep.window: must cover at least {MIN_WINDOW_STEPS:g} grid steps ({min_window!r})")
+        _rule("sweep.window", check_window, grid, sweep["window"])
         # the sweep classifies only vertices this far inside the grid
         margin = _reference_margin(grid, sweep["window"])
         if 2.0 * margin >= min(grid.x_max - grid.x_min, grid.y_max - grid.y_min):
@@ -546,8 +554,7 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
     dp = config.diag_params
     out = config.output_dir
     point = dp["point"]
-    fb = fa.free_boundary
-    _write_free_boundary(fb, os.path.join(out, "free_boundary.csv"))
+    _write_free_boundary(fa.free_boundary, os.path.join(out, "free_boundary.csv"))
 
     ladder = RadiusLadder(point, dp["radii"])
     if "phi_ladder" in config.diagnostics:
@@ -572,7 +579,7 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
     if "covering" in config.diagnostics:
         rows = []
         for eps in dp["eps"]:
-            n_eps = covering_count(fb, eps)
+            n_eps = covering_count(fa, eps)
             rows.append({"eps": eps, "count": n_eps, "product": n_eps * eps})
         write_json(rows, os.path.join(out, "covering.json"))
 
@@ -580,12 +587,16 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
 def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
     """Execute one experiment; returns a process exit status.
 
-    A failed solve of ``config.spec`` still writes its report, marked not converged.
+    A sweep without a [sweep] section is a config error, found before any
+    solve or output directory.  A failed solve of ``config.spec`` still
+    writes its report, marked not converged.
     An ``OSError`` while the output directory is made or an artifact written
     is reported in one line.
     """
     report_path = os.path.join(config.output_dir, "solve_report.json")
     try:
+        if mode == "sweep" and config.sweep is None:
+            raise ConfigError("sweep: section required by the sweep verb")
         os.makedirs(config.output_dir, exist_ok=True)
         try:
             u, report = solve(config.spec)
@@ -686,8 +697,6 @@ def main(argv=None) -> int:
         return selftest()
     try:
         config = load_config(args.config)
-        if args.verb == "sweep" and config.sweep is None:
-            raise ConfigError("sweep: section required by the sweep verb")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

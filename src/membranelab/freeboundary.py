@@ -154,13 +154,11 @@ class FreeBoundarySet:
     """Polyline approximations of the two phase boundaries.
 
     Chains are ordered (k, 2) point arrays; closed components repeat their
-    first vertex.  ``spacing`` records the extraction grid step for
-    resolvability checks downstream.
+    first vertex.
     """
 
     plus_boundary: tuple
     minus_boundary: tuple
-    spacing: float
 
     def all_vertices(self) -> np.ndarray:
         return _pooled(self.plus_boundary + self.minus_boundary)
@@ -177,7 +175,7 @@ def extract_free_boundary(u: ScalarField, tol_zero: float) -> FreeBoundarySet:
         raise ValueError("tol_zero must be nonnegative")
     plus = _contour_chains(u.grid, u.values - tol_zero)
     minus = _contour_chains(u.grid, -u.values - tol_zero)
-    return FreeBoundarySet(tuple(plus), tuple(minus), u.grid.h)
+    return FreeBoundarySet(tuple(plus), tuple(minus))
 
 
 class FieldAnalysis:
@@ -244,10 +242,22 @@ _LABELS = ("regular", "branch", "one_phase_singular", "indeterminate")
 # The [-1, 1]^2 grid that blow-ups are sampled on.
 _BLOWUP_GRID = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
 
-# The smallest graph-fit window and covering radius, in grid steps; config
-# loading checks them too.
+# The smallest graph-fit window and covering radius, in grid steps.
 MIN_WINDOW_STEPS = 8.0
 MIN_EPS_STEPS = 2.0
+
+
+def check_window(grid: Grid2D, window: float) -> None:
+    """ValueError unless a graph-fit window covers MIN_WINDOW_STEPS grid steps."""
+    if window < MIN_WINDOW_STEPS * grid.h:
+        raise ValueError(f"must cover at least {MIN_WINDOW_STEPS:g} grid steps ({MIN_WINDOW_STEPS * grid.h!r})")
+
+
+def check_eps(grid: Grid2D, eps: float) -> None:
+    """ValueError unless a covering radius is at least MIN_EPS_STEPS grid steps."""
+    if eps < MIN_EPS_STEPS * grid.h:
+        raise ValueError(f"must be at least {MIN_EPS_STEPS:g} grid steps ({MIN_EPS_STEPS * grid.h!r})")
+
 
 # The default classification ladder, in grid steps, largest radius first.
 LADDER_STEPS = (32.0, 16.0, 8.0)
@@ -379,11 +389,12 @@ def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> 
     nb = max(4, round(window / h)) transverse bins of about two grid
     steps.  Slopes and normals are read from chords of ``nb // 4`` bins,
     window / 2 or a quarter of the fitted width 2 window (see
-    ``GraphFit``).  Each error names the point, the window and the phase.
+    ``GraphFit``).  A window under MIN_WINDOW_STEPS grid steps fails
+    ``check_window``; every other error names the point, the window and
+    the phase.
     """
     g = fa.u.grid
-    if window < MIN_WINDOW_STEPS * g.h:
-        raise ValueError(f"window must cover at least {MIN_WINDOW_STEPS:g} grid steps")
+    check_window(g, window)
     v0 = blowup_rescale(fa.u, p, 0.5 * window, _BLOWUP_GRID)
     _, best = dist_to_M(v0, lambda_plus=fa.spec.lambda_plus, lambda_minus=fa.spec.lambda_minus)
     theta = best.theta
@@ -528,8 +539,8 @@ def perimeter_estimate(fa: FieldAnalysis) -> PhaseLengths:
     return PhaseLengths(plus=_polyline_length(fb.plus_boundary), minus=_polyline_length(fb.minus_boundary))
 
 
-def covering_count(fb: FreeBoundarySet, eps: float) -> int:
-    """Greedy covering of the boundary vertices by eps-balls on the curve.
+def covering_count(fa: FieldAnalysis, eps: float) -> int:
+    """Greedy covering of ``fa.free_boundary``'s vertices by eps-balls on the curve.
 
     The first uncovered vertex in lexicographic order opens each new ball,
     so the centers are vertices more than eps apart and every vertex lies
@@ -541,13 +552,11 @@ def covering_count(fb: FreeBoundarySet, eps: float) -> int:
     rounding of the field, because the vertices are visited in
     lexicographic order and vertex gaps sit on multiples of h: a solver
     change that moved that field by about 1e-14 moved them from 2.0, 1.875
-    and 1.6875.
+    and 1.6875.  ``check_eps`` on the field's grid rejects an eps under
+    MIN_EPS_STEPS grid steps.
     """
-    if eps < MIN_EPS_STEPS * fb.spacing:
-        raise ValueError(
-            f"eps = {eps} under-resolved; need at least two grid steps = {MIN_EPS_STEPS * fb.spacing}"
-        )
-    pts = fb.all_vertices()
+    check_eps(fa.u.grid, eps)
+    pts = fa.free_boundary.all_vertices()
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     covered = np.zeros(len(pts), dtype=bool)
     count = 0

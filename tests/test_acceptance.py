@@ -23,7 +23,6 @@ from membranelab import (
     covering_count,
     dist_to_M,
     eval_many,
-    extract_free_boundary,
     fit_two_graphs,
     interpolate_many,
     load_config,
@@ -308,10 +307,10 @@ def test_criterion_11_measure_estimates(
     fields.append((tau_solution[1], tau_solution[2]))
     worst = 0.0
     for spec, u in fields:
-        fb = extract_free_boundary(u, spec.tol_zero)
+        fa = FieldAnalysis(u, spec)
         for k in (8, 16, 32):
             eps = k * spec.grid.h
-            prod = covering_count(fb, eps) * eps
+            prod = covering_count(fa, eps) * eps
             worst = max(worst, prod)
             assert prod <= 4.0, f"N(eps)*eps = {prod} at eps = {k}h, h = {spec.grid.h}"
     print(f"criterion 11: perimeters 2 +- 2h on all three grids, max N(eps)*eps = {worst:.3f} <= 4")

@@ -17,12 +17,14 @@ from membranelab import (
     FreeBoundarySet,
     GlobalProfile,
     NotVerticallySimpleError,
+    ProblemSpec,
     StabilityReport,
     SweepHypothesisError,
     ScalarField,
     SweepRow,
     ZeroSetEmptyError,
     build_grid,
+    dump_field_csv,
     float_repr,
     hausdorff_distance,
     load_config,
@@ -142,6 +144,9 @@ k = 2
     ("append:[diagnostics]\npoint = nan 0", "diagnostics.point: must be finite"),
     # a misspelt section, or a key of the other boundary kind, is not ignored
     ("append:[solvr]\ntol_linear = 1e-9", "solvr: unknown section"),
+    # [DEFAULT] is a section like any other: its keys reach no other section
+    ("append:[DEFAULT]\nn = 65", "^DEFAULT: unknown section"),
+    ("append:[DEFAULT]", "^DEFAULT: unknown section"),
     ("replace:kind = profile\nkind = polynomial\ncxx = 0.25\ncyy = 0.25\ntau = -0.5", "boundary.tau: unknown key"),
     # radii must exceed 2 grid steps (0.0625) and their balls must stay in the grid
     ("append:[diagnostics]\nrun = phi_ladder\nradii = 0.5, 0.05", "diagnostics.radii: radius 0.05 under-resolved"),
@@ -168,6 +173,20 @@ def test_load_config_rejects_bad_inputs(tmp_path, mutation, needle):
         text = mutation + "\n[output]\ndir = x\n"
     with pytest.raises(ConfigError, match=needle):
         load_config(write_ini(tmp_path, text))
+
+
+def test_offset_is_the_constant_family_at_that_amplitude(tmp_path):
+    # boundary.offset lifts the profile's trace as a constant-family
+    # perturbation of amplitude offset does, to the byte of the field
+    ini = BASE_INI.replace("beta1 = 1.0", "beta1 = 1.0\noffset = 0.3")
+    out = tmp_path / "out"
+    assert run(load_config(write_ini(tmp_path, ini.format(out=out))), mode="solve") == 0
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
+    profile = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
+    trace = profile_boundary_trace(profile, g).perturbed(lambda X, Y: np.ones_like(X), 0.3)
+    u, _ = solve(ProblemSpec(g, trace, 2.0, 2.0))
+    dump_field_csv(u, str(tmp_path / "want.csv"))
+    assert (out / "field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -276,7 +295,7 @@ def seg(a, b, k=2):
 
 def plus_set(*chains):
     """The polylines as the positive phase boundary of a FreeBoundarySet."""
-    return FreeBoundarySet(chains, (), 0.125)
+    return FreeBoundarySet(chains, ())
 
 
 def test_hausdorff_identical_is_zero():
@@ -464,16 +483,29 @@ def test_main_exit_codes(tmp_path, capsys):
     # sweep verb demands a [sweep] section
     assert main(["sweep", ini]) == 2
 
-    # a missing required key, and a key given twice, fail at load time
+    # a missing required key, a key given twice, and boundary data that
+    # overflow, fail at load time
     for name, text, needle in (
         ("no_n", BASE_INI.replace("n = 65\n", ""), "config error: domain.n: required key missing"),
         ("twice", BASE_INI.replace("n = 65", "n = 65\nn = 33"), "option 'n' in section 'domain' already exists"),
+        ("huge", BASE_INI.replace("kind = profile\nbeta1 = 1.0", "kind = polynomial\ncxx = 1e308\ncyy = 1e308"),
+         "config error: boundary: boundary values must be finite"),
     ):
         bad = write_ini(tmp_path, text.format(out=tmp_path / name), f"{name}.ini")
         capsys.readouterr()
         assert main(["solve", bad]) == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / name).exists()
+
+    # so does a file that is not UTF-8
+    undecodable = tmp_path / "latin1.ini"
+    undecodable.write_bytes(BASE_INI.format(out=tmp_path / "latin1").replace("kind = profile", "kind = prof\xffile")
+                            .encode("latin-1"))
+    capsys.readouterr()
+    assert main(["solve", str(undecodable)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot decode config file {undecodable}: "
+                                              "'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "latin1").exists()
 
     # a non-finite float fails at load time, before the output directory exists
     for name, text in (("nan", BASE_INI + "\n[solver]\ntol_linear = nan\n"),
@@ -606,6 +638,8 @@ def test_run_returns_2_on_config_error(tmp_path, capsys):
     cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "r2")))
     assert run(cfg, mode="sweep") == 2
     assert "config error: sweep" in capsys.readouterr().err
+    # found before the reference solve, so nothing is written
+    assert not (tmp_path / "r2").exists()
 
 
 SWEEP_INI = BASE_INI.replace("n = 65", "n = 129") + """
@@ -783,7 +817,7 @@ def test_a_sweep_without_targets_measures_its_rows(tmp_path, capsys):
 
 def test_reference_points_of_an_empty_free_boundary():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
-    assert cli._reference_points(FreeBoundarySet((), (), g.h), g, 0.25, 8) == []
+    assert cli._reference_points(FreeBoundarySet((), ()), g, 0.25, 8) == []
 
 
 def test_sweep_run_solves_the_reference_once(tmp_path, monkeypatch):

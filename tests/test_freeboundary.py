@@ -47,7 +47,6 @@ S_1 = math.sqrt(3.0 * math.pi / 16.0)
 def test_extraction_brackets_the_interface(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
     fb = extract_free_boundary(u, spec.tol_zero)
-    assert fb.spacing == spec.grid.h
     assert len(fb.plus_boundary) == 1 and len(fb.minus_boundary) == 1
     for chains, side in ((fb.plus_boundary, 1.0), (fb.minus_boundary, -1.0)):
         xs = chains[0][:, 0]
@@ -84,7 +83,7 @@ def test_extraction_of_positive_field_is_empty():
     assert fb.plus_boundary == () and fb.minus_boundary == ()
     assert fb.all_vertices().shape == (0, 2)
     # an empty set needs no ball
-    assert covering_count(fb, 2.0 * g.h) == 0
+    assert covering_count(FieldAnalysis(u, spec_of(u)), 2.0 * g.h) == 0
 
 
 def test_extraction_rejects_a_negative_level():
@@ -649,21 +648,21 @@ def test_perimeter_of_empty_zero_set():
 def test_covering_count_brackets(profile_solutions):
     # interface of length 2: N(eps)*eps lands in [L/2, pi*L/2] for a line
     v, spec, u, _ = profile_solutions[65]
-    fb = extract_free_boundary(u, spec.tol_zero)
+    fa = FieldAnalysis(u, spec)
     h = spec.grid.h
     for k in (4, 8, 16):
         eps = k * h
-        prod = covering_count(fb, eps) * eps
+        prod = covering_count(fa, eps) * eps
         assert 1.0 - eps <= prod <= math.pi + eps
 
 
 def test_covering_count_on_circle():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
     u = sample(g, lambda X, Y: 0.25 - X**2 - Y**2)
-    fb = extract_free_boundary(u, spec_of(u).tol_zero)
+    fa = FieldAnalysis(u, spec_of(u))
     L = 2.0 * math.pi  # both phase boundaries, pi each
     eps = 16 * g.h
-    prod = covering_count(fb, eps) * eps
+    prod = covering_count(fa, eps) * eps
     # each ball eats an arc slightly longer than its diameter on a curved
     # boundary, so the lower constant sits under 1/2
     assert 0.45 * L <= prod <= 0.5 * math.pi * L + eps
@@ -680,6 +679,5 @@ def test_a_one_vertex_chain_has_no_length():
 
 def test_covering_count_rejects_under_resolved_radii(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
-    fb = extract_free_boundary(u, spec.tol_zero)
     with pytest.raises(ValueError):
-        covering_count(fb, 1.5 * spec.grid.h)
+        covering_count(FieldAnalysis(u, spec), 1.5 * spec.grid.h)

@@ -44,6 +44,19 @@ def test_float_text_rule_lives_in_grid_only():
     assert holders == ["grid.py"]
 
 
+def test_window_and_eps_minimums_live_in_freeboundary_only():
+    # check_window and check_eps own the smallest graph-fit window and
+    # covering radius; a module restating either would hold a second rule
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "membranelab")
+    holders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                if re.search(r"MIN_(WINDOW|EPS)_STEPS", fh.read()):
+                    holders.append(name)
+    assert holders == ["freeboundary.py"]
+
+
 NUMERICAL_MODULES = ("solver", "profiles", "monotonicity", "freeboundary")
 
 
