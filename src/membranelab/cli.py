@@ -244,7 +244,10 @@ def load_config(path: str) -> ExperimentConfig:
             shape = GlobalProfile(b["beta1"], b["beta2"], b["tau"], b["theta"], lp, lm)
         else:
             shape = OnePhasePolynomial(b["cxx"], b["cxy"], b["cyy"], b["sign"])
-        return profile_boundary_trace(shape, grid).perturbed(_FAMILIES["constant"](1), b["offset"])
+        # data that overflow to inf or NaN are reported by BoundaryMap's
+        # finiteness check, the one line of a config error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return profile_boundary_trace(shape, grid).perturbed(_FAMILIES["constant"](1), b["offset"])
 
     trace = _rule("boundary", boundary_trace)
     solver = _section(cp, "solver", _TABLE["solver"])

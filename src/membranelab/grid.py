@@ -301,11 +301,11 @@ class BoundaryMap:
 
     @classmethod
     def from_callable(cls, grid: Grid2D, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "BoundaryMap":
-        X, Y = grid.meshgrid()
-        vals = np.asarray(fn(X, Y), dtype=float)
-        out = np.zeros(grid.shape)
+        """The map of fn on the ring; fn takes 1-D coordinate arrays and works elementwise."""
         m = boundary_mask(grid)
-        out[m] = vals[m]
+        j, i = np.nonzero(m)
+        out = np.zeros(grid.shape)
+        out[m] = np.asarray(fn(grid.xs[i], grid.ys[j]), dtype=float)
         return cls(grid, out)
 
     def perturbed(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray], amplitude: float) -> "BoundaryMap":

@@ -21,9 +21,11 @@ nodes the ladder's largest ball reads, forms the layers it needs there
 bit for bit on that window), and interpolates the whole stack from one
 locate per point, at most _BLOCK values per ``interpolate_many`` call;
 it builds each call's points, whole angle rows of the rule, only then,
-so no radius's points are held all at once.  Each
-integrand row is summed on its own, so its result is the same in any
-stack.  ``freeboundary.FieldAnalysis`` evaluates ``directional_psi`` once
+so no radius's points are held all at once.  Each integrand row is
+summed in ``np.sum``'s pairwise order, one node of that tree at a time:
+its value has the bits of one ``np.sum`` over the whole row, the same in
+any stack, while only partial sums and one node's values are held.
+``freeboundary.FieldAnalysis`` evaluates ``directional_psi`` once
 per field and ladder, along the four classification directions, and
 keeps the result.  Circle integrals (s_norm, the boundary term of
 weiss_phi, and with them every blow-up) always use the 256-node periodic
@@ -59,7 +61,8 @@ _NQ_MIN = 32
 # Values per interpolate_many call of the disk kernel: a stack of k fields
 # takes the whole angle rows of _BLOCK // k points per call, so the
 # (fields, points) temporaries stay at 128 KB each whatever the stack,
-# about 1 MB in all.
+# about 1 MB in all; the pairwise sums hold nodes of at most
+# max(128, _BLOCK // k) values of each integrand row.
 _BLOCK = 16384
 
 # Nodes a quadrature window keeps beyond its ball on each side.
@@ -168,38 +171,85 @@ def _crop(grid: Grid2D, center, r: float) -> tuple[slice, slice]:
     return slice(j_lo, j_hi), slice(i_lo, i_hi)
 
 
+def _pairwise_sums(n: int, leaf: int, take) -> np.ndarray:
+    """Row sums of n streamed values, each with the bits of one ``np.sum`` over its row.
+
+    ``take(m)`` returns the next m values of every row, (rows, m).  numpy
+    sums a contiguous row of more than 128 doubles as the sum of its first
+    n // 2 - (n // 2) % 8 values plus the sum of the rest, and a shorter
+    row directly; so splitting the same way down to nodes of at most
+    ``leaf`` >= 128 values, each summed by ``np.sum``, and adding the
+    halves back up gives the same bits without holding the rows.
+    """
+    if n <= leaf:
+        return np.sum(take(n), axis=1)
+    n2 = n // 2 - n // 2 % 8
+    # the left half is taken first: Python evaluates the operands in order
+    return _pairwise_sums(n2, leaf, take) + _pairwise_sums(n - n2, leaf, take)
+
+
+def _columns(blocks):
+    """take(m): the next m columns of the (rows, width) arrays ``blocks`` yields, in order.
+
+    A block is drawn only when a take reaches it, and its columns that the
+    take does not reach are held for the next one.
+    """
+    held = np.empty((0, 0))
+
+    def take(m):
+        nonlocal held
+        parts = []
+        while held.shape[1] < m:
+            if held.shape[1]:
+                m -= held.shape[1]
+                parts.append(held)
+            held = next(blocks)
+        parts.append(held[:, :m])
+        held = held[:, m:]
+        return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+
+    return take
+
+
+def _weighted_blocks(win: FieldWindow, points, weights: np.ndarray, integrand):
+    """Weighted integrand values of the disk rule ``(points, weights)``, block by block.
+
+    A block is the whole angle rows of at most _BLOCK // fields points when
+    a row fits, interpolated from one locate for the whole stack; it is
+    yielded as (rows, points), angle row after angle row.
+    """
+    nq = weights.size
+    step = max(1, _BLOCK // win.values.shape[0] // nq)
+    for a in range(0, nq, step):
+        part = integrand(interpolate_many(win, *points(slice(a, a + step))))
+        # each value times the weight of its radius, the last index of a row
+        yield (part.reshape(part.shape[0], -1, nq) * weights).reshape(part.shape[0], -1)
+
+
 def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[float]]:
     """Polar-rule integrals over B_r(center) for each r of radii, one per row of integrand.
 
     Checks every ball and crops once, to the nodes the largest reads;
     ``layers(rows, cols)`` builds the (fields, rows, cols) stack there, and
     ``integrand`` maps its (fields, points) values to (rows, points).  The
-    points pass through ``interpolate_many`` in blocks of whole angle
-    rows, at most _BLOCK // fields points when a row fits; each block's
-    points are built from the rule's radii and angles when it is
-    interpolated, and located once for the whole stack.  Each row of
-    integrand values is weighted and summed in one pass over all points,
-    so its value does not depend on the block size or on the other rows.
+    points pass through ``interpolate_many`` in blocks of whole angle rows
+    (``_weighted_blocks``), each block's points built from the rule's radii
+    and angles only then.  Each row of weighted values is summed in
+    ``np.sum``'s pairwise order over nodes of at most max(128, _BLOCK //
+    fields) values, so it has the bits of one ``np.sum`` over all its
+    points, whatever the block size or the other rows; no radius's values
+    are held all at once.
     """
     for r in radii:
         check_ball(grid, center, r)
     rows, cols = _crop(grid, center, radii[0])
     win = FieldWindow(grid, cols.start, rows.start, layers(rows, cols))
+    leaf = max(128, _BLOCK // win.values.shape[0])
     out = []
     for r in radii:
         points, weights = _polar_disk(center, r, grid.h)
-        nq = weights.size
-        step = max(1, _BLOCK // win.values.shape[0] // nq)
-        vals = None
-        for a in range(0, nq, step):
-            part = integrand(interpolate_many(win, *points(slice(a, a + step))))
-            if vals is None:
-                vals = np.empty((part.shape[0], nq * nq))
-            vals[:, a * nq:a * nq + part.shape[1]] = part
-        # each value times the weight of its radius, the last index of a row;
-        # no view outlives the call, so vals is freed before the next radius's
-        np.multiply(vals.reshape(-1, nq, nq), weights, out=vals.reshape(-1, nq, nq))
-        out.append([float(np.sum(row)) for row in vals])
+        take = _columns(_weighted_blocks(win, points, weights, integrand))
+        out.append(_pairwise_sums(weights.size ** 2, leaf, take).tolist())
     return out
 
 

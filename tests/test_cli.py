@@ -68,6 +68,14 @@ def write_ini(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+def run_python(*args):
+    """The interpreter run on ``args`` in a process of its own, this checkout's package first on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
 # ---------------------------------------------------------------------------
 # Config loading
 # ---------------------------------------------------------------------------
@@ -455,6 +463,23 @@ def test_config_values_are_literal(tmp_path):
     assert cfg.output_dir == str(out)
     assert run(cfg, mode="solve") == 0
     assert sorted(os.listdir(out)) == ["field.csv", "solve_report.json"]
+
+
+@pytest.mark.parametrize("domain, coefficients", [
+    # the sum of two finite terms overflows to inf
+    ("", "cxx = 1e308\ncyy = 1e308"),
+    # at (10, 10) the terms are inf and -inf, and their sum NaN
+    ("x_min = -10.0\nx_max = 10.0\ny_min = -10.0\ny_max = 10.0\n", "cxx = 1e308\ncxy = -1e308\ncyy = 1e308"),
+])
+def test_overflowing_boundary_data_print_one_line(tmp_path, domain, coefficients):
+    # a config error is one line on stderr: no numpy warning comes first
+    text = BASE_INI.replace("kind = profile\nbeta1 = 1.0", f"kind = polynomial\n{coefficients}")
+    if domain:
+        text = re.sub(r"x_min = .*\nx_max = .*\ny_min = .*\ny_max = .*\n", domain, text)
+    proc = run_python("-m", "membranelab", "solve", write_ini(tmp_path, text.format(out=tmp_path / "huge")))
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: boundary: boundary values must be finite\n"
+    assert not (tmp_path / "huge").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -872,12 +897,9 @@ def test_a_sweep_does_not_import_numpy_ma(tmp_path):
     ini = BASE_INI.replace("n = 65", "n = 129") + (
         "\n[sweep]\nfamily = constant\namplitudes = 0.1\nclassify_budget = 2\n")
     cfg = write_ini(tmp_path, ini.format(out=tmp_path / "ma"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import sys\nfrom membranelab.cli import main\n"
             f"assert main(['sweep', {cfg!r}]) == 0\nprint('numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 
@@ -946,10 +968,7 @@ def test_graph_window_must_fit_its_square_in_the_grid(tmp_path, capsys, window):
 
 def test_module_entry_point_runs_the_selftest():
     # python -m membranelab, as installed, in a process of its own
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "membranelab", "selftest"], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    proc = run_python("-m", "membranelab", "selftest")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("ok - ") >= 5 and "FAIL" not in proc.stdout
 

@@ -17,7 +17,9 @@ from membranelab import (
     laplacian_interior,
     sample,
 )
+from membranelab.cli import _FAMILIES
 from membranelab.grid import _NODE_SNAP, FieldWindow, _locate, boundary_mask
+from membranelab.profiles import GlobalProfile, OnePhasePolynomial, eval_many
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +274,31 @@ def test_boundary_map_roundtrip_and_perturbation():
     pert = bc.perturbed(lambda X, Y: np.ones_like(X), 0.25)
     assert abs(bc.sup_diff(pert) - 0.25) < 1e-14
     assert bc.sup_diff(bc) == 0.0
+
+
+def full_evaluation_map(grid, fn):
+    """The map that evaluating fn on all n^2 nodes and keeping the ring gives."""
+    X, Y = grid.meshgrid()
+    out = np.zeros(grid.shape)
+    m = boundary_mask(grid)
+    out[m] = np.asarray(fn(X, Y), dtype=float)[m]
+    return out
+
+
+def test_boundary_map_evaluates_only_the_ring():
+    # from_callable hands fn the 4n - 4 ring coordinates; every value keeps
+    # the bits of the full evaluation, for the config's shapes and the
+    # sweep's families
+    fns = {f"sweep {name} k={k}": family(k) for name, family in _FAMILIES.items() for k in (1, 3)}
+    for shape in (GlobalProfile(1.0, 0.0, -0.3, 0.4, 2.0, 3.0), GlobalProfile(0.5, 0.7, 0.0, -1.1, 2.0, 2.0),
+                  OnePhasePolynomial(0.25, 0.1, 0.3, 1), OnePhasePolynomial(-0.4, 0.2, -0.1, -1)):
+        fns[repr(shape)] = lambda X, Y, shape=shape: eval_many(shape, X, Y)
+    for g in (build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129), build_grid(-1.3, 0.7, 0.1, 1.1, 201, 101)):
+        for name, fn in fns.items():
+            sizes = []
+            got = BoundaryMap.from_callable(g, lambda X, Y: sizes.append(X.size) or fn(X, Y)).values
+            assert sizes == [2 * (g.nx + g.ny) - 4], (name, g)
+            assert got.tobytes() == full_evaluation_map(g, fn).tobytes(), (name, g)
 
 
 def test_dump_field_csv_is_deterministic(tmp_path):

@@ -9,6 +9,7 @@ implementation existed, never through the code under test:
   profile circle scale at r = 1:    S_1 = sqrt(3*pi/16)       = 0.7674950309598664...
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,42 @@ def test_directional_psi_interpolates_every_disk_point(profile_solutions, monkey
     nq = [math.ceil(4.0 * r / h) for r in radii]
     assert nq == [162, 128, 38]
     assert sum(points) == sum(n * n for n in nq)
+
+
+def test_pairwise_sums_have_the_bits_of_np_sum():
+    # the kernel adds up its rows node by node in the order numpy's np.sum
+    # takes; a numpy that sums a row another way fails here instead of
+    # silently moving every phi and psi.  The values arrive in blocks of
+    # random widths, as the disk rule's blocks of angle rows do.
+    rng = np.random.default_rng(2024)
+    cases = [(n, 128) for n in (1, 7, 8, 127, 128, 129, 136, 255, 256, 257, 1024, 1444, 26244, 65536)]
+    cases += [(int(rng.integers(1, 70000)), int(rng.integers(128, 5000))) for _ in range(300)]
+    for n, leaf in cases:
+        v = rng.standard_normal((2, n)) * np.exp(4.0 * rng.standard_normal((2, n)))
+        cuts = [0, *sorted(rng.integers(0, n + 1, int(rng.integers(0, 40))).tolist()), n]
+        blocks = (v[:, a:b] for a, b in zip(cuts, cuts[1:]))
+        got = monotonicity._pairwise_sums(n, leaf, monotonicity._columns(blocks))
+        assert got.tobytes() == np.array([np.sum(row) for row in v]).tobytes(), (n, leaf)
+
+
+def test_directional_psi_holds_no_radius_whole():
+    # the benchmark's ladder on n = 257 profile data: the 16-layer window
+    # stack of r = 64h is 2.3 MB, and holding the 8 rows of integrand
+    # values of the 256^2 rule took 4 MB more (a peak of 7 MB)
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
+    grads = gradient_fields(sample(g, profile_fn()))
+    ladder = RadiusLadder((0.0, 0.0), (0.5, 0.25, 0.125, 0.0625))
+    dirs = [e for _, e in _DIRECTIONS]
+    want = directional_psi(grads, ladder, dirs)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        got = directional_psi(grads, ladder, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak - entry <= 4e6, peak - entry
 
 
 def counting_calls(monkeypatch, name):
