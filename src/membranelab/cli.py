@@ -395,9 +395,11 @@ def hausdorff_distance(a: FreeBoundarySet, b: FreeBoundarySet) -> float:
 
 
 def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
+    # rows of p against all of q, about 16,384 pairs (128 KB per temporary) at a time
+    step = max(1, 16384 // len(q))
     worst = 0.0
-    for s in range(0, len(p), 512):
-        blk = p[s:s + 512]
+    for s in range(0, len(p), step):
+        blk = p[s:s + step]
         d2 = (blk[:, None, 0] - q[None, :, 0]) ** 2 + (blk[:, None, 1] - q[None, :, 1]) ** 2
         worst = max(worst, float(np.max(np.min(d2, axis=1))))
     return math.sqrt(worst)

@@ -173,15 +173,19 @@ def gradient_fields(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     return ScalarField(f.grid, gx), ScalarField(f.grid, gy)
 
 
-def _gradient_arrays(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_arrays(
+    v: np.ndarray, h: float, gx: np.ndarray | None = None, gy: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The stencils of ``gradient_fields`` on the last two axes of a value stack.
 
     Each entry is computed from its own neighbours only, so a window of a
     field gets the full field's gradient, bit for bit, everywhere except on
-    a window edge that is not a grid edge.
+    a window edge that is not a grid edge.  d/dx and d/dy are written into
+    ``gx`` and ``gy``, arrays (or views) of v's shape, when given, and into
+    new arrays otherwise; both are returned.
     """
-    gx = np.empty_like(v)
-    gy = np.empty_like(v)
+    gx = np.empty_like(v) if gx is None else gx
+    gy = np.empty_like(v) if gy is None else gy
     gx[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
     gx[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
     gx[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)

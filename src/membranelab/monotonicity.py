@@ -19,12 +19,12 @@ goes through one ladder evaluator, which crops the fields once to the
 nodes the ladder's largest ball reads, forms the layers it needs there
 (a psi pair's gradients and the directional parts equal the full fields'
 bit for bit on that window), and interpolates the whole stack from one
-locate per point, at most _BLOCK values per ``interpolate_many`` call;
-it builds each call's points, whole angle rows of the rule, only then,
-so no radius's points are held all at once.  Each integrand row is
-summed in ``np.sum``'s pairwise order, one node of that tree at a time:
-its value has the bits of one ``np.sum`` over the whole row, the same in
-any stack, while only partial sums and one node's values are held.
+locate per point.  Each integrand row is summed in ``np.sum``'s pairwise
+order, and each node of that tree is one ``interpolate_many`` call of at
+most max(128, _BLOCK // layers) points, the next ones of the rule, built
+only then: a row's sum has the bits of one ``np.sum`` over the whole
+row, the same in any stack, while only partial sums and one node's
+points and values are held.
 ``freeboundary.FieldAnalysis`` evaluates ``directional_psi`` once
 per field and ladder, along the four classification directions, and
 keeps the result.  Circle integrals (s_norm, the boundary term of
@@ -58,11 +58,10 @@ _NQ = 256
 # _NQ_MIN; so r >= 64h gets the full _NQ.
 _NQ_MIN = 32
 
-# Values per interpolate_many call of the disk kernel: a stack of k fields
-# takes the whole angle rows of _BLOCK // k points per call, so the
-# (fields, points) temporaries stay at 128 KB each whatever the stack,
-# about 1 MB in all; the pairwise sums hold nodes of at most
-# max(128, _BLOCK // k) values of each integrand row.
+# Values per interpolate_many call of the disk kernel: a stack of k layers
+# sums its integrand rows over pairwise-tree nodes of at most
+# max(128, _BLOCK // k) points, one call each, so the (layers, points)
+# temporaries stay at 128 KB each whatever the stack, about 1 MB in all.
 _BLOCK = 16384
 
 # Nodes a quadrature window keeps beyond its ball on each side.
@@ -188,57 +187,18 @@ def _pairwise_sums(n: int, leaf: int, take) -> np.ndarray:
     return _pairwise_sums(n2, leaf, take) + _pairwise_sums(n - n2, leaf, take)
 
 
-def _columns(blocks):
-    """take(m): the next m columns of the (rows, width) arrays ``blocks`` yields, in order.
-
-    A block is drawn only when a take reaches it, and its columns that the
-    take does not reach are held for the next one.
-    """
-    held = np.empty((0, 0))
-
-    def take(m):
-        nonlocal held
-        parts = []
-        while held.shape[1] < m:
-            if held.shape[1]:
-                m -= held.shape[1]
-                parts.append(held)
-            held = next(blocks)
-        parts.append(held[:, :m])
-        held = held[:, m:]
-        return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-
-    return take
-
-
-def _weighted_blocks(win: FieldWindow, points, weights: np.ndarray, integrand):
-    """Weighted integrand values of the disk rule ``(points, weights)``, block by block.
-
-    A block is the whole angle rows of at most _BLOCK // fields points when
-    a row fits, interpolated from one locate for the whole stack; it is
-    yielded as (rows, points), angle row after angle row.
-    """
-    nq = weights.size
-    step = max(1, _BLOCK // win.values.shape[0] // nq)
-    for a in range(0, nq, step):
-        part = integrand(interpolate_many(win, *points(slice(a, a + step))))
-        # each value times the weight of its radius, the last index of a row
-        yield (part.reshape(part.shape[0], -1, nq) * weights).reshape(part.shape[0], -1)
-
-
 def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[float]]:
     """Polar-rule integrals over B_r(center) for each r of radii, one per row of integrand.
 
     Checks every ball and crops once, to the nodes the largest reads;
     ``layers(rows, cols)`` builds the (fields, rows, cols) stack there, and
-    ``integrand`` maps its (fields, points) values to (rows, points).  The
-    points pass through ``interpolate_many`` in blocks of whole angle rows
-    (``_weighted_blocks``), each block's points built from the rule's radii
-    and angles only then.  Each row of weighted values is summed in
-    ``np.sum``'s pairwise order over nodes of at most max(128, _BLOCK //
-    fields) values, so it has the bits of one ``np.sum`` over all its
-    points, whatever the block size or the other rows; no radius's values
-    are held all at once.
+    ``integrand`` maps its (fields, points) values to (rows, points).  Each
+    row of weighted values is summed in ``np.sum``'s pairwise order over
+    nodes of at most max(128, _BLOCK // fields) values, so it has the bits
+    of one ``np.sum`` over all its points, whatever the other rows.  Each
+    node is one ``interpolate_many`` call: its points, the next ones of the
+    rule, angle row after angle row, are cut from the rows they span only
+    then, so no radius's points or values are held all at once.
     """
     for r in radii:
         check_ball(grid, center, r)
@@ -248,19 +208,21 @@ def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[fl
     out = []
     for r in radii:
         points, weights = _polar_disk(center, r, grid.h)
-        take = _columns(_weighted_blocks(win, points, weights, integrand))
-        out.append(_pairwise_sums(weights.size ** 2, leaf, take).tolist())
+        nq = weights.size
+        start = 0
+
+        def take(m):
+            nonlocal start
+            a, lo = divmod(start, nq)
+            b = -(-(start + m) // nq)
+            cut = slice(lo, lo + m)
+            start += m
+            part = integrand(interpolate_many(win, *(xy[cut] for xy in points(slice(a, b)))))
+            # each value times the weight of its radius, the index within its angle row
+            return part * np.tile(weights, b - a)[cut]
+
+        out.append(_pairwise_sums(nq * nq, leaf, take).tolist())
     return out
-
-
-def _pair_gradients(pair: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Layers d/dx, d/dy of the first field of a (2, rows, cols) pair, then of the second.
-
-    Each layer is its field's ``gradient_fields`` bit for bit, except on a
-    window edge that is not a grid edge.  With ``out``, a (2, 2, rows,
-    cols) array, the layers are written there.
-    """
-    return np.stack(_gradient_arrays(pair, h), axis=1, out=out).reshape(4, *pair.shape[1:])
 
 
 def _gradient_squares(v: np.ndarray) -> np.ndarray:
@@ -308,7 +270,11 @@ def _psi_values(h1: ScalarField, h2: ScalarField, z, radii) -> list[float]:
         raise ValueError("pair members must be nonnegative (within 1e-12)")
 
     def layers(rows, cols):
-        return _pair_gradients(np.stack([h1.values[rows, cols], h2.values[rows, cols]]), h1.grid.h)
+        # d/dx, d/dy of h1, then of h2
+        stack = np.empty((2, 2) + h1.values[rows, cols].shape)
+        for f, grad in zip((h1, h2), stack):
+            _gradient_arrays(f.values[rows, cols], f.grid.h, *grad)
+        return stack.reshape(4, *stack.shape[2:])
 
     sums = _ladder_sums(h1.grid, z, radii, layers, _gradient_squares)
     return [_products(disk, r)[0] for r, disk in zip(radii, sums)]
@@ -424,9 +390,11 @@ def directional_psi(
         wgx, wgy = gx.values[rows, cols], gy.values[rows, cols]
         # per direction: d/dx, d/dy of the positive part, then of the negative part
         stack = np.empty((len(dirs), 2, 2) + wgx.shape)
+        part = np.empty_like(wgx)
         for (ex, ey), out in zip(dirs, stack):
             de = ex * wgx + ey * wgy
-            _pair_gradients(np.stack([np.maximum(de, 0.0), np.maximum(-de, 0.0)]), g.h, out)
+            for d, grad in zip((de, -de), out):
+                _gradient_arrays(np.maximum(d, 0.0, out=part), g.h, *grad)
         return stack.reshape(-1, *wgx.shape)
 
     sums = _ladder_sums(g, ladder.center, ladder.radii, layers, _gradient_squares)

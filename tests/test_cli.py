@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from membranelab import (
     ZeroSetEmptyError,
     build_grid,
     dump_field_csv,
+    extract_free_boundary,
     float_repr,
     hausdorff_distance,
     load_config,
@@ -326,6 +328,27 @@ def test_hausdorff_parallel_lines():
 def test_hausdorff_empty_raises():
     with pytest.raises(ValueError):
         hausdorff_distance(plus_set(), plus_set(seg((0, 0), (1, 0))))
+
+
+def test_hausdorff_holds_no_block_of_all_pairs(profile_solutions):
+    # n = 257 profile data and its delta = 0.1 constant shift, 514 and 680
+    # vertices: blocks of 512 rows against every vertex held 5.7 MB
+    _, spec, u, _ = profile_solutions[257]
+    shifted = ProblemSpec(spec.grid, spec.boundary.perturbed(cli._FAMILIES["constant"](1), 0.1), 2.0, 2.0)
+    a = extract_free_boundary(u, spec.tol_zero)
+    b = extract_free_boundary(solve(shifted)[0], shifted.tol_zero)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        got = hausdorff_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 1e6, peak - entry
+    # a maximum of per-row minima is exact: the whole distance matrix gives the same bits
+    pa, pb = a.all_vertices(), b.all_vertices()
+    d2 = (pa[:, None, 0] - pb[None, :, 0]) ** 2 + (pa[:, None, 1] - pb[None, :, 1]) ** 2
+    assert got == math.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max()))
 
 
 # ---------------------------------------------------------------------------

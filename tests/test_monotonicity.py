@@ -43,6 +43,7 @@ from membranelab import (
 from membranelab.cli import _reference_points, _write_ladder
 from membranelab.freeboundary import _DIRECTIONS
 from membranelab import monotonicity
+from membranelab.grid import FieldWindow
 from membranelab.monotonicity import _BLOCK, _circle, _polar_disk
 from conftest import profile_fn, spec_of
 
@@ -433,37 +434,107 @@ def test_directional_psi_interpolates_every_disk_point(profile_solutions, monkey
 def test_pairwise_sums_have_the_bits_of_np_sum():
     # the kernel adds up its rows node by node in the order numpy's np.sum
     # takes; a numpy that sums a row another way fails here instead of
-    # silently moving every phi and psi.  The values arrive in blocks of
-    # random widths, as the disk rule's blocks of angle rows do.
+    # silently moving every phi and psi.  Each take hands out the next
+    # columns in order, as the disk kernel hands out the next points.
     rng = np.random.default_rng(2024)
     cases = [(n, 128) for n in (1, 7, 8, 127, 128, 129, 136, 255, 256, 257, 1024, 1444, 26244, 65536)]
     cases += [(int(rng.integers(1, 70000)), int(rng.integers(128, 5000))) for _ in range(300)]
     for n, leaf in cases:
         v = rng.standard_normal((2, n)) * np.exp(4.0 * rng.standard_normal((2, n)))
-        cuts = [0, *sorted(rng.integers(0, n + 1, int(rng.integers(0, 40))).tolist()), n]
-        blocks = (v[:, a:b] for a, b in zip(cuts, cuts[1:]))
-        got = monotonicity._pairwise_sums(n, leaf, monotonicity._columns(blocks))
+        taken = 0
+
+        def take(m):
+            nonlocal taken
+            taken += m
+            return v[:, taken - m:taken]
+
+        got = monotonicity._pairwise_sums(n, leaf, take)
+        assert taken == n, (n, leaf)
         assert got.tobytes() == np.array([np.sum(row) for row in v]).tobytes(), (n, leaf)
 
 
-def test_directional_psi_holds_no_radius_whole():
-    # the benchmark's ladder on n = 257 profile data: the 16-layer window
-    # stack of r = 64h is 2.3 MB, and holding the 8 rows of integrand
-    # values of the 256^2 rule took 4 MB more (a peak of 7 MB)
-    g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
-    grads = gradient_fields(sample(g, profile_fn()))
-    ladder = RadiusLadder((0.0, 0.0), (0.5, 0.25, 0.125, 0.0625))
-    dirs = [e for _, e in _DIRECTIONS]
-    want = directional_psi(grads, ladder, dirs)
+def traced_peak(fn):
+    """fn() and the tracemalloc peak it reaches above its entry; fn is run once untraced first."""
+    want = fn()
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        got = directional_psi(grads, ladder, dirs)
+        got = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got == want
-    assert peak - entry <= 4e6, peak - entry
+    return got, peak - entry
+
+
+def sampled_profile_257():
+    """n = 257 profile data, its gradients, and the benchmark's ladder about the origin."""
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
+    u = sample(g, profile_fn())
+    return u, gradient_fields(u), RadiusLadder((0.0, 0.0), (0.5, 0.25, 0.125, 0.0625))
+
+
+def test_directional_psi_holds_no_radius_whole():
+    # the 16-layer window stack of r = 64h is 2.3 MB; holding the 8 rows of
+    # integrand values of the 256^2 rule took 4 MB more (a peak of 7 MB),
+    # and building each direction's gradients apart before copying them
+    # into the stack 0.6 MB more (3.8 MB)
+    _, grads, ladder = sampled_profile_257()
+    dirs = [e for _, e in _DIRECTIONS]
+    _, peak = traced_peak(lambda: directional_psi(grads, ladder, dirs))
+    assert peak <= 3.5e6, peak
+
+
+def test_phi_ladder_holds_no_radius_whole():
+    # the 3-layer window stack is 0.44 MB; interpolating blocks of 21 angle
+    # rows (5,376 points at nq = 256) and re-cutting them into the pairwise
+    # tree's nodes of 4,096 peaked at 1.44 MB
+    u, grads, ladder = sampled_profile_257()
+    _, peak = traced_peak(lambda: phi_ladder(u, grads, ladder, 2.0, 2.0))
+    assert peak <= 1.35e6, peak
+
+
+def pairwise_nodes(n, leaf):
+    """Sizes of the nodes numpy's pairwise sum splits n values into, down to at most leaf, in order."""
+    if n <= leaf:
+        return [n]
+    n2 = n // 2 - n // 2 % 8
+    return pairwise_nodes(n2, leaf) + pairwise_nodes(n - n2, leaf)
+
+
+@pytest.mark.parametrize("layers", [3, 16])
+def test_each_disk_call_takes_one_node_of_the_pairwise_tree(monkeypatch, layers):
+    # phi reads 3 layers (leaf 5,461: nodes of 4,096 points at nq = 256),
+    # the four directions' psi 16 (leaf 1,024); r = 40.3h has nq = 162,
+    # whose angle rows the nodes cut across
+    u, grads, ladder = sampled_profile_257()
+    h = u.grid.h
+    ladder = RadiusLadder(ladder.center, (*ladder.radii[:1], 40.3 * h, *ladder.radii[1:]))
+    calls = []
+
+    def recording(f, x, y):
+        if isinstance(f, FieldWindow):
+            calls.append((np.array(x), np.array(y)))
+        return interpolate_many(f, x, y)
+
+    monkeypatch.setattr(monotonicity, "interpolate_many", recording)
+    if layers == 3:
+        phi_ladder(u, grads, ladder, 2.0, 2.0)
+    else:
+        directional_psi(grads, ladder, [e for _, e in _DIRECTIONS])
+    leaf = max(128, _BLOCK // layers)
+    nqs = []
+    for r in ladder.radii:
+        xs, ys, w = whole_polar_disk(ladder.center, r, h)
+        nqs.append(math.isqrt(w.size))
+        start = 0
+        for m in pairwise_nodes(w.size, leaf):
+            x, y = calls.pop(0)
+            assert x.tobytes() == xs[start:start + m].tobytes(), (r, start, m)
+            assert y.tobytes() == ys[start:start + m].tobytes(), (r, start, m)
+            start += m
+    assert calls == []
+    assert nqs == [256, 162, 128, 64, 32]
 
 
 def counting_calls(monkeypatch, name):
