@@ -79,13 +79,16 @@ meets the target, b - A w is recomputed and the iteration restarts from
 it if the drift left it above, unless it did not shrink since the last
 restart, which marks the rounding floor.
 
-A solve holds at most 14 arrays of the finest grid's size at once (13.2
-at n = 129, 11.8 at n = 257, by tracemalloc); the finest level's CG sets
-that peak.  CG shares the level's scratch array, rebuilds b - A w from the
-caller's right-hand side instead of holding b, and returns a view of its
-iterate; a sweep rebuilds its right-hand side from the data, takes the
-Laplacian only at pinned nodes, and drops its ladder before the next one
-is built.
+A solve holds at most 11 arrays of the finest grid's size at once (10.5
+at n = 129, 9.1 at n = 257 and 8.8 at n = 513, by tracemalloc); the
+finest level's first V-cycle sets that peak.  CG iterates the caller's
+flat start in place, so no 2-D field is alive beside it, shares the
+finest level's scratch array, which every level of the ladder shares as
+well, rebuilds b - A w from the caller's right-hand side instead of
+holding b, and returns a view of its iterate.  The smoother takes
+h^2 r / 4 from r at each half-sweep instead of storing it.  A sweep
+rebuilds its right-hand side from the data, takes the Laplacian only at
+pinned nodes, and drops its ladder before the next one is built.
 """
 
 from __future__ import annotations
@@ -228,21 +231,22 @@ class _Level(_Layout):
     interior rows (`fixed`) and of each colour slice (`fixed_colours`).
     The work arrays are allocated once: `rhs` is a coarse level's input
     (the finest level has none: its input is CG's residual), `z` its
-    cycle's result, `q` = h^2 r / 4, `out` the operator's result and `work`
-    scratch, which `_cg` shares on the finest level.
+    cycle's result, `out` the operator's result and `work` scratch.  The
+    finest level (work None) allocates `work`, and every coarser level and
+    `_cg` share it: each use ends before the next one begins.
     """
 
-    def __init__(self, h: float, free: np.ndarray, coarse: bool):
+    def __init__(self, h: float, free: np.ndarray, work: np.ndarray | None = None):
         super().__init__(*free.shape)
         self.h2 = h * h
         self.free = free
         held = self.embed(free) == 0.0
         self.fixed = np.flatnonzero(held[self.rows])
         self.fixed_colours = tuple(np.flatnonzero(held[sl]) for sl in self.colours)
-        self.rhs = np.zeros(self.size) if coarse else None
-        self.z, self.q, self.out = (np.zeros(self.size) for _ in range(3))
+        self.rhs = None if work is None else np.zeros(self.size)
+        self.z, self.out = np.zeros(self.size), np.zeros(self.size)
         # large enough for the prolongation of the coarse level, (2 (my // 2) + 3) rows
-        self.work = np.empty((self.shape[0] + 3) * self.width)
+        self.work = np.empty((self.shape[0] + 3) * self.width) if work is None else work
         self.inverse: np.ndarray | None = None
 
     def apply(self, w: np.ndarray) -> np.ndarray:
@@ -258,14 +262,16 @@ class _Level(_Layout):
         out[self.fixed] = 0.0
         return self.out
 
-    def smooth(self, z: np.ndarray, colours) -> None:
-        """One Gauss-Seidel half-sweep of z per colour, in order: q + neighbours / 4."""
+    def smooth(self, z: np.ndarray, r: np.ndarray, colours) -> None:
+        """One Gauss-Seidel half-sweep of z per colour, in order: h^2 r / 4 + neighbours / 4."""
         for c in colours:
             sl = self.colours[c]
             new = z[sl]
             nbr = self.neighbors(z, sl, out=self.work[:new.size])
             np.multiply(0.25, nbr, out=nbr)
-            np.add(self.q[sl], nbr, out=new)
+            # the colour's neighbours are of the other colour, so new is free to overwrite
+            np.multiply(0.25 * self.h2, r[sl], out=new)
+            np.add(new, nbr, out=new)
             new[self.fixed_colours[c]] = 0.0
 
 
@@ -295,11 +301,14 @@ def _vcycle_ladder(h: float, free: np.ndarray) -> list[_Level]:
     rule (see `_restrict`); a coarse node is free iff its collocated fine
     node is free.  The coarsest level carries the dense inverse of its free
     block when it has at most 256 nodes; otherwise smoothing alone is its cycle.
+    Every level shares the finest level's `work`: a level's restriction
+    reaches the coarse `rhs` before the coarse cycle runs, and its
+    prolongation is written after that cycle returns.
     """
-    ladder = [_Level(h, free, coarse=False)]
+    ladder = [_Level(h, free)]
     while min(free.shape) > 7:
         h, free = 2.0 * h, free[1::2, 1::2]
-        ladder.append(_Level(h, free, coarse=True))
+        ladder.append(_Level(h, free, ladder[0].work))
     last = ladder[-1]
     if last.free.size <= 256:
         ids = np.arange(last.free.size).reshape(last.free.shape)
@@ -328,12 +337,11 @@ def _vcycle(ladder: list[_Level], r: np.ndarray, k: int = 0) -> np.ndarray:
     if level.inverse is not None:
         level.inner(z)[...] = (level.inverse @ level.inner(r).ravel()).reshape(level.shape)
         return z
-    np.multiply(0.25 * level.h2, r, out=level.q)
-    # the red half-sweep from zero leaves q on the red nodes
+    # the red half-sweep from zero leaves h^2 r / 4 on the red nodes
     red = z[level.colours[0]]
-    red[...] = level.q[level.colours[0]]
+    np.multiply(0.25 * level.h2, r[level.colours[0]], out=red)
     red[level.fixed_colours[0]] = 0.0
-    level.smooth(z, (1,))
+    level.smooth(z, r, (1,))
     if k + 1 < len(ladder):
         coarse = ladder[k + 1]
         np.subtract(r, level.apply(z), out=level.out)
@@ -345,11 +353,11 @@ def _vcycle(ladder: list[_Level], r: np.ndarray, k: int = 0) -> np.ndarray:
         rows = z[level.rows]
         np.add(rows, e[level.rows], out=rows)
         rows[level.fixed] = 0.0
-    level.smooth(z, (1, 0))
+    level.smooth(z, r, (1, 0))
     return z
 
 
-def _cg(ladder: list[_Level], rhs: np.ndarray, w0: np.ndarray, tol: float, max_iter: int):
+def _cg(ladder: list[_Level], rhs: np.ndarray, w: np.ndarray, tol: float, max_iter: int):
     """PCG for (4w - sum of neighbors(w)) / h^2 = rhs on the free nodes of ladder[0].
 
     Pinned nodes (free == False) are held at zero and excluded from the
@@ -359,19 +367,20 @@ def _cg(ladder: list[_Level], rhs: np.ndarray, w0: np.ndarray, tol: float, max_i
     b - A w is recomputed and, if it is still above tol, the iteration
     restarts from it within the same max_iter.  A restart whose true
     residual is no smaller than the previous one's returns at once: the
-    residual has reached its rounding floor.  rhs, w0 and the solution are
-    interior arrays; the iteration runs on flat arrays of the level's
-    layout, and each dot product sums a product of interior views.  The
-    right-hand side is not held as a flat array: each restart embeds rhs
-    into r.  The level's `work` array is scratch here too, as `tmp` and as
-    the dot products' `prod`; every use of it ends before `apply` or
-    `_vcycle` next writes it.
+    residual has reached its rounding floor.  rhs and the solution are
+    interior arrays, and the start w is a flat array of the level's
+    layout (zero on its ring and padding), which CG iterates in place, so
+    the caller need hold no other copy of it.  The iteration runs on flat
+    arrays of the layout, and each dot product sums a product of interior
+    views.  The right-hand side is not held as a flat array: each restart
+    embeds rhs into r.  The level's `work` array is scratch here too, as
+    `tmp` and as the dot products' `prod`; every use of it ends before
+    `apply` or `_vcycle` next writes it.
     Returns (solution, final max residual, iterations); the solution is an
-    interior view.
+    interior view of w.
     """
     fine = ladder[0]
     inner = fine.inner
-    w = fine.embed(w0)
     w[fine.rows][fine.fixed] = 0.0
     r, p = np.zeros(fine.size), np.empty(fine.size)
     my, mx = fine.shape
@@ -551,10 +560,12 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, le
     if start is None:
         # harmonic initialization: all nodes free, zero forcing; it only
         # seeds the states, so it meets the loose target
-        all_free = np.ones((g.ny - 2, g.nx - 2), dtype=bool)
+        ladder = _vcycle_ladder(g.h, np.ones((g.ny - 2, g.nx - 2), dtype=bool))
+        w, _, record["cg_iterations"] = _cg(
+            ladder, _neighbor_sum(bvals) / h2, np.zeros(ladder[0].size), tol_mult, max_cg)
         start = bvals.copy()
-        start[1:-1, 1:-1], _, record["cg_iterations"] = _cg(
-            _vcycle_ladder(g.h, all_free), _neighbor_sum(bvals) / h2, np.zeros(all_free.shape), tol_mult, max_cg)
+        start[1:-1, 1:-1] = w
+        del ladder, w
     # drop the unrelaxed start: kept through the sweeps, it would be one
     # more full grid at the solve's memory peak
     U, start = _relax(spec, start), None
@@ -573,8 +584,12 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, le
         np.subtract(rhs, 0.5 * lp, out=rhs, where=state > 0)
         np.add(rhs, 0.5 * lm, out=rhs, where=state < 0)
         while True:
-            # _cg holds the pinned nodes of its start at zero
-            w, res, its = _cg(ladder, rhs, U[1:-1, 1:-1], tol_cg if tight else tol_mult, max_cg)
+            # CG iterates the embedded start in place and holds its pinned
+            # nodes at zero; U and the last sweep's view w are dropped first,
+            # so no 2-D field is alive beside CG's arrays
+            w = ladder[0].embed(U[1:-1, 1:-1])
+            U = None
+            w, res, its = _cg(ladder, rhs, w, tol_cg if tight else tol_mult, max_cg)
             record["cg_iterations"] += its
             U = bvals.copy()
             U[1:-1, 1:-1] = w

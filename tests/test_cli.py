@@ -768,6 +768,21 @@ classify_budget = 2
         assert row.sup_boundary_diff == pytest.approx(row.delta * peak, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=NotVerticallySimpleError,
+                   reason="the reference-point margin keeps a target where the shifted boundary "
+                          "is not a graph in the window")
+def test_stability_sweep_at_n_257_with_the_readme_amplitudes(tmp_path):
+    # README's amplitudes on profile data: the 0.1 fit near (1.02e-7, -0.734)
+    # finds no plus boundary vertex in the transverse bin [-0.0156, 0]
+    ini = BASE_INI.replace("n = 65", "n = 257") + """
+[sweep]
+family = constant
+amplitudes = 0.1, 0.05, 0.025
+"""
+    report = stability_sweep(*solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "sw"))))
+    assert [row.delta for row in report.rows] == [0.1, 0.05, 0.025]
+
+
 # the amplitudes of the shift-sweep benchmark configs of seeds 1 and 7919
 # (perfbench/workloads.py); the rest of their configs is SWEEP_INI's
 BENCH_SWEEP_AMPLITUDES = {

@@ -389,9 +389,10 @@ def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
         assert weiss_phi(u, p, radii[2], 2.0, 2.0) == per_field_phi(u, p, radii[2], 2.0, 2.0, disk)
 
 
-# Radii of nq = 162 and nq = 38 cells: a block is the whole angle rows of at
-# most _BLOCK // fields points, and for a 3-layer stack (162 rows in blocks of
-# 33) or a 16-layer one (38 rows in blocks of 26) the last block is short.
+# Radii of nq = 162 and nq = 38 cells, whose nq angle rows of nq points the
+# disk kernel's pairwise-tree nodes cut across: some node of the 3-layer or the
+# 16-layer tree starts inside an angle row (at nq = 162 in both trees, at
+# nq = 38 in the 16-layer one).
 PARTIAL_STEPS = (40.3, 9.3)
 
 
@@ -402,7 +403,10 @@ def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution
         radii = tuple(k * h for k in PARTIAL_STEPS)
         nqs = [_polar_disk(p, r, h)[1].size for r in radii]
         assert nqs == [162, 38]
-        assert all(any(nq % (_BLOCK // fields // nq) for fields in (3, 16)) for nq in nqs)
+        for nq in nqs:
+            starts = [np.cumsum(pairwise_nodes(nq * nq, max(128, _BLOCK // fields)))[:-1]
+                      for fields in (3, 16)]
+            assert any(np.any(s % nq) for s in starts), nq
         disk = package_disk(u.grid)
         ladder = RadiusLadder(p, radii)
         # phi interpolates a stack of 3 layers, the four directions one of 16

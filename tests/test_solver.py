@@ -427,7 +427,7 @@ def test_flat_vcycle_and_cg_match_the_masked_kernel_bit_for_bit(name):
         assert fine.inner(z).tobytes() == masked_vcycle(masked, x).tobytes()
         assert np.count_nonzero(z) == np.count_nonzero(fine.inner(z))
         rhs = rng.standard_normal(shape)
-        w, res, its = _cg(ladder, rhs, np.zeros(shape), 1e-9, 200)
+        w, res, its = _cg(ladder, rhs, fine.embed(np.zeros(shape)), 1e-9, 200)
         w_m, res_m, its_m = masked_cg(masked, rhs, np.zeros(shape), 1e-9, 200)
         assert (w.tobytes(), res, its) == (w_m.tobytes(), res_m, its_m)
 
@@ -674,11 +674,13 @@ def test_shifted_profile_solves_take_few_finest_cg_iterations(profile_solutions)
         assert comparison_check(u, spec, u_d, spec_d).holds
 
 
-@pytest.mark.parametrize("n", [129, 257])
-@pytest.mark.parametrize("delta", [0.0, 0.1])
+# n = 513 only at delta = 0: at delta = 0.1 its finest level takes 23 sweeps
+@pytest.mark.parametrize("delta, n", [(0.0, 129), (0.0, 257), (0.1, 129), (0.1, 257), (0.0, 513)])
 def test_solve_holds_at_most_14_full_grids(n, delta):
-    # the finest level's CG sets the peak: 13.2 grids at n = 129 and 11.8 at
-    # 257, where holding every array the sweeps built read 21.5 and 20.8
+    # the finest level's first V-cycle sets the peak: 10.5, 9.1 and 8.8 grids
+    # at n = 129, 257 and 513.  With a 2-D start held beside CG's flat copy,
+    # h^2 r / 4 stored per level and a scratch array per level they read 13.2,
+    # 11.8 and 11.4, and holding every array the sweeps built 21.5 and 20.8
     spec = make_profile_problem(n)[1] if delta == 0.0 else shifted_profile_problem(n, delta)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -691,7 +693,7 @@ def test_solve_holds_at_most_14_full_grids(n, delta):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 14 * n * n * 8, peak / (n * n * 8)
+    assert peak <= 11 * n * n * 8, peak / (n * n * 8)
 
 
 # name: per-level (nx, sweeps, cg_iterations), coarsest first, of
