@@ -248,14 +248,15 @@ MIN_EPS_STEPS = 2.0
 
 
 def check_window(grid: Grid2D, window: float) -> None:
-    """ValueError unless a graph-fit window covers MIN_WINDOW_STEPS grid steps."""
-    if window < MIN_WINDOW_STEPS * grid.h:
+    """ValueError unless a graph-fit window is finite and covers MIN_WINDOW_STEPS grid steps."""
+    # an in-range test, so NaN, which fails every comparison, is rejected too
+    if not MIN_WINDOW_STEPS * grid.h <= window < math.inf:
         raise ValueError(f"must cover at least {MIN_WINDOW_STEPS:g} grid steps ({MIN_WINDOW_STEPS * grid.h!r})")
 
 
 def check_eps(grid: Grid2D, eps: float) -> None:
-    """ValueError unless a covering radius is at least MIN_EPS_STEPS grid steps."""
-    if eps < MIN_EPS_STEPS * grid.h:
+    """ValueError unless a covering radius is finite and at least MIN_EPS_STEPS grid steps."""
+    if not MIN_EPS_STEPS * grid.h <= eps < math.inf:
         raise ValueError(f"must be at least {MIN_EPS_STEPS:g} grid steps ({MIN_EPS_STEPS * grid.h!r})")
 
 

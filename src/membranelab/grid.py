@@ -116,8 +116,12 @@ class Grid2D:
 def build_grid(
     x_min: float, x_max: float, y_min: float, y_max: float, nx: int, ny: int
 ) -> Grid2D:
-    """Construct a uniform grid; rejects non-finite bounds, non-square spacing and nx/ny < 3."""
+    """Construct a uniform grid; rejects non-finite bounds, non-square spacing, and nx/ny < 3 or not ints."""
     _require_finite(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
+    for name, n in (("nx", nx), ("ny", ny)):
+        # a float count builds a grid whose first sample fails in numpy instead
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {n!r}")
     if not (x_max > x_min and y_max > y_min):
         raise ValueError("grid bounds must satisfy x_min < x_max and y_min < y_max")
     if nx < 3 or ny < 3:

@@ -19,12 +19,13 @@ goes through one ladder evaluator, which crops the fields once to the
 nodes the ladder's largest ball reads, forms the layers it needs there
 (a psi pair's gradients and the directional parts equal the full fields'
 bit for bit on that window), and interpolates the whole stack from one
-locate per point.  Each integrand row is summed in ``np.sum``'s pairwise
-order, and each node of that tree is one ``interpolate_many`` call of at
-most max(128, _BLOCK // layers) points, the next ones of the rule, built
-only then: a row's sum has the bits of one ``np.sum`` over the whole
-row, the same in any stack, while only partial sums and one node's
-points and values are held.
+locate per point.  The rule's nq^2 nodes are numbered angle row by angle
+row, and each integrand row is summed in ``np.sum``'s pairwise order over
+ranges of those numbers: each leaf of that tree is one
+``interpolate_many`` call on its range of at most
+max(128, _BLOCK // layers) nodes, built only then.  A row's sum has the
+bits of one ``np.sum`` over the whole row, the same in any stack, while
+only partial sums and one range's points and values are held.
 ``freeboundary.FieldAnalysis`` evaluates ``directional_psi`` once
 per field and ladder, along the four classification directions, and
 keeps the result.  Circle integrals (s_norm, the boundary term of
@@ -59,8 +60,8 @@ _NQ = 256
 _NQ_MIN = 32
 
 # Values per interpolate_many call of the disk kernel: a stack of k layers
-# sums its integrand rows over pairwise-tree nodes of at most
-# max(128, _BLOCK // k) points, one call each, so the (layers, points)
+# sums its integrand rows over pairwise-tree leaves of at most
+# max(128, _BLOCK // k) rule nodes, one call each, so the (layers, points)
 # temporaries stay at 128 KB each whatever the stack, about 1 MB in all.
 _BLOCK = 16384
 
@@ -120,25 +121,25 @@ def check_ball(grid: Grid2D, center: tuple[float, float], r: float) -> None:
 
 
 def _polar_disk(center, r, h):
-    """The disk rule on B_r(center), by angle rows: (points, weights).
+    """The disk rule on B_r(center), by node number: (points, nq).
 
-    ``points(rows)`` returns the raveled x and y of the angle rows
-    ``rows``, a slice: row i holds the nq points at angle (i + 1/2) dth,
-    one per radius (k + 1/2) dr, and a point comes out the same in any
-    slice.  ``weights`` holds each radius's weight rk dr dth, the same on
-    every row; its size is nq.
+    Node k lies on angle row k // nq, at angle (k // nq + 1/2) dth, and at
+    radius (k % nq + 1/2) dr.  ``points(a, b)`` returns the x, y and weight
+    rk dr dth of nodes a to b - 1, and a node comes out the same in any
+    range.
     """
     nq = min(_NQ, max(_NQ_MIN, math.ceil(4.0 * r / h)))
     dr = r / nq
     dth = 2.0 * math.pi / nq
     rk = (np.arange(nq) + 0.5) * dr
-    th = ((np.arange(nq) + 0.5) * dth)[:, None]
-    cos, sin = np.cos(th), np.sin(th)
+    th = (np.arange(nq) + 0.5) * dth
+    cos, sin, weights = np.cos(th), np.sin(th), rk * dr * dth
 
-    def points(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        return (center[0] + rk * cos[rows]).ravel(), (center[1] + rk * sin[rows]).ravel()
+    def points(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        row, k = np.divmod(np.arange(a, b), nq)
+        return center[0] + rk[k] * cos[row], center[1] + rk[k] * sin[row], weights[k]
 
-    return points, rk * dr * dth
+    return points, nq
 
 
 def _circle(center, r):
@@ -170,21 +171,21 @@ def _crop(grid: Grid2D, center, r: float) -> tuple[slice, slice]:
     return slice(j_lo, j_hi), slice(i_lo, i_hi)
 
 
-def _pairwise_sums(n: int, leaf: int, take) -> np.ndarray:
-    """Row sums of n streamed values, each with the bits of one ``np.sum`` over its row.
+def _pairwise_sums(a: int, b: int, leaf: int, values) -> np.ndarray:
+    """Row sums of the values of nodes a to b - 1, with the bits of one ``np.sum`` over each row.
 
-    ``take(m)`` returns the next m values of every row, (rows, m).  numpy
-    sums a contiguous row of more than 128 doubles as the sum of its first
-    n // 2 - (n // 2) % 8 values plus the sum of the rest, and a shorter
-    row directly; so splitting the same way down to nodes of at most
-    ``leaf`` >= 128 values, each summed by ``np.sum``, and adding the
-    halves back up gives the same bits without holding the rows.
+    ``values(a, b)`` returns every row's values of nodes a to b - 1,
+    (rows, b - a).  numpy sums a contiguous row of n > 128 doubles as the
+    sum of its first n // 2 - (n // 2) % 8 values plus the sum of the
+    rest, and a shorter row directly; so splitting the range the same way
+    down to at most ``leaf`` >= 128 nodes, each summed by ``np.sum``, and
+    adding the halves back up gives the same bits without holding the rows.
     """
+    n = b - a
     if n <= leaf:
-        return np.sum(take(n), axis=1)
-    n2 = n // 2 - n // 2 % 8
-    # the left half is taken first: Python evaluates the operands in order
-    return _pairwise_sums(n2, leaf, take) + _pairwise_sums(n - n2, leaf, take)
+        return np.sum(values(a, b), axis=1)
+    mid = a + n // 2 - n // 2 % 8
+    return _pairwise_sums(a, mid, leaf, values) + _pairwise_sums(mid, b, leaf, values)
 
 
 def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[float]]:
@@ -194,10 +195,9 @@ def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[fl
     ``layers(rows, cols)`` builds the (fields, rows, cols) stack there, and
     ``integrand`` maps its (fields, points) values to (rows, points).  Each
     row of weighted values is summed in ``np.sum``'s pairwise order over
-    nodes of at most max(128, _BLOCK // fields) values, so it has the bits
-    of one ``np.sum`` over all its points, whatever the other rows.  Each
-    node is one ``interpolate_many`` call: its points, the next ones of the
-    rule, angle row after angle row, are cut from the rows they span only
+    ranges of at most max(128, _BLOCK // fields) nodes, so it has the bits
+    of one ``np.sum`` over all its nodes, whatever the other rows.  Each
+    range is one ``interpolate_many`` call on its nodes alone, built only
     then, so no radius's points or values are held all at once.
     """
     for r in radii:
@@ -207,21 +207,13 @@ def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[fl
     leaf = max(128, _BLOCK // win.values.shape[0])
     out = []
     for r in radii:
-        points, weights = _polar_disk(center, r, grid.h)
-        nq = weights.size
-        start = 0
+        points, nq = _polar_disk(center, r, grid.h)
 
-        def take(m):
-            nonlocal start
-            a, lo = divmod(start, nq)
-            b = -(-(start + m) // nq)
-            cut = slice(lo, lo + m)
-            start += m
-            part = integrand(interpolate_many(win, *(xy[cut] for xy in points(slice(a, b)))))
-            # each value times the weight of its radius, the index within its angle row
-            return part * np.tile(weights, b - a)[cut]
+        def values(a, b):
+            x, y, w = points(a, b)
+            return integrand(interpolate_many(win, x, y)) * w
 
-        out.append(_pairwise_sums(nq * nq, leaf, take).tolist())
+        out.append(_pairwise_sums(0, nq * nq, leaf, values).tolist())
     return out
 
 
@@ -231,22 +223,23 @@ def _gradient_squares(v: np.ndarray) -> np.ndarray:
     return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
 
 
-def _products(sums: list[float], r: float) -> list[float]:
-    # acf_psi of each consecutive pair of Dirichlet integrals
-    return [1.0 / r**4 * sums[k] * sums[k + 1] for k in range(0, len(sums), 2)]
+def _psi_pairs(grid: Grid2D, center, radii, pairs: int, members) -> list[list[float]]:
+    """acf_psi of each of ``pairs`` pairs on each ball: one list per pair, one value per radius.
 
-
-def _phi_values(u: ScalarField, grads, x0, radii, lambda_plus: float, lambda_minus: float) -> list[float]:
+    ``members(rows, cols)`` yields the pairs' members on the window of the
+    largest ball, pair by pair; each is read as it is yielded, so the next
+    may reuse its array.  Their gradients are formed on the window.
+    """
     def layers(rows, cols):
-        return np.stack([a.values[rows, cols] for a in (u, *grads)])
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        # d/dx, d/dy of each member in turn
+        stack = np.empty((2 * pairs, 2) + shape)
+        for f, grad in zip(members(rows, cols), stack):
+            _gradient_arrays(f, grid.h, *grad)
+        return stack.reshape(-1, *shape)
 
-    def bulk(v):
-        uv, gxv, gyv = v
-        return (gxv * gxv + gyv * gyv
-                + lambda_plus * np.maximum(uv, 0.0) + lambda_minus * np.maximum(-uv, 0.0))[None]
-
-    sums = _ladder_sums(u.grid, x0, radii, layers, bulk)
-    return [disk / r**4 - 2.0 * _circle_sum(u, x0, r) / r**5 for r, (disk,) in zip(radii, sums)]
+    sums = _ladder_sums(grid, center, radii, layers, _gradient_squares)
+    return [[1.0 / r**4 * s[k] * s[k + 1] for r, s in zip(radii, sums)] for k in range(0, 2 * pairs, 2)]
 
 
 def weiss_phi(
@@ -257,32 +250,13 @@ def weiss_phi(
     lambda_minus: float,
 ) -> float:
     """Scale-invariant energy at center x0 and radius r (planar scaling)."""
-    return _phi_values(u, gradient_fields(u), x0, (r,), lambda_plus, lambda_minus)[0]
-
-
-_NEG_TOL = 1e-12
-
-
-def _psi_values(h1: ScalarField, h2: ScalarField, z, radii) -> list[float]:
-    if h1.grid != h2.grid:
-        raise ValueError("pair must share a grid")
-    if float(np.min(h1.values)) < -_NEG_TOL or float(np.min(h2.values)) < -_NEG_TOL:
-        raise ValueError("pair members must be nonnegative (within 1e-12)")
-
-    def layers(rows, cols):
-        # d/dx, d/dy of h1, then of h2
-        stack = np.empty((2, 2) + h1.values[rows, cols].shape)
-        for f, grad in zip((h1, h2), stack):
-            _gradient_arrays(f.values[rows, cols], f.grid.h, *grad)
-        return stack.reshape(4, *stack.shape[2:])
-
-    sums = _ladder_sums(h1.grid, z, radii, layers, _gradient_squares)
-    return [_products(disk, r)[0] for r, disk in zip(radii, sums)]
+    ladder = RadiusLadder(x0, (r,))
+    return float(phi_ladder(u, gradient_fields(u), ladder, lambda_plus, lambda_minus).values[0])
 
 
 def acf_psi(h1: ScalarField, h2: ScalarField, z: tuple[float, float], r: float) -> float:
     """Product functional for a nonnegative pair at center z, radius r."""
-    return _psi_values(h1, h2, z, (r,))[0]
+    return float(psi_ladder(h1, h2, RadiusLadder(z, (r,))).values[0])
 
 
 def _unit(e) -> tuple[float, float]:
@@ -360,13 +334,33 @@ def phi_ladder(
 
     ``grads`` are u's ``gradient_fields``, taken once per field.
     """
-    vals = _phi_values(u, grads, ladder.center, ladder.radii, lambda_plus, lambda_minus)
+    x0 = ladder.center
+
+    def layers(rows, cols):
+        return np.stack([a.values[rows, cols] for a in (u, *grads)])
+
+    def bulk(v):
+        uv, gxv, gyv = v
+        return (gxv * gxv + gyv * gyv
+                + lambda_plus * np.maximum(uv, 0.0) + lambda_minus * np.maximum(-uv, 0.0))[None]
+
+    sums = _ladder_sums(u.grid, x0, ladder.radii, layers, bulk)
+    vals = [disk / r**4 - 2.0 * _circle_sum(u, x0, r) / r**5 for r, (disk,) in zip(ladder.radii, sums)]
     return _profile(ladder, np.array(vals))
+
+
+_NEG_TOL = 1e-12
 
 
 def psi_ladder(h1: ScalarField, h2: ScalarField, ladder: RadiusLadder) -> MonotonicityProfile:
     """acf_psi about the ladder's center, with monotonicity violations flagged."""
-    return _profile(ladder, np.array(_psi_values(h1, h2, ladder.center, ladder.radii)))
+    if h1.grid != h2.grid:
+        raise ValueError("pair must share a grid")
+    if float(np.min(h1.values)) < -_NEG_TOL or float(np.min(h2.values)) < -_NEG_TOL:
+        raise ValueError("pair members must be nonnegative (within 1e-12)")
+    (psi,) = _psi_pairs(h1.grid, ladder.center, ladder.radii, 1,
+                        lambda rows, cols: (h1.values[rows, cols], h2.values[rows, cols]))
+    return _profile(ladder, np.array(psi))
 
 
 def directional_psi(
@@ -383,20 +377,15 @@ def directional_psi(
     per point.
     """
     dirs = [_unit(e) for e in directions]
-    gx, gy = grads
-    g = gx.grid
 
-    def layers(rows, cols):
-        wgx, wgy = gx.values[rows, cols], gy.values[rows, cols]
-        # per direction: d/dx, d/dy of the positive part, then of the negative part
-        stack = np.empty((len(dirs), 2, 2) + wgx.shape)
+    def members(rows, cols):
+        wgx, wgy = (g.values[rows, cols] for g in grads)
         part = np.empty_like(wgx)
-        for (ex, ey), out in zip(dirs, stack):
+        # per direction: the positive part, then the negative part
+        for ex, ey in dirs:
             de = ex * wgx + ey * wgy
-            for d, grad in zip((de, -de), out):
-                _gradient_arrays(np.maximum(d, 0.0, out=part), g.h, *grad)
-        return stack.reshape(-1, *wgx.shape)
+            yield np.maximum(de, 0.0, out=part)
+            yield np.maximum(-de, 0.0, out=part)
 
-    sums = _ladder_sums(g, ladder.center, ladder.radii, layers, _gradient_squares)
-    per_radius = [_products(disk, r) for r, disk in zip(ladder.radii, sums)]
-    return tuple(_profile(ladder, np.array(vals)) for vals in zip(*per_radius))
+    psi = _psi_pairs(grads[0].grid, ladder.center, ladder.radii, len(dirs), members)
+    return tuple(_profile(ladder, np.array(vals)) for vals in psi)

@@ -681,3 +681,16 @@ def test_covering_count_rejects_under_resolved_radii(profile_solutions):
     v, spec, u, _ = profile_solutions[65]
     with pytest.raises(ValueError):
         covering_count(FieldAnalysis(u, spec), 1.5 * spec.grid.h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_covering_radius_and_fit_window_must_be_finite(profile_solutions, bad):
+    # NaN fails every comparison, so a lower bound alone let it through:
+    # covering_count read 130 at NaN and 1 at inf, and an infinite window
+    # failed only later, in the blow-up's ball check
+    v, spec, u, _ = profile_solutions[65]
+    fa = FieldAnalysis(u, spec)
+    with pytest.raises(ValueError, match="must be at least 2 grid steps"):
+        covering_count(fa, bad)
+    with pytest.raises(ValueError, match="must cover at least 8 grid steps"):
+        fit_two_graphs(fa, (0.0, 0.0), bad)

@@ -56,6 +56,22 @@ def test_build_grid_rejects_non_finite_bounds(bounds, needle):
         build_grid(*bounds, 3, 3)
 
 
+@pytest.mark.parametrize("nx, ny, needle", [
+    (65.0, 65.0, "nx must be an int, got 65.0"),
+    (65, np.float64(65.0), "ny must be an int, got np.float64"),
+    (True, 65, "nx must be an int, got True"),
+], ids=["float", "numpy_float", "bool"])
+def test_build_grid_rejects_non_integer_counts(nx, ny, needle):
+    # a float count built a grid whose first sample failed in numpy
+    with pytest.raises(ValueError, match=needle):
+        build_grid(-1.0, 1.0, -1.0, 1.0, nx, ny)
+
+
+def test_build_grid_accepts_numpy_integer_counts():
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, np.int64(5), np.int32(5))
+    assert g.shape == (5, 5) and g.h == 0.5
+
+
 def test_contains_ball():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65)
     assert g.contains_ball((0.0, 0.0), 1.0)

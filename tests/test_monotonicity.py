@@ -246,10 +246,9 @@ def test_phi_ladder_tolerance_scales_with_values(r_top):
 
 
 def whole_polar_disk(center, r, h):
-    """The package's disk rule as whole raveled arrays: every angle row's points, then their weights."""
-    points, weights = _polar_disk(center, r, h)
-    xs, ys = points(slice(None))
-    return xs, ys, np.tile(weights, weights.size)
+    """The package's disk rule as whole arrays: the x, y and weight of every node, in node order."""
+    points, nq = _polar_disk(center, r, h)
+    return points(0, nq * nq)
 
 
 def package_disk(grid):
@@ -401,7 +400,7 @@ def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution
     for u, p in ((profile_solutions[129][2], (0.0, 0.05)), (tau_solution[2], (-0.2, 0.1))):
         h = u.grid.h
         radii = tuple(k * h for k in PARTIAL_STEPS)
-        nqs = [_polar_disk(p, r, h)[1].size for r in radii]
+        nqs = [_polar_disk(p, r, h)[1] for r in radii]
         assert nqs == [162, 38]
         for nq in nqs:
             starts = [np.cumsum(pairwise_nodes(nq * nq, max(128, _BLOCK // fields)))[:-1]
@@ -438,22 +437,14 @@ def test_directional_psi_interpolates_every_disk_point(profile_solutions, monkey
 def test_pairwise_sums_have_the_bits_of_np_sum():
     # the kernel adds up its rows node by node in the order numpy's np.sum
     # takes; a numpy that sums a row another way fails here instead of
-    # silently moving every phi and psi.  Each take hands out the next
-    # columns in order, as the disk kernel hands out the next points.
+    # silently moving every phi and psi.  The values of a range of nodes
+    # are those columns, as the disk kernel interpolates a range of nodes.
     rng = np.random.default_rng(2024)
     cases = [(n, 128) for n in (1, 7, 8, 127, 128, 129, 136, 255, 256, 257, 1024, 1444, 26244, 65536)]
     cases += [(int(rng.integers(1, 70000)), int(rng.integers(128, 5000))) for _ in range(300)]
     for n, leaf in cases:
         v = rng.standard_normal((2, n)) * np.exp(4.0 * rng.standard_normal((2, n)))
-        taken = 0
-
-        def take(m):
-            nonlocal taken
-            taken += m
-            return v[:, taken - m:taken]
-
-        got = monotonicity._pairwise_sums(n, leaf, take)
-        assert taken == n, (n, leaf)
+        got = monotonicity._pairwise_sums(0, n, leaf, lambda a, b: v[:, a:b])
         assert got.tobytes() == np.array([np.sum(row) for row in v]).tobytes(), (n, leaf)
 
 
@@ -613,11 +604,11 @@ def test_polar_disk_matches_the_meshgrid_rule_bit_for_bit():
         want = meshgrid_polar_disk(center, r, nq)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (center, r, h)
-        # blocks of angle rows, as the ladder evaluator builds them, give the same points
+        # ranges of nodes, as the ladder evaluator takes them, give the same nodes and weights
         points = _polar_disk(center, r, h)[0]
-        cuts = [0, *sorted(rng.integers(1, nq, 2).tolist()), nq]
-        for k, xy in enumerate(zip(*(points(slice(a, b)) for a, b in zip(cuts, cuts[1:])))):
-            assert np.concatenate(xy).tobytes() == got[k].tobytes(), (center, r, h, cuts)
+        cuts = [0, *sorted(rng.integers(1, nq * nq, 2).tolist()), nq * nq]
+        for k, parts in enumerate(zip(*(points(a, b) for a, b in zip(cuts, cuts[1:])))):
+            assert np.concatenate(parts).tobytes() == got[k].tobytes(), (center, r, h, cuts)
     assert {32, 256} <= nqs and len(nqs) > 100
 
 

@@ -684,6 +684,28 @@ def test_sweep_blowups_visit_few_angles(sweep_blowups):
     assert sum(visited) < 50, visited
 
 
+def assert_below_is_dist_to_M_under_the_cut(f, lp, lm):
+    """dist_to_M_below(f, cut) == (dist_to_M(f)[0] < cut) at cuts on, beside and away from the distance."""
+    d = dist_to_M(f, lambda_plus=lp, lambda_minus=lm)[0]
+    cuts = (d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf),
+            d * (1.0 - 1e-3), d * (1.0 + 1e-3), 0.1, 2.0 * d)
+    for cut in cuts:
+        assert profiles.dist_to_M_below(f, cut, lambda_plus=lp, lambda_minus=lm) == (d < cut), (cut, d)
+
+
+@pytest.mark.parametrize("name", list(SCAN_CASES))
+def test_dist_to_M_below_is_dist_to_M_under_the_cut(name):
+    # the early exit stops the search once a fit lies below the cut by more
+    # than its stopping gap; it must never change the answer
+    n, fn, lp, lm, _ = SCAN_CASES[name]
+    assert_below_is_dist_to_M_under_the_cut(sample(build_grid(-1.0, 1.0, -1.0, 1.0, n, n), fn), lp, lm)
+
+
+def test_dist_to_M_below_is_dist_to_M_under_the_cut_on_sweep_blowups(sweep_blowups):
+    for f, lp, lm in sweep_blowups:
+        assert_below_is_dist_to_M_under_the_cut(f, lp, lm)
+
+
 # ---------------------------------------------------------------------------
 # The exact search against the descent oracle and its optimality certificate
 # ---------------------------------------------------------------------------
