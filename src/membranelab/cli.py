@@ -427,9 +427,10 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, window: float, budget: 
     so every ladder ball of radius up to 32h and every graph-fit window of
     half-width ``window`` around a target stays inside it.  The rest are
     strided evenly in the order ``extract_free_boundary`` walks its
-    chains.  That order depends only on the field's sign pattern, so
-    rounding-level changes of the field move each target by rounding, not
-    by a stride.  Sorting on the coordinates would let rounding pick the
+    chains.  That order depends only on the field's sign pattern and the
+    sign of each saddle cell's centre average, so rounding-level changes
+    of the field that keep both move each target by rounding, not by a
+    stride.  Sorting on the coordinates would let rounding pick the
     order wherever vertices share a coordinate up to it.  With no vertex
     that far inside there is no target.
     """

@@ -47,11 +47,17 @@ class NotVerticallySimpleError(ValueError):
 # Cells are scanned for sign changes of s = values - level with "inside"
 # meaning s > 0 strictly.  Corner bits order (BL, BR, TR, TL) = (1, 2, 4, 8);
 # the interpolated crossing on an edge with endpoint values a, b sits at
-# t = a / (a - b).  Extracted vertices live on cell edges, so stitching
-# chains is pure bookkeeping: edges are nodes of a graph of degree <= 2.
+# t = a / (a - b).  A cell's segments separate its inside corners from its
+# outside ones, so swapping the two (code c to its complement 15 - c)
+# keeps them; a saddle also swaps its centre, so saddle 10 with one centre
+# sign has the segments of saddle 5 with the other.  Extracted vertices
+# live on cell edges, so stitching chains is pure bookkeeping: edges are
+# nodes of a graph of degree <= 2.
 
-# The segments of each cell code, as pairs of sides; a saddle (code 5 or
-# 10) is keyed by its code and whether its cell-centre average is positive.
+# The segments of the 8 distinct cell configurations, as pairs of sides; a
+# saddle (code 5) is keyed by its code and whether its cell-centre average
+# is positive.  The complements, 15 - c and saddle 10 with the other
+# centre sign, are derived from them by the rule above.
 _SEGMENTS = {
     1: (("L", "B"),),
     2: (("B", "R"),),
@@ -59,17 +65,10 @@ _SEGMENTS = {
     4: (("R", "T"),),
     6: (("B", "T"),),
     7: (("L", "T"),),
-    8: (("L", "T"),),
-    9: (("B", "T"),),
-    11: (("R", "T"),),
-    12: (("L", "R"),),
-    13: (("B", "R"),),
-    14: (("L", "B"),),
     (5, True): (("B", "R"), ("T", "L")),
     (5, False): (("L", "B"), ("R", "T")),
-    (10, True): (("L", "B"), ("R", "T")),
-    (10, False): (("B", "R"), ("T", "L")),
 }
+_SEGMENTS |= {(15 - c if isinstance(c, int) else (10, not c[1])): seg for c, seg in _SEGMENTS.items()}
 
 # Each side's edge as (kind, di, dj): edges are keyed by their lower-left
 # node (i + di, j + dj); 'h' runs to the node on its right, 'v' to the one above.
@@ -107,38 +106,30 @@ def _contour_chains(grid: Grid2D, s: np.ndarray) -> list[np.ndarray]:
             links.setdefault(kb, []).append(ka)
 
     visited: set = set()
-    paths: list[tuple[list, bool]] = []
-
-    def _walk(start: tuple) -> list:
-        path = [start]
-        visited.add(start)
-        cur = start
-        while True:
-            nxt = None
-            for cand in links[cur]:
-                if cand not in visited:
-                    nxt = cand
-                    break
-            if nxt is None:
-                return path
-            visited.add(nxt)
-            path.append(nxt)
-            cur = nxt
-
+    out = []
     # open chains start at degree-1 edges, which sort first; whatever is
     # unvisited by then has degree 2 and belongs to a closed loop
     for start in sorted(links, key=lambda k: (len(links[k]) != 1, k)):
-        if start not in visited:
-            paths.append((_walk(start), len(links[start]) == 2))
-
-    out = []
-    for path, closed in paths:
-        pts = np.array([_edge_point(grid, s, k) for k in path], dtype=float)
+        if start in visited:
+            continue
+        visited.add(start)
+        pts = [_edge_point(grid, s, start)]
+        cur = start
+        while True:
+            for nxt in links[cur]:
+                if nxt not in visited:
+                    break
+            else:
+                break
+            visited.add(nxt)
+            pts.append(_edge_point(grid, s, nxt))
+            cur = nxt
+        pts = np.array(pts, dtype=float)
         # drop exact duplicates from crossings that land on a shared node
         keep = np.ones(len(pts), dtype=bool)
         keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
         pts = pts[keep]
-        if closed and len(pts) > 2:
+        if len(links[start]) == 2 and len(pts) > 2:
             pts = np.vstack([pts, pts[:1]])
         out.append(pts)
     return out
@@ -169,10 +160,12 @@ def extract_free_boundary(u: ScalarField, tol_zero: float) -> FreeBoundarySet:
 
     The positive phase boundary is the tol_zero level set of u, the
     negative one the tol_zero level set of -u, so a dead zone between the
-    phases produces two distinct curves.
+    phases produces two distinct curves.  A tol_zero that is negative, NaN
+    or infinite is a ValueError.
     """
-    if tol_zero < 0.0:
-        raise ValueError("tol_zero must be nonnegative")
+    # an in-range test, so NaN, which fails every comparison, is rejected too
+    if not 0.0 <= tol_zero < math.inf:
+        raise ValueError(f"tol_zero must be nonnegative and finite, got {tol_zero!r}")
     plus = _contour_chains(u.grid, u.values - tol_zero)
     minus = _contour_chains(u.grid, -u.values - tol_zero)
     return FreeBoundarySet(tuple(plus), tuple(minus))

@@ -65,6 +65,13 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _require_phases(lambda_plus: float, lambda_minus: float) -> None:
+    """Raise ValueError unless both phase coefficients are finite and positive."""
+    _require_finite(lambda_plus=lambda_plus, lambda_minus=lambda_minus)
+    if lambda_plus <= 0.0 or lambda_minus <= 0.0:
+        raise ValueError("lambda_plus and lambda_minus must be positive")
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform vertex-centered grid on [x_min, x_max] x [y_min, y_max].

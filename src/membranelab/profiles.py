@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import BoundaryMap, Grid2D, ScalarField, _require_finite
+from .grid import BoundaryMap, Grid2D, ScalarField, _require_finite, _require_phases
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ class GlobalProfile:
 
     def __post_init__(self) -> None:
         _require_finite(**vars(self))
-        if self.lambda_plus <= 0.0 or self.lambda_minus <= 0.0:
-            raise ValueError("lambda_plus and lambda_minus must be positive")
+        _require_phases(self.lambda_plus, self.lambda_minus)
         if self.beta1 < 0.0 or self.beta2 < 0.0:
             raise ValueError("beta1 and beta2 must be nonnegative")
         if self.beta1 + self.beta2 <= 0.0:
@@ -621,8 +620,9 @@ def _ramp_search(f: ScalarField, lp: float, lm: float, cut: float) -> _Fit | Non
     stopping gap, and the result is at most the polished chart-A fit; so a
     stage-2 chart-A fit of value v with v + floor < (1 - _GAP) cut bounds
     the result below cut.  Such a fit ends the search at once; cut = 0
-    never ends it.
+    never ends it.  The phase coefficients are checked before any scan.
     """
+    _require_phases(lp, lm)
     X, Y, fvals = _disk_nodes(f)
 
     # stage 1: theta scan with a light inner search on a node subsample
@@ -665,7 +665,9 @@ def dist_to_M(f: ScalarField, *, lambda_plus: float, lambda_minus: float) -> tup
     and a trust-region SLP over each chart's coordinates (see the notes
     above).  The distance is the sup error of the returned profile, which
     is admissible, so it bounds the true infimum from above; it is exact
-    over (beta1, beta2) at the returned theta and tau.
+    over (beta1, beta2) at the returned theta and tau.  Phase coefficients
+    that are not finite and positive raise the ValueError of
+    ``GlobalProfile`` before the search.
     """
     best = _ramp_search(f, lambda_plus, lambda_minus, 0.0)
     return best.value, GlobalProfile(best.beta1, best.beta2, best.tau, best.theta, lambda_plus, lambda_minus)

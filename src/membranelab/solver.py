@@ -97,7 +97,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import BoundaryMap, Grid2D, ScalarField, _neighbor_sum, _require_finite, build_grid, laplacian_interior
+from .grid import (BoundaryMap, Grid2D, ScalarField, _neighbor_sum, _require_finite, _require_phases,
+                   build_grid, laplacian_interior)
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,8 @@ class ProblemSpec:
     tol_pattern: int = 200
 
     def __post_init__(self) -> None:
-        _require_finite(lambda_plus=self.lambda_plus, lambda_minus=self.lambda_minus,
-                        tol_linear=self.tol_linear)
-        if self.lambda_plus <= 0.0 or self.lambda_minus <= 0.0:
-            raise ValueError("lambda_plus and lambda_minus must be positive")
+        _require_phases(self.lambda_plus, self.lambda_minus)
+        _require_finite(tol_linear=self.tol_linear)
         if self.boundary.grid != self.grid:
             raise ValueError("boundary map grid differs from problem grid")
         if self.tol_linear <= 0.0:

@@ -33,7 +33,7 @@ from membranelab import (
     solve,
 )
 from membranelab import GlobalProfile, OnePhasePolynomial, freeboundary, profiles
-from membranelab.cli import _reference_points, _write_free_boundary
+from membranelab.cli import _FAMILIES, _reference_points, _write_free_boundary
 from conftest import make_profile_problem, profile_fn, spec_of
 
 S_1 = math.sqrt(3.0 * math.pi / 16.0)
@@ -87,9 +87,12 @@ def test_extraction_of_positive_field_is_empty():
 
 
 def test_extraction_rejects_a_negative_level():
+    # NaN fails every comparison, so a lower bound alone let NaN and inf
+    # through: both gave an empty free boundary
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
-    with pytest.raises(ValueError, match="tol_zero must be nonnegative"):
-        extract_free_boundary(sample(g, lambda X, Y: X), -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_zero must be nonnegative"):
+            extract_free_boundary(sample(g, lambda X, Y: X), bad)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -203,6 +206,28 @@ def test_table_extraction_matches_the_branch_coded_one():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert seen == {(c, None) for c in range(16) if c not in (5, 10)} | {
         (c, p) for c in (5, 10) for p in (True, False)}
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_chain_order_survives_noise_that_keeps_the_sign_patterns(profile_solutions, delta):
+    # _reference_points strides the vertices in walk order, so rounding-level
+    # noise that keeps both sign patterns (these fields have no saddle cell)
+    # must keep every chain and its vertex count, and move each vertex by
+    # rounding only
+    _, spec, u, _ = profile_solutions[129]
+    if delta:
+        spec = ProblemSpec(spec.grid, spec.boundary.perturbed(_FAMILIES["constant"](1), delta), 2.0, 2.0)
+        u = solve(spec)[0]
+    tol, h = spec.tol_zero, spec.grid.h
+    want = extract_free_boundary(u, tol)
+    for seed in range(5):
+        noisy = ScalarField(u.grid, u.values + 1e-12 * np.random.default_rng(seed).standard_normal(u.values.shape))
+        for sign in (1.0, -1.0):
+            assert np.array_equal(sign * noisy.values - tol > 0.0, sign * u.values - tol > 0.0)
+        got = extract_free_boundary(noisy, tol)
+        for a, b in ((got.plus_boundary, want.plus_boundary), (got.minus_boundary, want.minus_boundary)):
+            assert [len(c) for c in a] == [len(c) for c in b]
+            assert all(float(np.max(np.abs(ca - cb))) <= 1e-4 * h for ca, cb in zip(a, b))
 
 
 def test_extraction_recovers_the_pinned_slab(tau_solution):

@@ -193,6 +193,26 @@ def test_distances_need_a_node_in_the_unit_disk():
         profiles.dist_to_polynomial_class(f)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lambda_plus", "lambda_minus"])
+def test_ramp_distances_check_the_phase_coefficients_before_the_search(name, bad, monkeypatch):
+    # both were checked only when dist_to_M built its profile after the
+    # search: dist_to_M_below answered True at -1 and 0, NaN failed in
+    # numpy's SVD and inf in a multiply
+    f = sample(build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65), lambda X, Y: X * np.abs(X))
+    needle = "must be positive" if math.isfinite(bad) else f"{name} must be finite, got {bad!r}"
+    coefs = {"lambda_plus": 2.0, "lambda_minus": 2.0, name: bad}
+
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(profiles, "_disk_nodes", no_search)
+    with pytest.raises(ValueError, match=needle):
+        dist_to_M(f, **coefs)
+    with pytest.raises(ValueError, match=needle):
+        profiles.dist_to_M_below(f, 0.1, **coefs)
+
+
 def test_dist_to_mstar_member_is_zero():
     # tau = -0.3 is off the tau grid; the SLP finds it
     g, X, Y, inside = canonical_disk_nodes()
