@@ -53,6 +53,7 @@ from .freeboundary import (
     covering_count,
     extract_free_boundary,
     fit_two_graphs,
+    graph_frame,
     perimeter_estimate,
     reflection_xi,
 )

@@ -34,14 +34,15 @@ from .freeboundary import (
     circle_trace,
     extract_free_boundary,
     fit_two_graphs,
+    graph_frame,
     perimeter_estimate,
     reflection_xi,
 )
 from .grid import Grid2D, build_grid, dump_field_csv, float_repr, sample, write_csv
 from .monotonicity import (
-    RadiusLadder, acf_psi, check_ball, phi_ladder, s_norm, weiss_phi,
+    DegenerateRescaleError, RadiusLadder, acf_psi, check_ball, phi_ladder, s_norm, weiss_phi,
 )
-from .profiles import GlobalProfile, OnePhasePolynomial, eval_many, profile_boundary_trace
+from .profiles import GlobalProfile, OnePhasePolynomial, RampFitError, eval_many, profile_boundary_trace
 from .solver import ProblemSpec, SolverError, comparison_check, solve
 
 
@@ -409,13 +410,9 @@ def _reference_margin(grid: Grid2D, window: float) -> float:
     """How far inside the grid a sweep reference point must lie: max(32h, window) + 2h.
 
     The sweep reads no ball wider than max(8h, window), but the 32h keeps
-    two things in reach: the default ``diagnose`` ladder, whose largest
-    radius is 32h, fits at every target, and the graph windows of the
-    perturbed fields stay where the shifted boundary is still a graph.  At
-    max(8h, window) + 2h the first target of the n = 129 constant-shift
-    sweep moves to (5.12e-8, -0.71875), and ``fit_two_graphs`` on the
-    first perturbed field there finds a transverse bin with no boundary
-    vertex.
+    every target in reach of the default ``diagnose`` ladder, whose
+    largest radius is 32h.  A lower margin admits more vertices and so
+    moves the targets.
     """
     return max(LADDER_STEPS[0] * grid.h, window) + 2.0 * grid.h
 
@@ -462,15 +459,24 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
     written, so the classification is label-only (``evidence=False``): it
     gives the full call's label and skips the ramp distance, or stops its
     search, wherever the label does not need its value.  Any one-phase singular
-    point aborts the sweep.  Each row re-solves with perturbed data,
-    checks the comparison principle, measures the free boundary
-    displacement, and refits graphs at the reference branch points.  A
-    perturbed solve that fails re-raises its SolverError, with its report,
-    under a message that names the amplitude and the failing level's
-    nx x ny; a perturbed fit that fails re-raises its error type under a
-    message that names the amplitude and the reference point, and a
-    perturbed free boundary that vanishes re-raises the ValueError of
-    ``hausdorff_distance`` under a message that names the amplitude.
+    point aborts the sweep.  The graph frame of each of the first three
+    branch points is then searched once, on the reference field
+    (``graph_frame``), since near a branch point the perturbed free
+    boundary is again two graphs over the same axis; a search that fails
+    re-raises its error type, before any perturbed solve, under a message
+    that names the reference point.  Each row re-solves with perturbed
+    data, checks the comparison principle, measures the free boundary
+    displacement, and fits graphs in each reference frame, anchored at
+    the perturbed free-boundary vertex nearest the reference point (the
+    first such vertex on a tie).  Each graph summary records the
+    reference ``point``, the ``anchor`` and the reference frame's
+    ``theta``.  A perturbed solve that fails re-raises its SolverError,
+    with its report, under a message that names the amplitude and the
+    failing level's nx x ny; a perturbed fit that fails re-raises its
+    error type under a message that names the amplitude, the reference
+    point and the anchor, and a perturbed free boundary that vanishes
+    re-raises the ValueError of ``hausdorff_distance`` under a message
+    that names the amplitude.
     """
     if config.sweep is None:
         raise ConfigError("sweep: section required for stability_sweep")
@@ -497,6 +503,15 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
                 "classifies as one_phase_singular"
             )
     branch_points = [p for p, lab in zip(points, labels) if lab == "branch"][:3]
+    # near a branch point the perturbed boundary is again two graphs over
+    # the same axis, so each frame is searched once, on the reference field
+    frames = []
+    for p in branch_points:
+        try:
+            frames.append(graph_frame(fa_ref, p, window))
+        except (DegenerateRescaleError, RampFitError) as exc:
+            raise type(exc)(f"graph frame search at reference point "
+                            f"({float_repr(p[0])}, {float_repr(p[1])}) failed: {exc}") from exc
 
     fam = _FAMILIES[config.sweep["family"]](config.sweep["k"])
     rows = []
@@ -514,15 +529,20 @@ def stability_sweep(config: ExperimentConfig, fa_ref: FieldAnalysis) -> Stabilit
             dist = hausdorff_distance(fb_ref, fa_d.free_boundary)
         except ValueError as exc:
             raise ValueError(f"perturbed free boundary at amplitude {float_repr(delta)}: {exc}") from exc
+        verts = fa_d.free_boundary.all_vertices()
         summaries = []
-        for p in branch_points:
+        for p, theta in zip(branch_points, frames):
+            # the perturbed vertex nearest p; the first one wins a tie
+            anchor = tuple(verts[int(np.argmin(np.sum((verts - p) ** 2, axis=1)))].tolist())
             try:
-                fit = fit_two_graphs(fa_d, p, window)
+                fit = fit_two_graphs(fa_d, anchor, window, theta)
             except (ZeroSetEmptyError, NotVerticallySimpleError) as exc:
                 raise type(exc)(f"perturbed fit at amplitude {float_repr(delta)} near reference point "
-                                f"({float_repr(p[0])}, {float_repr(p[1])}) failed: {exc}") from exc
+                                f"({float_repr(p[0])}, {float_repr(p[1])}), anchored at "
+                                f"({float_repr(anchor[0])}, {float_repr(anchor[1])}), failed: {exc}") from exc
             summaries.append({
                 "point": [p[0], p[1]],
+                "anchor": [anchor[0], anchor[1]],
                 "theta": fit.theta,
                 "lipschitz_estimate": fit.lipschitz_estimate,
                 "max_normal_oscillation": fit.max_normal_oscillation,

@@ -350,8 +350,11 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder, evidence: bool = Tru
 class GraphFit:
     """Two phase boundaries as graphs over a transverse axis.
 
-    ``direction`` is the graph axis (the monotone coordinate of the best
-    ramp fit), ``transverse`` the axis the graphs are sampled over.
+    ``theta`` is the frame's rotation: the best ramp fit's at the point
+    (``graph_frame``), unless the caller passed a frame in, as a sweep
+    passes its reference field's.  ``direction`` is the graph axis of that
+    frame (the ramp's monotone coordinate), ``transverse`` the axis the
+    graphs are sampled over.
     gplus is the sup of the graph coordinate over plus-boundary vertices
     per transverse bin, gminus the inf over minus-boundary ones.
 
@@ -374,24 +377,39 @@ class GraphFit:
     max_normal_oscillation: float
 
 
-def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float) -> GraphFit:
+def graph_frame(fa: FieldAnalysis, p: tuple[float, float], window: float) -> float:
+    """The rotation theta of the best ramp fit to the blow-up at p with radius ``window / 2``.
+
+    Its monotone coordinate is the graph axis of ``fit_two_graphs``.  A
+    window under MIN_WINDOW_STEPS grid steps fails ``check_window``.
+    """
+    check_window(fa.u.grid, window)
+    v0 = blowup_rescale(fa.u, p, 0.5 * window, _BLOWUP_GRID)
+    _, best = dist_to_M(v0, lambda_plus=fa.spec.lambda_plus, lambda_minus=fa.spec.lambda_minus)
+    return best.theta
+
+
+def fit_two_graphs(fa: FieldAnalysis, p: tuple[float, float], window: float,
+                   theta: float | None = None) -> GraphFit:
     """Fit both phase boundaries as graphs near a degenerate point.
 
-    The frame comes from the rotation of the best ramp fit to the blow-up
-    at p with radius ``window / 2``; vertices are collected in a square
-    window of half-width ``window`` in the rotated frame and binned into
+    The frame is the rotation ``theta``; without one it is
+    ``graph_frame(fa, p, window)``, the frame of the best ramp fit to the
+    blow-up at p.  Vertices are collected in a square window of
+    half-width ``window`` around p in the rotated frame and binned into
     nb = max(4, round(window / h)) transverse bins of about two grid
     steps.  Slopes and normals are read from chords of ``nb // 4`` bins,
     window / 2 or a quarter of the fitted width 2 window (see
     ``GraphFit``).  A window under MIN_WINDOW_STEPS grid steps fails
-    ``check_window``; every other error names the point, the window and
-    the phase.
+    ``check_window`` and a theta that is not finite is a ValueError;
+    every other error names the point, the window and the phase.
     """
     g = fa.u.grid
     check_window(g, window)
-    v0 = blowup_rescale(fa.u, p, 0.5 * window, _BLOWUP_GRID)
-    _, best = dist_to_M(v0, lambda_plus=fa.spec.lambda_plus, lambda_minus=fa.spec.lambda_minus)
-    theta = best.theta
+    if theta is None:
+        theta = graph_frame(fa, p, window)
+    elif not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     d = np.array([math.cos(theta), -math.sin(theta)])
     t = np.array([math.sin(theta), math.cos(theta)])
     where = f"in the fit at ({p[0]}, {p[1]}) with window {window}"

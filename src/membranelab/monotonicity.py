@@ -137,7 +137,8 @@ def _polar_disk(center, r, h):
 
     def points(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         row, k = np.divmod(np.arange(a, b), nq)
-        return center[0] + rk[k] * cos[row], center[1] + rk[k] * sin[row], weights[k]
+        rad = rk[k]
+        return center[0] + rad * cos[row], center[1] + rad * sin[row], weights[k]
 
     return points, nq
 

@@ -1,4 +1,5 @@
 """Config parsing, artifact determinism, sweeps, exit codes."""
+import dataclasses
 import filecmp
 import json
 import math
@@ -14,11 +15,13 @@ import pytest
 
 from membranelab import (
     ConfigError,
+    DegenerateRescaleError,
     FieldAnalysis,
     FreeBoundarySet,
     GlobalProfile,
     NotVerticallySimpleError,
     ProblemSpec,
+    RampFitError,
     StabilityReport,
     SweepHypothesisError,
     ScalarField,
@@ -652,20 +655,51 @@ def test_a_failed_sweep_solve_keeps_the_reference_report(tmp_path, capsys):
 def test_a_failed_sweep_fit_names_its_amplitude_and_point(tmp_path, capsys, monkeypatch, error):
     seen = []
 
-    def failing_fit(fa, p, window):
-        seen.append(p)
+    def failing_fit(fa, anchor, window, theta):
+        seen.append(anchor)
         raise error("stub fit failure")
 
+    points = []
+    graph_frame = cli.graph_frame
+    monkeypatch.setattr(cli, "graph_frame", lambda fa, p, window: points.append(p) or graph_frame(fa, p, window))
     monkeypatch.setattr(cli, "fit_two_graphs", failing_fit)
     ini = write_ini(tmp_path, SWEEP_INI.format(out=tmp_path / "ff"))
     with pytest.raises(error) as info:
         stability_sweep(*solved_sweep(ini))
-    p = seen[0]
+    p, a = points[0], seen[0]
     assert str(info.value) == (f"perturbed fit at amplitude {float_repr(0.1)} near reference point "
-                               f"({float_repr(p[0])}, {float_repr(p[1])}) failed: stub fit failure")
+                               f"({float_repr(p[0])}, {float_repr(p[1])}), anchored at "
+                               f"({float_repr(a[0])}, {float_repr(a[1])}), failed: stub fit failure")
     assert type(info.value.__cause__) is error
     assert main(["sweep", ini]) == 1
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("error", [DegenerateRescaleError, RampFitError])
+def test_a_failed_reference_frame_search_names_its_point_before_any_perturbed_solve(
+        tmp_path, capsys, monkeypatch, error):
+    seen = []
+
+    def failing_frame(fa, p, window):
+        seen.append(p)
+        raise error("stub frame failure")
+
+    ini = write_ini(tmp_path, SWEEP_INI.format(out=tmp_path / "rf"))
+    cfg, fa_ref = solved_sweep(ini)
+    solves = []
+    monkeypatch.setattr(cli, "graph_frame", failing_frame)
+    monkeypatch.setattr(cli, "solve", lambda spec: solves.append(spec) or solve(spec))
+    with pytest.raises(error) as info:
+        stability_sweep(cfg, fa_ref)
+    p = seen[0]
+    assert str(info.value) == (f"graph frame search at reference point "
+                               f"({float_repr(p[0])}, {float_repr(p[1])}) failed: stub frame failure")
+    assert type(info.value.__cause__) is error
+    assert solves == []
+    assert main(["sweep", ini]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    # the reference solve is the only one
+    assert len(solves) == 1
 
 
 def test_main_exits_1_when_a_diagnostic_cannot_be_evaluated(tmp_path, capsys):
@@ -768,19 +802,40 @@ classify_budget = 2
         assert row.sup_boundary_diff == pytest.approx(row.delta * peak, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=NotVerticallySimpleError,
-                   reason="the reference-point margin keeps a target where the shifted boundary "
-                          "is not a graph in the window")
-def test_stability_sweep_at_n_257_with_the_readme_amplitudes(tmp_path):
-    # README's amplitudes on profile data: the 0.1 fit near (1.02e-7, -0.734)
-    # finds no plus boundary vertex in the transverse bin [-0.0156, 0]
+def recording_perturbed_fields(monkeypatch) -> list:
+    """The FieldAnalysis of each perturbed field ``stability_sweep`` builds, in row order."""
+    fields = []
+
+    def recording(u, spec):
+        fields.append(FieldAnalysis(u, spec))
+        return fields[-1]
+
+    monkeypatch.setattr(cli, "FieldAnalysis", recording)
+    return fields
+
+
+def is_vertex(anchor, verts) -> bool:
+    return bool(np.any(np.all(verts == np.array(anchor), axis=1)))
+
+
+def test_stability_sweep_at_n_257_with_the_readme_amplitudes(tmp_path, monkeypatch):
+    # README's amplitudes on profile data; fitted at the reference point in
+    # a frame of its own, the 0.1 field near (1.02e-7, -0.734) had no plus
+    # boundary vertex in the transverse bin [-0.0156, 0]
     ini = BASE_INI.replace("n = 65", "n = 257") + """
 [sweep]
 family = constant
 amplitudes = 0.1, 0.05, 0.025
 """
-    report = stability_sweep(*solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "sw"))))
+    cfg, fa_ref = solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "sw")))
+    fields = recording_perturbed_fields(monkeypatch)
+    report = stability_sweep(cfg, fa_ref)
     assert [row.delta for row in report.rows] == [0.1, 0.05, 0.025]
+    assert len(fields) == len(report.rows)
+    for row, fa_d in zip(report.rows, fields):
+        assert row.graph_summaries
+        verts = fa_d.free_boundary.all_vertices()
+        assert all(is_vertex(s["anchor"], verts) for s in row.graph_summaries)
 
 
 # the amplitudes of the shift-sweep benchmark configs of seeds 1 and 7919
@@ -810,6 +865,45 @@ def test_sweep_labels_are_the_full_classification_labels(tmp_path, monkeypatch, 
     report = stability_sweep(cfg, fa_ref)
     assert checked == list(report.reference_points)
     assert report.reference_labels == ("branch",) * 8
+
+
+def test_a_sweep_searches_each_graph_frame_once_on_the_reference_field(tmp_path, monkeypatch):
+    # the seed-1 shift-sweep benchmark config: 3 branch points, 3 rows
+    ini = BASE_INI.replace("n = 65", "n = 129") + (
+        f"\n[sweep]\nfamily = constant\namplitudes = {BENCH_SWEEP_AMPLITUDES[1]}\n")
+    cfg, fa_ref = solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "frame")))
+    window = cfg.sweep["window"]
+    graph_frame = freeboundary.graph_frame
+    events = []
+    dist_to_M = freeboundary.dist_to_M
+    monkeypatch.setattr(freeboundary, "dist_to_M", lambda *a, **k: events.append("dist_to_M") or dist_to_M(*a, **k))
+    monkeypatch.setattr(cli, "solve", lambda spec: events.append("solve") or solve(spec))
+    fields = recording_perturbed_fields(monkeypatch)
+    report = stability_sweep(cfg, fa_ref)
+    monkeypatch.undo()
+
+    branch = [p for p, lab in zip(report.reference_points, report.reference_labels) if lab == "branch"][:3]
+    assert len(branch) == 3 and len(report.rows) == 3
+    # one frame search per branch point, all on the reference field before
+    # the first perturbed solve; the perturbed fits search none
+    assert events == ["dist_to_M"] * len(branch) + ["solve"] * len(report.rows)
+    frames = [graph_frame(fa_ref, p, window) for p in branch]
+    for row, fa_d in zip(report.rows, fields):
+        verts = fa_d.free_boundary.all_vertices()
+        assert [tuple(s["point"]) for s in row.graph_summaries] == branch
+        for s, p, theta in zip(row.graph_summaries, branch, frames):
+            assert s["theta"] == theta
+            assert is_vertex(s["anchor"], verts)
+            d2 = np.sum((verts - np.array(p)) ** 2, axis=1)
+            assert np.sum((np.array(s["anchor"]) - np.array(p)) ** 2) == np.min(d2)
+            assert list(s) == ["point", "anchor", "theta", "lipschitz_estimate", "max_normal_oscillation",
+                               "gplus_range", "gminus_range"]
+    # a fit given the frame it would search is the same fit
+    for p in branch:
+        searched = freeboundary.fit_two_graphs(fa_ref, p, window)
+        given = freeboundary.fit_two_graphs(fa_ref, p, window, graph_frame(fa_ref, p, window))
+        for f in dataclasses.fields(searched):
+            assert np.array_equal(getattr(searched, f.name), getattr(given, f.name)), f.name
 
 
 def test_sweep_aborts_on_one_phase_reference(tmp_path, capsys):

@@ -719,3 +719,7 @@ def test_covering_radius_and_fit_window_must_be_finite(profile_solutions, bad):
         covering_count(fa, bad)
     with pytest.raises(ValueError, match="must cover at least 8 grid steps"):
         fit_two_graphs(fa, (0.0, 0.0), bad)
+    with pytest.raises(ValueError, match="must cover at least 8 grid steps"):
+        freeboundary.graph_frame(fa, (0.0, 0.0), bad)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        fit_two_graphs(fa, (0.0, 0.0), 0.25, bad)
