@@ -423,13 +423,9 @@ def _reference_points(fb: FreeBoundarySet, grid: Grid2D, window: float, budget: 
     Vertices are kept only at least ``_reference_margin`` inside the grid,
     so every ladder ball of radius up to 32h and every graph-fit window of
     half-width ``window`` around a target stays inside it.  The rest are
-    strided evenly in the order ``extract_free_boundary`` walks its
-    chains.  That order depends only on the field's sign pattern and the
-    sign of each saddle cell's centre average, so rounding-level changes
-    of the field that keep both move each target by rounding, not by a
-    stride.  Sorting on the coordinates would let rounding pick the
-    order wherever vertices share a coordinate up to it.  With no vertex
-    that far inside there is no target.
+    strided evenly in ``FreeBoundarySet.all_vertices``' order, so
+    rounding-level changes of the field move each target by rounding, not
+    by a stride.  With no vertex that far inside there is no target.
     """
     pts = fb.all_vertices()
     margin = _reference_margin(grid, window)
@@ -613,12 +609,15 @@ def _run_diagnostics(config: ExperimentConfig, fa: FieldAnalysis) -> None:
 def run(config: ExperimentConfig, mode: str = "diagnose") -> int:
     """Execute one experiment; returns a process exit status.
 
-    A sweep without a [sweep] section is a config error, found before any
-    solve or output directory.  A failed solve of ``config.spec`` still
-    writes its report, marked not converged.
+    A mode other than solve, diagnose or sweep is a ValueError, raised
+    before anything runs.  A sweep without a [sweep] section is a config
+    error, found before any solve or output directory.  A failed solve of
+    ``config.spec`` still writes its report, marked not converged.
     An ``OSError`` while the output directory is made or an artifact written
     is reported in one line.
     """
+    if mode not in ("solve", "diagnose", "sweep"):
+        raise ValueError(f"unknown mode {mode!r}: expected solve, diagnose or sweep")
     report_path = os.path.join(config.output_dir, "solve_report.json")
     try:
         if mode == "sweep" and config.sweep is None:

@@ -152,6 +152,17 @@ class FreeBoundarySet:
     minus_boundary: tuple
 
     def all_vertices(self) -> np.ndarray:
+        """Every chain's vertices as one (k, 2) array, in the walk's order.
+
+        Plus chains come before minus chains.  In each phase, open chains
+        come first, from their sorted end edges, then closed loops; each
+        chain lists its vertices as the walk meets them.  So the order is
+        set by the sign patterns of u -+ tol_zero and by the sign of each
+        saddle cell's centre average, not by vertex coordinates: a
+        rounding-level change of the field that keeps both moves each
+        vertex by rounding and keeps its index.  Every reader of the
+        vertices takes them in this order.
+        """
         return _pooled(self.plus_boundary + self.minus_boundary)
 
 
@@ -554,22 +565,17 @@ def perimeter_estimate(fa: FieldAnalysis) -> PhaseLengths:
 def covering_count(fa: FieldAnalysis, eps: float) -> int:
     """Greedy covering of ``fa.free_boundary``'s vertices by eps-balls on the curve.
 
-    The first uncovered vertex in lexicographic order opens each new ball,
-    so the centers are vertices more than eps apart and every vertex lies
-    within eps of one.  On a straight curve of length L that gives
+    The first uncovered vertex in ``all_vertices``' order opens each new
+    ball, so the centers are vertices more than eps apart and every vertex
+    lies within eps of one.  On a straight curve of length L that gives
     L / (2 eps) <= N(eps) <= L / eps + 1: N(eps) * eps lies between half
     the length and about the length, and is no upper bound.  On the solved
     n = 257 profile field, whose phase boundaries have length 2.0, it reads
-    1.5, 1.625 and 1.75 at eps = 32h, 16h and 8h.  Every count moves with
-    rounding of the field, because the vertices are visited in
-    lexicographic order and vertex gaps sit on multiples of h: a solver
-    change that moved that field by about 1e-14 moved them from 2.0, 1.875
-    and 1.6875.  ``check_eps`` on the field's grid rejects an eps under
-    MIN_EPS_STEPS grid steps.
+    2.0, 2.0 and 1.8125 at eps = 32h, 16h and 8h.  ``check_eps`` on the
+    field's grid rejects an eps under MIN_EPS_STEPS grid steps.
     """
     check_eps(fa.u.grid, eps)
     pts = fa.free_boundary.all_vertices()
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     covered = np.zeros(len(pts), dtype=bool)
     count = 0
     e2 = eps * eps

@@ -584,15 +584,14 @@ def _active_set(spec: ProblemSpec, start: np.ndarray | None, tol_mult: float, le
         np.add(rhs, 0.5 * lm, out=rhs, where=state < 0)
         while True:
             # CG iterates the embedded start in place and holds its pinned
-            # nodes at zero; U and the last sweep's view w are dropped first,
-            # so no 2-D field is alive beside CG's arrays
+            # nodes at zero; U and the last CG's array are dropped before it
+            # runs, so no 2-D field is alive beside CG's arrays
             w = ladder[0].embed(U[1:-1, 1:-1])
             U = None
             w, res, its = _cg(ladder, rhs, w, tol_cg if tight else tol_mult, max_cg)
             record["cg_iterations"] += its
             U = bvals.copy()
             U[1:-1, 1:-1] = w
-            w = U[1:-1, 1:-1]  # drops CG's flat array
 
             # state update: sign violations route through the pinned state;
             # pinned nodes release only when their multiplier leaves the box:

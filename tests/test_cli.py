@@ -724,6 +724,16 @@ def test_run_returns_2_on_config_error(tmp_path, capsys):
     assert not (tmp_path / "r2").exists()
 
 
+@pytest.mark.parametrize("mode", ["sweeps", "selftest", ""])
+def test_run_rejects_an_unknown_mode_before_it_does_anything(tmp_path, monkeypatch, mode):
+    # "sweeps" used to solve, write field.csv and solve_report.json, and return 0
+    cfg = load_config(write_ini(tmp_path, BASE_INI.format(out=tmp_path / "bad")))
+    monkeypatch.setattr(cli, "solve", lambda spec: pytest.fail("solved under an unknown mode"))
+    with pytest.raises(ValueError, match=re.escape(f"unknown mode {mode!r}: expected solve, diagnose or sweep")):
+        run(cfg, mode=mode)
+    assert not (tmp_path / "bad").exists()
+
+
 SWEEP_INI = BASE_INI.replace("n = 65", "n = 129") + """
 [sweep]
 family = constant

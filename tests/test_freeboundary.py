@@ -693,6 +693,48 @@ def test_covering_count_on_circle():
     assert 0.45 * L <= prod <= 0.5 * math.pi * L + eps
 
 
+@pytest.mark.parametrize("n, tau, slack", [(129, 0.0, 0), (129, -0.4, 0), (257, 0.0, 1), (257, -0.4, 1)],
+                         ids=["profile-129", "slab-129", "profile-257", "slab-257"])
+def test_covering_counts_stay_put_under_rounding_noise(profile_solutions, tau_solution, n, tau, slack):
+    # every profile vertex has x = +-5e-8 plus rounding; visited sorted on x
+    # first, 1e-12 of noise moved the counts by up to 3 on the profile and 7
+    # on the slab at n = 129, and by up to 4 at n = 257.  At n = 257 vertex
+    # gaps on multiples of h still leave a ball edge to rounding: +-1
+    if tau == 0.0:
+        _, spec, u, _ = profile_solutions[n]
+    elif n == 129:
+        _, spec, u, _ = tau_solution
+    else:
+        spec = make_profile_problem(n, tau=tau)[1]
+        u, _ = solve(spec)
+    h = spec.grid.h
+
+    def counts(values):
+        fa = FieldAnalysis(ScalarField(spec.grid, values), spec)
+        return np.array([covering_count(fa, k * h) for k in (32, 16, 8)])
+
+    want = counts(u.values)
+    for seed in range(5):
+        noise = 1e-12 * np.random.default_rng(seed).standard_normal(u.values.shape)
+        assert np.max(np.abs(counts(u.values + noise) - want)) <= slack, seed
+
+
+def test_covering_counts_agree_under_the_transpose_and_the_mirror():
+    # the branch fixture of test_fit_two_graphs_at_an_isolated_branch_point;
+    # with the vertices sorted on x first the counts at 8h, 16h and 32h
+    # read 21, 9, 4, and 22, 10, 5 after the transpose
+    v = GlobalProfile(1.0, 0.0, 0.0, 0.0, 2.0, 2.0)
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    bc = BoundaryMap.from_callable(g, lambda X, Y: (1.0 + 0.5 * Y) * eval_many(v, X, Y))
+    u, _ = solve(ProblemSpec(g, bc, 2.0, 2.0))
+    counts = set()
+    for values in (u.values, u.values.T, u.values[:, ::-1]):
+        f = ScalarField(g, values)
+        fa = FieldAnalysis(f, spec_of(f))
+        counts.add(tuple(covering_count(fa, k * g.h) for k in (8, 16, 32)))
+    assert counts == {(21, 10, 5)}
+
+
 def test_a_one_vertex_chain_has_no_length():
     # a chain whose crossings all land on one node keeps one vertex; no
     # early exit skips it, the sum of its empty segment list adds 0

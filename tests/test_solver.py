@@ -675,12 +675,15 @@ def test_shifted_profile_solves_take_few_finest_cg_iterations(profile_solutions)
 
 
 # n = 513 only at delta = 0: at delta = 0.1 its finest level takes 23 sweeps
-@pytest.mark.parametrize("delta, n", [(0.0, 129), (0.0, 257), (0.1, 129), (0.1, 257), (0.0, 513)])
+@pytest.mark.parametrize("delta, n", [(0.0, 129), (0.0, 257), (0.1, 129), (0.1, 257), (0.0, 513),
+                                      (0.0, 128), (0.1, 128)])
 def test_solve_holds_at_most_14_full_grids(n, delta):
     # the finest level's first V-cycle sets the peak: 10.5, 9.1 and 8.8 grids
     # at n = 129, 257 and 513.  With a 2-D start held beside CG's flat copy,
     # h^2 r / 4 stored per level and a scratch array per level they read 13.2,
-    # 11.8 and 11.4, and holding every array the sweeps built 21.5 and 20.8
+    # 11.8 and 11.4, and holding every array the sweeps built 21.5 and 20.8.
+    # n = 128 solves on one level from the harmonic start: 10.2 and 10.6
+    # grids, and 11.7 on both with that start's ladder kept through the sweeps
     spec = make_profile_problem(n)[1] if delta == 0.0 else shifted_profile_problem(n, delta)
     tracing = tracemalloc.is_tracing()
     if not tracing:

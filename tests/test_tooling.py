@@ -179,6 +179,58 @@ def test_readme_config_table_matches_the_config_table():
     assert not wrong, f"required marked wrongly for {wrong}"
 
 
+SWEEP_INI = """
+[domain]
+x_min = -1.0
+x_max = 1.0
+y_min = -1.0
+y_max = 1.0
+n = 129
+
+[problem]
+lambda_plus = 2.0
+lambda_minus = 2.0
+
+[boundary]
+kind = profile
+beta1 = 1.0
+
+[sweep]
+family = constant
+amplitudes = 0.1
+classify_budget = 1
+
+[output]
+dir = {out}
+"""
+
+
+def readme_stability_keys():
+    """README's `stability.json` keys: (top level, row, graph summary), each in the order written.
+
+    A key named again in its own sentence, as `point` is in `theta`'s
+    description, counts once.
+    """
+    with open(README) as fh:
+        text = fh.read().split("`stability.json` holds the sweep:", 1)[1].split("\n\n", 1)[0]
+    top, rest = text.split("A row holds", 1)
+    row, summary = rest.split("Each summary holds", 1)
+    return tuple(list(dict.fromkeys(re.findall(r"`([^`]+)`", part))) for part in (top, row, summary))
+
+
+def test_readme_stability_keys_match_what_the_sweep_writes(tmp_path):
+    # a key written but not documented, or documented but no longer
+    # written, is a stale README; the sweep must reach a graph fit
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(SWEEP_INI.format(out=tmp_path / "out"))
+    assert cli.main(["sweep", str(ini)]) == 0
+    with open(tmp_path / "out" / "stability.json") as fh:
+        report = json.load(fh)
+    row = report["rows"][0]
+    written = (list(report), list(row), list(row["graph_summaries"][0]))
+    assert readme_stability_keys() == written
+
+
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
