@@ -285,7 +285,7 @@ def load_config(path: str) -> ExperimentConfig:
         # the sweep classifies only vertices this far inside the grid
         margin = _reference_margin(grid, sweep["window"])
         if 2.0 * margin >= min(grid.x_max - grid.x_min, grid.y_max - grid.y_min):
-            raise ConfigError(f"sweep.window: reference points need a margin of max(32h, window) + 2h "
+            raise ConfigError(f"sweep.window: reference points need a margin of window + 2h "
                               f"({margin!r}) inside the domain, which leaves no room for them")
 
     out_dir = _section(cp, "output", _TABLE["output"])["dir"]
@@ -407,22 +407,21 @@ def _directed_hausdorff(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _reference_margin(grid: Grid2D, window: float) -> float:
-    """How far inside the grid a sweep reference point must lie: max(32h, window) + 2h.
+    """How far inside the grid a sweep reference point must lie: window + 2h.
 
-    The sweep reads no ball wider than max(8h, window), but the 32h keeps
-    every target in reach of the default ``diagnose`` ladder, whose
-    largest radius is 32h.  A lower margin admits more vertices and so
-    moves the targets.
+    ``window`` is the half-width of the graph window the sweep fits around
+    each target, and ``check_window`` holds it at 8h or more, so the 8h
+    label ball and the window / 2 frame blow-up fit inside it too.
     """
-    return max(LADDER_STEPS[0] * grid.h, window) + 2.0 * grid.h
+    return window + 2.0 * grid.h
 
 
 def _reference_points(fb: FreeBoundarySet, grid: Grid2D, window: float, budget: int) -> list:
     """Pick up to ``budget`` classification targets on the reference curve.
 
     Vertices are kept only at least ``_reference_margin`` inside the grid,
-    so every ladder ball of radius up to 32h and every graph-fit window of
-    half-width ``window`` around a target stays inside it.  The rest are
+    so the label ball, the frame blow-up and the graph window of
+    half-width ``window`` around a target stay inside it.  The rest are
     strided evenly in ``FreeBoundarySet.all_vertices``' order, so
     rounding-level changes of the field move each target by rounding, not
     by a stride.  With no vertex that far inside there is no target.

@@ -99,8 +99,7 @@ def test_load_config_happy_path(tmp_path):
 
 
 def test_load_config_inline_comments_and_sections(tmp_path):
-    # n = 129: at n = 65 the sweep would leave no room for a reference point
-    text = BASE_INI.replace("n = 65", "n = 129").format(out=tmp_path / "out") + """
+    text = BASE_INI.format(out=tmp_path / "out") + """
 [solver]
 tol_linear = 1e-9   ; tighter would also work
 max_sweeps = 50
@@ -142,8 +141,10 @@ k = 2
     ("append:[diagnostics]\nwindow = 0.0", "diagnostics.window:"),
     # 8 grid steps of the n = 65 grid on [-1, 1] are 0.25
     ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = 0.2", "sweep.window: must cover at least 8"),
-    # the default ladder's largest radius, 32h, is the whole half-width at n = 65
-    ("append:[sweep]\nfamily = constant\namplitudes = 0.1", r"sweep.window: reference points need a margin .*\(1.0625\)"),
+    # the margin window + 2h reaches past the middle of the n = 65 grid
+    ("append:[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = 0.95",
+     r"sweep.window: reference points need a margin .*"
+     + re.escape(f"({cli._reference_margin(build_grid(-1.0, 1.0, -1.0, 1.0, 65, 65), 0.95)!r})")),
     ("append:[diagnostics]\nrun = graphs\nwindow = 0.2", "diagnostics.window: must cover at least 8"),
     ("append:[diagnostics]\neps = 0.25, 0.0", "diagnostics.eps:"),
     ("append:[diagnostics]\neps = -0.125", "diagnostics.eps:"),
@@ -969,10 +970,11 @@ def test_a_vanished_perturbed_boundary_names_its_amplitude(tmp_path, capsys):
 
 def test_a_sweep_without_targets_measures_its_rows(tmp_path, capsys):
     # lifted by 0.4, the free boundary lies near x = -0.89, outside the
-    # reference-point margin: nothing is classified or fitted, and the
+    # margin of a 0.5 window: nothing is classified or fitted, and the
     # rows still measure the boundary's displacement
     out = tmp_path / "nt"
-    ini = write_ini(tmp_path, OFFSET_SWEEP_INI.format(offset=0.4, amplitudes="0.1, 0.05", out=out))
+    ini = write_ini(tmp_path, OFFSET_SWEEP_INI.format(offset=0.4, amplitudes="0.1, 0.05", out=out)
+                    + "window = 0.5\n")
     assert main(["sweep", ini]) == 0, capsys.readouterr().err
     report = json.loads((out / "stability.json").read_text())
     assert report["reference_points"] == [] and report["reference_labels"] == []
@@ -980,6 +982,24 @@ def test_a_sweep_without_targets_measures_its_rows(tmp_path, capsys):
     for row in report["rows"]:
         assert row["graph_summaries"] == []
         assert row["comparison_holds"] and row["hausdorff_to_reference"] > 0.0
+
+
+def test_an_amplitude_that_removes_the_minus_phase_near_a_target_stops_the_sweep(tmp_path, capsys):
+    # lifted by 0.4, the reference's minus phase is a thin strip along
+    # x = -1; lifted by 0.1 more, the ring data no longer go negative and
+    # the fit anchored on the perturbed boundary finds no minus phase
+    ini = write_ini(tmp_path, OFFSET_SWEEP_INI.format(offset=0.4, amplitudes="0.1, 0.05", out=tmp_path / "lift"))
+    assert main(["sweep", ini]) == 1
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        rf"error: perturbed fit at amplitude {re.escape(float_repr(0.1))} near reference point "
+        r"\((\S+), (\S+)\), anchored at \((\S+), (\S+)\), failed: "
+        r"the minus phase boundary is absent in the fit at .* with window 0\.25\n", err)
+    assert match, err
+    px, py, ax, _ = map(float, match.groups())
+    h = 2.0 / 128.0
+    assert max(abs(px), abs(py)) <= 1.0 - (0.25 + 2.0 * h)
+    assert ax == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_reference_points_of_an_empty_free_boundary():
@@ -1065,10 +1085,36 @@ def test_sweep_reference_points_stay_put_under_rounding_noise(profile_solutions)
         assert float(np.max(np.hypot(*(got - want).T))) <= h, seed
 
 
+def test_an_n_65_sweep_runs_with_the_default_window(tmp_path, capsys):
+    # the margin is window + 2h = 0.3125 at n = 65, so every target lies
+    # in the square of half-width 0.6875
+    out = tmp_path / "n65"
+    ini = BASE_INI + "\n[sweep]\nfamily = constant\namplitudes = 0.1, 0.05\n"
+    assert main(["sweep", write_ini(tmp_path, ini.format(out=out))]) == 0, capsys.readouterr().err
+    report = json.loads((out / "stability.json").read_text())
+    assert report["reference_labels"] == ["branch"] * 8
+    assert all(max(abs(x), abs(y)) <= 1.0 - 0.3125 for x, y in report["reference_points"])
+    # 8 grid steps of the n = 64 grid are 0.254, over the default window
+    n64 = BASE_INI.replace("n = 65", "n = 64") + "\n[sweep]\nfamily = constant\namplitudes = 0.1\n"
+    with pytest.raises(ConfigError, match="sweep.window: must cover at least 8 grid steps"):
+        load_config(write_ini(tmp_path, n64.format(out=tmp_path / "n64"), name="n64.ini"))
+
+
+def test_the_outermost_sweep_target_lies_at_the_margin(profile_solutions):
+    # the margin is window + 2h at every n, and the profile's boundary
+    # vertices lie a grid step apart along x = 0
+    for n in (65, 129, 257):
+        _, spec, u, _ = profile_solutions[n]
+        h = spec.grid.h
+        points = cli._reference_points(FieldAnalysis(u, spec).free_boundary, spec.grid, 0.25, 8)
+        assert len(points) == 8, n
+        outer = max(max(abs(x), abs(y)) for x, y in points)
+        bound = 1.0 - (0.25 + 2.0 * h)
+        assert bound - h <= outer <= bound, (n, outer)
+
+
 @pytest.mark.parametrize("window", [0.9, 1.2])
 def test_sweep_reference_points_leave_room_for_the_graph_window(tmp_path, capsys, window):
-    # at n = 129 the ladder's largest radius is 0.5; a wider graph window
-    # around a point that only clears the ladder runs off the grid
     ini = BASE_INI.replace("n = 65", "n = 129") + (
         f"\n[sweep]\nfamily = constant\namplitudes = 0.1\nwindow = {window}\n")
     out = tmp_path / "wide"

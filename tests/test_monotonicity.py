@@ -303,7 +303,9 @@ def kernel_cases(profile_solutions, tau_solution, poly_solutions):
     h = spec.grid.h
     radii = (32 * h, 16 * h, 8 * h)
     fb = FieldAnalysis(u, spec).free_boundary
-    points = _reference_points(fb, spec.grid, 0.25, 8)
+    # a window of 32h keeps each target 32h + 2h inside the grid, so the
+    # ladder's largest ball fits around every one
+    points = _reference_points(fb, spec.grid, 32 * h, 8)
     assert len(points) == 8
     cases += [(u, p, radii) for p in points]
     u_tau = tau_solution[2]
