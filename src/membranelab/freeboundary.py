@@ -207,7 +207,9 @@ class FieldAnalysis:
     def psi_profiles(self, ladder: RadiusLadder) -> dict:
         """``directional_psi`` along each of ``_DIRECTIONS``, by direction name.
 
-        Evaluated the first time ``ladder`` asks for it, then kept.
+        Evaluated the first time ``ladder`` asks for it, then kept.  A
+        direction with a part that vanishes on the window has psi 0 and is
+        not interpolated.
         """
         if ladder not in self._psi:
             profs = directional_psi(self.gradients, ladder, [e for _, e in _DIRECTIONS])

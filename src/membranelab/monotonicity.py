@@ -19,7 +19,9 @@ goes through one ladder evaluator, which crops the fields once to the
 nodes the ladder's largest ball reads, forms the layers it needs there
 (a psi pair's gradients and the directional parts equal the full fields'
 bit for bit on that window), and interpolates the whole stack from one
-locate per point.  The rule's nq^2 nodes are numbered angle row by angle
+locate per point.  A psi pair with a member that vanishes on the window
+has psi 0 and is not interpolated, so the stack holds the live pairs'
+layers only.  The rule's nq^2 nodes are numbered angle row by angle
 row, and each integrand row is summed in ``np.sum``'s pairwise order over
 ranges of those numbers: each leaf of that tree is one
 ``interpolate_many`` call on its range of at most
@@ -136,9 +138,13 @@ def _polar_disk(center, r, h):
     cos, sin, weights = np.cos(th), np.sin(th), rk * dr * dth
 
     def points(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        row, k = np.divmod(np.arange(a, b), nq)
-        rad = rk[k]
-        return center[0] + rad * cos[row], center[1] + rad * sin[row], weights[k]
+        # the whole angle rows the range touches, cut to the range
+        r0, r1 = a // nq, -(-b // nq)
+        cut = slice(a - r0 * nq, b - r0 * nq)
+        x = center[0] + rk * cos[r0:r1, None]
+        y = center[1] + rk * sin[r0:r1, None]
+        w = np.broadcast_to(weights, (r1 - r0, nq))
+        return x.ravel()[cut], y.ravel()[cut], w.ravel()[cut]
 
     return points, nq
 
@@ -199,12 +205,16 @@ def _ladder_sums(grid: Grid2D, center, radii, layers, integrand) -> list[list[fl
     ranges of at most max(128, _BLOCK // fields) nodes, so it has the bits
     of one ``np.sum`` over all its nodes, whatever the other rows.  Each
     range is one ``interpolate_many`` call on its nodes alone, built only
-    then, so no radius's points or values are held all at once.
+    then, so no radius's points or values are held all at once.  A stack
+    of no fields is not interpolated: each radius gets no sums.
     """
     for r in radii:
         check_ball(grid, center, r)
     rows, cols = _crop(grid, center, radii[0])
-    win = FieldWindow(grid, cols.start, rows.start, layers(rows, cols))
+    stack = layers(rows, cols)
+    if not len(stack):
+        return [[] for _ in radii]
+    win = FieldWindow(grid, cols.start, rows.start, stack)
     leaf = max(128, _BLOCK // win.values.shape[0])
     out = []
     for r in radii:
@@ -229,18 +239,30 @@ def _psi_pairs(grid: Grid2D, center, radii, pairs: int, members) -> list[list[fl
 
     ``members(rows, cols)`` yields the pairs' members on the window of the
     largest ball, pair by pair; each is read as it is yielded, so the next
-    may reuse its array.  Their gradients are formed on the window.
+    may reuse its array.  A pair with a member that vanishes on the window
+    has psi 0.0 at every radius (r^-4 * 0 * s for a finite s >= 0) and is
+    not interpolated; the live pairs' gradients are formed on the window,
+    in a second pass over the members.
     """
+    live = []
+
     def layers(rows, cols):
+        zero = [not f.any() for f in members(rows, cols)]
+        live.extend(k for k in range(pairs) if not (zero[2 * k] or zero[2 * k + 1]))
         shape = (rows.stop - rows.start, cols.stop - cols.start)
-        # d/dx, d/dy of each member in turn
-        stack = np.empty((2 * pairs, 2) + shape)
-        for f, grad in zip(members(rows, cols), stack):
-            _gradient_arrays(f, grid.h, *grad)
+        # d/dx, d/dy of each live member in turn
+        stack = np.empty((2 * len(live), 2) + shape)
+        grads = iter(stack)
+        for k, f in enumerate(members(rows, cols)):
+            if k // 2 in live:
+                _gradient_arrays(f, grid.h, *next(grads))
         return stack.reshape(-1, *shape)
 
     sums = _ladder_sums(grid, center, radii, layers, _gradient_squares)
-    return [[1.0 / r**4 * s[k] * s[k + 1] for r, s in zip(radii, sums)] for k in range(0, 2 * pairs, 2)]
+    psi = [[0.0] * len(radii) for _ in range(pairs)]
+    for j, k in enumerate(live):
+        psi[k] = [1.0 / r**4 * s[2 * j] * s[2 * j + 1] for r, s in zip(radii, sums)]
+    return psi
 
 
 def weiss_phi(
@@ -375,7 +397,8 @@ def directional_psi(
     parts and their gradients are formed only on the window of the ladder's
     largest ball, where they equal ``directional_parts`` and its gradients
     bit for bit, and each radius interpolates all of them from one locate
-    per point.
+    per point.  A direction along which u is monotone on the window has a
+    part that vanishes there: its psi is 0 and is not interpolated.
     """
     dirs = [_unit(e) for e in directions]
 

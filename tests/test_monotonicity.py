@@ -390,6 +390,20 @@ def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
         assert weiss_phi(u, p, radii[2], 2.0, 2.0) == per_field_phi(u, p, radii[2], 2.0, 2.0, disk)
 
 
+def bowl(X, Y):
+    # e . grad = e . (x, y) takes both signs on any ball about the origin,
+    # so every directional part is live there and psi reads all 16 layers
+    return 0.5 * (X * X + Y * Y)
+
+
+def wavy(X, Y):
+    return 0.5 * X * np.abs(X) + 0.1 * np.sin(np.pi * Y)
+
+
+def plane(X, Y):
+    return 0.3 * X - 0.7 * Y
+
+
 # Radii of nq = 162 and nq = 38 cells, whose nq angle rows of nq points the
 # disk kernel's pairwise-tree nodes cut across: some node of the 3-layer or the
 # 16-layer tree starts inside an angle row (at nq = 162 in both trees, at
@@ -399,7 +413,9 @@ PARTIAL_STEPS = (40.3, 9.3)
 
 def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution):
     dirs = [e for _, e in _DIRECTIONS]
-    for u, p in ((profile_solutions[129][2], (0.0, 0.05)), (tau_solution[2], (-0.2, 0.1))):
+    u_bowl = sample(profile_solutions[129][1].grid, bowl)
+    for u, p in ((profile_solutions[129][2], (0.0, 0.05)), (tau_solution[2], (-0.2, 0.1)),
+                 (u_bowl, (0.0, 0.05))):
         h = u.grid.h
         radii = tuple(k * h for k in PARTIAL_STEPS)
         nqs = [_polar_disk(p, r, h)[1] for r in radii]
@@ -410,7 +426,8 @@ def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution
             assert any(np.any(s % nq) for s in starts), nq
         disk = package_disk(u.grid)
         ladder = RadiusLadder(p, radii)
-        # phi interpolates a stack of 3 layers, the four directions one of 16
+        # phi interpolates a stack of 3 layers; the four directions one of 16
+        # on the bowl, and of 4 on the solved fields, where only e2's pair is live
         prof = phi_ladder(u, gradient_fields(u), ladder, 2.0, 2.0)
         assert list(prof.values) == [per_field_phi(u, p, r, 2.0, 2.0, disk) for r in radii]
         profs = directional_psi(gradient_fields(u), ladder, dirs)
@@ -434,6 +451,84 @@ def test_directional_psi_interpolates_every_disk_point(profile_solutions, monkey
     nq = [math.ceil(4.0 * r / h) for r in radii]
     assert nq == [162, 128, 38]
     assert sum(points) == sum(n * n for n in nq)
+
+
+def window_layers(monkeypatch):
+    """The layer count of each window stack monotonicity interpolates, as a list calls append to."""
+    layers = []
+
+    def recording(f, x, y):
+        if isinstance(f, FieldWindow):
+            layers.append(f.values.shape[0])
+        return interpolate_many(f, x, y)
+
+    monkeypatch.setattr(monotonicity, "interpolate_many", recording)
+    return layers
+
+
+@pytest.mark.parametrize("field, live", [
+    ("profile", {"e2"}),
+    ("wavy", {"e2", "diag", "antidiag"}),
+    ("plane", set()),
+], ids=["profile", "wavy", "plane"])
+def test_directional_psi_leaves_out_pairs_that_vanish_on_the_window(profile_solutions, monkeypatch,
+                                                                   field, live):
+    # a pair with a member that is 0 on the window has psi 0.0, as the
+    # per-field path computes it, and its 4 layers are not interpolated.
+    # The solved profile is monotone along e1, diag and antidiag (its
+    # rounding-level d/dy keeps e2's pair live), the wavy data along e1,
+    # and the plane along every direction.
+    g = profile_solutions[129][1].grid
+    h = g.h
+    if field == "profile":
+        u, p = profile_solutions[129][2], (0.0, 0.05)
+    elif field == "wavy":
+        u, p = sample(g, wavy), (0.0, 0.0)
+    else:
+        u, p = sample(g, plane), (0.1, -0.2)
+    radii = (32 * h, 16 * h, 8 * h)
+    layers = window_layers(monkeypatch)
+    profs = directional_psi(gradient_fields(u), RadiusLadder(p, radii), [e for _, e in _DIRECTIONS])
+    assert set(layers) == ({4 * len(live)} if live else set())
+    assert {name for (name, _), prof in zip(_DIRECTIONS, profs) if any(prof.values)} == live
+    disk = package_disk(g)
+    for (name, e), prof in zip(_DIRECTIONS, profs):
+        assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), name
+
+
+def test_benchmark_ladders_interpolate_only_the_live_pair(profile_solutions, monkeypatch):
+    # the diagnose ladders of the profile benchmark at n = 257: of the four
+    # directions only e2's pair is live, so each disk call reads 4 layers, not 16
+    u = profile_solutions[257][2]
+    grads = gradient_fields(u)
+    layers = window_layers(monkeypatch)
+    for y0 in (-0.25, 0.0, 0.25):
+        directional_psi(grads, RadiusLadder((0.0, y0), (0.5, 0.25, 0.125, 0.0625)),
+                        [e for _, e in _DIRECTIONS])
+    assert layers and set(layers) == {4}
+
+
+def test_a_ladder_with_no_live_pair_still_checks_its_balls(monkeypatch):
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    u = sample(g, plane)
+    grads = gradient_fields(u)
+    dirs = [e for _, e in _DIRECTIONS]
+    hp, hm = directional_parts(u, (1.0, 0.0))
+    assert not hm.values.any()
+    layers = window_layers(monkeypatch)
+    with pytest.raises(ValueError, match="exits the grid"):
+        directional_psi(grads, RadiusLadder((0.9, 0.0), (0.5, 0.25)), dirs)
+    with pytest.raises(ValueError, match="under-resolved"):
+        directional_psi(grads, RadiusLadder((0.0, 0.0), (0.5, 2.0 * g.h)), dirs)
+    with pytest.raises(ValueError, match="exits the grid"):
+        psi_ladder(hp, hm, RadiusLadder((0.0, 0.0), (1.5,)))
+    with pytest.raises(ValueError, match="under-resolved"):
+        acf_psi(hp, hm, (0.0, 0.0), 2.0 * g.h)
+    # a signed member is rejected, whatever its partner
+    with pytest.raises(ValueError, match="nonnegative"):
+        psi_ladder(u, hm, RadiusLadder((0.0, 0.0), (0.5,)))
+    assert psi_ladder(hp, hm, RadiusLadder((0.0, 0.0), (0.5, 0.25))).values == (0.0, 0.0)
+    assert layers == []
 
 
 def test_pairwise_sums_have_the_bits_of_np_sum():
@@ -464,19 +559,19 @@ def traced_peak(fn):
     return got, peak - entry
 
 
-def sampled_profile_257():
-    """n = 257 profile data, its gradients, and the benchmark's ladder about the origin."""
+def sampled_257(fn):
+    """n = 257 samples of fn, their gradients, and the benchmark's ladder about the origin."""
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 257, 257)
-    u = sample(g, profile_fn())
+    u = sample(g, fn)
     return u, gradient_fields(u), RadiusLadder((0.0, 0.0), (0.5, 0.25, 0.125, 0.0625))
 
 
 def test_directional_psi_holds_no_radius_whole():
-    # the 16-layer window stack of r = 64h is 2.3 MB; holding the 8 rows of
+    # the bowl's 16-layer window stack of r = 64h is 2.3 MB; holding the 8 rows of
     # integrand values of the 256^2 rule took 4 MB more (a peak of 7 MB),
     # and building each direction's gradients apart before copying them
     # into the stack 0.6 MB more (3.8 MB)
-    _, grads, ladder = sampled_profile_257()
+    _, grads, ladder = sampled_257(bowl)
     dirs = [e for _, e in _DIRECTIONS]
     _, peak = traced_peak(lambda: directional_psi(grads, ladder, dirs))
     assert peak <= 3.5e6, peak
@@ -486,7 +581,7 @@ def test_phi_ladder_holds_no_radius_whole():
     # the 3-layer window stack is 0.44 MB; interpolating blocks of 21 angle
     # rows (5,376 points at nq = 256) and re-cutting them into the pairwise
     # tree's nodes of 4,096 peaked at 1.44 MB
-    u, grads, ladder = sampled_profile_257()
+    u, grads, ladder = sampled_257(profile_fn())
     _, peak = traced_peak(lambda: phi_ladder(u, grads, ladder, 2.0, 2.0))
     assert peak <= 1.35e6, peak
 
@@ -502,15 +597,17 @@ def pairwise_nodes(n, leaf):
 @pytest.mark.parametrize("layers", [3, 16])
 def test_each_disk_call_takes_one_node_of_the_pairwise_tree(monkeypatch, layers):
     # phi reads 3 layers (leaf 5,461: nodes of 4,096 points at nq = 256),
-    # the four directions' psi 16 (leaf 1,024); r = 40.3h has nq = 162,
-    # whose angle rows the nodes cut across
-    u, grads, ladder = sampled_profile_257()
+    # the four directions' psi 16 on the bowl, where every pair is live
+    # (leaf 1,024); r = 40.3h has nq = 162, whose angle rows the nodes cut
+    # across
+    u, grads, ladder = sampled_257(profile_fn() if layers == 3 else bowl)
     h = u.grid.h
     ladder = RadiusLadder(ladder.center, (*ladder.radii[:1], 40.3 * h, *ladder.radii[1:]))
     calls = []
 
     def recording(f, x, y):
         if isinstance(f, FieldWindow):
+            assert f.values.shape[0] == layers
             calls.append((np.array(x), np.array(y)))
         return interpolate_many(f, x, y)
 
