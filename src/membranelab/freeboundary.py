@@ -208,8 +208,10 @@ class FieldAnalysis:
         """``directional_psi`` along each of ``_DIRECTIONS``, by direction name.
 
         Evaluated the first time ``ladder`` asks for it, then kept.  A
-        direction with a part that vanishes on the window has psi 0 and is
-        not interpolated.
+        direction with a part that vanishes on the window, or whose psi is
+        provably at most eps pi^2/4 there (its bound 64 pi^2 (M+ M-)^2 / h^4
+        from the parts' largest values), reads psi 0.0 and is not
+        interpolated.
         """
         if ladder not in self._psi:
             profs = directional_psi(self.gradients, ladder, [e for _, e in _DIRECTIONS])
@@ -295,6 +297,9 @@ def classify_point(fa: FieldAnalysis, ladder: RadiusLadder, evidence: bool = Tru
     the gradient norm against tol_grad = 10 h (lambda_plus + lambda_minus),
     above discretization noise; every direction's psi at the smallest
     radius against _TOL_PSI; and both blow-up distances against _TOL_DIST.
+    A direction's psi is written as 0.0 where its bound is at most
+    eps pi^2/4, about 13 orders of magnitude under _TOL_PSI, so the rule
+    moves no label.
     The label reads only ``ladder.radii[-1]``: the psi of each direction
     and the blow-up there.  The larger radii are evidence only, so a
     one-radius ladder at the smallest radius gives the same label.

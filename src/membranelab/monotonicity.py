@@ -19,12 +19,14 @@ goes through one ladder evaluator, which crops the fields once to the
 nodes the ladder's largest ball reads, forms the layers it needs there
 (a psi pair's gradients and the directional parts equal the full fields'
 bit for bit on that window), and interpolates the whole stack from one
-locate per point.  A psi pair with a member that vanishes on the window
-has psi 0 and is not interpolated, so the stack holds the live pairs'
-layers only.  The rule's nq^2 nodes are numbered angle row by angle
-row, and each integrand row is summed in ``np.sum``'s pairwise order over
-ranges of those numbers: each leaf of that tree is one
-``interpolate_many`` call on its range of at most
+locate per point.  A psi pair is dead, with psi 0.0, and is not
+interpolated when a member vanishes on the window or when its bound
+64 pi^2 (M+ M-)^2 / h^4, with M a member's largest value there, is at
+most eps pi^2/4, one rounding unit of the half-plane pair's psi; so the
+stack holds the live pairs' layers only.  The rule's nq^2 nodes are
+numbered angle row by angle row, and each integrand row is summed in
+``np.sum``'s pairwise order over ranges of those numbers: each leaf of
+that tree is one ``interpolate_many`` call on its range of at most
 max(128, _BLOCK // layers) nodes, built only then.  A row's sum has the
 bits of one ``np.sum`` over the whole row, the same in any stack, while
 only partial sums and one range's points and values are held.
@@ -69,6 +71,10 @@ _BLOCK = 16384
 
 # Nodes a quadrature window keeps beyond its ball on each side.
 _MARGIN = 3
+
+# The psi below which a pair's evidence is written as 0.0: one rounding
+# unit of pi^2/4, the psi of the half-plane pair ((x1)+, (x1)-).
+_PSI_FLOOR = float(np.finfo(float).eps) * math.pi**2 / 4.0
 
 
 class DegenerateRescaleError(ValueError):
@@ -239,23 +245,36 @@ def _psi_pairs(grid: Grid2D, center, radii, pairs: int, members) -> list[list[fl
 
     ``members(rows, cols)`` yields the pairs' members on the window of the
     largest ball, pair by pair; each is read as it is yielded, so the next
-    may reuse its array.  A pair with a member that vanishes on the window
-    has psi 0.0 at every radius (r^-4 * 0 * s for a finite s >= 0) and is
-    not interpolated; the live pairs' gradients are formed on the window,
-    in a second pass over the members.
+    may reuse its array.  A pair is dead, with psi 0.0 at every radius, and
+    is not interpolated when a member vanishes on the window (r^-4 * 0 * s
+    for a finite s >= 0), or when its bound B = 64 pi^2 (M+ M-)^2 / h^4 is
+    at most _PSI_FLOOR.  A member's M is max(member) - min(member, 0), its
+    largest value when it is nonnegative, so every value lies in a range
+    of width M; a window gradient stencil is then at most 2M/h a component,
+    one-sided edges included, bilinear interpolation is a convex
+    combination, and the rule's weights sum to pi r^2, so B bounds psi at
+    every radius.  The live pairs' gradients are formed on the window, in
+    a second pass over the members, which is skipped when none is live.
     """
     live = []
 
     def layers(rows, cols):
-        zero = [not f.any() for f in members(rows, cols)]
-        live.extend(k for k in range(pairs) if not (zero[2 * k] or zero[2 * k + 1]))
         shape = (rows.stop - rows.start, cols.stop - cols.start)
+        # per member: whether it vanishes, and its M
+        reads = [(not f.any(), float(f.max()) - min(float(f.min()), 0.0)) for f in members(rows, cols)]
+        for k in range(pairs):
+            (zp, mp), (zm, mm) = reads[2 * k], reads[2 * k + 1]
+            # a NaN or inf M fails the comparison, so such a pair stays live
+            bound = 64.0 * math.pi**2 * (mp * mm) * (mp * mm) / grid.h**4
+            if not (zp or zm or bound <= _PSI_FLOOR):
+                live.append(k)
         # d/dx, d/dy of each live member in turn
         stack = np.empty((2 * len(live), 2) + shape)
-        grads = iter(stack)
-        for k, f in enumerate(members(rows, cols)):
-            if k // 2 in live:
-                _gradient_arrays(f, grid.h, *next(grads))
+        if live:
+            grads = iter(stack)
+            for k, f in enumerate(members(rows, cols)):
+                if k // 2 in live:
+                    _gradient_arrays(f, grid.h, *next(grads))
         return stack.reshape(-1, *shape)
 
     sums = _ladder_sums(grid, center, radii, layers, _gradient_squares)
@@ -398,7 +417,10 @@ def directional_psi(
     largest ball, where they equal ``directional_parts`` and its gradients
     bit for bit, and each radius interpolates all of them from one locate
     per point.  A direction along which u is monotone on the window has a
-    part that vanishes there: its psi is 0 and is not interpolated.
+    part that vanishes there, and one whose parts are at most M+ and M-
+    there has psi at most 64 pi^2 (M+ M-)^2 / h^4: when that bound is at
+    most _PSI_FLOOR (eps pi^2/4), or a part vanishes, the direction's psi
+    is written as 0.0 and is not interpolated.
     """
     dirs = [_unit(e) for e in directions]
 

@@ -1028,14 +1028,14 @@ def test_sweep_evaluates_directional_psi_once_per_reference_ladder(tmp_path, mon
     cfg, fa_ref = solved_sweep(write_ini(tmp_path, ini.format(out=tmp_path / "psi")))
     calls = []
     counting_directional_psi(monkeypatch, calls)
-    disk_radii = []
-    polar_disk = monotonicity._polar_disk
+    crop_radii = []
+    crop = monotonicity._crop
 
-    def recording_polar_disk(center, r, h):
-        disk_radii.append(r)
-        return polar_disk(center, r, h)
+    def recording_crop(grid, center, r):
+        crop_radii.append(r)
+        return crop(grid, center, r)
 
-    monkeypatch.setattr(monotonicity, "_polar_disk", recording_polar_disk)
+    monkeypatch.setattr(monotonicity, "_crop", recording_crop)
     report = stability_sweep(cfg, fa_ref)
     # the label reads only the smallest radius, so the sweep's ladders hold only it
     r_label = freeboundary.LADDER_STEPS[-1] * cfg.spec.grid.h
@@ -1043,7 +1043,8 @@ def test_sweep_evaluates_directional_psi_once_per_reference_ladder(tmp_path, mon
     # every reference point reaches the psi test: none is decided by its gradient
     assert report.reference_labels == ("branch",) * 3
     assert [ladder for ladder, _ in calls] == ladders
-    assert disk_radii and max(disk_radii) <= r_label
+    # each ladder crops one window, for its one radius
+    assert crop_radii == [r_label] * len(ladders)
     # a second classification reads the kept psi; another FieldAnalysis of
     # the same field keeps its own
     freeboundary.classify_point(fa_ref, ladders[0])

@@ -345,6 +345,20 @@ def test_classify_gradient_cut_is_ten_h_times_the_lambda_sum(scale, regular):
     assert (pc.label == "regular") == regular
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a plane under the gradient cut 10 h (lp + lm) reads branch: its psi "
+                          "pairs are dead and its blow-up is a linear ramp of the class M")
+def test_planes_under_the_gradient_cut_read_regular():
+    # the paper's dichotomy: a point where the gradient does not vanish is
+    # regular.  At n = 129 the cut is 0.625, so these planes reach the psi
+    # test, and read branch with dist_to_m of one rounding unit
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    for slope in (0.3, 0.5):
+        u = sample(g, lambda X, Y: slope * (0.6 * X + 0.8 * Y))
+        pc = classify_at_origin(u, g)
+        assert pc.label == "regular", (slope, pc.evidence["decided_by"], pc.evidence["dist_to_m"])
+
+
 def test_classify_degenerate_field_is_indeterminate():
     g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
     u = sample(g, lambda X, Y: np.zeros_like(X))

@@ -44,7 +44,7 @@ from membranelab.cli import _reference_points, _write_ladder
 from membranelab.freeboundary import _DIRECTIONS
 from membranelab import monotonicity
 from membranelab.grid import FieldWindow
-from membranelab.monotonicity import _BLOCK, _circle, _polar_disk
+from membranelab.monotonicity import _BLOCK, _PSI_FLOOR, _circle, _polar_disk
 from conftest import profile_fn, spec_of
 
 PI_8 = math.pi / 8.0
@@ -282,6 +282,22 @@ def per_field_directional_psi(u, z, radii, e, disk):
     return per_field_psi(hp, hm, z, radii, disk)
 
 
+def assert_per_field_directional_psi(u, p, radii, values):
+    """Check the psi along radii of each of _DIRECTIONS, in order, against per_field_directional_psi.
+
+    A live pair's psi must match bit for bit.  A pair that reads 0.0 at
+    every radius is dead, or has psi 0: its per-field psi must lie in
+    [0, _PSI_FLOOR], the floor under which the kernel writes 0.0.
+    """
+    disk = package_disk(u.grid)
+    for (name, e), vals in zip(_DIRECTIONS, values):
+        want = per_field_directional_psi(u, p, radii, e, disk)
+        if any(vals):
+            assert list(vals) == want, (p, name)
+        else:
+            assert all(0.0 <= w <= _PSI_FLOOR for w in want), (p, name, want)
+
+
 def per_field_phi(u, x0, r, lp, lm, disk):
     """weiss_phi with u and each gradient component interpolated alone."""
     gx, gy = gradient_fields(u)
@@ -322,10 +338,8 @@ def kernel_cases(profile_solutions, tau_solution, poly_solutions):
 def test_directional_psi_matches_the_per_field_path(kernel_cases):
     dirs = [e for _, e in _DIRECTIONS]
     for u, p, radii in kernel_cases:
-        disk = package_disk(u.grid)
         profs = directional_psi(gradient_fields(u), RadiusLadder(p, radii), dirs)
-        for e, prof in zip(dirs, profs):
-            assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), (p, e)
+        assert_per_field_directional_psi(u, p, radii, [prof.values for prof in profs])
 
 
 def test_one_radius_ladder_classifies_as_the_default_ladder(kernel_cases):
@@ -373,9 +387,7 @@ def test_classification_psi_is_the_per_field_psi(profile_solutions):
     h = spec.grid.h
     radii = (32 * h, 16 * h, 8 * h)
     pc = classify_point(FieldAnalysis(u, spec), RadiusLadder((0.0, 0.0), radii))
-    disk = package_disk(spec.grid)
-    for name, e in _DIRECTIONS:
-        assert list(pc.evidence["psi"][name]) == per_field_directional_psi(u, (0.0, 0.0), radii, e, disk)
+    assert_per_field_directional_psi(u, (0.0, 0.0), radii, [pc.evidence["psi"][name] for name, _ in _DIRECTIONS])
 
 
 def test_phi_and_pair_psi_match_the_per_field_path(kernel_cases):
@@ -413,9 +425,9 @@ PARTIAL_STEPS = (40.3, 9.3)
 
 def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution):
     dirs = [e for _, e in _DIRECTIONS]
-    u_bowl = sample(profile_solutions[129][1].grid, bowl)
-    for u, p in ((profile_solutions[129][2], (0.0, 0.05)), (tau_solution[2], (-0.2, 0.1)),
-                 (u_bowl, (0.0, 0.05))):
+    g = profile_solutions[129][1].grid
+    for u, p in ((sample(g, wavy), (0.0, 0.05)), (tau_solution[2], (-0.2, 0.1)),
+                 (sample(g, bowl), (0.0, 0.05))):
         h = u.grid.h
         radii = tuple(k * h for k in PARTIAL_STEPS)
         nqs = [_polar_disk(p, r, h)[1] for r in radii]
@@ -427,17 +439,18 @@ def test_partial_blocks_match_the_per_field_path(profile_solutions, tau_solution
         disk = package_disk(u.grid)
         ladder = RadiusLadder(p, radii)
         # phi interpolates a stack of 3 layers; the four directions one of 16
-        # on the bowl, and of 4 on the solved fields, where only e2's pair is live
+        # on the bowl, of 12 on the wavy data and of 4 on the slab, where
+        # only e2's pair is live
         prof = phi_ladder(u, gradient_fields(u), ladder, 2.0, 2.0)
         assert list(prof.values) == [per_field_phi(u, p, r, 2.0, 2.0, disk) for r in radii]
         profs = directional_psi(gradient_fields(u), ladder, dirs)
-        for e, prof in zip(dirs, profs):
-            assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), (p, e)
+        assert_per_field_directional_psi(u, p, radii, [prof.values for prof in profs])
 
 
 def test_directional_psi_interpolates_every_disk_point(profile_solutions, monkeypatch):
-    # the benchmark counts quadrature points through interpolate_many
-    u = profile_solutions[129][2]
+    # the benchmark counts quadrature points through interpolate_many; the
+    # wavy data keep three pairs live about the origin
+    u = sample(profile_solutions[129][1].grid, wavy)
     h = u.grid.h
     radii = (40.3 * h, 32 * h, 9.3 * h)
     points = []
@@ -467,7 +480,7 @@ def window_layers(monkeypatch):
 
 
 @pytest.mark.parametrize("field, live", [
-    ("profile", {"e2"}),
+    ("profile", set()),
     ("wavy", {"e2", "diag", "antidiag"}),
     ("plane", set()),
 ], ids=["profile", "wavy", "plane"])
@@ -475,9 +488,9 @@ def test_directional_psi_leaves_out_pairs_that_vanish_on_the_window(profile_solu
                                                                    field, live):
     # a pair with a member that is 0 on the window has psi 0.0, as the
     # per-field path computes it, and its 4 layers are not interpolated.
-    # The solved profile is monotone along e1, diag and antidiag (its
-    # rounding-level d/dy keeps e2's pair live), the wavy data along e1,
-    # and the plane along every direction.
+    # The solved profile is monotone along e1, diag and antidiag, and its
+    # d/dy is rounding noise, so e2's pair is dead by its bound; the wavy
+    # data are monotone along e1, and the plane along every direction.
     g = profile_solutions[129][1].grid
     h = g.h
     if field == "profile":
@@ -491,21 +504,51 @@ def test_directional_psi_leaves_out_pairs_that_vanish_on_the_window(profile_solu
     profs = directional_psi(gradient_fields(u), RadiusLadder(p, radii), [e for _, e in _DIRECTIONS])
     assert set(layers) == ({4 * len(live)} if live else set())
     assert {name for (name, _), prof in zip(_DIRECTIONS, profs) if any(prof.values)} == live
-    disk = package_disk(g)
-    for (name, e), prof in zip(_DIRECTIONS, profs):
-        assert list(prof.values) == per_field_directional_psi(u, p, radii, e, disk), name
+    assert_per_field_directional_psi(u, p, radii, [prof.values for prof in profs])
 
 
-def test_benchmark_ladders_interpolate_only_the_live_pair(profile_solutions, monkeypatch):
-    # the diagnose ladders of the profile benchmark at n = 257: of the four
-    # directions only e2's pair is live, so each disk call reads 4 layers, not 16
+def test_benchmark_ladders_interpolate_no_pair(profile_solutions, monkeypatch):
+    # the diagnose ladders of the profile benchmark at n = 257: e1, diag and
+    # antidiag have a part that vanishes, and e2's parts are the solve's
+    # rounding noise, so no disk call is made and every psi reads 0.0.  The
+    # per-field psi of e2 is not 0, but it is below one rounding unit of pi^2/4
     u = profile_solutions[257][2]
     grads = gradient_fields(u)
-    layers = window_layers(monkeypatch)
+    radii = (0.5, 0.25, 0.125, 0.0625)
+    disk = package_disk(u.grid)
+    calls = counting_calls(monkeypatch, "interpolate_many")
     for y0 in (-0.25, 0.0, 0.25):
-        directional_psi(grads, RadiusLadder((0.0, y0), (0.5, 0.25, 0.125, 0.0625)),
-                        [e for _, e in _DIRECTIONS])
-    assert layers and set(layers) == {4}
+        profs = directional_psi(grads, RadiusLadder((0.0, y0), radii), [e for _, e in _DIRECTIONS])
+        assert calls == []
+        assert all(prof.values == (0.0,) * len(radii) for prof in profs)
+        want = per_field_directional_psi(u, (0.0, y0), radii, (0.0, 1.0), disk)
+        assert all(0.0 < w <= _PSI_FLOOR for w in want), (y0, want)
+
+
+def test_a_pair_straddling_the_floor(monkeypatch):
+    # 0.5 x|x| + a y^2: e2's parts are (2ay)+ and (2ay)-, whose psi is about
+    # 4 pi^2 a^4.  At a = 1e-6 the pair's bound 64 pi^2 (M+ M-)^2 / h^4 is
+    # above the floor, and the pair is live and exact; at a = 1e-7 it is
+    # below, and the pair reads 0.0 while its per-field psi is positive
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, 129, 129)
+    h = g.h
+    radii = (32 * h, 16 * h, 8 * h)
+    dirs = [e for _, e in _DIRECTIONS]
+    for a, live in ((1e-6, True), (1e-7, False)):
+        u = sample(g, lambda X, Y: 0.5 * X * np.abs(X) + a * Y * Y)
+        layers = window_layers(monkeypatch)
+        profs = directional_psi(gradient_fields(u), RadiusLadder((0.0, 0.0), radii), dirs)
+        want = per_field_directional_psi(u, (0.0, 0.0), radii, (0.0, 1.0), package_disk(g))
+        assert want[-1] == pytest.approx(3.5e-23 if live else 3.5e-27, rel=0.02), a
+        e2 = profs[1].values
+        if live:
+            assert set(layers) == {4}
+            assert list(e2) == want
+        else:
+            assert layers == []
+            assert e2 == (0.0,) * len(radii)
+            assert all(0.0 < w <= _PSI_FLOOR for w in want)
+        assert_per_field_directional_psi(u, (0.0, 0.0), radii, [prof.values for prof in profs])
 
 
 def test_a_ladder_with_no_live_pair_still_checks_its_balls(monkeypatch):
