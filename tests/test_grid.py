@@ -1,10 +1,13 @@
 """Grid construction, stencils, interpolation, and boundary data."""
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from membranelab import (
     BoundaryMap,
@@ -18,7 +21,15 @@ from membranelab import (
     sample,
 )
 from membranelab.cli import _FAMILIES
-from membranelab.grid import _NODE_SNAP, FieldWindow, _locate, boundary_mask
+from membranelab.grid import (
+    _DECADES,
+    _NODE_SNAP,
+    FieldWindow,
+    _format_lines,
+    _locate,
+    boundary_mask,
+    write_csv,
+)
 from membranelab.profiles import GlobalProfile, OnePhasePolynomial, eval_many
 
 
@@ -113,6 +124,105 @@ def test_float_repr_roundtrips():
     assert float_repr(0.0) == "0"
     assert float_repr(-0.0) == "0"
     assert float_repr(1.0) == "1"
+
+
+def test_write_csv_writes_numpy_floats_of_every_width_through_float_repr(tmp_path):
+    row = [np.float16(0.1), np.float32(0.1), np.float64(0.1), 0.1, np.float32(-0.0), 3, "a"]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), "h", [row])
+    assert path.read_text() == "h\n0.0999755859375,0.10000000149011612,0.10000000000000001," \
+        "0.10000000000000001,0,3,a\n"
+
+
+# ---------------------------------------------------------------------------
+# The bulk formatter against format(v, ".17g"), value by value
+# ---------------------------------------------------------------------------
+
+
+def formatted(values):
+    """_format_lines's text of each value, one string per value."""
+    text = _format_lines(np.asarray(values, dtype=float))
+    assert text.endswith("\n") or not len(values)
+    return text.split("\n")[:-1]
+
+
+def assert_formats_as_float_repr(values):
+    want = [float_repr(v) for v in np.asarray(values, dtype=float).tolist()]
+    assert formatted(values) == want
+    # float_repr is format's 17 digits, with -0.0 written as 0
+    assert want == ["0" if v == 0.0 else format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+def test_format_lines_next_to_every_power_of_ten():
+    # log10 errs next to a power of ten, and the decade re-check must catch it; the
+    # largest double below 10**k is also the one that could round up to 10**k
+    values = []
+    for k in range(-8, 19):
+        p = float(f"1e{k}")
+        values += [np.nextafter(np.nextafter(p, 0.0), 0.0), np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    values = np.array(values)
+    assert_formats_as_float_repr(np.concatenate([values, -values]))
+
+
+def test_decade_starts_are_the_least_doubles_at_or_above_each_power_of_ten():
+    for k, start in zip(range(-5, 18), _DECADES.tolist()):
+        assert Fraction(start) >= Fraction(10) ** k > Fraction(np.nextafter(start, 0.0)), k
+
+
+def test_format_lines_rounds_ties_half_to_even():
+    # 1234567890123456.75 and .25 are doubles; at 17 digits each is a tie
+    assert formatted([1234567890123456.75, 1234567890123456.25, -1234567890123456.25]) == [
+        "1234567890123456.8", "1234567890123456.2", "-1234567890123456.2"]
+    # ties in every decade k of the range: a = N / 2**(17 - k) with N odd, so
+    # that a * 10**(16 - k) = N * 5**(16 - k) / 2 ends in exactly one half
+    rng = np.random.default_rng(5)
+    ties = []
+    for k in range(-4, 16):
+        m = 17 - k
+        lo, hi = 10 ** k * Fraction(2) ** m, min(10 ** (k + 1) * Fraction(2) ** m, Fraction(2) ** 53)
+        n = 2 * (rng.integers(math.ceil(lo), math.floor(hi), 100) // 2) + 1
+        a = np.ldexp(n.astype(float), -m)
+        for x in a.tolist():
+            scaled = Fraction(x) * Fraction(10) ** (16 - k)
+            assert 10 ** 16 <= scaled < 10 ** 17 and scaled - math.floor(scaled) == Fraction(1, 2), x
+        ties += a.tolist()
+    assert_formats_as_float_repr(np.array(ties + [-t for t in ties]))
+
+
+def test_format_lines_keeps_a_whole_number_s_zeros_and_drops_its_point():
+    assert formatted([2.0, 100.0, 1e15, -1e15, 120.5, 0.5, 1e-4, 9999999999999998.0]) == [
+        "2", "100", "1000000000000000", "-1000000000000000", "120.5", "0.5", "0.0001", "9999999999999998"]
+
+
+def test_format_lines_writes_zeros_and_values_outside_its_range_like_float_repr():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-5,
+              np.nextafter(1e-4, 0.0), 1e16, -2.5e17, 1.7976931348623157e308]
+    assert formatted(values)[:2] == ["0", "0"]
+    assert_formats_as_float_repr(values)
+    assert_formats_as_float_repr([])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, st.integers(min_value=0, max_value=64),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_format_lines_matches_float_repr_on_finite_arrays(values):
+    assert_formats_as_float_repr(values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, st.integers(min_value=1, max_value=64),
+                  elements=st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+                  | st.floats(min_value=-1e16, max_value=-1e-4, exclude_min=True)))
+def test_format_lines_matches_float_repr_inside_its_range(values):
+    # every value here takes the exact digits, none the per-value path
+    assert_formats_as_float_repr(values)
+
+
+def test_format_lines_writes_each_prefix_before_its_value():
+    xs = np.array([b"-0.5,", b"1,", b""])
+    ys = np.array([b"0.25,", b"0.25,", b"7,"])
+    assert _format_lines(np.array([0.1, -3e-7, 0.0]), xs, ys) == \
+        "-0.5,0.25,0.10000000000000001\n1,0.25,-2.9999999999999999e-07\n7,0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +459,40 @@ def field_csv_oracle(f):
     # nx != ny, with coordinates that need all 17 digits
     ((-0.3, 0.7, 0.1, 0.6), 31, 16, lambda X, Y: np.sin(3.0 * X) * np.cos(5.0 * Y) - 0.1 * X),
     ((-1.0, 1.0, -1.0, 1.0), 257, 257, lambda X, Y: 0.5 * X * np.abs(X)),
+    # the solved tau = -0.4 slab as it is: a pinned band of exact zeros, and
+    # edge values below 1e-4 that take the per-value path
+    pytest.param(None, 129, 129, None, id="tau_slab_129"),
 ])
-def test_dump_field_csv_matches_the_per_cell_writer(tmp_path, bounds, nx, ny, fn):
-    g = build_grid(*bounds, nx, ny)
-    v = np.asarray(fn(*g.meshgrid()), dtype=float)
-    v.ravel()[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
-    v[-1, -1] = -0.0
-    f = ScalarField(g, v)
+def test_dump_field_csv_matches_the_per_cell_writer(tmp_path, request, bounds, nx, ny, fn):
+    if fn is None:
+        f = request.getfixturevalue("tau_solution")[2]
+        a = np.abs(f.values)
+        assert (f.grid.nx, f.grid.ny) == (nx, ny)
+        assert np.count_nonzero(a == 0.0) > 1000 and np.count_nonzero((a > 0.0) & (a < 1e-4)) > 0
+    else:
+        g = build_grid(*bounds, nx, ny)
+        v = np.asarray(fn(*g.meshgrid()), dtype=float)
+        v.ravel()[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+        v[-1, -1] = -0.0
+        f = ScalarField(g, v)
     path = tmp_path / "field.csv"
     dump_field_csv(f, str(path))
     assert path.read_bytes() == field_csv_oracle(f).encode()
+
+
+@pytest.mark.parametrize("n", [129, 257, 513])
+def test_dump_field_csv_holds_a_block_not_the_field(tmp_path, n):
+    # the writer formats 4,096 nodes at a time, so its peak does not grow with
+    # the field and stays well below a diagnose job's, which solve sets
+    g = build_grid(-1.0, 1.0, -1.0, 1.0, n, n)
+    f = sample(g, lambda X, Y: 0.5 * X * np.abs(X) + 0.1 * np.sin(np.pi * Y))
+    path = str(tmp_path / "field.csv")
+    dump_field_csv(f, path)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        dump_field_csv(f, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 1.5e6, peak - entry
